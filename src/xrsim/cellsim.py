@@ -21,7 +21,7 @@ from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, AdrxController,
 from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, Engine, slot_type)
 from .qos import FlowQueue, MappingConfig, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
-                    Deployment, HarqProcess, LinkState, dl_sinr_db,
+                    Deployment, HarqProcess, dl_sinr_db,
                     harq_attempt, select_mcs, tb_bits, ul_sinr_db)
 from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         TableKind, gen_bs_table, quantize_bsr,
@@ -30,7 +30,7 @@ from .scheduling import (CgConfig, DlCandidate, PolicyKind, SchedulerPolicy,
                          UlCandidate, allocate_dl, allocate_ul,
                          build_uto_uci, cg_occasions, pf_update,
                          reclaim_unused)
-from .traffic import (Direction, Pdu, VideoSource, VideoStreamConfig,
+from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
 
 
@@ -104,7 +104,6 @@ class UeCtx:
         self.is_embb = is_embb
         self.sinr_db = 0.0
         self.ul_sinr_db = 0.0
-        self.lst: Optional[LinkState] = None
         self.mcs = 0
         self.ul_mcs = 0
         self.queue: Optional[FlowQueue] = None
@@ -194,9 +193,9 @@ class CellSim:
                                     link.interferer_couplings(cells))
             ue.ul_sinr_db = ul_sinr_db(50, link.serving_coupling_db)
             ue.ul_mcs, _ = select_mcs(ue.ul_sinr_db)
-            ue.lst = LinkState(link.serving_coupling_db, sinr_db=ue.sinr_db)
-            ue.lst.sample_csi()
-            ue.mcs, _ = select_mcs(ue.lst.csi_sinr_db)
+            # SINR is static, so every CSI report repeats it and the MCS
+            # chosen here holds for the whole run
+            ue.mcs, _ = select_mcs(ue.sinr_db)
             if is_embb:
                 ue.queue = FlowQueue(embb_profile, ue_id=link.ue_id)
                 ue.source = ftp3_source(
@@ -278,7 +277,7 @@ class CellSim:
                     break
                 frame, sets = ue.next_sets
                 ue.next_sets = None
-                n_pdus = sum(len(s.pdus) for s in sets)
+                n_pdus = sum(len(s.sizes) for s in sets)
                 fp = FrameProgress(frame.index, frame.arrival_time,
                                    frame.arrival_time + cfg.psdb_us, n_pdus)
                 ue.frames[frame.index] = fp
@@ -290,15 +289,14 @@ class CellSim:
                 # keep a deep backlog so the queue never drains
                 while ue.queue.queued_bytes < 1_000_000:
                     sid = ("fb", ue.ue_id, ue.fb_count)
+                    ue.queue.enqueue_set(PduSet(sid, ue.fb_count, 0,
+                                                Fraction(now), (150_000,)))
                     ue.fb_count += 1
-                    ue.queue.enqueue_pdus([Pdu(
-                        id=sid + (0,), pdu_set_id=sid, byte_size=150_000,
-                        arrival_time=Fraction(now), is_last_of_set=True)])
                 continue
             if ue.next_sets is None:
                 ue.next_sets = next(ue.source)
-            while ue.next_sets[0].arrival_time <= now:
-                ue.queue.enqueue_pdus(ue.next_sets)
+            while ue.next_sets.arrival_time <= now:
+                ue.queue.enqueue_set(ue.next_sets)
                 ue.next_sets = next(ue.source)
         if self.cfg.pose_cg is not None:
             for ue in self.xr:
@@ -330,37 +328,34 @@ class CellSim:
 
     def _deliver(self, ue, segments, now):
         post_warmup = now >= self.cfg.warmup_us
+        lost = ue.queue.lost_sets
         for seg in segments:
-            if seg.pdu.pdu_set_id in ue.queue.lost_sets:
+            sid = seg.pdu_set.id
+            if sid in lost:
                 continue
             if post_warmup:
                 ue.delivered_bits += seg.byte_size * 8
-            if not seg.completes_pdu:
+            if not seg.completed:
                 continue
-            fid = seg.pdu.pdu_set_id[0]
+            fid = sid[0]
             if not isinstance(fid, int):
                 continue
             fp = ue.frames.get(fid)
             if fp is None:
                 continue
-            fp.delivered += 1
+            fp.delivered += seg.completed
             if (fp.delivered >= fp.n_pdus and not fp.lost
                     and fp.done_time is None):
                 # decoding completes at the end of the carrying slot
                 fp.done_time = now + SLOT_US
 
     def _harq_lose(self, ue, segments, now):
-        lost_sets = {}
-        for seg in segments:
-            lost_sets.setdefault(seg.pdu.pdu_set_id, seg.pdu)
-        for sid, pdu in lost_sets.items():
-            if sid not in ue.queue.lost_sets:
-                ue.queue.on_pdu_lost(pdu, now)
+        ue.queue.on_block_lost(segments, now)
         self._sync_events(ue)
 
     def _mark_first_service(self, ue, segments, now):
         for seg in segments:
-            fid = seg.pdu.pdu_set_id[0]
+            fid = seg.pdu_set.id[0]
             if isinstance(fid, int):
                 fp = ue.frames.get(fid)
                 if fp is not None and fp.first_service is None:
@@ -373,8 +368,8 @@ class CellSim:
         live = []
         rb = 0
         for ue, proc, alloc in entries:
-            segs = [s for s in alloc.segments
-                    if s.pdu.pdu_set_id not in ue.queue.lost_sets]
+            lost = ue.queue.lost_sets
+            segs = [s for s in alloc.segments if s.pdu_set.id not in lost]
             if not segs:
                 continue
             alloc.segments = segs
@@ -476,8 +471,8 @@ class CellSim:
         rb_used = 0
 
         for ue, proc, alloc in self.ul_retx.pop(slot, ()):
-            segs = [s for s in alloc.segments
-                    if s.pdu.pdu_set_id not in ue.queue.lost_sets]
+            lost = ue.queue.lost_sets
+            segs = [s for s in alloc.segments if s.pdu_set.id not in lost]
             if not segs:
                 continue
             alloc.segments = segs
@@ -528,17 +523,17 @@ class CellSim:
                 reported = self.table.entries[quantize_bsr(buf, self.table)]
                 urgency = None
                 if cfg.dsr_enabled:
-                    ue.lcg.pdus = [e[0] for e in ue.queue.entries]
+                    ue.lcg.sets = ue.queue.entries
                     rep = trigger_dsr(ue.lcg, int(cfg.dsr_threshold_ms * 1000),
                                       now)
                     if rep is not None:
-                        urgency = rep.remaining_ms * 1000.0
+                        urgency = rep.smallest_remaining_ms * 1000.0
                     elif ue.lcg.dsr_reported:
-                        live = [p for p in ue.lcg.pdus
-                                if p.id in ue.lcg.dsr_reported]
+                        live = [e.pdu_set for e in ue.lcg.sets
+                                if e.pdu_set.id in ue.lcg.dsr_reported]
                         if live:
-                            urgency = min(float(p.deadline - now)
-                                          for p in live)
+                            urgency = min(float(s.deadline - now)
+                                          for s in live)
                 cands.append(UlCandidate(ue.ue_id, reported + self.ce_bytes,
                                          ue.ul_mcs, urgency_us=urgency))
             target = slot + 5
@@ -648,10 +643,6 @@ class CellSim:
             return
         self._arrivals(now)
         self._discards(now)
-        if slot % 4 == 0:
-            for ue in self.ues:
-                ue.lst.sample_csi()
-                ue.mcs, _ = select_mcs(ue.lst.csi_sinr_db)
         if slot_type(slot) == UPLINK:
             self._ul_slot(slot, now)
         else:
@@ -672,10 +663,11 @@ class CellSim:
             in_budget = sum(1 for _, ok in out if ok)
             trace = ue.trace[warm_slot:]
             avg_power = power_for_run(trace, cfg.power_model) if trace else 0.0
+            # eMBB flows carry no PDU-set error rate target
+            pser = 0.0 if ue.is_embb else ue.queue.pser()
             kpis.append(UeKpi(ue.ue_id, ue.is_embb, total, in_budget,
                               ue.padding_samples, ue.grants,
-                              ue.delivered_bits, avg_power,
-                              ue.queue.pser(), out))
+                              ue.delivered_bits, avg_power, pser, out))
         return CellResult(kpis, self.rb_utilization, cfg.duration_s)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,15 +52,58 @@ class DiscardEvent:
     pdu_ids: tuple
 
 
-@dataclass
 class Segment:
-    pdu: Pdu
-    byte_size: int
-    completes_pdu: bool
+    """The span of one PDU set that one transport block carries.
+
+    ``start`` is the span's first byte within the set, ``byte_size`` its
+    length and ``completed`` the number of PDUs whose last byte it carries.
+    """
+
+    __slots__ = ("pdu_set", "start", "byte_size", "completed")
+
+    def __init__(self, pdu_set: PduSet, start: int, byte_size: int,
+                 completed: int):
+        self.pdu_set = pdu_set
+        self.start = start
+        self.byte_size = byte_size
+        self.completed = completed
+
+    @property
+    def completes_pdu(self) -> bool:
+        return self.completed > 0
+
+    @property
+    def first_pdu_index(self) -> int:
+        return bisect_right(self.pdu_set.ends, self.start)
+
+    @property
+    def pdu(self) -> Pdu:
+        """The first PDU the span touches, built on demand."""
+        return self.pdu_set.pdus[self.first_pdu_index]
+
+
+class QueuedSet:
+    """A PDU set in a flow queue and how many of its bytes MAC has taken."""
+
+    __slots__ = ("pdu_set", "taken")
+
+    def __init__(self, pdu_set: PduSet):
+        self.pdu_set = pdu_set
+        self.taken = 0
+
+    @property
+    def remaining(self) -> int:
+        return self.pdu_set.total_bytes - self.taken
+
+    def queued_pdu_ids(self) -> list:
+        """Ids of the PDUs not yet fully taken, in order."""
+        s = self.pdu_set
+        return [s.id + (i,)
+                for i in range(bisect_right(s.ends, self.taken), len(s.ends))]
 
 
 class FlowQueue:
-    """FIFO byte queue with PDU-set bookkeeping and discard machinery."""
+    """FIFO byte queue of PDU sets with discard machinery."""
 
     def __init__(self, profile: QosFlowProfile,
                  mapping: MappingConfig = MappingConfig.ONE_ONE_ONE,
@@ -67,13 +111,10 @@ class FlowQueue:
         self.profile = profile
         self.mapping = mapping
         self.ue_id = ue_id
-        self.entries: deque[list] = deque()  # [pdu, remaining_bytes]
+        self.entries: deque[QueuedSet] = deque()
         self._queued_bytes = 0
         self.total_sets = 0
         self.lost_sets: set = set()
-        self.set_pdu_count: dict = {}
-        self.set_bytes: dict = {}
-        self.taken_bytes: dict = {}  # set_id -> bytes already handed to MAC
         self.events: list[DiscardEvent] = []
         self._logged_sets: set = set()
 
@@ -83,20 +124,8 @@ class FlowQueue:
 
     def enqueue_set(self, pdu_set: PduSet):
         self.total_sets += 1
-        self.set_pdu_count[pdu_set.id] = len(pdu_set.pdus)
-        self.set_bytes[pdu_set.id] = pdu_set.total_bytes
-        for p in pdu_set.pdus:
-            self.entries.append([p, p.byte_size])
-            self._queued_bytes += p.byte_size
-
-    def enqueue_pdus(self, pdus: Iterable[Pdu]):
-        for p in pdus:
-            self.set_pdu_count.setdefault(p.pdu_set_id, 0)
-            self.set_pdu_count[p.pdu_set_id] += 1
-            self.set_bytes[p.pdu_set_id] = \
-                self.set_bytes.get(p.pdu_set_id, 0) + p.byte_size
-            self.entries.append([p, p.byte_size])
-            self._queued_bytes += p.byte_size
+        self.entries.append(QueuedSet(pdu_set))
+        self._queued_bytes += pdu_set.total_bytes
 
     @property
     def queued_bytes(self) -> int:
@@ -105,25 +134,30 @@ class FlowQueue:
     def hol_age_us(self, now) -> float:
         if not self.entries:
             return 0.0
-        return float(now - self.entries[0][0].arrival_time)
+        return float(now - self.entries[0].pdu_set.arrival_time)
 
     def take(self, max_bytes: int, _now=None) -> list[Segment]:
         """Remove up to max_bytes from the head for one transport block."""
         out = []
         budget = max_bytes
-        while budget > 0 and self.entries:
-            pdu, rem = self.entries[0]
-            chunk = min(rem, budget)
-            budget -= chunk
-            self._queued_bytes -= chunk
-            if chunk == rem:
-                self.entries.popleft()
-                out.append(Segment(pdu, chunk, True))
+        entries = self.entries
+        while budget > 0 and entries:
+            entry = entries[0]
+            s = entry.pdu_set
+            start = entry.taken
+            ends = s.ends
+            chunk = s.total_bytes - start
+            if chunk <= budget:
+                entries.popleft()
+                completed = len(ends) - bisect_right(ends, start)
             else:
-                self.entries[0][1] = rem - chunk
-                out.append(Segment(pdu, chunk, False))
-            self.taken_bytes[pdu.pdu_set_id] = \
-                self.taken_bytes.get(pdu.pdu_set_id, 0) + chunk
+                chunk = budget
+                completed = (bisect_right(ends, start + chunk)
+                             - bisect_right(ends, start))
+            entry.taken = start + chunk
+            budget -= chunk
+            out.append(Segment(s, start, chunk, completed))
+        self._queued_bytes -= max_bytes - budget
         return out
 
     def _log(self, now, set_id, cause, pdu_ids=()):
@@ -132,14 +166,14 @@ class FlowQueue:
         self._logged_sets.add(set_id)
 
     def _remove_set(self, set_id, now, cause) -> list:
-        removed = [e for e in self.entries if e[0].pdu_set_id == set_id]
-        if removed:
-            kept = [e for e in self.entries if e[0].pdu_set_id != set_id]
-            self.entries.clear()
-            self.entries.extend(kept)
-            self._queued_bytes -= sum(e[1] for e in removed)
-        self._log(now, set_id, cause, (e[0].id for e in removed))
-        return [e[0].id for e in removed]
+        removed = []
+        entry = next((e for e in self.entries if e.pdu_set.id == set_id), None)
+        if entry is not None:
+            self.entries.remove(entry)
+            self._queued_bytes -= entry.remaining
+            removed = entry.queued_pdu_ids()
+        self._log(now, set_id, cause, removed)
+        return removed
 
     def mark_set_lost(self, set_id, now, cause: str) -> list:
         """Count the set for PSER and, under PSIHI, flush its queued PDUs."""
@@ -152,18 +186,31 @@ class FlowQueue:
             self._log(now, set_id, cause)
         return removed
 
+    def _harq_loss(self, set_id, pdu_id, now) -> list:
+        self._log(now, set_id, "harq", (pdu_id,))
+        return self.mark_set_lost(set_id, now, "harq")
+
     def on_pdu_lost(self, pdu: Pdu, now) -> list:
-        self._log(now, pdu.pdu_set_id, "harq", (pdu.id,))
-        return self.mark_set_lost(pdu.pdu_set_id, now, "harq")
+        return self._harq_loss(pdu.pdu_set_id, pdu.id, now)
+
+    def on_block_lost(self, segments: Iterable[Segment], now) -> list:
+        """HARQ gave up on a transport block: every set it carried is lost."""
+        removed = []
+        for seg in segments:
+            s = seg.pdu_set
+            if s.id not in self.lost_sets:
+                removed += self._harq_loss(
+                    s.id, s.id + (seg.first_pdu_index,), now)
+        return removed
 
     def discard_expired(self, now) -> list:
         if self.profile.discard_timer_ms is None:
             return []
         limit = self.profile.discard_timer_ms * 1000.0
-        expired_sets = {e[0].pdu_set_id for e in self.entries
-                        if float(now - e[0].arrival_time) > limit}
+        expired = [e.pdu_set.id for e in self.entries
+                   if float(now - e.pdu_set.arrival_time) > limit]
         removed = []
-        for sid in expired_sets:
+        for sid in expired:
             self.lost_sets.add(sid)
             removed.extend(self._remove_set(sid, now, "timer"))
         return removed
@@ -192,14 +239,13 @@ class FlowQueue:
     def _lowest_unstarted_set(self):
         top = max(self.profile.psi_levels)
         best = None
-        best_psi = None
-        for pdu, _ in self.entries:
-            sid = pdu.pdu_set_id
-            if pdu.psi >= top or self.taken_bytes.get(sid, 0) > 0:
+        for e in self.entries:
+            s = e.pdu_set
+            if s.psi >= top or e.taken > 0:
                 continue
-            if best_psi is None or pdu.psi < best_psi:
-                best, best_psi = sid, pdu.psi
-        return best
+            if best is None or s.psi < best.psi:
+                best = s
+        return None if best is None else best.id
 
     def pser(self) -> float:
         if self.total_sets == 0:

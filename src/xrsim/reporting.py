@@ -6,9 +6,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
-from .traffic import Pdu
+from .qos import QueuedSet
 
 SHORT_BSR_CE_BYTES = 4
 LONG_BSR_CE_BYTES = 8
@@ -122,28 +122,32 @@ class DsrReport:
 
 @dataclass
 class LcgState:
+    """A logical channel group's buffer: the queued PDU sets of its flows."""
+
     lcg_id: int
-    pdus: list[Pdu] = field(default_factory=list)
-    dsr_reported: set = field(default_factory=set)
+    sets: Sequence[QueuedSet] = field(default_factory=list)
+    dsr_reported: set = field(default_factory=set)  # ids of reported sets
 
     @property
     def buffered_bytes(self) -> int:
-        return sum(p.byte_size for p in self.pdus)
+        return sum(e.remaining for e in self.sets)
 
 
 def trigger_dsr(lcg: LcgState, threshold_us: int, ref_time_us) -> Optional[DsrReport]:
-    """Fire a delay status report the first time data crosses the threshold.
+    """Fire a delay status report the first time a set crosses the threshold.
 
     ref_time_us is the slot the report would ride on, so remaining times are
     what the scheduler will see when the grant lands.
     """
-    below = [p for p in lcg.pdus
-             if p.deadline is not None and p.deadline - ref_time_us < threshold_us]
-    if not any(p.id not in lcg.dsr_reported for p in below):
+    below = [e for e in lcg.sets
+             if e.pdu_set.deadline is not None
+             and e.pdu_set.deadline - ref_time_us < threshold_us]
+    if not any(e.pdu_set.id not in lcg.dsr_reported for e in below):
         return None
-    smallest = min(max(float(p.deadline - ref_time_us), 0.0) for p in below)
-    total = sum(p.byte_size for p in below)
-    lcg.dsr_reported.update(p.id for p in below)
+    smallest = min(max(float(e.pdu_set.deadline - ref_time_us), 0.0)
+                   for e in below)
+    total = sum(e.remaining for e in below)
+    lcg.dsr_reported.update(e.pdu_set.id for e in below)
     return DsrReport(lcg.lcg_id, smallest / 1000.0, total, float(ref_time_us))
 
 

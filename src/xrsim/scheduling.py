@@ -58,10 +58,6 @@ class Allocation:
     segments: list[Segment] = field(default_factory=list)
 
     @property
-    def pdu_ids(self) -> tuple:
-        return tuple(s.pdu.id for s in self.segments)
-
-    @property
     def carried_bytes(self) -> int:
         return sum(s.byte_size for s in self.segments)
 
@@ -81,20 +77,15 @@ def mlwdf_metric(cand: DlCandidate, now) -> float:
 
 
 def _head_set(cand: DlCandidate):
-    pdu = cand.queue.entries[0][0]
-    sid = pdu.pdu_set_id
-    set_bits = cand.queue.set_bytes.get(sid, 0) * 8
-    sent_bits = cand.queue.taken_bytes.get(sid, 0) * 8
-    return pdu, sid, sent_bits, set_bits
+    head = cand.queue.entries[0]
+    return head.pdu_set, head.taken * 8, head.pdu_set.total_bytes * 8
 
 
 def pduset_metric(cand: DlCandidate, now,
                   policy: SchedulerPolicy) -> Optional[float]:
     """Urgency score of the head PDU set; None flags an expired budget."""
-    pdu, _sid, sent_bits, set_bits = _head_set(cand)
-    if set_bits == 0:
-        return 0.0
-    deadline = pdu.deadline
+    head, sent_bits, set_bits = _head_set(cand)
+    deadline = head.deadline
     tau = float(deadline - now) if deadline is not None else cand.psdb_us
     if tau <= 0:
         return None
@@ -103,8 +94,8 @@ def pduset_metric(cand: DlCandidate, now,
 
 
 def _head_expired(cand: DlCandidate, now) -> bool:
-    pdu = cand.queue.entries[0][0]
-    return pdu.deadline is not None and pdu.deadline <= now
+    deadline = cand.queue.entries[0].pdu_set.deadline
+    return deadline is not None and deadline <= now
 
 
 def _rank(candidates: list[DlCandidate], now,

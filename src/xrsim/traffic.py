@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Optional
 
 import numpy as np
 
@@ -79,17 +81,80 @@ class Pdu:
             raise ValueError("deadline must lie after arrival")
 
 
-@dataclass
 class PduSet:
-    id: tuple
-    frame_id: int
-    pdus: list[Pdu]
-    psi: int
-    arrival_time: Fraction
+    """PDUs of one frame slice that share arrival, deadline and importance.
+
+    A set stores its PDU sizes, not PDU objects: PDU i has id ``id + (i,)``
+    and its last byte is byte ``ends[i]`` of the set, so queues locate PDU
+    boundaries by arithmetic. ``pdus`` is a view that builds each Pdu when
+    read, for callers off the simulation's hot path; a set may also be
+    built from explicit ``pdus``, whose sizes and set-level fields it keeps.
+    """
+
+    __slots__ = ("id", "frame_id", "psi", "arrival_time", "deadline", "sizes",
+                 "ends", "total_bytes", "end_of_burst")
+
+    def __init__(self, id: tuple, frame_id: int, psi: int,
+                 arrival_time: Fraction, sizes: Sequence[int] = (),
+                 deadline: Optional[Fraction] = None,
+                 end_of_burst: bool = False,
+                 pdus: Optional[Sequence[Pdu]] = None):
+        if pdus is not None:
+            sizes = [p.byte_size for p in pdus]
+            deadline = pdus[0].deadline
+            end_of_burst = pdus[-1].is_end_of_burst
+        if not sizes or min(sizes) <= 0:
+            raise ValueError("every pdu must carry payload")
+        if deadline is not None and deadline <= arrival_time:
+            raise ValueError("deadline must lie after arrival")
+        self.id = id
+        self.frame_id = frame_id
+        self.psi = psi
+        self.arrival_time = arrival_time
+        self.deadline = deadline
+        self.sizes = tuple(sizes)
+        self.ends = tuple(accumulate(self.sizes))
+        self.total_bytes = self.ends[-1]
+        self.end_of_burst = end_of_burst
 
     @property
-    def total_bytes(self) -> int:
-        return sum(p.byte_size for p in self.pdus)
+    def pdus(self) -> PduView:
+        return PduView(self)
+
+    def __repr__(self):
+        return (f"PduSet(id={self.id!r}, psi={self.psi}, "
+                f"arrival_time={self.arrival_time!r}, sizes={self.sizes!r})")
+
+
+class PduView(Sequence):
+    """The PDUs of a set as a read-only sequence; each is built when read."""
+
+    __slots__ = ("_set",)
+
+    def __init__(self, pdu_set: PduSet):
+        self._set = pdu_set
+
+    def __len__(self) -> int:
+        return len(self._set.sizes)
+
+    def __getitem__(self, i: int) -> Pdu:
+        s = self._set
+        n = len(s.sizes)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("pdu index out of range")
+        last = i == n - 1
+        return Pdu(id=s.id + (i,), pdu_set_id=s.id, byte_size=s.sizes[i],
+                   arrival_time=s.arrival_time, psi=s.psi,
+                   is_last_of_set=last, is_end_of_burst=s.end_of_burst and last,
+                   deadline=s.deadline)
+
+
+def mtu_sizes(total: int, mtu: int) -> tuple:
+    """PDU sizes of total bytes cut into MTU-bounded PDUs."""
+    full, rem = divmod(total, mtu)
+    return (mtu,) * full + ((rem,) if rem else ())
 
 
 @dataclass
@@ -146,29 +211,18 @@ def fragment_frame(frame: VideoFrame, mtu: int = MTU_BYTES, sets_per_frame: int 
         raise ValueError("need at least one set per frame")
     if frame.byte_size == 0:
         return []
-    deadline = None if psdb_us is None else frame.arrival_time + psdb_us
+    arrival = frame.arrival_time
+    deadline = None if psdb_us is None else arrival + psdb_us
     base, rem = divmod(frame.byte_size, sets_per_frame)
     sets = []
     for k in range(sets_per_frame):
         set_bytes = base + (rem if k == sets_per_frame - 1 else 0)
         if set_bytes == 0:
             continue
-        psi = psi_pattern[k % len(psi_pattern)]
-        set_id = (frame.index, k)
-        pdus = []
-        offset = 0
-        i = 0
-        while offset < set_bytes:
-            chunk = min(mtu, set_bytes - offset)
-            pdus.append(Pdu(id=(frame.index, k, i), pdu_set_id=set_id,
-                            byte_size=chunk, arrival_time=frame.arrival_time,
-                            psi=psi, deadline=deadline))
-            offset += chunk
-            i += 1
-        pdus[-1].is_last_of_set = True
-        sets.append(PduSet(id=set_id, frame_id=frame.index, pdus=pdus,
-                           psi=psi, arrival_time=frame.arrival_time))
-    sets[-1].pdus[-1].is_end_of_burst = True
+        sets.append(PduSet((frame.index, k), frame.index,
+                           psi_pattern[k % len(psi_pattern)], arrival,
+                           mtu_sizes(set_bytes, mtu), deadline))
+    sets[-1].end_of_burst = True
     return sets
 
 
@@ -179,32 +233,20 @@ def pose_source(period_us: int = 4000, size: int = 100,
     n = 0
     while True:
         t = Fraction(start_us + n * period_us)
-        pdu = Pdu(id=("pose", n, 0), pdu_set_id=("pose", n), byte_size=size,
-                  arrival_time=t, is_last_of_set=True, is_end_of_burst=True,
-                  deadline=None if psdb_us is None else t + psdb_us)
-        yield PduSet(id=("pose", n), frame_id=n, pdus=[pdu], psi=0, arrival_time=t)
+        yield PduSet(("pose", n), n, 0, t, (size,),
+                     None if psdb_us is None else t + psdb_us,
+                     end_of_burst=True)
         n += 1
 
 
 def ftp3_source(rng: np.random.Generator, file_size: int = 125_000,
                 mean_interarrival_s: float = 1.0,
-                mtu: int = MTU_BYTES) -> Iterator[list[Pdu]]:
-    """Poisson file arrivals, each file cut into plain PDUs without deadlines."""
+                mtu: int = MTU_BYTES) -> Iterator[PduSet]:
+    """Poisson file arrivals, each file one set of plain PDUs without deadlines."""
     t = 0.0
     n = 0
     while True:
         t += rng.exponential(mean_interarrival_s) * 1e6
-        arrival = Fraction(int(round(t)))
-        pdus = []
-        offset = 0
-        i = 0
-        while offset < file_size:
-            chunk = min(mtu, file_size - offset)
-            pdus.append(Pdu(id=("ftp", n, i), pdu_set_id=("ftp", n),
-                            byte_size=chunk, arrival_time=arrival))
-            offset += chunk
-            i += 1
-        pdus[-1].is_last_of_set = True
-        pdus[-1].is_end_of_burst = True
-        yield pdus
+        yield PduSet(("ftp", n), n, 0, Fraction(int(round(t))),
+                     mtu_sizes(file_size, mtu), end_of_burst=True)
         n += 1

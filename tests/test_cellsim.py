@@ -6,7 +6,7 @@ from xrsim.cellsim import CellConfig, CellSim
 from xrsim.drx import DrxConfig, SLOT_PDSCH, SLOT_SLEEP
 from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.scheduling import PolicyKind, SchedulerPolicy
-from xrsim.traffic import Direction
+from xrsim.traffic import Direction, Pdu, PduSet
 
 
 def _short(**kw) -> CellConfig:
@@ -111,3 +111,30 @@ def test_rb_utilization_bounds():
     assert all(0.0 <= x <= 1.0 for x in r.rb_utilization)
     n_slots = int(2.0e6 - 0.5e6) // SLOT_US
     assert len(r.rb_utilization) == n_slots
+
+
+def test_uplink_dsr_fires_and_run_completes():
+    # a 25 ms threshold under a 30 ms budget fires DSR on data that waits
+    # more than 5 ms; its urgency then orders the UL grants
+    sim = CellSim(_short(direction=Direction.UL, ues_per_cell=4, rate_bps=10e6,
+                         psdb_ms=30.0, duration_s=1.0, warmup_s=0.2,
+                         dsr_enabled=True, dsr_threshold_ms=25.0), seed=1)
+    r = sim.run()
+    assert any(u.lcg.dsr_reported for u in sim.xr)
+    assert all(k.frames_total > 0 for k in r.xr_ues())
+
+
+def test_dl_cell_builds_no_pdu_objects(monkeypatch):
+    # queues hold whole PDU sets; PDU objects exist only for callers that
+    # ask a set for them
+    built = []
+    monkeypatch.setattr(Pdu, "__post_init__",
+                        lambda self: built.append(self.id))
+    sim = CellSim(_short(ues_per_cell=6, rate_bps=45e6, sets_per_frame=4,
+                         embb_ues=2, psi_discard_enabled=True,
+                         duration_s=1.0, warmup_s=0.2), seed=1)
+    sim.run()
+    assert sum(len(u.queue.events) for u in sim.xr) > 0  # discards ran
+    assert built == []
+    PduSet(("x",), 0, 0, Fraction(0), (100, 200)).pdus[1]
+    assert built == [("x", 1)]  # the hook sees a PDU being built

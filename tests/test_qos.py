@@ -33,8 +33,9 @@ def test_psihi_cascade_discards_rest_of_set():
     q = fresh_queue()
     (s,) = make_set(size=7500)  # 5 pdus of 1500
     q.enqueue_set(s)
-    sent = q.take(3000)  # pdus 0 and 1 leave the queue
-    assert [g.pdu.id for g in sent] == [s.pdus[0].id, s.pdus[1].id]
+    (seg,) = q.take(3000)  # pdus 0 and 1 leave the queue in one span
+    assert (seg.pdu_set, seg.start, seg.byte_size, seg.completed) == \
+        (s, 0, 3000, 2)
     dropped = psihi_discard(q, s.pdus[1], now=1000)
     assert dropped == [s.pdus[2].id, s.pdus[3].id, s.pdus[4].id]
     assert q.queued_bytes == 0
@@ -81,7 +82,7 @@ def test_timer_discard():
     gone = discard_expired(q, 31_000)
     assert {pid[:2] for pid in [g[:2] for g in gone]} == {(0, 0)}
     assert q.lost_sets == {a.id}
-    assert all(e[0].pdu_set_id == b.id for e in q.entries)
+    assert [e.pdu_set.id for e in q.entries] == [b.id]
 
 
 def test_timer_disabled_never_discards():
@@ -102,8 +103,7 @@ def test_psi_discard_lowest_unstarted_first():
     assert dropped
     assert dropped[0] == sets[1].id  # first low-importance set goes first
     assert sets[0].id not in dropped  # high importance survives psi discard
-    assert all(e[0].psi == 1 or q.taken_bytes.get(e[0].pdu_set_id, 0) > 0
-               for e in q.entries)
+    assert all(e.pdu_set.psi == 1 or e.taken > 0 for e in q.entries)
 
 
 def test_psi_discard_idle_and_all_high():
@@ -141,9 +141,9 @@ def test_take_never_returns_lost_set():
         for _ in range(int(rng.integers(0, 4))):
             segs = q.take(int(rng.integers(500, 6000)))
             for g in segs:
-                assert g.pdu.pdu_set_id not in q.lost_sets
+                assert g.pdu_set.id not in q.lost_sets
             if segs and rng.random() < 0.3:
-                q.on_pdu_lost(segs[-1].pdu, t)
+                q.on_block_lost(segs[-1:], t)
         if rng.random() < 0.2:
             discard_expired(q, t)
         if rng.random() < 0.2:

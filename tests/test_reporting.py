@@ -13,7 +13,8 @@ from xrsim.reporting import (
     select_table,
     trigger_dsr,
 )
-from xrsim.traffic import Pdu
+from xrsim.qos import QueuedSet
+from xrsim.traffic import PduSet
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +82,14 @@ def test_select_table():
     assert select_table(300_000, True) is TableKind.REFINED_LONG
 
 
-def _pdu(pid, size, arrival_us, deadline_us):
-    return Pdu(id=("x", pid, 0), pdu_set_id=("x", pid), byte_size=size,
-               arrival_time=Fraction(arrival_us), deadline=Fraction(deadline_us))
+def _queued(pid, size, arrival_us, deadline_us):
+    return QueuedSet(PduSet(("x", pid), pid, 0, Fraction(arrival_us), (size,),
+                            Fraction(deadline_us)))
 
 
 def test_dsr_crossing_time():
     # discard timer 30 ms, threshold 10 ms: crossing at arrival + 20 ms
-    lcg = LcgState(0, [_pdu(0, 500, 0, 30_000)])
+    lcg = LcgState(0, [_queued(0, 500, 0, 30_000)])
     assert trigger_dsr(lcg, 10_000, 19_999) is None
     assert trigger_dsr(lcg, 10_000, 20_000) is None
     rep = trigger_dsr(lcg, 10_000, 20_500)
@@ -98,11 +99,11 @@ def test_dsr_crossing_time():
 
 
 def test_dsr_fires_once_per_pdu():
-    lcg = LcgState(0, [_pdu(0, 500, 0, 30_000)])
+    lcg = LcgState(0, [_queued(0, 500, 0, 30_000)])
     assert trigger_dsr(lcg, 10_000, 21_000) is not None
     assert trigger_dsr(lcg, 10_000, 22_000) is None
     # fresh data crossing later re-triggers, totals cover all urgent data
-    lcg.pdus.append(_pdu(1, 300, 5_000, 35_000))
+    lcg.sets.append(_queued(1, 300, 5_000, 35_000))
     rep = trigger_dsr(lcg, 10_000, 26_000)
     assert rep is not None
     assert rep.buffered_bytes_below_threshold == 800
@@ -110,7 +111,7 @@ def test_dsr_fires_once_per_pdu():
 
 
 def test_dsr_remaining_time_floored_at_zero():
-    lcg = LcgState(2, [_pdu(0, 100, 0, 30_000)])
+    lcg = LcgState(2, [_queued(0, 100, 0, 30_000)])
     rep = trigger_dsr(lcg, 10_000, 31_000)
     assert rep.smallest_remaining_ms == 0.0
 

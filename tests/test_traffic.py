@@ -124,10 +124,10 @@ def test_pose_source_defaults():
 def test_ftp3_interarrival_and_fragmentation():
     rng = np.random.default_rng(23)
     files = list(islice(ftp3_source(rng), 10_000))
-    times = np.array([float(f[0].arrival_time) for f in files])
+    times = np.array([float(f.arrival_time) for f in files])
     gaps = np.diff(times) / 1e6
     assert abs(gaps.mean() - 1.0) < 0.03
     first = files[0]
-    assert [p.byte_size for p in first] == [1500] * 83 + [500]
-    assert all(p.deadline is None for p in first)
-    assert first[-1].is_end_of_burst
+    assert first.sizes == (1500,) * 83 + (500,)
+    assert first.deadline is None
+    assert first.pdus[-1].is_end_of_burst
