@@ -5,11 +5,16 @@ frames arrive as PDU sets, downlink slots run the configured scheduler
 with HARQ, uplink slots run the report-then-grant pipeline, and per-UE
 DRX machines gate scheduling while a per-slot activity trace feeds the
 power model.
+
+The cell runs on one integer clock: a tick is 1/ticks_per_us µs, where
+ticks_per_us is the least common multiple of the denominators of the
+config's rational times (the frame period and the DRX times), so every time
+the cell holds is an int and no rational arithmetic runs per slot. Times
+leave the cell as µs floats.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +23,8 @@ from typing import Optional
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, AdrxController,
                   AdrxParams, DrxConfig, DrxMachine, PowerModel,
                   power_for_run)
-from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, Engine, slot_type)
+from .engine import (DOWNLINK, SLOT_US, UPLINK, Engine, slot_type,
+                     ticks_per_us)
 from .qos import FlowQueue, MappingConfig, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
                     Deployment, HarqProcess, dl_sinr_db,
@@ -182,6 +188,16 @@ class CellSim:
             direction=config.direction, psdb_us=config.psdb_us,
             sets_per_frame=config.sets_per_frame)
 
+        drx = config.drx
+        self.ticks_per_us = tpu = ticks_per_us(
+            self.stream_cfg.period_us,
+            *(() if drx is None else (drx.cycle_us, drx.on_duration_us,
+                                      drx.inactivity_us, drx.start_offset_us)))
+        self.slot_t = SLOT_US * tpu
+        self.psdb_t = config.psdb_us * tpu
+        self.warmup_t = config.warmup_us * tpu
+        self.end_t = config.duration_us * tpu
+
         self.ues: list[UeCtx] = []
         self.by_id: dict = {}
         per_cell = config.ues_per_cell + config.embb_ues
@@ -197,12 +213,15 @@ class CellSim:
             # chosen here holds for the whole run
             ue.mcs, _ = select_mcs(ue.sinr_db)
             if is_embb:
-                ue.queue = FlowQueue(embb_profile, ue_id=link.ue_id)
+                ue.queue = FlowQueue(embb_profile, ue_id=link.ue_id,
+                                     ticks_per_us=tpu)
                 ue.source = ftp3_source(
-                    self.engine.rng.stream(f"embb.{link.ue_id}"))
+                    self.engine.rng.stream(f"embb.{link.ue_id}"),
+                    ticks_per_us=tpu)
                 ue.next_sets = None
             else:
-                ue.queue = FlowQueue(profile, mapping, ue_id=link.ue_id)
+                ue.queue = FlowQueue(profile, mapping, ue_id=link.ue_id,
+                                     ticks_per_us=tpu)
                 start = 0
                 if config.stagger:
                     video_rng = self.engine.rng.stream(f"video.{link.ue_id}")
@@ -211,7 +230,7 @@ class CellSim:
                 else:
                     video_rng = self.engine.rng.stream(f"video.{link.ue_id}")
                 ue.source = VideoSource(self.stream_cfg, video_rng,
-                                        start_us=start)
+                                        start_us=start, ticks_per_us=tpu)
                 if config.drx is not None:
                     if config.drx_offset_mode == "traffic":
                         offset = Fraction(start)
@@ -224,7 +243,8 @@ class CellSim:
                         start_offset_us=offset,
                         short_cycle=config.drx.short_cycle,
                         retx_monitoring=config.drx.retx_monitoring)
-                    ue.drx = DrxMachine(base)
+                    ue.drx = DrxMachine(base.in_ticks(tpu),
+                                        slot=self.slot_t)
                     if config.adaptive_drx:
                         params = config.adrx_params or AdrxParams(q0=5000.0)
                         ue.adrx = AdrxController(params, base, config.psdb_us)
@@ -255,8 +275,8 @@ class CellSim:
             for u in self.xr:
                 u.pose_queue = FlowQueue(
                     QosFlowProfile(psdb_ms=10_000.0, psihi=False),
-                    ue_id=u.ue_id)
-                u.pose_src = pose_source()
+                    ue_id=u.ue_id, ticks_per_us=tpu)
+                u.pose_src = pose_source(ticks_per_us=tpu)
                 u.pose_next = next(u.pose_src)
 
     # ---- traffic ----
@@ -267,11 +287,11 @@ class CellSim:
             while True:
                 if ue.next_sets is None:
                     frame = ue.source.next_frame()
-                    if frame.arrival_time > cfg.duration_us:
+                    if frame.arrival_time > self.end_t:
                         ue.next_sets = ()
                         break
                     sets = fragment_frame(frame, sets_per_frame=cfg.sets_per_frame,
-                                          psdb_us=cfg.psdb_us)
+                                          psdb_us=self.psdb_t)
                     ue.next_sets = (frame, sets)
                 if ue.next_sets == () or ue.next_sets[0].arrival_time > now:
                     break
@@ -279,7 +299,7 @@ class CellSim:
                 ue.next_sets = None
                 n_pdus = sum(len(s.sizes) for s in sets)
                 fp = FrameProgress(frame.index, frame.arrival_time,
-                                   frame.arrival_time + cfg.psdb_us, n_pdus)
+                                   frame.arrival_time + self.psdb_t, n_pdus)
                 ue.frames[frame.index] = fp
                 ue.undecided.append(fp)
                 for s in sets:
@@ -289,8 +309,8 @@ class CellSim:
                 # keep a deep backlog so the queue never drains
                 while ue.queue.queued_bytes < 1_000_000:
                     sid = ("fb", ue.ue_id, ue.fb_count)
-                    ue.queue.enqueue_set(PduSet(sid, ue.fb_count, 0,
-                                                Fraction(now), (150_000,)))
+                    ue.queue.enqueue_set(PduSet(sid, ue.fb_count, 0, now,
+                                                (150_000,)))
                     ue.fb_count += 1
                 continue
             if ue.next_sets is None:
@@ -327,7 +347,7 @@ class CellSim:
     # ---- delivery ----
 
     def _deliver(self, ue, segments, now):
-        post_warmup = now >= self.cfg.warmup_us
+        post_warmup = now >= self.warmup_t
         lost = ue.queue.lost_sets
         for seg in segments:
             sid = seg.pdu_set.id
@@ -347,7 +367,7 @@ class CellSim:
             if (fp.delivered >= fp.n_pdus and not fp.lost
                     and fp.done_time is None):
                 # decoding completes at the end of the carrying slot
-                fp.done_time = now + SLOT_US
+                fp.done_time = now + self.slot_t
 
     def _harq_lose(self, ue, segments, now):
         ue.queue.on_block_lost(segments, now)
@@ -449,7 +469,7 @@ class CellSim:
                     ue.drx.step(now, True, True)
                     monitoring[ue.ue_id] = True
 
-        if now >= cfg.warmup_us:
+        if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
         for ue in self.ues:
             if ue.ue_id in tx_ues:
@@ -494,7 +514,7 @@ class CellSim:
             cap = max(0, a.tb_bits // 8 - self.ce_bytes)
             segs = ue.queue.take(cap, now)
             served = sum(s.byte_size for s in segs)
-            if now >= cfg.warmup_us:
+            if now >= self.warmup_t:
                 ue.padding_samples.append(
                     realized_overhead(a.tb_bits // 8 - self.ce_bytes, served))
             ue.grants += 1
@@ -525,15 +545,16 @@ class CellSim:
                 if cfg.dsr_enabled:
                     ue.lcg.sets = ue.queue.entries
                     rep = trigger_dsr(ue.lcg, int(cfg.dsr_threshold_ms * 1000),
-                                      now)
+                                      now, ticks_per_us=self.ticks_per_us)
                     if rep is not None:
                         urgency = rep.smallest_remaining_ms * 1000.0
                     elif ue.lcg.dsr_reported:
                         live = [e.pdu_set for e in ue.lcg.sets
                                 if e.pdu_set.id in ue.lcg.dsr_reported]
                         if live:
-                            urgency = min(float(s.deadline - now)
-                                          for s in live)
+                            urgency = min(
+                                (s.deadline - now) / self.ticks_per_us
+                                for s in live)
                 cands.append(UlCandidate(ue.ue_id, reported + self.ce_bytes,
                                          ue.ul_mcs, urgency_us=urgency))
             target = slot + 5
@@ -544,7 +565,7 @@ class CellSim:
                 for g in grants:
                     self.ul_grants.setdefault(target, []).append(g)
 
-        if now >= cfg.warmup_us:
+        if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
         for ue in self.ues:
             if ue.ue_id in tx_ues:
@@ -589,7 +610,7 @@ class CellSim:
                 if segs:
                     rb += occ.rb_count
                     tx_ues.add(u.ue_id)
-                    if now >= cfg.warmup_us:
+                    if now >= self.warmup_t:
                         u.delivered_bits += sum(s.byte_size for s in segs) * 8
                     break
         return rb
@@ -600,7 +621,6 @@ class CellSim:
     # ---- frame bookkeeping ----
 
     def _decide_frames(self, now):
-        cfg = self.cfg
         for ue in self.xr:
             dq = ue.undecided
             while dq:
@@ -611,19 +631,19 @@ class CellSim:
                 dq.popleft()
                 in_budget = (not fp.lost and done
                              and fp.done_time <= fp.deadline)
-                if (fp.arrival >= cfg.warmup_us
-                        and fp.deadline <= cfg.duration_us):
-                    ue.outcomes.append((float(fp.arrival), in_budget))
+                if fp.arrival >= self.warmup_t and fp.deadline <= self.end_t:
+                    ue.outcomes.append((fp.arrival / self.ticks_per_us,
+                                        in_budget))
                 if ue.adrx is not None:
                     self._adrx_observe(ue, fp, in_budget, now)
                 ue.frames.pop(fp.index, None)
 
     def _adrx_observe(self, ue, fp, in_budget, now):
         cfg = self.cfg
-        cycle = ue.adrx.current.cycle_us
-        phase = float(Fraction(fp.arrival) % cycle)
+        tpu = self.ticks_per_us
+        phase = (fp.arrival % ue.drx.cfg.cycle_us) / tpu
         if fp.first_service is not None and fp.done_time is not None:
-            service = float(fp.done_time - fp.first_service)
+            service = (fp.done_time - fp.first_service) / tpu
         else:
             service = float(cfg.psdb_us)
         ue.adrx.observe_frame(phase, service, not in_budget)
@@ -631,15 +651,15 @@ class CellSim:
         ue.epoch_viols += int(not in_budget)
         if ue.epoch_frames >= cfg.adrx_epoch_frames:
             new_cfg = ue.adrx.update(ue.epoch_viols)
-            ue.drx.retune(new_cfg, now)
+            ue.drx.retune(new_cfg.in_ticks(tpu), now)
             ue.epoch_frames = 0
             ue.epoch_viols = 0
 
     # ---- main loop ----
 
     def _on_slot(self, slot):
-        now = slot * SLOT_US
-        if now >= self.cfg.duration_us:
+        now = slot * self.slot_t
+        if now >= self.end_t:
             return
         self._arrivals(now)
         self._discards(now)
@@ -654,7 +674,7 @@ class CellSim:
         cfg = self.cfg
         self.engine.every_slot(self._on_slot)
         self.engine.run_until(cfg.duration_us)
-        self._decide_frames(cfg.duration_us)
+        self._decide_frames(self.end_t)
         warm_slot = cfg.warmup_us // SLOT_US
         kpis = []
         for ue in self.ues:

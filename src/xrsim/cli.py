@@ -42,6 +42,10 @@ def main(argv=None) -> int:
             value = getattr(args, flag)
             if value is not None:
                 config.set(section, key, value)
+        # build every load's cell config now, so that a value only the
+        # cell validates is reported here and not mid-sweep
+        for load in config.loads:
+            config.cell_config(load)
     except (OSError, ValueError, configparser.Error) as e:
         print(f"simulate: {e}", file=sys.stderr)
         return 2

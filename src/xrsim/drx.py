@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .engine import SLOT_US
+from .engine import SLOT_US, to_ticks
 
 
 class DrxMode(Enum):
@@ -33,6 +33,13 @@ class DrxConfig:
         if self.on_duration_us > self.cycle_us:
             raise ValueError("on-duration cannot exceed the cycle")
 
+    def in_ticks(self, tpu: int) -> DrxConfig:
+        """The same config with its times in ticks of 1/tpu µs."""
+        return replace(self, cycle_us=to_ticks(self.cycle_us, tpu),
+                       on_duration_us=to_ticks(self.on_duration_us, tpu),
+                       inactivity_us=to_ticks(self.inactivity_us, tpu),
+                       start_offset_us=to_ticks(self.start_offset_us, tpu))
+
 
 def cycle_start_exact(cfg: DrxConfig, k: int) -> Fraction:
     return cfg.start_offset_us + k * cfg.cycle_us
@@ -40,25 +47,33 @@ def cycle_start_exact(cfg: DrxConfig, k: int) -> Fraction:
 
 def on_duration_starts(cfg: DrxConfig, n: int) -> list[int]:
     """First n window starts, exact rational grid floored to slot boundaries."""
-    return [math.floor(cycle_start_exact(cfg, k) / SLOT_US) * SLOT_US
-            for k in range(n)]
+    return [cycle_start_exact(cfg, k) // SLOT_US * SLOT_US for k in range(n)]
 
 
 class DrxMachine:
-    """Per-slot DRX bookkeeping, driven once per slot by the cell."""
+    """Per-slot DRX bookkeeping, driven once per slot by the cell.
 
-    def __init__(self, cfg: DrxConfig, now=0):
+    Times are in µs with 500 µs slots by default. A cell on an integer
+    clock passes its config and times in ticks and its slot length in
+    ticks, and the machine then does integer arithmetic only.
+    """
+
+    def __init__(self, cfg: DrxConfig, now=0, slot=SLOT_US):
         self.cfg = cfg
-        self.next_start: Fraction = cfg.start_offset_us
+        self.slot = slot
+        self.next_start = cfg.start_offset_us
         self._align(now)
         self.on_expiry: float = -math.inf
         self.inactivity_expiry: float = -math.inf
         self.mode = DrxMode.SLEEP
 
     def _align(self, now):
+        cfg = self.cfg
         if now > self.next_start:
-            k = math.ceil(Fraction(now - self.cfg.start_offset_us) / self.cfg.cycle_us)
-            self.next_start = cycle_start_exact(self.cfg, k)
+            k = -((cfg.start_offset_us - now) // cfg.cycle_us)  # ceil
+            self.next_start = cycle_start_exact(cfg, k)
+        # slot-floored next_start, kept until next_start moves
+        self._next_floor = self.next_start // self.slot * self.slot
 
     def retune(self, cfg: DrxConfig, now):
         """Adopt an adapted configuration; windows re-anchor to its grid.
@@ -71,24 +86,29 @@ class DrxMachine:
         self._align(now)
         prev = self.next_start - cfg.cycle_us
         if prev >= cfg.start_offset_us:
-            floored = math.floor(prev / SLOT_US) * SLOT_US
+            floored = prev // self.slot * self.slot
             if floored + cfg.on_duration_us > now:
                 self.on_expiry = max(self.on_expiry,
                                      floored + cfg.on_duration_us)
 
-    def step(self, now: int, new_data: bool = False,
+    def step(self, now, new_data: bool = False,
              scheduled_data: bool = False) -> tuple[DrxMode, bool]:
         """Advance one slot. new_data: PDCCH with a fresh grant this slot;
         scheduled_data: the slot carries PDSCH/PUSCH for this UE anyway."""
-        floored = math.floor(self.next_start / SLOT_US) * SLOT_US
-        while floored <= now:
-            self.on_expiry = max(self.on_expiry, floored + self.cfg.on_duration_us)
-            self.next_start = self.next_start + self.cfg.cycle_us
-            floored = math.floor(self.next_start / SLOT_US) * SLOT_US
+        floored = self._next_floor
+        if floored <= now:
+            cfg = self.cfg
+            slot = self.slot
+            while floored <= now:
+                self.on_expiry = max(self.on_expiry,
+                                     floored + cfg.on_duration_us)
+                self.next_start = self.next_start + cfg.cycle_us
+                floored = self.next_start // slot * slot
+            self._next_floor = floored
         in_on = now < self.on_expiry
         if new_data:
             # timer runs from the end of the granting slot
-            self.inactivity_expiry = now + SLOT_US + self.cfg.inactivity_us
+            self.inactivity_expiry = now + self.slot + self.cfg.inactivity_us
         inactive_ext = now < self.inactivity_expiry
         monitoring = in_on or inactive_ext or scheduled_data
         if in_on:
@@ -98,11 +118,6 @@ class DrxMachine:
         else:
             self.mode = DrxMode.SLEEP
         return self.mode, monitoring
-
-
-def drx_step(machine: DrxMachine, now: int, new_data: bool = False,
-             scheduled_data: bool = False) -> tuple[DrxMode, bool]:
-    return machine.step(now, new_data, scheduled_data)
 
 
 @dataclass
@@ -164,49 +179,88 @@ class AdrxController:
             return 0.0
         return (math.atan2(s, c) % (2 * math.pi)) * period / (2 * math.pi)
 
+    def _shifted(self) -> list:
+        """(phase - guard, phase + guard, service) of each observation."""
+        guard = self.params.phase_guard_us
+        return [(o.phase_us - guard, o.phase_us + guard, o.service_us)
+                for o in self.observations]
+
+    @staticmethod
+    def _excess(shifted, on_dur_us) -> float:
+        """Summed service time that overruns the on-duration."""
+        excess = 0.0
+        for _, _, service in shifted:
+            excess += max(0.0, service - on_dur_us)
+        return excess
+
+    @staticmethod
+    def _waits(shifted, period, offset_us) -> list:
+        """Where each shifted phase falls in the cycle of one window offset:
+        (rel lo, wait lo, rel hi, wait hi, service), a wait being the sleep
+        until the next window when the phase misses the window."""
+        out = []
+        for lo, hi, service in shifted:
+            rel_lo = (lo - offset_us) % period
+            rel_hi = (hi - offset_us) % period
+            out.append((rel_lo, period - rel_lo, rel_hi, period - rel_hi,
+                        service))
+        return out
+
+    def _violations(self, waits, on_dur_us) -> int:
+        """Observations that one candidate window would leave violated."""
+        tol = self.params.wait_tolerance_us
+        psdb = self.psdb_us
+        viol = 0
+        for rel_lo, wait_lo, rel_hi, wait_hi, service in waits:
+            worst = 0.0 if rel_lo < on_dur_us else wait_lo
+            if rel_hi >= on_dur_us and wait_hi > worst:
+                worst = wait_hi
+            if worst > tol or worst + service > psdb:
+                viol += 1
+        return viol
+
     def predict(self, offset_us: float, on_dur_us: float) -> tuple[float, float]:
         """(violation fraction, active µs per cycle) for one candidate."""
-        period = float(self.current.cycle_us)
-        viol = 0
-        excess = 0.0
-        tol = self.params.wait_tolerance_us
-        guard = self.params.phase_guard_us
-        for o in self.observations:
-            worst = 0.0
-            for ph in (o.phase_us - guard, o.phase_us + guard):
-                rel = (ph - offset_us) % period
-                delay = 0.0 if rel < on_dur_us else period - rel
-                worst = max(worst, delay)
-            if worst > tol or worst + o.service_us > self.psdb_us:
-                viol += 1
-            excess += max(0.0, o.service_us - on_dur_us)
         if not self.observations:
             return 0.0, on_dur_us
-        return viol / len(self.observations), on_dur_us + excess / len(self.observations)
+        period = float(self.current.cycle_us)
+        shifted = self._shifted()
+        n = len(shifted)
+        waits = self._waits(shifted, period, offset_us)
+        return (self._violations(waits, on_dur_us) / n,
+                on_dur_us + self._excess(shifted, on_dur_us) / n)
 
     def update(self, violations_in_epoch: int) -> DrxConfig:
         self.q = max(self.q + violations_in_epoch - self.params.target_violations, 0.0)
         if not self.observations:
             return self.current
+        period = float(self.current.cycle_us)
         base_offset = float(self.current.start_offset_us % self.current.cycle_us)
         if self.params.adapt_offset:
             anchor = self._expected_phase()
-            offsets = [(anchor + d * 1000.0) % float(self.current.cycle_us)
+            offsets = [(anchor + d * 1000.0) % period
                        for d in self.params.offset_delta_ms]
         else:
             offsets = [base_offset]
+        # the candidates, costs and choice of a loop over predict, with the
+        # offset-independent work done once per update: the least key wins,
+        # and equal keys are the same candidate, so the loop order is free
+        shifted = self._shifted()
+        n = len(shifted)
+        on_grid = [on_ms * 1000.0 for on_ms in self.params.on_grid_ms
+                   if on_ms * 1000.0 <= period]
+        power = [self.params.v * (on_us + self._excess(shifted, on_us) / n)
+                 / 1000.0 for on_us in on_grid]
         best = None
-        for on_ms in self.params.on_grid_ms:
-            on_us = on_ms * 1000.0
-            if on_us > float(self.current.cycle_us):
-                continue
-            for off in offsets:
-                frac, active = self.predict(off, on_us)
-                cost = self.q * frac + self.params.v * active / 1000.0
-                key = (cost, on_us, abs(off - base_offset), off)
-                if best is None or key < best[0]:
-                    best = (key, off, on_us)
-        _, off, on_us = best
+        for off in offsets:
+            waits = self._waits(shifted, period, off)
+            dist = abs(off - base_offset)
+            for on_us, pw in zip(on_grid, power):
+                key = (self.q * (self._violations(waits, on_us) / n) + pw,
+                       on_us, dist, off)
+                if best is None or key < best:
+                    best = key
+        _, on_us, _, off = best
         self.current = DrxConfig(
             cycle_us=self.current.cycle_us,
             on_duration_us=int(round(on_us)),
@@ -215,10 +269,6 @@ class AdrxController:
             short_cycle=self.current.short_cycle,
             retx_monitoring=self.current.retx_monitoring)
         return self.current
-
-
-def adrx_update(controller: AdrxController, violations_in_epoch: int) -> DrxConfig:
-    return controller.update(violations_in_epoch)
 
 
 @dataclass(frozen=True)

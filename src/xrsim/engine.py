@@ -2,11 +2,15 @@
 
 Time is kept in microseconds. Slot boundaries are integers; event times may
 be exact rationals (fractions.Fraction) so that fractional traffic and DRX
-periods never accumulate float drift.
+periods never accumulate float drift. A cell runs on an integer clock
+instead: one tick is 1/ticks_per_us µs, where ticks_per_us is the least
+common multiple of the denominators of its rational times, so every such
+time is a whole number of ticks.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
@@ -29,6 +33,20 @@ def slot_type(slot_index: int) -> str:
     if slot_index < 0:
         raise ValueError("slot_index must be >= 0")
     return _TDD_PATTERN[slot_index % 5]
+
+
+def ticks_per_us(*times) -> int:
+    """Ticks per µs of the coarsest integer clock that holds every time."""
+    return math.lcm(*(Fraction(t).denominator for t in times))
+
+
+def to_ticks(time_us, tpu: int) -> int:
+    """A time in µs as a whole number of ticks; it must be one."""
+    num, den = time_us.as_integer_ratio()
+    ticks, rest = divmod(num * tpu, den)
+    if rest:
+        raise ValueError(f"{time_us} us is not a whole number of ticks")
+    return ticks
 
 
 def slot_start_us(slot_index: int) -> int:

@@ -103,14 +103,19 @@ class QueuedSet:
 
 
 class FlowQueue:
-    """FIFO byte queue of PDU sets with discard machinery."""
+    """FIFO byte queue of PDU sets with discard machinery.
+
+    Set times and ``now`` are in µs, or in ticks of 1/ticks_per_us µs for
+    a caller on an integer clock; ages and event times come out in µs.
+    """
 
     def __init__(self, profile: QosFlowProfile,
                  mapping: MappingConfig = MappingConfig.ONE_ONE_ONE,
-                 ue_id: int = 0):
+                 ue_id: int = 0, ticks_per_us: int = 1):
         self.profile = profile
         self.mapping = mapping
         self.ue_id = ue_id
+        self.ticks_per_us = ticks_per_us
         self.entries: deque[QueuedSet] = deque()
         self._queued_bytes = 0
         self.total_sets = 0
@@ -134,7 +139,8 @@ class FlowQueue:
     def hol_age_us(self, now) -> float:
         if not self.entries:
             return 0.0
-        return float(now - self.entries[0].pdu_set.arrival_time)
+        return float((now - self.entries[0].pdu_set.arrival_time)
+                     / self.ticks_per_us)
 
     def take(self, max_bytes: int, _now=None) -> list[Segment]:
         """Remove up to max_bytes from the head for one transport block."""
@@ -161,7 +167,8 @@ class FlowQueue:
         return out
 
     def _log(self, now, set_id, cause, pdu_ids=()):
-        self.events.append(DiscardEvent(float(now), self.ue_id, set_id, cause,
+        self.events.append(DiscardEvent(float(now / self.ticks_per_us),
+                                        self.ue_id, set_id, cause,
                                         tuple(pdu_ids)))
         self._logged_sets.add(set_id)
 
@@ -207,8 +214,9 @@ class FlowQueue:
         if self.profile.discard_timer_ms is None:
             return []
         limit = self.profile.discard_timer_ms * 1000.0
+        tpu = self.ticks_per_us
         expired = [e.pdu_set.id for e in self.entries
-                   if float(now - e.pdu_set.arrival_time) > limit]
+                   if float((now - e.pdu_set.arrival_time) / tpu) > limit]
         removed = []
         for sid in expired:
             self.lost_sets.add(sid)

@@ -133,22 +133,27 @@ class LcgState:
         return sum(e.remaining for e in self.sets)
 
 
-def trigger_dsr(lcg: LcgState, threshold_us: int, ref_time_us) -> Optional[DsrReport]:
+def trigger_dsr(lcg: LcgState, threshold_us: int, ref_time_us,
+                ticks_per_us: int = 1) -> Optional[DsrReport]:
     """Fire a delay status report the first time a set crosses the threshold.
 
     ref_time_us is the slot the report would ride on, so remaining times are
-    what the scheduler will see when the grant lands.
+    what the scheduler will see when the grant lands. It and the sets'
+    deadlines are in ticks of 1/ticks_per_us µs; the report is in ms and µs.
     """
+    limit = threshold_us * ticks_per_us
     below = [e for e in lcg.sets
              if e.pdu_set.deadline is not None
-             and e.pdu_set.deadline - ref_time_us < threshold_us]
+             and e.pdu_set.deadline - ref_time_us < limit]
     if not any(e.pdu_set.id not in lcg.dsr_reported for e in below):
         return None
-    smallest = min(max(float(e.pdu_set.deadline - ref_time_us), 0.0)
-                   for e in below)
+    smallest = min(
+        max(float((e.pdu_set.deadline - ref_time_us) / ticks_per_us), 0.0)
+        for e in below)
     total = sum(e.remaining for e in below)
     lcg.dsr_reported.update(e.pdu_set.id for e in below)
-    return DsrReport(lcg.lcg_id, smallest / 1000.0, total, float(ref_time_us))
+    return DsrReport(lcg.lcg_id, smallest / 1000.0, total,
+                     float(ref_time_us / ticks_per_us))
 
 
 def realized_overhead(allocation_bytes: int, served_bytes: int) -> int:

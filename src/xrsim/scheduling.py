@@ -86,7 +86,8 @@ def pduset_metric(cand: DlCandidate, now,
     """Urgency score of the head PDU set; None flags an expired budget."""
     head, sent_bits, set_bits = _head_set(cand)
     deadline = head.deadline
-    tau = float(deadline - now) if deadline is not None else cand.psdb_us
+    tau = (float((deadline - now) / cand.queue.ticks_per_us)
+           if deadline is not None else cand.psdb_us)
     if tau <= 0:
         return None
     boost = math.exp(policy.pduset_alpha * sent_bits / set_bits)

@@ -172,30 +172,44 @@ def sample_truncated_gaussian(rng: np.random.Generator, mean: float, std: float,
             return x
 
 
+def _whole(t):
+    """A rational time as an int when it is whole, so sums of it stay ints."""
+    return t.numerator if t.denominator == 1 else t
+
+
 class VideoSource:
-    """Draws successive frames of one video stream."""
+    """Draws successive frames of one video stream.
+
+    Arrival times are in µs, or in ticks of 1/ticks_per_us µs for a caller
+    on an integer clock; a start and a period that are whole in those units
+    give int arrival times.
+    """
 
     def __init__(self, config: VideoStreamConfig, rng: np.random.Generator,
-                 start_us: Fraction | int = 0):
+                 start_us: Fraction | int = 0, ticks_per_us: int = 1):
         self.config = config
         self.rng = rng
         self.start_us = Fraction(start_us)
         self.frame_index = 0
+        self.ticks_per_us = ticks_per_us
+        self._start = _whole(self.start_us * ticks_per_us)
+        self._period = _whole(Fraction(config.period_us) * ticks_per_us)
+        self._mean = config.mean_frame_bytes
 
     def next_frame(self) -> VideoFrame:
         cfg = self.config
-        mean = cfg.mean_frame_bytes
+        mean = self._mean
         lo = cfg.size_min_frac * mean
         hi = cfg.size_max_frac * mean
         while True:
             size = int(round(self.rng.normal(mean, cfg.size_std_frac * mean)))
             if lo < size < hi:
                 break
-        arrival = self.start_us + self.frame_index * cfg.period_us
+        arrival = self._start + self.frame_index * self._period
         if cfg.direction is Direction.DL:
             jitter = sample_truncated_gaussian(
                 self.rng, 0.0, cfg.jitter_std_us, cfg.jitter_min_us, cfg.jitter_max_us)
-            arrival += int(round(jitter))
+            arrival += int(round(jitter)) * self.ticks_per_us
         frame = VideoFrame(self.frame_index, arrival, size)
         self.frame_index += 1
         return frame
@@ -228,25 +242,30 @@ def fragment_frame(frame: VideoFrame, mtu: int = MTU_BYTES, sets_per_frame: int 
 
 def pose_source(period_us: int = 4000, size: int = 100,
                 psdb_us: Optional[int] = None,
-                start_us: int = 0) -> Iterator[PduSet]:
-    """Periodic fixed-size control packets, one single-PDU set each."""
+                start_us: int = 0, ticks_per_us: int = 1) -> Iterator[PduSet]:
+    """Periodic fixed-size control packets, one single-PDU set each.
+
+    Times are in µs, or in ticks of 1/ticks_per_us µs."""
     n = 0
     while True:
-        t = Fraction(start_us + n * period_us)
+        t = (start_us + n * period_us) * ticks_per_us
         yield PduSet(("pose", n), n, 0, t, (size,),
-                     None if psdb_us is None else t + psdb_us,
+                     None if psdb_us is None else t + psdb_us * ticks_per_us,
                      end_of_burst=True)
         n += 1
 
 
 def ftp3_source(rng: np.random.Generator, file_size: int = 125_000,
                 mean_interarrival_s: float = 1.0,
-                mtu: int = MTU_BYTES) -> Iterator[PduSet]:
-    """Poisson file arrivals, each file one set of plain PDUs without deadlines."""
+                mtu: int = MTU_BYTES,
+                ticks_per_us: int = 1) -> Iterator[PduSet]:
+    """Poisson file arrivals, each file one set of plain PDUs without deadlines.
+
+    Arrivals fall on whole µs and are given in ticks of 1/ticks_per_us µs."""
     t = 0.0
     n = 0
     while True:
         t += rng.exponential(mean_interarrival_s) * 1e6
-        yield PduSet(("ftp", n), n, 0, Fraction(int(round(t))),
+        yield PduSet(("ftp", n), n, 0, int(round(t)) * ticks_per_us,
                      mtu_sizes(file_size, mtu), end_of_burst=True)
         n += 1

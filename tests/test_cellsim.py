@@ -138,3 +138,32 @@ def test_dl_cell_builds_no_pdu_objects(monkeypatch):
     assert built == []
     PduSet(("x",), 0, 0, Fraction(0), (100, 200)).pdus[1]
     assert built == [("x", 1)]  # the hook sees a PDU being built
+
+
+def test_no_fraction_work_per_slot(monkeypatch):
+    # the cell runs on integer ticks: rational arithmetic may follow frames
+    # and adaptation epochs, never slots
+    calls = []
+    for name in ("_richcmp", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+                 "__divmod__", "__rdivmod__", "__pow__", "__rpow__"):
+        orig = getattr(Fraction, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    sim = CellSim(_short(ues_per_cell=6, rate_bps=45e6, sets_per_frame=4,
+                         duration_s=1.0, warmup_s=0.2,
+                         drx=DrxConfig(cycle_us=Fraction(50_000, 3),
+                                       on_duration_us=Fraction(8000),
+                                       inactivity_us=Fraction(2000)),
+                         adaptive_drx=True), seed=1)
+    calls.clear()  # count the run only, not the set-up
+    result = sim.run()
+    slots = 1.0 * 1e6 / SLOT_US
+    assert any(u.adrx.q != u.adrx.params.q0 for u in sim.xr)  # adapted
+    assert all(k.frames_total > 0 for k in result.xr_ues())
+    assert len(calls) < slots / 10

@@ -42,6 +42,19 @@ def test_main_bad_key_exits_two(tmp_path, capsys):
     assert "polcy" in capsys.readouterr().err
 
 
+def test_cg_config_the_cell_rejects_exits_two(tmp_path, capsys):
+    # the default 2 ms CG period cannot hold one occasion's 5-slot train;
+    # the cell config rejects it before any cell runs
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(GOOD_INI + "\n[cg]\nenabled = true\n")
+    out = tmp_path / "res"
+    rc = cli.main(["--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "simulate: period cannot fit the occasion train" in err
+    assert not out.exists()
+
+
 def test_overrides_reach_config(tmp_path, monkeypatch):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(GOOD_INI)

@@ -13,6 +13,7 @@ import pytest
 
 from xrsim.cellsim import CellConfig, CellSim
 from xrsim.cli import main
+from xrsim.drx import DrxConfig
 from xrsim.reporting import TableKind
 from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from xrsim.traffic import Direction
@@ -41,6 +42,12 @@ CELL_DIGESTS = {
         "1f6a2e8bdb2ac75b066401bc024ba31069e72b9eafde384faa70acc02ce75f53",
     "ul-long-bsr-cg":
         "0f3e27a207109a9395af5f7dd2a6418135bb0737b01e71aaf643ec63cfa3174c",
+    "fixed-drx-90fps-mlwdf":
+        "e1232021c3e5299b44e6dd32521b5fdc2fc4d7f4880990a5c7e0ca00ad4ecd7b",
+    "adrx-2997-50fps":
+        "c4c5c17d4cc063f0e9925cce6eb7ec0c7ef3a6f6be69906be87cbe68eac195e5",
+    "ul-long-bsr-dsr":
+        "720338a9938b0ff31e8ba21d5057d43475c5e8e5362940a728a7a8fb9fcf80f6",
 }
 
 
@@ -73,6 +80,30 @@ def _cells() -> dict:
             pose_cg=CgConfig(periodicity_us=Fraction(4000),
                              occasions_per_period=1, rb_per_occasion=50,
                              uto_uci_window=4), **short), 3),
+        # the cells below run at other time scales than 60 fps: 90 fps
+        # with a fixed 16 ms cycle and a common offset in sevenths of a µs
+        "fixed-drx-90fps-mlwdf": (CellConfig(
+            ues_per_cell=5, rate_bps=30e6, fps=Fraction(90), psdb_ms=10.0,
+            sets_per_frame=2, embb_ues=1, psi_discard_enabled=True,
+            discard_timer_ms="psdb",
+            drx=DrxConfig(cycle_us=Fraction(16000), on_duration_us=6000,
+                          inactivity_us=Fraction(2500),
+                          start_offset_us=Fraction(1250, 7)),
+            drx_offset_mode="common",
+            policy=SchedulerPolicy(kind=PolicyKind.MLWDF), **short), 4),
+        # 59.94 fps, and a base on-duration with a power-of-two denominator
+        "adrx-2997-50fps": (CellConfig(
+            ues_per_cell=4, rate_bps=30e6, fps=Fraction(2997, 50),
+            psdb_ms=10.0, sets_per_frame=4,
+            drx=DrxConfig(cycle_us=Fraction(50_000_000, 2997),
+                          on_duration_us=Fraction(8333.3),
+                          inactivity_us=Fraction(2000)),
+            adaptive_drx=True, adrx_epoch_frames=8,
+            policy=SchedulerPolicy(kind=PolicyKind.PDUSET), **short), 5),
+        "ul-long-bsr-dsr": (CellConfig(
+            ues_per_cell=4, direction=Direction.UL, rate_bps=10e6,
+            psdb_ms=30.0, bsr_table=TableKind.LONG, dsr_enabled=True,
+            dsr_threshold_ms=25.0, **short), 6),
     }
 
 
@@ -97,8 +128,7 @@ def test_golden_sweep_outputs(tmp_path, capsys):
     assert got == SWEEP_SHA256
 
 
-@pytest.mark.parametrize("name", ["pduset-fullbuffer", "mlwdf-ftp-psi",
-                                  "ul-long-bsr-cg"])
+@pytest.mark.parametrize("name", sorted(CELL_DIGESTS))
 def test_golden_cell_results(name):
     cfg, seed = _cells()[name]
     assert cell_digest(CellSim(cfg, seed=seed).run()) == CELL_DIGESTS[name]
