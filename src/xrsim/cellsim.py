@@ -23,7 +23,7 @@ from typing import Optional
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, AdrxController,
                   AdrxParams, DrxConfig, DrxMachine, PowerModel,
                   power_for_run)
-from .engine import (DOWNLINK, SLOT_US, UPLINK, Engine, slot_type,
+from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, Engine, slot_type,
                      ticks_per_us)
 from .qos import FlowQueue, MappingConfig, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
@@ -38,6 +38,9 @@ from .scheduling import (CgConfig, DlCandidate, PolicyKind, SchedulerPolicy,
                          reclaim_unused)
 from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
+
+# PDSCH symbols of each DL slot kind
+_DATA_SYMBOLS = {DOWNLINK: DATA_SYMBOLS, SPECIAL: S_SLOT_DATA_SYMBOLS}
 
 
 @dataclass
@@ -116,12 +119,18 @@ class UeCtx:
         self.pose_queue: Optional[FlowQueue] = None
         self.source = None
         self.next_sets = None
+        # tick from which the next frame is due: 0 until the first is drawn,
+        # the end of the run once no frame is left
+        self.next_at = 0
         self.frames: dict = {}
         self.undecided: deque = deque()
         self.outcomes: list = []
         self.avg_tput_bps = 1.0
         self.served_bits_slot = 0
         self.drx: Optional[DrxMachine] = None
+        self.monitoring = True  # PDCCH monitored in the current DL slot
+        # DL candidate per DL slot kind; None for a UE with no DL data
+        self.dl_cands: Optional[dict] = None
         self.adrx: Optional[AdrxController] = None
         self.epoch_frames = 0
         self.epoch_viols = 0
@@ -253,6 +262,19 @@ class CellSim:
 
         self.xr = [u for u in self.ues if not u.is_embb]
         self.embb = [u for u in self.ues if u.is_embb]
+        # a DL cell serves every UE on its DL slots, a UL cell its eMBB UEs
+        self.dl_scheduled = config.direction is Direction.DL or bool(self.embb)
+        dl_ues = self.ues if config.direction is Direction.DL else self.embb
+        rate_scale = 1_000_000 // SLOT_US
+        for ue in dl_ues:
+            # the MCS is static, so is the full-band rate on each slot kind
+            ue.dl_cands = {
+                kind: DlCandidate(ue.ue_id, ue.queue,
+                                  tb_bits(ue.mcs, N_RB, sym) * rate_scale,
+                                  1.0, ue.mcs, is_xr=not ue.is_embb,
+                                  psdb_us=float(config.psdb_us))
+                for kind, sym in _DATA_SYMBOLS.items()}
+        self.timer_discard = timer is not None
         self.table = gen_bs_table(config.bsr_table)
         self.ce_bytes = (SHORT_BSR_CE_BYTES
                          if config.bsr_table is TableKind.SHORT
@@ -284,26 +306,8 @@ class CellSim:
     def _arrivals(self, now):
         cfg = self.cfg
         for ue in self.xr:
-            while True:
-                if ue.next_sets is None:
-                    frame = ue.source.next_frame()
-                    if frame.arrival_time > self.end_t:
-                        ue.next_sets = ()
-                        break
-                    sets = fragment_frame(frame, sets_per_frame=cfg.sets_per_frame,
-                                          psdb_us=self.psdb_t)
-                    ue.next_sets = (frame, sets)
-                if ue.next_sets == () or ue.next_sets[0].arrival_time > now:
-                    break
-                frame, sets = ue.next_sets
-                ue.next_sets = None
-                n_pdus = sum(len(s.sizes) for s in sets)
-                fp = FrameProgress(frame.index, frame.arrival_time,
-                                   frame.arrival_time + self.psdb_t, n_pdus)
-                ue.frames[frame.index] = fp
-                ue.undecided.append(fp)
-                for s in sets:
-                    ue.queue.enqueue_set(s)
+            if ue.next_at <= now:
+                self._video_arrivals(ue, now)
         for ue in self.embb:
             if cfg.embb_full_buffer:
                 # keep a deep backlog so the queue never drains
@@ -324,14 +328,46 @@ class CellSim:
                     ue.pose_queue.enqueue_set(ue.pose_next)
                     ue.pose_next = next(ue.pose_src)
 
+    def _video_arrivals(self, ue, now):
+        """Enqueue every frame due by now and draw the next pending one."""
+        while True:
+            if ue.next_sets is None:
+                frame = ue.source.next_frame()
+                if frame.arrival_time > self.end_t:
+                    # no further frame arrives before the end of the run
+                    ue.next_at = self.end_t
+                    return
+                sets = fragment_frame(frame,
+                                      sets_per_frame=self.cfg.sets_per_frame,
+                                      psdb_us=self.psdb_t)
+                ue.next_sets = (frame, sets)
+                ue.next_at = frame.arrival_time
+            if ue.next_at > now:
+                return
+            frame, sets = ue.next_sets
+            ue.next_sets = None
+            n_pdus = sum(len(s.sizes) for s in sets)
+            fp = FrameProgress(frame.index, frame.arrival_time,
+                               frame.arrival_time + self.psdb_t, n_pdus)
+            ue.frames[frame.index] = fp
+            ue.undecided.append(fp)
+            for s in sets:
+                ue.queue.enqueue_set(s)
+
     def _discards(self, now):
-        cfg = self.cfg
+        timer, psi = self.timer_discard, self.cfg.psi_discard_enabled
+        if not (timer or psi):
+            return
         for ue in self.xr:
-            ue.queue.discard_expired(now)
-            if cfg.psi_discard_enabled:
-                rate = max(ue.avg_tput_bps, 1e6)
-                ue.queue.psi_discard(now, rate)
-            self._sync_events(ue)
+            queue = ue.queue
+            if not queue.entries:
+                continue  # nothing to expire or to drop
+            if timer:
+                queue.discard_expired(now)
+            if psi:
+                queue.psi_discard(now, max(ue.avg_tput_bps, 1e6))
+            if len(queue.events) > ue.events_seen:
+                self._sync_events(ue)
 
     def _sync_events(self, ue):
         evs = ue.queue.events
@@ -407,9 +443,8 @@ class CellSim:
             slot += 1
         return slot
 
-    def _dl_slot(self, slot, now, retx_entries):
-        st = slot_type(slot)
-        sym = DATA_SYMBOLS if st == DOWNLINK else S_SLOT_DATA_SYMBOLS
+    def _dl_slot(self, slot, now, retx_entries, kind):
+        sym = _DATA_SYMBOLS[kind]
         cfg = self.cfg
         tx_ues = set()
         rb_used = 0
@@ -426,27 +461,17 @@ class CellSim:
                 nxt = self._next_dl_slot(slot + HARQ_RTT_SLOTS)
                 self.dl_retx.setdefault(nxt, []).append((ue, proc, alloc))
 
-        monitoring = {}
+        cands = []
         for ue in self.ues:
-            if ue.drx is None:
-                monitoring[ue.ue_id] = True
-            else:
-                _, mon = ue.drx.step(now, False, ue.ue_id in tx_ues)
-                monitoring[ue.ue_id] = mon
+            if ue.drx is not None:
+                ue.monitoring = ue.drx.step(now, False, ue.ue_id in tx_ues)[1]
+            if (ue.monitoring and ue.dl_cands is not None
+                    and ue.queue.queued_bytes):
+                cand = ue.dl_cands[kind]
+                cand.avg_tput_bps = max(ue.avg_tput_bps, 1.0)
+                cands.append(cand)
 
-        if cfg.direction is Direction.DL or self.embb:
-            cands = []
-            rate_scale = 1_000_000 // SLOT_US
-            for ue in self.ues:
-                if not ue.is_embb and cfg.direction is not Direction.DL:
-                    continue
-                if not monitoring[ue.ue_id] or ue.queue.queued_bytes == 0:
-                    continue
-                inst = tb_bits(ue.mcs, N_RB, sym) * rate_scale
-                cands.append(DlCandidate(ue.ue_id, ue.queue, inst,
-                                         max(ue.avg_tput_bps, 1.0), ue.mcs,
-                                         is_xr=not ue.is_embb,
-                                         psdb_us=float(cfg.psdb_us)))
+        if self.dl_scheduled:
             allocs = allocate_dl(slot, cands, now, cfg.policy,
                                  total_rb=N_RB - rb_used, data_symbols=sym)
             for a in allocs:
@@ -467,20 +492,19 @@ class CellSim:
                     self.dl_retx.setdefault(nxt, []).append((ue, proc, a))
                 if ue.drx is not None:
                     ue.drx.step(now, True, True)
-                    monitoring[ue.ue_id] = True
 
         if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
+        window = cfg.policy.pf_avg_window
         for ue in self.ues:
             if ue.ue_id in tx_ues:
                 ue.trace.append(SLOT_PDSCH)
-            elif monitoring[ue.ue_id]:
+            elif ue.monitoring:
                 ue.trace.append(SLOT_PDCCH)
             else:
                 ue.trace.append(SLOT_SLEEP)
             ue.avg_tput_bps = pf_update(ue.avg_tput_bps,
-                                        ue.served_bits_slot * 2000,
-                                        cfg.policy.pf_avg_window)
+                                        ue.served_bits_slot * 2000, window)
             ue.served_bits_slot = 0
 
     # ---- uplink ----
@@ -659,21 +683,21 @@ class CellSim:
 
     def _on_slot(self, slot):
         now = slot * self.slot_t
-        if now >= self.end_t:
-            return
         self._arrivals(now)
         self._discards(now)
-        if slot_type(slot) == UPLINK:
+        kind = slot_type(slot)
+        if kind == UPLINK:
             self._ul_slot(slot, now)
         else:
             retx, _ = self._dl_retx_due(slot, now)
-            self._dl_slot(slot, now, retx)
+            self._dl_slot(slot, now, retx, kind)
         self._decide_frames(now)
 
     def run(self) -> CellResult:
         cfg = self.cfg
-        self.engine.every_slot(self._on_slot)
-        self.engine.run_until(cfg.duration_us)
+        # every slot that starts before the end, the last one maybe partial
+        for slot in range(-(-self.end_t // self.slot_t)):
+            self._on_slot(slot)
         self._decide_frames(self.end_t)
         warm_slot = cfg.warmup_us // SLOT_US
         kpis = []

@@ -5,7 +5,8 @@ be exact rationals (fractions.Fraction) so that fractional traffic and DRX
 periods never accumulate float drift. A cell runs on an integer clock
 instead: one tick is 1/ticks_per_us µs, where ticks_per_us is the least
 common multiple of the denominators of its rational times, so every such
-time is a whole number of ticks.
+time is a whole number of ticks. A cell steps its slots in a plain loop and
+takes only its random streams from an ``Engine``, not the event heap.
 """
 from __future__ import annotations
 

@@ -117,7 +117,7 @@ SCHEMA = {
     },
     "cg": {
         "enabled": (_to_bool, "false"),
-        "period_ms": (Fraction, "2"),
+        "period_ms": (Fraction, "4"),
         "occasions": (int, "1"),
         "rb": (int, "50"),
         "window": (int, "4"),

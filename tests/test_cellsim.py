@@ -1,6 +1,9 @@
 """End to end sanity checks on the cell simulator."""
 
+import math
 from fractions import Fraction
+
+import pytest
 
 from xrsim.cellsim import CellConfig, CellSim
 from xrsim.drx import DrxConfig, SLOT_PDSCH, SLOT_SLEEP
@@ -167,3 +170,25 @@ def test_no_fraction_work_per_slot(monkeypatch):
     assert any(u.adrx.q != u.adrx.params.q0 for u in sim.xr)  # adapted
     assert all(k.frames_total > 0 for k in result.xr_ues())
     assert len(calls) < slots / 10
+
+
+@pytest.mark.parametrize("duration_s", [0.0013, 0.002, 0.5])
+def test_one_call_per_slot_before_the_end(duration_s, monkeypatch):
+    # slots start every 500 µs from 0 up to, not including, the end; a run
+    # that ends mid-slot still simulates that last, partial slot
+    cfg = _short(ues_per_cell=2, embb_ues=1, duration_s=duration_s,
+                 warmup_s=0.0)
+    plain = CellSim(cfg, seed=1).run()
+    seen = []
+    on_slot = CellSim._on_slot
+
+    def counted(self, slot):
+        seen.append((slot, slot * self.slot_t < self.end_t))
+        return on_slot(self, slot)
+
+    monkeypatch.setattr(CellSim, "_on_slot", counted)
+    wrapped = CellSim(cfg, seed=1).run()
+    n_slots = math.ceil(cfg.duration_us / SLOT_US)
+    assert [slot for slot, _ in seen] == list(range(n_slots))
+    assert all(before_end for _, before_end in seen)
+    assert wrapped == plain

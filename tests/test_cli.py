@@ -43,16 +43,28 @@ def test_main_bad_key_exits_two(tmp_path, capsys):
 
 
 def test_cg_config_the_cell_rejects_exits_two(tmp_path, capsys):
-    # the default 2 ms CG period cannot hold one occasion's 5-slot train;
-    # the cell config rejects it before any cell runs
+    # a 2 ms CG period cannot hold one occasion's 5-slot train; the cell
+    # config rejects it before any cell runs
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(GOOD_INI + "\n[cg]\nenabled = true\n")
+    cfg.write_text(GOOD_INI + "\n[cg]\nenabled = true\nperiod_ms = 2\n")
     out = tmp_path / "res"
     rc = cli.main(["--config", str(cfg), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "simulate: period cannot fit the occasion train" in err
     assert not out.exists()
+
+
+def test_cg_defaults_run(tmp_path, capsys):
+    # the documented CG defaults (the 4 ms pose period) are a config that
+    # runs
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(GOOD_INI + "\n[cg]\nenabled = true\n")
+    out = tmp_path / "res"
+    rc = cli.main(["--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    assert "xr capacity:" in capsys.readouterr().out
+    assert os.path.exists(out / "kpi.csv")
 
 
 def test_overrides_reach_config(tmp_path, monkeypatch):

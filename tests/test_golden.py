@@ -48,6 +48,10 @@ CELL_DIGESTS = {
         "c4c5c17d4cc063f0e9925cce6eb7ec0c7ef3a6f6be69906be87cbe68eac195e5",
     "ul-long-bsr-dsr":
         "720338a9938b0ff31e8ba21d5057d43475c5e8e5362940a728a7a8fb9fcf80f6",
+    "pf-2cells-ftp":
+        "f034787f6f91392e517a98024b8160521223bfdc682839a0cac572e0133c59df",
+    "ul-dl-embb":
+        "4b30c6798983de10f5f35f50e2c4ee33d17f8377011f78b29b43d77a23425407",
 }
 
 
@@ -104,6 +108,17 @@ def _cells() -> dict:
             ues_per_cell=4, direction=Direction.UL, rate_bps=10e6,
             psdb_ms=30.0, bsr_table=TableKind.LONG, dsr_enabled=True,
             dsr_threshold_ms=25.0, **short), 6),
+        # PF over two cells, simultaneous frame arrivals and FTP eMBB; the
+        # run ends 300 µs into its last slot
+        "pf-2cells-ftp": (CellConfig(
+            ues_per_cell=3, n_cells=2, rate_bps=20e6, embb_ues=1,
+            stagger=False, policy=SchedulerPolicy(kind=PolicyKind.PF),
+            duration_s=1.0013, warmup_s=0.2), 7),
+        # a UL cell whose full-buffer eMBB UE is served on the DL slots
+        "ul-dl-embb": (CellConfig(
+            ues_per_cell=3, direction=Direction.UL, rate_bps=10e6,
+            embb_ues=1, embb_full_buffer=True,
+            policy=SchedulerPolicy(kind=PolicyKind.PDUSET), **short), 8),
     }
 
 
