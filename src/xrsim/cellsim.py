@@ -34,7 +34,7 @@ from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         realized_overhead, trigger_dsr)
 from .scheduling import (CgConfig, DlCandidate, PolicyKind, SchedulerPolicy,
                          UlCandidate, allocate_dl, allocate_ul,
-                         build_uto_uci, cg_occasions, pf_update,
+                         build_uto_uci, cg_occasions, pf_idle, pf_update,
                          reclaim_unused)
 from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
@@ -262,8 +262,10 @@ class CellSim:
 
         self.xr = [u for u in self.ues if not u.is_embb]
         self.embb = [u for u in self.ues if u.is_embb]
+        # only XR frames arrive in a cell with no eMBB UE and no pose CG,
+        # so only such a cell can fall idle until the next frame
+        self.can_idle = not self.embb and config.pose_cg is None
         # a DL cell serves every UE on its DL slots, a UL cell its eMBB UEs
-        self.dl_scheduled = config.direction is Direction.DL or bool(self.embb)
         dl_ues = self.ues if config.direction is Direction.DL else self.embb
         rate_scale = 1_000_000 // SLOT_US
         for ue in dl_ues:
@@ -471,27 +473,31 @@ class CellSim:
                 cand.avg_tput_bps = max(ue.avg_tput_bps, 1.0)
                 cands.append(cand)
 
-        if self.dl_scheduled:
+        if cands:
             allocs = allocate_dl(slot, cands, now, cfg.policy,
                                  total_rb=N_RB - rb_used, data_symbols=sym)
-            for a in allocs:
-                ue = self.by_id[a.ue_id]
-                rb_used += a.rb_count
-                tx_ues.add(ue.ue_id)
-                ue.grants += 1
-                ue.served_bits_slot += a.tb_bits
-                self._mark_first_service(ue, a.segments, now)
-                proc = HarqProcess(a.mcs, a.tb_bits)
-                ack = harq_attempt(proc, ue.sinr_db, self.phy_rng)
-                if ack:
-                    self._deliver(ue, a.segments, now)
-                elif proc.exhausted:
-                    self._harq_lose(ue, a.segments, now)
-                else:
-                    nxt = self._next_dl_slot(slot + HARQ_RTT_SLOTS)
-                    self.dl_retx.setdefault(nxt, []).append((ue, proc, a))
-                if ue.drx is not None:
-                    ue.drx.step(now, True, True)
+        else:
+            # allocate_dl's budget check of a slot with no new data
+            assert rb_used <= N_RB
+            allocs = ()
+        for a in allocs:
+            ue = self.by_id[a.ue_id]
+            rb_used += a.rb_count
+            tx_ues.add(ue.ue_id)
+            ue.grants += 1
+            ue.served_bits_slot += a.tb_bits
+            self._mark_first_service(ue, a.segments, now)
+            proc = HarqProcess(a.mcs, a.tb_bits)
+            ack = harq_attempt(proc, ue.sinr_db, self.phy_rng)
+            if ack:
+                self._deliver(ue, a.segments, now)
+            elif proc.exhausted:
+                self._harq_lose(ue, a.segments, now)
+            else:
+                nxt = self._next_dl_slot(slot + HARQ_RTT_SLOTS)
+                self.dl_retx.setdefault(nxt, []).append((ue, proc, a))
+            if ue.drx is not None:
+                ue.drx.step(now, True, True)
 
         if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
@@ -693,11 +699,48 @@ class CellSim:
             self._dl_slot(slot, now, retx, kind)
         self._decide_frames(now)
 
+    def _idle(self) -> bool:
+        """No byte is queued, no HARQ process or UL grant is pending and no
+        frame is undecided, so nothing happens before the next arrival."""
+        if self.dl_retx or self.ul_retx or self.ul_grants:
+            return False
+        for ue in self.xr:
+            if ue.queue.entries or ue.undecided:
+                return False
+        return True
+
+    def _skip(self, a, b):
+        """Do in bulk what _on_slot does on idle slots a..b-1: log zero
+        utilisation, decay the PF averages and step DRX with no data."""
+        slot_t = self.slot_t
+        first = max(a, -(-self.warmup_t // slot_t))  # first post-warm-up slot
+        self.rb_utilization.extend([0.0] * max(0, b - first))
+        n_dl = sum(slot_type(slot) != UPLINK for slot in range(a, b))
+        window = self.cfg.policy.pf_avg_window
+        for ue in self.ues:
+            ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, n_dl, window)
+            if ue.drx is None:
+                ue.trace.extend([SLOT_PDCCH] * (b - a))
+                continue
+            for monitoring, k in ue.drx.skip(a * slot_t, b - a):
+                ue.trace.extend([SLOT_PDCCH if monitoring else SLOT_SLEEP] * k)
+
     def run(self) -> CellResult:
         cfg = self.cfg
+        slot_t = self.slot_t
         # every slot that starts before the end, the last one maybe partial
-        for slot in range(-(-self.end_t // self.slot_t)):
+        n_slots = -(-self.end_t // slot_t)
+        slot = 0
+        while slot < n_slots:
             self._on_slot(slot)
+            slot += 1
+            if self.can_idle and self._idle():
+                # the next slot that can hold work is the next arrival's
+                due = min((ue.next_at for ue in self.xr), default=self.end_t)
+                nxt = min(n_slots, -(-due // slot_t))
+                if nxt > slot:
+                    self._skip(slot, nxt)
+                    slot = nxt
         self._decide_frames(self.end_t)
         warm_slot = cfg.warmup_us // SLOT_US
         kpis = []

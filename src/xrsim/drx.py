@@ -9,6 +9,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .engine import SLOT_US, to_ticks
 
 
@@ -91,20 +93,23 @@ class DrxMachine:
                 self.on_expiry = max(self.on_expiry,
                                      floored + cfg.on_duration_us)
 
+    def _open_windows(self, now):
+        """Open every window whose slot-floored start is at or before now."""
+        cfg = self.cfg
+        slot = self.slot
+        floored = self._next_floor
+        while floored <= now:
+            self.on_expiry = max(self.on_expiry, floored + cfg.on_duration_us)
+            self.next_start = self.next_start + cfg.cycle_us
+            floored = self.next_start // slot * slot
+        self._next_floor = floored
+
     def step(self, now, new_data: bool = False,
              scheduled_data: bool = False) -> tuple[DrxMode, bool]:
         """Advance one slot. new_data: PDCCH with a fresh grant this slot;
         scheduled_data: the slot carries PDSCH/PUSCH for this UE anyway."""
-        floored = self._next_floor
-        if floored <= now:
-            cfg = self.cfg
-            slot = self.slot
-            while floored <= now:
-                self.on_expiry = max(self.on_expiry,
-                                     floored + cfg.on_duration_us)
-                self.next_start = self.next_start + cfg.cycle_us
-                floored = self.next_start // slot * slot
-            self._next_floor = floored
+        if self._next_floor <= now:
+            self._open_windows(now)
         in_on = now < self.on_expiry
         if new_data:
             # timer runs from the end of the granting slot
@@ -118,6 +123,40 @@ class DrxMachine:
         else:
             self.mode = DrxMode.SLEEP
         return self.mode, monitoring
+
+    def skip(self, now, n: int) -> list:
+        """Advance n slots from now with no grant and no data, as n calls of
+        step(t, False, False) would, and return their monitoring flags as
+        runs: [(monitoring, slots), ...]. Works a window at a time: the
+        flag can only change at an expiry or at the next window start."""
+        slot = self.slot
+        end = now + n * slot
+        runs = []
+        t = now
+        while t < end:
+            if self._next_floor <= t:
+                self._open_windows(t)
+            floored = self._next_floor
+            expiry = max(self.on_expiry, self.inactivity_expiry)
+            monitoring = t < expiry
+            until = min(floored, end)
+            if monitoring and expiry < until:
+                until = expiry
+            k = -((t - until) // slot)  # slots that start before until
+            if runs and runs[-1][0] == monitoring:
+                runs[-1] = (monitoring, runs[-1][1] + k)
+            else:
+                runs.append((monitoring, k))
+            t += k * slot
+        if runs:
+            last = t - slot
+            if last < self.on_expiry:
+                self.mode = DrxMode.ON_DURATION
+            elif last < self.inactivity_expiry:
+                self.mode = DrxMode.INACTIVITY
+            else:
+                self.mode = DrxMode.SLEEP
+        return runs
 
 
 @dataclass
@@ -193,31 +232,25 @@ class AdrxController:
             excess += max(0.0, service - on_dur_us)
         return excess
 
-    @staticmethod
-    def _waits(shifted, period, offset_us) -> list:
-        """Where each shifted phase falls in the cycle of one window offset:
-        (rel lo, wait lo, rel hi, wait hi, service), a wait being the sleep
-        until the next window when the phase misses the window."""
-        out = []
-        for lo, hi, service in shifted:
-            rel_lo = (lo - offset_us) % period
-            rel_hi = (hi - offset_us) % period
-            out.append((rel_lo, period - rel_lo, rel_hi, period - rel_hi,
-                        service))
-        return out
+    def _violation_counts(self, shifted, period, offsets, on_grid):
+        """Observations that each candidate window would leave violated, for
+        every offset (rows) and on-duration (columns) at once.
 
-    def _violations(self, waits, on_dur_us) -> int:
-        """Observations that one candidate window would leave violated."""
-        tol = self.params.wait_tolerance_us
-        psdb = self.psdb_us
-        viol = 0
-        for rel_lo, wait_lo, rel_hi, wait_hi, service in waits:
-            worst = 0.0 if rel_lo < on_dur_us else wait_lo
-            if rel_hi >= on_dur_us and wait_hi > worst:
-                worst = wait_hi
-            if worst > tol or worst + service > psdb:
-                viol += 1
-        return viol
+        A phase misses a window when it falls in the cycle past the
+        on-duration, and then waits until the next window. numpy's float %
+        is fmod with Python's sign fix, and each comparison and sum is one
+        IEEE operation, so the counts equal a loop over the observations."""
+        lo, hi, service = np.array(shifted, dtype=float).T
+        off = np.array(offsets, dtype=float)[:, None]
+        rel_lo = (lo - off) % period
+        rel_hi = (hi - off) % period
+        on = np.array(on_grid, dtype=float)[:, None, None]
+        worst = np.where(rel_lo < on, 0.0, period - rel_lo)
+        wait_hi = period - rel_hi
+        worst = np.where((rel_hi >= on) & (wait_hi > worst), wait_hi, worst)
+        viol = ((worst > self.params.wait_tolerance_us)
+                | (worst + service > self.psdb_us))
+        return viol.sum(axis=-1).T
 
     def predict(self, offset_us: float, on_dur_us: float) -> tuple[float, float]:
         """(violation fraction, active µs per cycle) for one candidate."""
@@ -226,9 +259,9 @@ class AdrxController:
         period = float(self.current.cycle_us)
         shifted = self._shifted()
         n = len(shifted)
-        waits = self._waits(shifted, period, offset_us)
-        return (self._violations(waits, on_dur_us) / n,
-                on_dur_us + self._excess(shifted, on_dur_us) / n)
+        viol = int(self._violation_counts(shifted, period, [offset_us],
+                                          [on_dur_us])[0, 0])
+        return (viol / n, on_dur_us + self._excess(shifted, on_dur_us) / n)
 
     def update(self, violations_in_epoch: int) -> DrxConfig:
         self.q = max(self.q + violations_in_epoch - self.params.target_violations, 0.0)
@@ -251,16 +284,11 @@ class AdrxController:
                    if on_ms * 1000.0 <= period]
         power = [self.params.v * (on_us + self._excess(shifted, on_us) / n)
                  / 1000.0 for on_us in on_grid]
-        best = None
-        for off in offsets:
-            waits = self._waits(shifted, period, off)
-            dist = abs(off - base_offset)
-            for on_us, pw in zip(on_grid, power):
-                key = (self.q * (self._violations(waits, on_us) / n) + pw,
-                       on_us, dist, off)
-                if best is None or key < best:
-                    best = key
-        _, on_us, _, off = best
+        counts = self._violation_counts(shifted, period, offsets, on_grid)
+        _, on_us, _, off = min(
+            (self.q * (viol / n) + pw, on_us, abs(off - base_offset), off)
+            for off, row in zip(offsets, counts.tolist())
+            for on_us, pw, viol in zip(on_grid, power, row))
         self.current = DrxConfig(
             cycle_us=self.current.cycle_us,
             on_duration_us=int(round(on_us)),

@@ -138,6 +138,10 @@ _CHOICES = {
     ("drx", "offset_mode"): ("traffic", "common"),
 }
 
+# keys whose value must be > 0: a zero rate makes every frame size draw
+# retry forever, and a zero frame rate has no frame period
+_POSITIVE = {("traffic", "rate_mbps"), ("traffic", "fps")}
+
 
 @dataclass
 class ExperimentConfig:
@@ -165,6 +169,10 @@ class ExperimentConfig:
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(
                 f"bad value for key '{key}' in section [{section}]: {e}")
+        if (section, key) in _POSITIVE and not self.values[(section, key)] > 0:
+            raise ValueError(
+                f"key '{key}' in section [{section}] must be positive, "
+                f"got {text!r}")
         if (section, key) in _CHOICES \
                 and self.values[(section, key)] not in _CHOICES[(section, key)]:
             raise ValueError(

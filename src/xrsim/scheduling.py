@@ -67,6 +67,16 @@ def pf_update(avg_bps: float, served_bps: float, window_slots: int) -> float:
     return (1.0 - w) * avg_bps + w * served_bps
 
 
+def pf_idle(avg_bps: float, slots: int, window_slots: int) -> float:
+    """pf_update over slots that serve nothing, bit for bit: the update is
+    then (1 - w) * avg + 0.0, and x + 0.0 == x for x >= 0. One product per
+    slot, since a power rounds differently."""
+    keep = 1.0 - 1.0 / window_slots
+    for _ in range(slots):
+        avg_bps = keep * avg_bps
+    return avg_bps
+
+
 def pf_metric(cand: DlCandidate) -> float:
     return cand.inst_rate_bps / max(cand.avg_tput_bps, EPS_RATE_BPS)
 
@@ -132,7 +142,9 @@ def allocate_dl(slot: int, candidates: list[DlCandidate], now,
     allocations = []
     rb_used = 0
     xr = [c for c in candidates if c.is_xr and c.queue.queued_bytes > 0]
-    for cand in _rank(xr, now, policy):
+    if len(xr) > 1:  # one candidate ranks as itself
+        xr = _rank(xr, now, policy)
+    for cand in xr:
         if rb_used >= total_rb:
             break
         need = _rb_demand(cand.queue.queued_bytes * 8, cand.mcs, data_symbols)

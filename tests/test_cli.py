@@ -1,4 +1,5 @@
 import os
+import signal
 
 import pytest
 
@@ -96,3 +97,25 @@ def test_rejected_cli_choice(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["--config", str(cfg), "--scheduler", "edf"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("rate_mbps", "0"),
+                                        ("rate_mbps", "-5"), ("fps", "0")])
+def test_non_positive_rate_or_fps_exits_two(key, value, tmp_path, capsys):
+    # a zero rate used to hang the frame-size draw, so one alarm bounds the
+    # run; it raises in this thread and starts no thread or process
+    def timed_out(signum, frame):
+        raise TimeoutError(f"{key} = {value} did not return")
+
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(GOOD_INI + f"\n[traffic]\n{key} = {value}\n")
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "res")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' in section [traffic] must be positive" in err

@@ -1,4 +1,5 @@
-"""Property tests: DRX is unit-free, and the ADRX search picks as before."""
+"""Property tests: DRX is unit-free, skipping idle slots equals stepping
+them, and the ADRX search picks as before."""
 
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from xrsim.drx import AdrxController, AdrxParams, DrxConfig, DrxMachine
 from xrsim.engine import SLOT_US
+from xrsim.scheduling import pf_idle, pf_update
 
 
 def rationals(lo, hi):
@@ -59,6 +61,61 @@ def test_drx_machine_same_in_any_unit(cfg, cfg2, calls, data):
                 == ticks.step(now * tpu, new_data, scheduled))
         if grant:
             assert us.step(now, True, True) == ticks.step(now * tpu, True, True)
+
+
+def machine_state(m):
+    return (m.next_start, m._next_floor, m.on_expiry, m.inactivity_expiry,
+            m.mode)
+
+
+@settings(max_examples=200)
+@given(drx_configs(), drx_configs(), st.lists(slot_calls, max_size=60),
+       st.lists(st.integers(0, 200), min_size=1, max_size=4), st.data())
+def test_drx_skip_equals_idle_steps(cfg, cfg2, calls, gaps, data):
+    # after a random prefix of grants and data, with a retune drawn inside
+    # it, each skip of n slots gives the runs and the state of n idle steps
+    times = [getattr(c, f) for c in (cfg, cfg2)
+             for f in ("cycle_us", "on_duration_us", "inactivity_us",
+                       "start_offset_us")]
+    tpu = math.lcm(*(t.denominator for t in times))
+    slot = SLOT_US * tpu
+    stepped, skipped = (DrxMachine(in_ticks(cfg, tpu), slot=slot)
+                        for _ in range(2))
+    retune_slot = data.draw(st.integers(0, len(calls)))
+    now = 0
+    for i, call in enumerate(calls + [None] * len(gaps)):
+        if i == retune_slot:
+            for m in (stepped, skipped):
+                m.retune(in_ticks(cfg2, tpu), now)
+        if call is None:  # an idle gap
+            n = gaps[i - len(calls)]
+            runs = []
+            for k in range(n):
+                monitoring = stepped.step(now + k * slot, False, False)[1]
+                if runs and runs[-1][0] == monitoring:
+                    runs[-1] = (monitoring, runs[-1][1] + 1)
+                else:
+                    runs.append((monitoring, 1))
+            assert skipped.skip(now, n) == runs
+            now += n * slot
+        else:
+            new_data, scheduled, grant = call
+            for m in (stepped, skipped):
+                m.step(now, new_data, scheduled)
+                if grant:
+                    m.step(now, True, True)
+            now += slot
+        assert machine_state(skipped) == machine_state(stepped)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.just(0.0), st.floats(0, 1e9), st.floats(0, 1e-300)),
+       st.integers(0, 2_000), st.integers(1, 1_000))
+def test_pf_idle_equals_updates_with_nothing_served(avg, slots, window):
+    want = avg
+    for _ in range(slots):
+        want = pf_update(want, 0, window)
+    assert pf_idle(avg, slots, window).hex() == want.hex()  # bit for bit
 
 
 def reference_predict(ctrl, offset_us, on_dur_us):

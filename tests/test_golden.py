@@ -52,6 +52,12 @@ CELL_DIGESTS = {
         "f034787f6f91392e517a98024b8160521223bfdc682839a0cac572e0133c59df",
     "ul-dl-embb":
         "4b30c6798983de10f5f35f50e2c4ee33d17f8377011f78b29b43d77a23425407",
+    "pf-drx-idle":
+        "9dee6d072863fbd059fc144636075ec0bf71b91db5891126b2b9b3a28b864a3b",
+    "mlwdf-psi-idle":
+        "514527a1f9d6b138d07f82304b0fcd3f77ee0a04537169c99a598a5f1c129deb",
+    "ul-drx-dsr-idle":
+        "6af6975adcbcda3907cc7e5c54b0b2aca127f61ee7a4d9a23d995154a9ddf0d5",
 }
 
 
@@ -69,6 +75,8 @@ def _sweep_ini(out_dir) -> str:
 
 def _cells() -> dict:
     short = dict(duration_s=1.0, warmup_s=0.2)
+    idle_drx = dict(cycle_us=Fraction(50_000, 3), on_duration_us=Fraction(4000),
+                    inactivity_us=Fraction(2000))
     return {
         "pduset-fullbuffer": (CellConfig(
             ues_per_cell=11, rate_bps=45e6, psdb_ms=10.0, sets_per_frame=4,
@@ -119,6 +127,25 @@ def _cells() -> dict:
             ues_per_cell=3, direction=Direction.UL, rate_bps=10e6,
             embb_ues=1, embb_full_buffer=True,
             policy=SchedulerPolicy(kind=PolicyKind.PDUSET), **short), 8),
+        # the cells below have no eMBB UE and no pose CG, so they idle
+        # between frames; PF with fixed DRX, the run and its warm-up ending
+        # mid-slot
+        "pf-drx-idle": (CellConfig(
+            ues_per_cell=3, rate_bps=10e6, drx=DrxConfig(**idle_drx),
+            policy=SchedulerPolicy(kind=PolicyKind.PF),
+            duration_s=1.0013, warmup_s=0.2003), 9),
+        # M-LWDF with PSI discard and the PSDB timer. This pins the PSI
+        # defect of ROADMAP item 4: PSI discard fires on every frame, so 0
+        # of its 95 frames are in budget
+        "mlwdf-psi-idle": (CellConfig(
+            ues_per_cell=2, rate_bps=20e6, sets_per_frame=4,
+            psi_discard_enabled=True, discard_timer_ms="psdb",
+            policy=SchedulerPolicy(kind=PolicyKind.MLWDF), **short), 10),
+        # UL with DSR and fixed DRX
+        "ul-drx-dsr-idle": (CellConfig(
+            ues_per_cell=3, direction=Direction.UL, rate_bps=5e6,
+            psdb_ms=30.0, dsr_enabled=True, dsr_threshold_ms=25.0,
+            drx=DrxConfig(**idle_drx), **short), 11),
     }
 
 
