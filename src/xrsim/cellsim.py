@@ -35,7 +35,7 @@ from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
 from .scheduling import (CgConfig, DlCandidate, PolicyKind, SchedulerPolicy,
                          UlCandidate, allocate_dl, allocate_ul,
                          build_uto_uci, cg_occasions, pf_idle, pf_update,
-                         reclaim_unused)
+                         reads_avg, reclaim_unused)
 from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
 
@@ -125,8 +125,10 @@ class UeCtx:
         self.frames: dict = {}
         self.undecided: deque = deque()
         self.outcomes: list = []
+        # PF average throughput, up to date over the first pf_slots DL slots
+        # of the run; CellSim._pf_avg brings it up to date when it is read
         self.avg_tput_bps = 1.0
-        self.served_bits_slot = 0
+        self.pf_slots = 0
         self.drx: Optional[DrxMachine] = None
         self.monitoring = True  # PDCCH monitored in the current DL slot
         # DL candidate per DL slot kind; None for a UE with no DL data
@@ -134,7 +136,10 @@ class UeCtx:
         self.adrx: Optional[AdrxController] = None
         self.epoch_frames = 0
         self.epoch_viols = 0
+        # per-slot activity labels; a UE without DRX logs only its PDSCH
+        # slots, and the run builds its trace from them at the end
         self.trace: list = []
+        self.pdsch_slots: list = []
         self.padding_samples: list = []
         self.grants = 0
         self.delivered_bits = 0
@@ -262,11 +267,23 @@ class CellSim:
 
         self.xr = [u for u in self.ues if not u.is_embb]
         self.embb = [u for u in self.ues if u.is_embb]
+        self.drx_ues = [u for u in self.ues if u.drx is not None]
+        self.next_at = 0  # the earliest ue.next_at
+        # DL slots run so far; each UE's PF average catches up to it lazily
+        self.dl_slots = 0
+        self.pf_window = config.policy.pf_avg_window
+        # pf_idle's factor for one slot, which the candidate loop inlines
+        self.pf_keep = 1.0 - 1.0 / self.pf_window
         # only XR frames arrive in a cell with no eMBB UE and no pose CG,
         # so only such a cell can fall idle until the next frame
         self.can_idle = not self.embb and config.pose_cg is None
         # a DL cell serves every UE on its DL slots, a UL cell its eMBB UEs
         dl_ues = self.ues if config.direction is Direction.DL else self.embb
+        self.dl_ues = dl_ues
+        # the UEs whose DL candidate's PF average allocate_dl may read
+        self.avg_ues = [u for u in dl_ues
+                        if reads_avg(config.policy, not u.is_embb,
+                                     len(self.embb))]
         rate_scale = 1_000_000 // SLOT_US
         for ue in dl_ues:
             # the MCS is static, so is the full-band rate on each slot kind
@@ -307,9 +324,12 @@ class CellSim:
 
     def _arrivals(self, now):
         cfg = self.cfg
-        for ue in self.xr:
-            if ue.next_at <= now:
-                self._video_arrivals(ue, now)
+        if self.next_at <= now:
+            for ue in self.xr:
+                if ue.next_at <= now:
+                    self._video_arrivals(ue, now)
+            self.next_at = min([ue.next_at for ue in self.xr],
+                               default=self.end_t)
         for ue in self.embb:
             if cfg.embb_full_buffer:
                 # keep a deep backlog so the queue never drains
@@ -367,7 +387,7 @@ class CellSim:
             if timer:
                 queue.discard_expired(now)
             if psi:
-                queue.psi_discard(now, max(ue.avg_tput_bps, 1e6))
+                queue.psi_discard(now, max(self._pf_avg(ue), 1e6))
             if len(queue.events) > ue.events_seen:
                 self._sync_events(ue)
 
@@ -421,6 +441,16 @@ class CellSim:
 
     # ---- downlink ----
 
+    def _pf_avg(self, ue) -> float:
+        """The UE's PF average, first decayed over the DL slots since it was
+        last brought up to date: those slots served it nothing."""
+        n = self.dl_slots
+        if ue.pf_slots != n:
+            ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, n - ue.pf_slots,
+                                      self.pf_window)
+            ue.pf_slots = n
+        return ue.avg_tput_bps
+
     def _dl_retx_due(self, slot, now):
         entries = self.dl_retx.pop(slot, ())
         live = []
@@ -452,7 +482,7 @@ class CellSim:
         rb_used = 0
 
         for ue, proc, alloc in retx_entries:
-            tx_ues.add(ue.ue_id)
+            tx_ues.add(ue)
             rb_used += alloc.rb_count
             ack = harq_attempt(proc, ue.sinr_db, self.phy_rng)
             if ack:
@@ -463,15 +493,22 @@ class CellSim:
                 nxt = self._next_dl_slot(slot + HARQ_RTT_SLOTS)
                 self.dl_retx.setdefault(nxt, []).append((ue, proc, alloc))
 
-        cands = []
-        for ue in self.ues:
-            if ue.drx is not None:
-                ue.monitoring = ue.drx.step(now, False, ue.ue_id in tx_ues)[1]
-            if (ue.monitoring and ue.dl_cands is not None
-                    and ue.queue.queued_bytes):
-                cand = ue.dl_cands[kind]
-                cand.avg_tput_bps = max(ue.avg_tput_bps, 1.0)
-                cands.append(cand)
+        for ue in self.drx_ues:
+            ue.monitoring = ue.drx.step(now, False, ue in tx_ues)[1]
+        cands = [ue.dl_cands[kind] for ue in self.dl_ues
+                 if ue.monitoring and ue.queue.queued_bytes]
+        n_dl = self.dl_slots
+        for ue in self.avg_ues:
+            if ue.monitoring and ue.queue.queued_bytes:
+                # _pf_avg, inlined: a busy UE is most often one slot behind
+                gap = n_dl - ue.pf_slots
+                if gap == 1:
+                    ue.avg_tput_bps *= self.pf_keep
+                elif gap:
+                    ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, gap,
+                                              self.pf_window)
+                ue.pf_slots = n_dl
+                ue.dl_cands[kind].avg_tput_bps = ue.avg_tput_bps
 
         if cands:
             allocs = allocate_dl(slot, cands, now, cfg.policy,
@@ -483,10 +520,14 @@ class CellSim:
         for a in allocs:
             ue = self.by_id[a.ue_id]
             rb_used += a.rb_count
-            tx_ues.add(ue.ue_id)
+            tx_ues.add(ue)
             ue.grants += 1
-            ue.served_bits_slot += a.tb_bits
-            self._mark_first_service(ue, a.segments, now)
+            # this slot's PF update, the only one that serves the UE
+            ue.avg_tput_bps = pf_update(self._pf_avg(ue), a.tb_bits * 2000,
+                                        self.pf_window)
+            ue.pf_slots = n_dl + 1
+            if ue.adrx is not None:  # only the ADRX controller reads it
+                self._mark_first_service(ue, a.segments, now)
             proc = HarqProcess(a.mcs, a.tb_bits)
             ack = harq_attempt(proc, ue.sinr_db, self.phy_rng)
             if ack:
@@ -498,20 +539,20 @@ class CellSim:
                 self.dl_retx.setdefault(nxt, []).append((ue, proc, a))
             if ue.drx is not None:
                 ue.drx.step(now, True, True)
+        self.dl_slots = n_dl + 1
 
         if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
-        window = cfg.policy.pf_avg_window
-        for ue in self.ues:
-            if ue.ue_id in tx_ues:
+        for ue in self.drx_ues:
+            if ue in tx_ues:
                 ue.trace.append(SLOT_PDSCH)
             elif ue.monitoring:
                 ue.trace.append(SLOT_PDCCH)
             else:
                 ue.trace.append(SLOT_SLEEP)
-            ue.avg_tput_bps = pf_update(ue.avg_tput_bps,
-                                        ue.served_bits_slot * 2000, window)
-            ue.served_bits_slot = 0
+        for ue in tx_ues:
+            if ue.drx is None:
+                ue.pdsch_slots.append(slot)
 
     # ---- uplink ----
 
@@ -526,7 +567,7 @@ class CellSim:
             if not segs:
                 continue
             alloc.segments = segs
-            tx_ues.add(ue.ue_id)
+            tx_ues.add(ue)
             rb_used += alloc.rb_count
             ack = harq_attempt(proc, ue.ul_sinr_db, self.phy_rng)
             if ack:
@@ -539,7 +580,7 @@ class CellSim:
 
         for a in self.ul_grants.pop(slot, ()):
             ue = self.by_id[a.ue_id]
-            tx_ues.add(ue.ue_id)
+            tx_ues.add(ue)
             rb_used += a.rb_count
             cap = max(0, a.tb_bits // 8 - self.ce_bytes)
             segs = ue.queue.take(cap, now)
@@ -548,7 +589,8 @@ class CellSim:
                 ue.padding_samples.append(
                     realized_overhead(a.tb_bits // 8 - self.ce_bytes, served))
             ue.grants += 1
-            self._mark_first_service(ue, segs, now)
+            if ue.adrx is not None:
+                self._mark_first_service(ue, segs, now)
             if not segs:
                 continue
             a.segments = segs
@@ -597,13 +639,16 @@ class CellSim:
 
         if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
-        for ue in self.ues:
-            if ue.ue_id in tx_ues:
+        for ue in self.drx_ues:
+            if ue in tx_ues:
                 ue.trace.append(SLOT_PDSCH)
-            elif ue.drx is None or ue.drx.step(now, False, False)[1]:
+            elif ue.drx.step(now, False, False)[1]:
                 ue.trace.append(SLOT_PDCCH)
             else:
                 ue.trace.append(SLOT_SLEEP)
+        for ue in tx_ues:
+            if ue.drx is None:
+                ue.pdsch_slots.append(slot)
 
     def _cg_rb(self, slot) -> int:
         return sum(o.rb_count for o in self.cg_by_slot.get(slot, ()))
@@ -639,7 +684,7 @@ class CellSim:
                 segs = u.pose_queue.take(cap, now)
                 if segs:
                     rb += occ.rb_count
-                    tx_ues.add(u.ue_id)
+                    tx_ues.add(u)
                     if now >= self.warmup_t:
                         u.delivered_bits += sum(s.byte_size for s in segs) * 8
                     break
@@ -711,17 +756,13 @@ class CellSim:
 
     def _skip(self, a, b):
         """Do in bulk what _on_slot does on idle slots a..b-1: log zero
-        utilisation, decay the PF averages and step DRX with no data."""
+        utilisation, count the DL slots and step DRX with no data."""
         slot_t = self.slot_t
         first = max(a, -(-self.warmup_t // slot_t))  # first post-warm-up slot
         self.rb_utilization.extend([0.0] * max(0, b - first))
-        n_dl = sum(slot_type(slot) != UPLINK for slot in range(a, b))
-        window = self.cfg.policy.pf_avg_window
-        for ue in self.ues:
-            ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, n_dl, window)
-            if ue.drx is None:
-                ue.trace.extend([SLOT_PDCCH] * (b - a))
-                continue
+        # PF averages decay when next read, a UE without DRX logs PDCCH
+        self.dl_slots += sum(slot_type(slot) != UPLINK for slot in range(a, b))
+        for ue in self.drx_ues:
             for monitoring, k in ue.drx.skip(a * slot_t, b - a):
                 ue.trace.extend([SLOT_PDCCH if monitoring else SLOT_SLEEP] * k)
 
@@ -736,8 +777,7 @@ class CellSim:
             slot += 1
             if self.can_idle and self._idle():
                 # the next slot that can hold work is the next arrival's
-                due = min((ue.next_at for ue in self.xr), default=self.end_t)
-                nxt = min(n_slots, -(-due // slot_t))
+                nxt = min(n_slots, -(-self.next_at // slot_t))
                 if nxt > slot:
                     self._skip(slot, nxt)
                     slot = nxt
@@ -745,6 +785,11 @@ class CellSim:
         warm_slot = cfg.warmup_us // SLOT_US
         kpis = []
         for ue in self.ues:
+            if ue.drx is None:
+                # PDCCH on every slot but the PDSCH ones
+                ue.trace = [SLOT_PDCCH] * n_slots
+                for s in ue.pdsch_slots:
+                    ue.trace[s] = SLOT_PDSCH
             out = ue.outcomes
             total = len(out)
             in_budget = sum(1 for _, ok in out if ok)

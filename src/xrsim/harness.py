@@ -16,7 +16,7 @@ from .cellsim import CellConfig, CellSim
 from .drx import DrxConfig, power_saving_gain
 from .reporting import TableKind
 from .scheduling import CgConfig, PolicyKind, SchedulerPolicy
-from .traffic import Direction
+from .traffic import Direction, VideoStreamConfig
 
 SATISFACTION_BAR = 0.99  # strictly more than 99% of frames in budget
 CAPACITY_BAR = 0.90  # at least 90% of UEs satisfied
@@ -106,8 +106,8 @@ SCHEMA = {
     "drx": {
         "mode": (str, "off"),
         "cycle_ms": (Fraction, "50/3"),
-        "on_ms": (float, "8.0"),
-        "inactivity_ms": (float, "8.0"),
+        "on_ms": (Fraction, "8.0"),
+        "inactivity_ms": (Fraction, "8.0"),
         "offset_mode": (str, "traffic"),
     },
     "qos": {
@@ -213,8 +213,8 @@ class ExperimentConfig:
         ms = 1000
         return DrxConfig(
             cycle_us=self[("drx", "cycle_ms")] * ms,
-            on_duration_us=Fraction(self[("drx", "on_ms")] * ms),
-            inactivity_us=Fraction(self[("drx", "inactivity_ms")] * ms))
+            on_duration_us=self[("drx", "on_ms")] * ms,
+            inactivity_us=self[("drx", "inactivity_ms")] * ms)
 
     def cell_config(self, load: int, drx_override=...) -> CellConfig:
         """CellConfig for one load point; drx_override=None forces always-on."""
@@ -231,12 +231,21 @@ class ExperimentConfig:
                 rb_per_occasion=self[("cg", "rb")],
                 uto_uci_window=self[("cg", "window")])
         drx = self._drx_config() if drx_override is ... else drx_override
+        rate_bps = self[("traffic", "rate_mbps")] * 1e6
+        fps = self[("traffic", "fps")]
+        # the rate and the frame rate together must leave a frame size to
+        # draw; checked here, once both keys hold their final values
+        try:
+            VideoStreamConfig(avg_rate_bps=rate_bps, fps=fps)
+        except ValueError as e:
+            raise ValueError(
+                f"keys 'rate_mbps' and 'fps' in section [traffic]: {e}")
         return CellConfig(
             ues_per_cell=load,
             n_cells=self[("scenario", "cells")],
             direction=Direction(self[("scenario", "direction")]),
-            rate_bps=self[("traffic", "rate_mbps")] * 1e6,
-            fps=self[("traffic", "fps")],
+            rate_bps=rate_bps,
+            fps=fps,
             psdb_ms=self[("traffic", "psdb_ms")],
             sets_per_frame=self[("traffic", "sets_per_frame")],
             policy=SchedulerPolicy(kind=PolicyKind(self[("scheduler", "policy")])),

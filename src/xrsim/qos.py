@@ -117,7 +117,7 @@ class FlowQueue:
         self.ue_id = ue_id
         self.ticks_per_us = ticks_per_us
         self.entries: deque[QueuedSet] = deque()
-        self._queued_bytes = 0
+        self.queued_bytes = 0  # queued bytes that MAC has not taken yet
         self.total_sets = 0
         self.lost_sets: set = set()
         self.events: list[DiscardEvent] = []
@@ -130,11 +130,7 @@ class FlowQueue:
     def enqueue_set(self, pdu_set: PduSet):
         self.total_sets += 1
         self.entries.append(QueuedSet(pdu_set))
-        self._queued_bytes += pdu_set.total_bytes
-
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
+        self.queued_bytes += pdu_set.total_bytes
 
     def hol_age_us(self, now) -> float:
         if not self.entries:
@@ -163,7 +159,7 @@ class FlowQueue:
             entry.taken = start + chunk
             budget -= chunk
             out.append(Segment(s, start, chunk, completed))
-        self._queued_bytes -= max_bytes - budget
+        self.queued_bytes -= max_bytes - budget
         return out
 
     def _log(self, now, set_id, cause, pdu_ids=()):
@@ -177,7 +173,7 @@ class FlowQueue:
         entry = next((e for e in self.entries if e.pdu_set.id == set_id), None)
         if entry is not None:
             self.entries.remove(entry)
-            self._queued_bytes -= entry.remaining
+            self.queued_bytes -= entry.remaining
             removed = entry.queued_pdu_ids()
         self._log(now, set_id, cause, removed)
         return removed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,18 +92,23 @@ def select_mcs(csi_sinr_db: float) -> tuple[int, float]:
     return idx, MCS_SE[idx]
 
 
+# tb_bits and bler are pure, and a cell asks them the same few questions
+# (its SINRs are static) on every slot, so both are memoised, within a
+# bound that holds every question of a realistic cell
+@lru_cache(maxsize=8192)
 def tb_bits(mcs: int, n_rb: int, data_symbols: int = DATA_SYMBOLS) -> int:
     if n_rb <= 0 or data_symbols <= 0:
         raise ValueError("rb and symbol counts must be positive")
     return int(math.floor(MCS_SE[mcs] * n_rb * SC_PER_RB * data_symbols))
 
 
+@lru_cache(maxsize=8192)
 def bler(sinr_db: float, mcs: int) -> float:
     center = MCS_THRESHOLD_DB[mcs] - _BLER_OFFSET
     return 1.0 / (1.0 + math.exp((sinr_db - center) / _BLER_SLOPE))
 
 
-@dataclass
+@dataclass(slots=True)
 class HarqProcess:
     mcs: int
     tb_bits: int

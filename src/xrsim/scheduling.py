@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from operator import mul
 from typing import Optional
 
 from .engine import SLOT_US
@@ -46,7 +49,7 @@ class DlCandidate:
     psdb_us: Optional[float] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
     ue_id: int
     direction: str
@@ -70,11 +73,9 @@ def pf_update(avg_bps: float, served_bps: float, window_slots: int) -> float:
 def pf_idle(avg_bps: float, slots: int, window_slots: int) -> float:
     """pf_update over slots that serve nothing, bit for bit: the update is
     then (1 - w) * avg + 0.0, and x + 0.0 == x for x >= 0. One product per
-    slot, since a power rounds differently."""
-    keep = 1.0 - 1.0 / window_slots
-    for _ in range(slots):
-        avg_bps = keep * avg_bps
-    return avg_bps
+    slot, since a power rounds differently; reduce runs the products in C,
+    and avg * keep is keep * avg exactly."""
+    return reduce(mul, repeat(1.0 - 1.0 / window_slots, slots), avg_bps)
 
 
 def pf_metric(cand: DlCandidate) -> float:
@@ -86,22 +87,30 @@ def mlwdf_metric(cand: DlCandidate, now) -> float:
     return a_i * cand.queue.hol_age_us(now) * pf_metric(cand)
 
 
-def _head_set(cand: DlCandidate):
-    head = cand.queue.entries[0]
-    return head.pdu_set, head.taken * 8, head.pdu_set.total_bytes * 8
-
-
 def pduset_metric(cand: DlCandidate, now,
                   policy: SchedulerPolicy) -> Optional[float]:
     """Urgency score of the head PDU set; None flags an expired budget."""
-    head, sent_bits, set_bits = _head_set(cand)
-    deadline = head.deadline
+    head = cand.queue.entries[0]
+    s = head.pdu_set
+    deadline = s.deadline
     tau = (float((deadline - now) / cand.queue.ticks_per_us)
            if deadline is not None else cand.psdb_us)
     if tau <= 0:
         return None
-    boost = math.exp(policy.pduset_alpha * sent_bits / set_bits)
-    return boost / max(tau, policy.epsilon_time_us)
+    # exp(0.0) is exactly 1.0: an untouched head set has no boost
+    boost = (math.exp(policy.pduset_alpha * (head.taken * 8)
+                      / (s.total_bytes * 8)) if head.taken else 1.0)
+    eps = policy.epsilon_time_us
+    return boost / (eps if eps > tau else tau)  # max(tau, eps)
+
+
+def reads_avg(policy: SchedulerPolicy, is_xr: bool, n_embb: int) -> bool:
+    """Whether allocate_dl may read a DL candidate's avg_tput_bps: the PF
+    and M-LWDF metrics read an XR candidate's, the pduset metric does not,
+    and the eMBB pick reads them only to choose between several UEs."""
+    if is_xr:
+        return policy.kind is not PolicyKind.PDUSET
+    return n_embb > 1
 
 
 def _head_expired(cand: DlCandidate, now) -> bool:
@@ -111,23 +120,33 @@ def _head_expired(cand: DlCandidate, now) -> bool:
 
 def _rank(candidates: list[DlCandidate], now,
           policy: SchedulerPolicy) -> list[DlCandidate]:
-    raw = []
-    for c in candidates:
+    kind = policy.kind
+    keyed = []  # (-metric, ue_id, index) of each candidate with a metric
+    expired = []
+    for i, c in enumerate(candidates):
         # data held beyond its budget drops to a floor priority under
-        # every policy; it is only served when nothing fresh wants the slot
-        if _head_expired(c, now):
-            raw.append(None)
-        elif policy.kind is PolicyKind.PF:
-            raw.append(pf_metric(c))
-        elif policy.kind is PolicyKind.MLWDF:
-            raw.append(mlwdf_metric(c, now))
+        # every policy; it is only served when nothing fresh wants the
+        # slot. pduset_metric flags an expired head itself
+        if kind is PolicyKind.PDUSET:
+            m = pduset_metric(c, now, policy)
+        elif _head_expired(c, now):
+            m = None
+        elif kind is PolicyKind.PF:
+            m = pf_metric(c)
         else:
-            raw.append(pduset_metric(c, now, policy))
-    positive = [m for m in raw if m is not None and m > 0]
-    floor = (min(positive) if positive else 1.0) * EXPIRED_FLOOR_FACTOR
-    scored = [(floor if m is None else m, c) for m, c in zip(raw, candidates)]
-    scored.sort(key=lambda mc: (-mc[0], mc[1].ue_id))
-    return [c for _, c in scored]
+            m = mlwdf_metric(c, now)
+        if m is None:
+            expired.append(i)
+        else:
+            keyed.append((-m, c.ue_id, i))
+    if expired:
+        positive = [-k[0] for k in keyed if k[0] < 0]
+        floor = (min(positive) if positive else 1.0) * EXPIRED_FLOOR_FACTOR
+        for i in expired:
+            keyed.append((-floor, candidates[i].ue_id, i))
+    # the index breaks ties in input order, as a stable sort would
+    keyed.sort()
+    return [candidates[k[2]] for k in keyed]
 
 
 def _rb_demand(queue_bits: int, mcs: int, data_symbols: int) -> int:
@@ -138,10 +157,16 @@ def _rb_demand(queue_bits: int, mcs: int, data_symbols: int) -> int:
 def allocate_dl(slot: int, candidates: list[DlCandidate], now,
                 policy: SchedulerPolicy, total_rb: int = N_RB,
                 data_symbols: int = DATA_SYMBOLS) -> list[Allocation]:
-    """One slot of DL allocation: XR first by policy metric, then eMBB by PF."""
+    """One slot of DL allocation: XR first by policy metric, then eMBB by PF.
+
+    Only the candidates for which reads_avg holds need an up-to-date
+    avg_tput_bps."""
     allocations = []
     rb_used = 0
-    xr = [c for c in candidates if c.is_xr and c.queue.queued_bytes > 0]
+    xr, embb = [], []
+    for c in candidates:
+        if c.queue.queued_bytes > 0:
+            (xr if c.is_xr else embb).append(c)
     if len(xr) > 1:  # one candidate ranks as itself
         xr = _rank(xr, now, policy)
     for cand in xr:
@@ -156,10 +181,12 @@ def allocate_dl(slot: int, candidates: list[DlCandidate], now,
         allocations.append(Allocation(cand.ue_id, "dl", slot, rb_used, rb,
                                       cand.mcs, tb, segments))
         rb_used += rb
-    embb = [c for c in candidates if not c.is_xr and c.queue.queued_bytes > 0]
     if embb and rb_used < total_rb:
-        embb.sort(key=lambda c: (-pf_metric(c), c.ue_id))
-        best = embb[0]
+        if len(embb) == 1:
+            best = embb[0]
+        else:  # the highest PF metric, then the lowest ue_id, then the first
+            best = embb[min((-pf_metric(c), c.ue_id, i)
+                            for i, c in enumerate(embb))[2]]
         need = _rb_demand(best.queue.queued_bytes * 8, best.mcs, data_symbols)
         rb = min(need, total_rb - rb_used)
         tb = tb_bits(best.mcs, rb, data_symbols)

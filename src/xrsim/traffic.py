@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,6 +46,14 @@ class VideoStreamConfig:
             raise ValueError("size bounds must bracket the mean")
         if not (self.jitter_min_us <= 0 <= self.jitter_max_us):
             raise ValueError("jitter bounds must bracket zero")
+        # VideoSource redraws a frame size until it is a whole number of
+        # bytes strictly within the bounds; without one it never returns
+        mean = self.mean_frame_bytes
+        lo, hi = self.size_min_frac * mean, self.size_max_frac * mean
+        if not math.floor(lo) + 1 < hi:
+            raise ValueError(
+                f"a mean video frame of {mean:.3g} bytes leaves no whole "
+                f"frame size between {lo:.3g} and {hi:.3g} bytes")
 
     @property
     def period_us(self) -> Fraction:

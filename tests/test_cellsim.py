@@ -172,6 +172,79 @@ def test_no_fraction_work_per_slot(monkeypatch):
     assert len(calls) < slots / 10
 
 
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_pf_update_once_per_grant(kind, monkeypatch):
+    # a PF average is brought up to date when it is read; a DL slot pays
+    # one pf_update per UE it serves, none for the UEs it does not
+    import xrsim.cellsim as cellsim
+
+    calls = []
+    pf_update = cellsim.pf_update
+
+    def counted(*args):
+        calls.append(args)
+        return pf_update(*args)
+
+    monkeypatch.setattr(cellsim, "pf_update", counted)
+    result = CellSim(_short(ues_per_cell=6, rate_bps=45e6, sets_per_frame=4,
+                            embb_ues=2, embb_full_buffer=True,
+                            duration_s=1.0, warmup_s=0.0,
+                            policy=SchedulerPolicy(kind=kind)), seed=2).run()
+    grants = sum(u.grants for u in result.ues)
+    assert grants > 1000  # a busy cell: about one grant per DL slot or more
+    assert len(calls) == grants
+
+
+@pytest.mark.parametrize("kind, psi, embb", [
+    (PolicyKind.PF, True, 2), (PolicyKind.PDUSET, True, 2),
+    # nothing but a grant reads an average here
+    (PolicyKind.PDUSET, False, 1)])
+def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
+                                                   monkeypatch):
+    # every read of a lazily updated PF average (a metric, PSI discard, a
+    # grant) sees what a per-slot update of every UE would hold
+    import xrsim.cellsim as cellsim
+    from xrsim.qos import FlowQueue
+    from xrsim.scheduling import pf_update, reads_avg
+
+    sim = CellSim(_short(ues_per_cell=3, rate_bps=45e6, sets_per_frame=4,
+                         embb_ues=embb, embb_full_buffer=True,
+                         psi_discard_enabled=psi, duration_s=0.5,
+                         warmup_s=0.0, policy=SchedulerPolicy(kind=kind)),
+                  seed=3)
+    window = sim.cfg.policy.pf_avg_window
+    eager = {ue.ue_id: 1.0 for ue in sim.ues}
+    served = {}
+    reads = []
+    allocate_dl, dl_slot = cellsim.allocate_dl, CellSim._dl_slot
+    psi_discard = FlowQueue.psi_discard
+
+    def allocate(slot, cands, now, policy, **kwargs):
+        reads.extend((c.avg_tput_bps, eager[c.ue_id]) for c in cands
+                     if reads_avg(policy, c.is_xr, embb))
+        out = allocate_dl(slot, cands, now, policy, **kwargs)
+        served.update((a.ue_id, a.tb_bits) for a in out)
+        return out
+
+    def eager_dl_slot(self, *args):
+        served.clear()
+        dl_slot(self, *args)
+        for ue_id, avg in eager.items():
+            eager[ue_id] = pf_update(avg, served.get(ue_id, 0) * 2000, window)
+
+    def psi_read(self, now, rate):
+        reads.append((rate, max(eager[self.ue_id], 1e6)))
+        return psi_discard(self, now, rate)
+
+    monkeypatch.setattr(cellsim, "allocate_dl", allocate)
+    monkeypatch.setattr(CellSim, "_dl_slot", eager_dl_slot)
+    monkeypatch.setattr(FlowQueue, "psi_discard", psi_read)
+    sim.run()
+    assert len(reads) > (1000 if psi or embb > 1 else -1)
+    assert all(got == want for got, want in reads)
+    assert [sim._pf_avg(ue) for ue in sim.ues] == list(eager.values())
+
+
 @pytest.mark.parametrize("duration_s", [0.0013, 0.002, 0.5])
 def test_one_call_per_slot_before_the_end(duration_s, monkeypatch):
     # slots start every 500 µs from 0 up to, not including, the end; a run

@@ -119,3 +119,42 @@ def test_non_positive_rate_or_fps_exits_two(key, value, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"key '{key}' in section [traffic] must be positive" in err
+
+
+def _main_within_alarm(tmp_path, traffic):
+    # a mean frame with no whole size within its bounds used to hang the
+    # frame-size draw, so one alarm bounds the run; it raises in this
+    # thread and starts no thread or process
+    def timed_out(signum, frame):
+        raise TimeoutError(f"{traffic!r} did not return")
+
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(GOOD_INI + f"\n[traffic]\n{traffic}\n")
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(20)
+    try:
+        return cli.main(["--config", str(cfg), "--out", str(tmp_path / "res")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("traffic", [
+    "rate_mbps = 0.0001",  # 0.21 B at 60 fps
+    "rate_mbps = 0.0005\nfps = 120",  # 0.52 B
+    "fps = 120\nrate_mbps = 0.0005",
+    "rate_mbps = 0.0003"])  # 0.625 B: no whole size in (0.31, 0.94)
+def test_frame_size_out_of_reach_exits_two(traffic, tmp_path, capsys):
+    assert _main_within_alarm(tmp_path, traffic) == 2
+    err = capsys.readouterr().err
+    assert "keys 'rate_mbps' and 'fps' in section [traffic]" in err
+    assert "leaves no whole frame size" in err
+
+
+@pytest.mark.parametrize("traffic", [
+    # checked against the final fps, not the default 60 met on the way
+    "rate_mbps = 0.0003\nfps = 10",  # 3.75 B
+    "rate_mbps = 0.00034"])  # 0.71 B: a frame of 1 byte lies in the bounds
+def test_small_mean_frame_with_a_whole_size_runs(traffic, tmp_path, capsys):
+    assert _main_within_alarm(tmp_path, traffic) == 0
+    assert "xr capacity:" in capsys.readouterr().out

@@ -58,6 +58,8 @@ CELL_DIGESTS = {
         "514527a1f9d6b138d07f82304b0fcd3f77ee0a04537169c99a598a5f1c129deb",
     "ul-drx-dsr-idle":
         "6af6975adcbcda3907cc7e5c54b0b2aca127f61ee7a4d9a23d995154a9ddf0d5",
+    "pf-fullbuffer-drx-psi":
+        "35131cb492c7f308f7d6839e04cec3be0424cabbc1d450a8f49056f17e876d3c",
 }
 
 
@@ -146,6 +148,14 @@ def _cells() -> dict:
             ues_per_cell=3, direction=Direction.UL, rate_bps=5e6,
             psdb_ms=30.0, dsr_enabled=True, dsr_threshold_ms=25.0,
             drx=DrxConfig(**idle_drx), **short), 11),
+        # a busy cell that reads the PF average everywhere: the PF metric of
+        # the XR UEs, PSI discard, and the PF pick between two full-buffer
+        # eMBB UEs; the XR UEs run fixed DRX
+        "pf-fullbuffer-drx-psi": (CellConfig(
+            ues_per_cell=5, rate_bps=30e6, sets_per_frame=2, embb_ues=2,
+            embb_full_buffer=True, psi_discard_enabled=True,
+            drx=DrxConfig(**idle_drx),
+            policy=SchedulerPolicy(kind=PolicyKind.PF), **short), 12),
     }
 
 

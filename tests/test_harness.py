@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from xrsim.cellsim import CellConfig
+from xrsim.cellsim import CellConfig, CellSim
 from xrsim.harness import (ExperimentConfig, KpiReport, cdf_points, emit_cdf,
                            parse_loads, parse_seeds, run_experiment,
                            ue_satisfied, xr_capacity)
@@ -191,6 +191,32 @@ def test_config_discard_timer_forms():
     assert cfg.cell_config(1).discard_timer_ms is None
     cfg.set("qos", "discard_timer", "12.5")
     assert cfg.cell_config(1).discard_timer_ms == 12.5
+
+
+def test_config_drx_times_are_exact_decimals():
+    # on_ms and inactivity_ms are read as fractions of their text, like
+    # cycle_ms: 8.3333 ms is 8333.3 µs, not the binary float nearest it
+    cfg = ExperimentConfig()
+    cfg.set("drx", "mode", "fixed")
+    cfg.set("drx", "on_ms", "8.3333")
+    cfg.set("drx", "inactivity_ms", "2.5")
+    drx = cfg.cell_config(1).drx
+    assert drx.on_duration_us == Fraction(83_333, 10)
+    assert drx.inactivity_us == Fraction(2500)
+    # ticks of 1/30 µs: the 50/3 ms cycle and the 8333.3 µs on-duration
+    assert CellSim(cfg.cell_config(1), seed=1).ticks_per_us == 30
+    # whole values keep the times they had as floats
+    cfg.set("drx", "on_ms", "8")
+    cfg.set("drx", "inactivity_ms", "2")
+    drx = cfg.cell_config(1).drx
+    assert drx.on_duration_us == Fraction(8.0 * 1000) == 8000
+    assert drx.inactivity_us == Fraction(2.0 * 1000) == 2000
+
+
+def test_config_bad_drx_time_names_key():
+    cfg = ExperimentConfig()
+    with pytest.raises(ValueError, match="key 'on_ms'"):
+        cfg.set("drx", "on_ms", "nan")
 
 
 def test_config_drx_override_forces_always_on():

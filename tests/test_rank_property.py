@@ -1,0 +1,229 @@
+"""Property test: the one-pass DL ranking against the ranking it replaced.
+
+The reference below is the implementation that the one-pass ranking
+replaced: an expiry check before every metric, a head-set tuple for the
+pduset metric, a lambda sort key and two filtering passes in allocate_dl.
+Random candidates with expired heads, heads without a deadline, partly
+sent heads and tied metrics must rank the same under PF, M-LWDF and
+pduset, and allocate_dl must hand out the same blocks.
+"""
+
+import math
+from typing import Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xrsim.qos import FlowQueue, QosFlowProfile
+from xrsim.radio import MCS_SE, N_RB, SC_PER_RB, tb_bits
+from xrsim.scheduling import (EPS_RATE_BPS, EXPIRED_FLOOR_FACTOR, Allocation,
+                              DlCandidate, PolicyKind, SchedulerPolicy, _rank,
+                              allocate_dl, pduset_metric, reads_avg)
+from xrsim.traffic import PduSet
+
+# ---- the reference ranking ----
+
+
+def _ref_pf_metric(cand):
+    return cand.inst_rate_bps / max(cand.avg_tput_bps, EPS_RATE_BPS)
+
+
+def _ref_mlwdf_metric(cand, now):
+    a_i = -math.log(0.01) / (cand.psdb_us)
+    return a_i * cand.queue.hol_age_us(now) * _ref_pf_metric(cand)
+
+
+def _ref_head_set(cand):
+    head = cand.queue.entries[0]
+    return head.pdu_set, head.taken * 8, head.pdu_set.total_bytes * 8
+
+
+def _ref_pduset_metric(cand, now, policy) -> Optional[float]:
+    head, sent_bits, set_bits = _ref_head_set(cand)
+    deadline = head.deadline
+    tau = (float((deadline - now) / cand.queue.ticks_per_us)
+           if deadline is not None else cand.psdb_us)
+    if tau <= 0:
+        return None
+    boost = math.exp(policy.pduset_alpha * sent_bits / set_bits)
+    return boost / max(tau, policy.epsilon_time_us)
+
+
+def _ref_head_expired(cand, now) -> bool:
+    deadline = cand.queue.entries[0].pdu_set.deadline
+    return deadline is not None and deadline <= now
+
+
+def _ref_rank(candidates, now, policy):
+    raw = []
+    for c in candidates:
+        if _ref_head_expired(c, now):
+            raw.append(None)
+        elif policy.kind is PolicyKind.PF:
+            raw.append(_ref_pf_metric(c))
+        elif policy.kind is PolicyKind.MLWDF:
+            raw.append(_ref_mlwdf_metric(c, now))
+        else:
+            raw.append(_ref_pduset_metric(c, now, policy))
+    positive = [m for m in raw if m is not None and m > 0]
+    floor = (min(positive) if positive else 1.0) * EXPIRED_FLOOR_FACTOR
+    scored = [(floor if m is None else m, c) for m, c in zip(raw, candidates)]
+    scored.sort(key=lambda mc: (-mc[0], mc[1].ue_id))
+    return [c for _, c in scored]
+
+
+def _ref_rb_demand(queue_bits, mcs, data_symbols):
+    bits_per_rb = MCS_SE[mcs] * SC_PER_RB * data_symbols
+    return max(1, math.ceil(queue_bits / bits_per_rb))
+
+
+def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols):
+    allocations = []
+    rb_used = 0
+    xr = [c for c in candidates if c.is_xr and c.queue.queued_bytes > 0]
+    if len(xr) > 1:
+        xr = _ref_rank(xr, now, policy)
+    for cand in xr:
+        if rb_used >= total_rb:
+            break
+        need = _ref_rb_demand(cand.queue.queued_bytes * 8, cand.mcs,
+                              data_symbols)
+        rb = min(need, total_rb - rb_used)
+        tb = tb_bits(cand.mcs, rb, data_symbols)
+        segments = cand.queue.take(tb // 8, now)
+        if not segments:
+            continue
+        allocations.append(Allocation(cand.ue_id, "dl", slot, rb_used, rb,
+                                      cand.mcs, tb, segments))
+        rb_used += rb
+    embb = [c for c in candidates
+            if not c.is_xr and c.queue.queued_bytes > 0]
+    if embb and rb_used < total_rb:
+        embb.sort(key=lambda c: (-_ref_pf_metric(c), c.ue_id))
+        best = embb[0]
+        need = _ref_rb_demand(best.queue.queued_bytes * 8, best.mcs,
+                              data_symbols)
+        rb = min(need, total_rb - rb_used)
+        tb = tb_bits(best.mcs, rb, data_symbols)
+        segments = best.queue.take(tb // 8, now)
+        if segments:
+            allocations.append(Allocation(best.ue_id, "dl", slot, rb_used,
+                                          rb, best.mcs, tb, segments))
+            rb_used += rb
+    return allocations
+
+
+# ---- random candidates ----
+
+NOW = 50_000  # ticks; deadlines are drawn around it
+TPU = 3
+
+# few distinct values, so that metrics tie often
+_RATES = (5e7, 1e8, 2e8)
+_AVGS = (0.0, 0.5, 1.0, 1e6, 4e6)
+_DEADLINES = (None, NOW - 3000, NOW, NOW + 1, NOW + 1500, NOW + 90_000)
+
+
+@st.composite
+def _candidate_specs(draw):
+    n = draw(st.integers(1, 7))
+    ue_ids = draw(st.permutations(range(12)))[:n]
+    specs = []
+    for ue_id in ue_ids:
+        sets = draw(st.lists(
+            st.tuples(st.lists(st.integers(1, 4000), min_size=1, max_size=4),
+                      st.sampled_from(_DEADLINES),
+                      # age at NOW in ticks; 0 and 1 give M-LWDF metrics
+                      # of zero or below
+                      st.sampled_from((0, 1, 1500, 30_000))),
+            min_size=1, max_size=3))
+        specs.append(dict(
+            ue_id=ue_id, sets=sets,
+            # bytes already sent of the head set, as a share of it: none,
+            # one byte, some, or all of a one-set queue
+            sent=draw(st.sampled_from((0.0, 1e-9, 0.25, 0.5, 0.999, 1.0))),
+            rate=draw(st.sampled_from(_RATES)),
+            avg=draw(st.sampled_from(_AVGS)),
+            mcs=draw(st.sampled_from((0, 9, 20, 27))),
+            is_xr=draw(st.booleans()),
+            psdb_us=draw(st.sampled_from((5000.0, 10_000.0)))))
+    return specs
+
+
+def _build(specs):
+    """Fresh candidates, queues included, from the drawn specs."""
+    cands = []
+    for spec in specs:
+        q = FlowQueue(QosFlowProfile(psdb_ms=10.0), ue_id=spec["ue_id"],
+                      ticks_per_us=TPU)
+        for k, (sizes, deadline, age) in enumerate(spec["sets"]):
+            arrival = NOW - age
+            if deadline is not None and deadline <= arrival:
+                deadline = arrival + 1
+            q.enqueue_set(PduSet((spec["ue_id"], k), k, k % 2, arrival,
+                                 tuple(sizes), deadline))
+        if spec["sent"]:
+            head = q.entries[0].pdu_set.total_bytes
+            q.take(max(1, int(head * spec["sent"])))
+        cands.append(DlCandidate(spec["ue_id"], q, spec["rate"], spec["avg"],
+                                 spec["mcs"], is_xr=spec["is_xr"],
+                                 psdb_us=spec["psdb_us"]))
+    return cands
+
+
+def _blocks(allocations):
+    return [(a.ue_id, a.rb_start, a.rb_count, a.mcs, a.tb_bits,
+             [(s.pdu_set.id, s.start, s.byte_size, s.completed)
+              for s in a.segments]) for a in allocations]
+
+
+_POLICIES = st.sampled_from([SchedulerPolicy(kind=k) for k in PolicyKind]
+                            + [SchedulerPolicy(kind=PolicyKind.PDUSET,
+                                               pduset_alpha=3.0,
+                                               epsilon_time_us=100.0)])
+
+
+@settings(max_examples=200)
+@given(specs=_candidate_specs(), policy=_POLICIES,
+       now=st.sampled_from((NOW - 1, NOW, NOW + 2000)))
+def test_rank_matches_reference(specs, policy, now):
+    cands = [c for c in _build(specs) if c.queue.queued_bytes]
+    if not cands:
+        return
+    for c in cands:
+        assert pduset_metric(c, now, policy) == \
+            _ref_pduset_metric(c, now, policy)
+    got = [c.ue_id for c in _rank(cands, now, policy)]
+    assert got == [c.ue_id for c in _ref_rank(cands, now, policy)]
+
+
+@settings(max_examples=200)
+@given(specs=_candidate_specs(), policy=_POLICIES,
+       now=st.sampled_from((NOW - 1, NOW, NOW + 2000)),
+       total_rb=st.sampled_from((1, 7, 60, N_RB)),
+       data_symbols=st.sampled_from((10, 12)))
+def test_allocate_dl_matches_reference(specs, policy, now, total_rb,
+                                       data_symbols):
+    got = allocate_dl(7, _build(specs), now, policy, total_rb=total_rb,
+                      data_symbols=data_symbols)
+    want = _ref_allocate_dl(7, _build(specs), now, policy, total_rb,
+                            data_symbols)
+    assert _blocks(got) == _blocks(want)
+
+
+@settings(max_examples=200)
+@given(specs=_candidate_specs(), policy=_POLICIES,
+       now=st.sampled_from((NOW - 1, NOW, NOW + 2000)),
+       total_rb=st.sampled_from((1, 7, 60, N_RB)))
+def test_allocate_dl_reads_no_average_reads_avg_rules_out(specs, policy, now,
+                                                          total_rb):
+    # the cell refreshes only the averages that reads_avg names, so a stale
+    # (here NaN) average anywhere else must leave every block unchanged
+    want = allocate_dl(7, _build(specs), now, policy, total_rb=total_rb)
+    cands = _build(specs)
+    n_embb = sum(not c.is_xr for c in cands)
+    for c in cands:
+        if not reads_avg(policy, c.is_xr, n_embb):
+            c.avg_tput_bps = math.nan
+    got = allocate_dl(7, cands, now, policy, total_rb=total_rb)
+    assert _blocks(got) == _blocks(want)

@@ -62,6 +62,20 @@ def test_mean_frame_bytes_formula():
     assert make_source(avg_rate_bps=10e6).config.mean_frame_bytes == pytest.approx(20833.33, abs=0.01)
 
 
+@pytest.mark.parametrize("rate_bps", [0.0, 100.0, 300.0])
+def test_mean_frame_without_a_whole_size_is_rejected(rate_bps):
+    # at 60 fps these means are 0, 0.21 and 0.625 B: no whole frame size
+    # lies strictly within half and one and a half times the mean
+    with pytest.raises(ValueError, match="no whole frame size"):
+        VideoStreamConfig(avg_rate_bps=rate_bps, fps=Fraction(60))
+
+
+def test_sub_byte_mean_frame_with_a_whole_size_draws_it():
+    # a 0.71 B mean keeps 1 B within its bounds, and every draw lands there
+    src = make_source(avg_rate_bps=340.0)
+    assert {src.next_frame().byte_size for _ in range(200)} == {1}
+
+
 def test_fragment_single_set_example():
     frame = VideoFrame(0, Fraction(0), 62500)
     sets = fragment_frame(frame, mtu=1500, sets_per_frame=1)
