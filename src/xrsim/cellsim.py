@@ -16,31 +16,43 @@ leave the cell as µs floats.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, AdrxController,
                   AdrxParams, DrxConfig, DrxMachine, PowerModel,
                   power_for_run)
-from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, Engine, slot_type,
-                     ticks_per_us)
-from .qos import FlowQueue, MappingConfig, QosFlowProfile
+from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, RngStreams,
+                     slot_type, ticks_per_us)
+from .qos import FlowQueue, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
                     Deployment, HarqProcess, dl_sinr_db,
                     harq_attempt, select_mcs, tb_bits, ul_sinr_db)
 from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         TableKind, gen_bs_table, quantize_bsr,
                         realized_overhead, trigger_dsr)
-from .scheduling import (CgConfig, DlCandidate, PolicyKind, SchedulerPolicy,
-                         UlCandidate, allocate_dl, allocate_ul,
-                         build_uto_uci, cg_occasions, pf_idle, pf_update,
-                         reads_avg, reclaim_unused)
+from .scheduling import (CgConfig, DlCandidate, SchedulerPolicy, UlCandidate,
+                         allocate_dl, allocate_ul, build_uto_uci,
+                         cg_occasions, pf_idle, pf_update, reads_avg,
+                         reclaim_unused)
 from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
 
 # PDSCH symbols of each DL slot kind
 _DATA_SYMBOLS = {DOWNLINK: DATA_SYMBOLS, SPECIAL: S_SLOT_DATA_SYMBOLS}
+
+
+def _next_dl_slot(slot):
+    while slot_type(slot) == UPLINK:
+        slot += 1
+    return slot
+
+
+def _next_ul_slot(slot):
+    while slot_type(slot) != UPLINK:
+        slot += 1
+    return slot
 
 
 @dataclass
@@ -161,12 +173,6 @@ class UeKpi:
     pser: float
     outcomes: list = field(default_factory=list)  # (arrival_us, in_budget) per frame
 
-    @property
-    def in_budget_fraction(self) -> Optional[float]:
-        if self.frames_total == 0:
-            return None
-        return self.frames_in_budget / self.frames_total
-
 
 @dataclass
 class CellResult:
@@ -181,16 +187,14 @@ class CellResult:
 class CellSim:
     def __init__(self, config: CellConfig, seed: int = 0):
         self.cfg = config
-        self.engine = Engine(seed)
-        self.phy_rng = self.engine.rng.stream("phy")
-        drop_rng = self.engine.rng.stream("drop")
+        self.rng = RngStreams(seed)
+        self.phy_rng = self.rng.stream("phy")
+        drop_rng = self.rng.stream("drop")
         self.deployment = Deployment(n_cells=config.n_cells)
         links = self.deployment.drop_ues(
             config.ues_per_cell + config.embb_ues, drop_rng)
         cells = range(config.n_cells)
 
-        mapping = (MappingConfig.ONE_ONE_ONE if config.sets_per_frame == 1
-                   else MappingConfig.N_ONE_ONE)
         timer = (config.psdb_ms if config.discard_timer_ms == "psdb"
                  else config.discard_timer_ms)
         profile = QosFlowProfile(psdb_ms=config.psdb_ms, psihi=config.psihi,
@@ -230,19 +234,17 @@ class CellSim:
                 ue.queue = FlowQueue(embb_profile, ue_id=link.ue_id,
                                      ticks_per_us=tpu)
                 ue.source = ftp3_source(
-                    self.engine.rng.stream(f"embb.{link.ue_id}"),
+                    self.rng.stream(f"embb.{link.ue_id}"),
                     ticks_per_us=tpu)
                 ue.next_sets = None
             else:
-                ue.queue = FlowQueue(profile, mapping, ue_id=link.ue_id,
+                ue.queue = FlowQueue(profile, ue_id=link.ue_id,
                                      ticks_per_us=tpu)
+                video_rng = self.rng.stream(f"video.{link.ue_id}")
                 start = 0
                 if config.stagger:
-                    video_rng = self.engine.rng.stream(f"video.{link.ue_id}")
                     start = int(video_rng.uniform(
                         0.0, float(self.stream_cfg.period_us)))
-                else:
-                    video_rng = self.engine.rng.stream(f"video.{link.ue_id}")
                 ue.source = VideoSource(self.stream_cfg, video_rng,
                                         start_us=start, ticks_per_us=tpu)
                 if config.drx is not None:
@@ -250,13 +252,7 @@ class CellSim:
                         offset = Fraction(start)
                     else:
                         offset = config.drx.start_offset_us
-                    base = DrxConfig(
-                        cycle_us=config.drx.cycle_us,
-                        on_duration_us=config.drx.on_duration_us,
-                        inactivity_us=config.drx.inactivity_us,
-                        start_offset_us=offset,
-                        short_cycle=config.drx.short_cycle,
-                        retx_monitoring=config.drx.retx_monitoring)
+                    base = replace(config.drx, start_offset_us=offset)
                     ue.drx = DrxMachine(base.in_ticks(tpu),
                                         slot=self.slot_t)
                     if config.adaptive_drx:
@@ -301,7 +297,6 @@ class CellSim:
         self.dl_retx: dict = {}
         self.ul_retx: dict = {}
         self.ul_grants: dict = {}
-        self.ul_reserved: dict = {}
         self.rb_utilization: list = []
         self.cg_by_slot: dict = {}
         self.cg_index: dict = {}
@@ -427,10 +422,6 @@ class CellSim:
                 # decoding completes at the end of the carrying slot
                 fp.done_time = now + self.slot_t
 
-    def _harq_lose(self, ue, segments, now):
-        ue.queue.on_block_lost(segments, now)
-        self._sync_events(ue)
-
     def _mark_first_service(self, ue, segments, now):
         for seg in segments:
             fid = seg.pdu_set.id[0]
@@ -451,47 +442,43 @@ class CellSim:
             ue.pf_slots = n
         return ue.avg_tput_bps
 
-    def _dl_retx_due(self, slot, now):
-        entries = self.dl_retx.pop(slot, ())
-        live = []
-        rb = 0
-        for ue, proc, alloc in entries:
+    def _retx_due(self, retx, slot):
+        """Yield the blocks of a retransmission table that are due on this
+        slot, each cut to the sets not lost since it was last sent; a block
+        left with none is dropped. Each block is checked when it is reached,
+        so the check sees the sets lost by the blocks sent before it."""
+        for ue, proc, alloc in retx.pop(slot, ()):
             lost = ue.queue.lost_sets
             segs = [s for s in alloc.segments if s.pdu_set.id not in lost]
-            if not segs:
-                continue
-            alloc.segments = segs
-            live.append((ue, proc, alloc))
-            rb += alloc.rb_count
-        return live, rb
+            if segs:
+                alloc.segments = segs
+                yield ue, proc, alloc
 
-    def _next_dl_slot(self, slot):
-        while slot_type(slot) == UPLINK:
-            slot += 1
-        return slot
+    def _transmit(self, ue, proc, alloc, sinr_db, retx, next_slot, slot, now):
+        """One HARQ attempt of a block: deliver it on an ACK, lose its sets
+        once HARQ gives up on it, or else queue its retransmission on the
+        first slot that next_slot allows a HARQ round trip later."""
+        if harq_attempt(proc, sinr_db, self.phy_rng):
+            self._deliver(ue, alloc.segments, now)
+        elif proc.exhausted:
+            ue.queue.on_block_lost(alloc.segments, now)
+            self._sync_events(ue)
+        else:
+            retx.setdefault(next_slot(slot + HARQ_RTT_SLOTS), []).append(
+                (ue, proc, alloc))
 
-    def _next_ul_slot(self, slot):
-        while slot_type(slot) != UPLINK:
-            slot += 1
-        return slot
-
-    def _dl_slot(self, slot, now, retx_entries, kind):
+    def _dl_slot(self, slot, now, kind):
         sym = _DATA_SYMBOLS[kind]
         cfg = self.cfg
         tx_ues = set()
         rb_used = 0
 
-        for ue, proc, alloc in retx_entries:
+        # a DL slot checks every due block before it sends the first one
+        for ue, proc, alloc in list(self._retx_due(self.dl_retx, slot)):
             tx_ues.add(ue)
             rb_used += alloc.rb_count
-            ack = harq_attempt(proc, ue.sinr_db, self.phy_rng)
-            if ack:
-                self._deliver(ue, alloc.segments, now)
-            elif proc.exhausted:
-                self._harq_lose(ue, alloc.segments, now)
-            else:
-                nxt = self._next_dl_slot(slot + HARQ_RTT_SLOTS)
-                self.dl_retx.setdefault(nxt, []).append((ue, proc, alloc))
+            self._transmit(ue, proc, alloc, ue.sinr_db, self.dl_retx,
+                           _next_dl_slot, slot, now)
 
         for ue in self.drx_ues:
             ue.monitoring = ue.drx.step(now, False, ue in tx_ues)[1]
@@ -528,15 +515,8 @@ class CellSim:
             ue.pf_slots = n_dl + 1
             if ue.adrx is not None:  # only the ADRX controller reads it
                 self._mark_first_service(ue, a.segments, now)
-            proc = HarqProcess(a.mcs, a.tb_bits)
-            ack = harq_attempt(proc, ue.sinr_db, self.phy_rng)
-            if ack:
-                self._deliver(ue, a.segments, now)
-            elif proc.exhausted:
-                self._harq_lose(ue, a.segments, now)
-            else:
-                nxt = self._next_dl_slot(slot + HARQ_RTT_SLOTS)
-                self.dl_retx.setdefault(nxt, []).append((ue, proc, a))
+            self._transmit(ue, HarqProcess(a.mcs, a.tb_bits), a, ue.sinr_db,
+                           self.dl_retx, _next_dl_slot, slot, now)
             if ue.drx is not None:
                 ue.drx.step(now, True, True)
         self.dl_slots = n_dl + 1
@@ -561,22 +541,11 @@ class CellSim:
         tx_ues = set()
         rb_used = 0
 
-        for ue, proc, alloc in self.ul_retx.pop(slot, ()):
-            lost = ue.queue.lost_sets
-            segs = [s for s in alloc.segments if s.pdu_set.id not in lost]
-            if not segs:
-                continue
-            alloc.segments = segs
+        for ue, proc, alloc in self._retx_due(self.ul_retx, slot):
             tx_ues.add(ue)
             rb_used += alloc.rb_count
-            ack = harq_attempt(proc, ue.ul_sinr_db, self.phy_rng)
-            if ack:
-                self._deliver(ue, alloc.segments, now)
-            elif proc.exhausted:
-                self._harq_lose(ue, alloc.segments, now)
-            else:
-                nxt = self._next_ul_slot(slot + HARQ_RTT_SLOTS)
-                self.ul_retx.setdefault(nxt, []).append((ue, proc, alloc))
+            self._transmit(ue, proc, alloc, ue.ul_sinr_db, self.ul_retx,
+                           _next_ul_slot, slot, now)
 
         for a in self.ul_grants.pop(slot, ()):
             ue = self.by_id[a.ue_id]
@@ -594,15 +563,8 @@ class CellSim:
             if not segs:
                 continue
             a.segments = segs
-            proc = HarqProcess(a.mcs, a.tb_bits)
-            ack = harq_attempt(proc, ue.ul_sinr_db, self.phy_rng)
-            if ack:
-                self._deliver(ue, segs, now)
-            elif proc.exhausted:
-                self._harq_lose(ue, segs, now)
-            else:
-                nxt = self._next_ul_slot(slot + HARQ_RTT_SLOTS)
-                self.ul_retx.setdefault(nxt, []).append((ue, proc, a))
+            self._transmit(ue, HarqProcess(a.mcs, a.tb_bits), a, ue.ul_sinr_db,
+                           self.ul_retx, _next_ul_slot, slot, now)
 
         rb_used += self._cg_serve(slot, now, tx_ues)
 
@@ -630,8 +592,8 @@ class CellSim:
                 cands.append(UlCandidate(ue.ue_id, reported + self.ce_bytes,
                                          ue.ul_mcs, urgency_us=urgency))
             target = slot + 5
-            budget = (N_RB - self.ul_reserved.pop(target, 0)
-                      - self._cg_rb(target) + self.cg_freed.get(target, 0))
+            budget = (N_RB - self._cg_rb(target)
+                      + self.cg_freed.get(target, 0))
             if cands and budget > 0:
                 grants = allocate_ul(target, cands, total_rb=budget)
                 for g in grants:
@@ -740,8 +702,7 @@ class CellSim:
         if kind == UPLINK:
             self._ul_slot(slot, now)
         else:
-            retx, _ = self._dl_retx_due(slot, now)
-            self._dl_slot(slot, now, retx, kind)
+            self._dl_slot(slot, now, kind)
         self._decide_frames(now)
 
     def _idle(self) -> bool:
@@ -801,7 +762,3 @@ class CellSim:
                               ue.padding_samples, ue.grants,
                               ue.delivered_bits, avg_power, pser, out))
         return CellResult(kpis, self.rb_utilization, cfg.duration_s)
-
-
-def run_cell(config: CellConfig, seed: int = 0) -> CellResult:
-    return CellSim(config, seed).run()

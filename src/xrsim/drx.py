@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -26,8 +25,6 @@ class DrxConfig:
     on_duration_us: int
     inactivity_us: int
     start_offset_us: Fraction = Fraction(0)
-    short_cycle: Optional[tuple] = None  # accepted, not exercised by scenarios
-    retx_monitoring: bool = True
 
     def __post_init__(self):
         if self.cycle_us <= 0 or self.on_duration_us <= 0 or self.inactivity_us < 0:
@@ -45,11 +42,6 @@ class DrxConfig:
 
 def cycle_start_exact(cfg: DrxConfig, k: int) -> Fraction:
     return cfg.start_offset_us + k * cfg.cycle_us
-
-
-def on_duration_starts(cfg: DrxConfig, n: int) -> list[int]:
-    """First n window starts, exact rational grid floored to slot boundaries."""
-    return [cycle_start_exact(cfg, k) // SLOT_US * SLOT_US for k in range(n)]
 
 
 class DrxMachine:
@@ -289,13 +281,8 @@ class AdrxController:
             (self.q * (viol / n) + pw, on_us, abs(off - base_offset), off)
             for off, row in zip(offsets, counts.tolist())
             for on_us, pw, viol in zip(on_grid, power, row))
-        self.current = DrxConfig(
-            cycle_us=self.current.cycle_us,
-            on_duration_us=int(round(on_us)),
-            inactivity_us=self.current.inactivity_us,
-            start_offset_us=Fraction(int(round(off))),
-            short_cycle=self.current.short_cycle,
-            retx_monitoring=self.current.retx_monitoring)
+        self.current = replace(self.current, on_duration_us=int(round(on_us)),
+                               start_offset_us=Fraction(int(round(off))))
         return self.current
 
 

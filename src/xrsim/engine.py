@@ -1,12 +1,11 @@
-"""Deterministic event-driven simulation core with a slot-granular TDD clock.
+"""The slot clock: the TDD slot pattern, named random streams and ticks.
 
-Time is kept in microseconds. Slot boundaries are integers; event times may
-be exact rationals (fractions.Fraction) so that fractional traffic and DRX
-periods never accumulate float drift. A cell runs on an integer clock
-instead: one tick is 1/ticks_per_us µs, where ticks_per_us is the least
-common multiple of the denominators of its rational times, so every such
-time is a whole number of ticks. A cell steps its slots in a plain loop and
-takes only its random streams from an ``Engine``, not the event heap.
+Time is kept in microseconds, and slot boundaries are integers. A cell runs
+on an integer clock: one tick is 1/ticks_per_us µs, where ticks_per_us is
+the least common multiple of the denominators of its rational times, so
+every such time is a whole number of ticks. A cell steps its slots in a
+plain loop and draws from its own ``RngStreams``. The ``Engine`` event heap
+below is on no path of the cell or the harness.
 """
 from __future__ import annotations
 
@@ -48,14 +47,6 @@ def to_ticks(time_us, tpu: int) -> int:
     if rest:
         raise ValueError(f"{time_us} us is not a whole number of ticks")
     return ticks
-
-
-def slot_start_us(slot_index: int) -> int:
-    return slot_index * SLOT_US
-
-
-def slot_of(time_us: Time) -> int:
-    return int(time_us // SLOT_US)
 
 
 class SchedulingInPastError(Exception):

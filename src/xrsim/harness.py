@@ -315,17 +315,21 @@ def run_experiment(config: ExperimentConfig) -> KpiReport:
     power = {}  # (load, "on"|"drx") -> [avg powers]
     drx_on = config[("drx", "mode")] != "off"
     span_s = config[("run", "duration_s")] - config[("run", "warmup_s")]
+    psdb_us = config[("traffic", "psdb_ms")] * 1000
     for load in config.loads:
         for seed in config.seeds:
             result = CellSim(config.cell_config(load), seed=seed).run()
             for kpi in result.xr_ues():
                 sat = None
-                if kpi.in_budget_fraction is None:
+                if not kpi.outcomes:
                     warnings.warn(
                         f"UE {kpi.ue_id} (load {load}, seed {seed}) saw zero "
                         "frames; excluded from satisfaction")
                 else:
-                    sat = kpi.in_budget_fraction > SATISFACTION_BAR
+                    # a frame in budget counts as delivered with no delay,
+                    # any other as never completed
+                    sat = ue_satisfied([0 if ok else None
+                                        for _, ok in kpi.outcomes], psdb_us)
                 tput = kpi.delivered_bits / span_s / 1e6
                 pad = (sum(kpi.padding_samples) / len(kpi.padding_samples)
                        if kpi.padding_samples else 0.0)
@@ -357,18 +361,18 @@ def run_experiment(config: ExperimentConfig) -> KpiReport:
             p_on = power[(load, "on")]
             gains[load] = power_saving_gain(sum(p) / len(p),
                                             sum(p_on) / len(p_on))
+    samples = {"padding_bytes": padding, "ue_throughput_mbps": tputs,
+               "rb_utilization": rb_samples}
     report = KpiReport(per_ue=per_ue,
                        satisfaction_by_load=satisfaction,
                        capacity=xr_capacity(satisfaction),
                        gain_by_load=gains,
-                       cdfs={"padding_bytes": cdf_points(padding),
-                             "ue_throughput_mbps": cdf_points(tputs),
-                             "rb_utilization": cdf_points(rb_samples)})
-    _write_outputs(config, report, events)
+                       cdfs={name: cdf_points(s) for name, s in samples.items()})
+    _write_outputs(config, report, events, samples)
     return report
 
 
-def _write_outputs(config, report: KpiReport, events):
+def _write_outputs(config, report: KpiReport, events, samples):
     out = config.out_dir
     with open(os.path.join(out, "kpi.csv"), "w", newline="") as f:
         w = csv.writer(f)
@@ -390,13 +394,8 @@ def _write_outputs(config, report: KpiReport, events):
                 w.writerow([load, "power_saving_gain_pct",
                             report.gain_by_load[load]])
         w.writerow(["", "xr_capacity", report.capacity])
-    for name, points in report.cdfs.items():
-        path = os.path.join(out, f"cdf_{name}.csv")
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["value", "cum_fraction"])
-            for v, p in points:
-                w.writerow([v, p])
+    for name, s in samples.items():
+        emit_cdf(s, name, out)
     # mtime pinned to zero so identical runs give identical bytes
     raw = io.BytesIO()
     with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:

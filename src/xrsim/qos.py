@@ -1,21 +1,13 @@
-"""PDU-set QoS: flow queues, discard rules, metadata, UE assistance info."""
+"""PDU-set QoS: flow queues and their discard rules."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .traffic import Pdu, PduSet
-
-
-class MappingConfig(Enum):
-    ONE_ONE_ONE = "1:1:1"
-    N_ONE_ONE = "N:1:1"
-    N_N_ONE = "N:N:1"
 
 
 @dataclass(frozen=True)
@@ -31,16 +23,6 @@ class QosFlowProfile:
             raise ValueError("psdb must be positive")
         if not 0 <= self.pser <= 1:
             raise ValueError("pser is a fraction")
-
-
-@dataclass(frozen=True)
-class UaiMessage:
-    flow_id: int
-    expected_arrival_us: Fraction
-    periodicity_us: Fraction
-    jitter_bounds_us: tuple[float, float]
-    psi_levels: tuple[int, ...]
-    prohibit_timer_ms: float
 
 
 @dataclass(frozen=True)
@@ -109,11 +91,9 @@ class FlowQueue:
     a caller on an integer clock; ages and event times come out in µs.
     """
 
-    def __init__(self, profile: QosFlowProfile,
-                 mapping: MappingConfig = MappingConfig.ONE_ONE_ONE,
-                 ue_id: int = 0, ticks_per_us: int = 1):
+    def __init__(self, profile: QosFlowProfile, ue_id: int = 0,
+                 ticks_per_us: int = 1):
         self.profile = profile
-        self.mapping = mapping
         self.ue_id = ue_id
         self.ticks_per_us = ticks_per_us
         self.entries: deque[QueuedSet] = deque()
@@ -122,10 +102,6 @@ class FlowQueue:
         self.lost_sets: set = set()
         self.events: list[DiscardEvent] = []
         self._logged_sets: set = set()
-
-    @property
-    def sets_visible(self) -> bool:
-        return self.mapping is not MappingConfig.N_N_ONE
 
     def enqueue_set(self, pdu_set: PduSet):
         self.total_sets += 1
@@ -261,65 +237,3 @@ class FlowQueue:
         if self.total_sets == 0:
             return 0.0
         return len({ev.set_id for ev in self.events}) / self.total_sets
-
-
-def psihi_discard(queue: FlowQueue, lost_pdu: Pdu, now=0) -> list:
-    return queue.on_pdu_lost(lost_pdu, now)
-
-
-def psi_discard(queue: FlowQueue, now, service_rate_bps: float) -> list:
-    return queue.psi_discard(now, service_rate_bps)
-
-
-def discard_expired(queue: FlowQueue, now) -> list:
-    return queue.discard_expired(now)
-
-
-@dataclass(frozen=True)
-class AnnotatedPdu:
-    pdu: Pdu
-    set_id: tuple
-    set_bytes: int
-    psi: int
-    is_last_of_set: bool
-    is_end_of_burst: bool
-    set_visible: bool
-
-
-def annotate_metadata(pdu_sets: Iterable[PduSet],
-                      mapping: MappingConfig) -> list[AnnotatedPdu]:
-    """Expose the per-PDU header fields the RAN would read off GTP-U."""
-    visible = mapping is not MappingConfig.N_N_ONE
-    out = []
-    for s in pdu_sets:
-        total = s.total_bytes
-        for p in s.pdus:
-            out.append(AnnotatedPdu(p, s.id, total, s.psi,
-                                    p.is_last_of_set, p.is_end_of_burst, visible))
-    return out
-
-
-class UaiState:
-    def __init__(self, flow_id: int, prohibit_timer_ms: float = 100.0):
-        self.flow_id = flow_id
-        self.prohibit_timer_ms = prohibit_timer_ms
-        self.last_emit_us: Optional[float] = None
-
-
-def build_uai(state: UaiState, arrival_times: list, psi_levels: tuple,
-              now) -> Optional[UaiMessage]:
-    """Summarize observed UL arrivals, rate-limited by the prohibit timer."""
-    if len(arrival_times) < 2:
-        return None
-    if state.last_emit_us is not None and \
-            float(now) - state.last_emit_us < state.prohibit_timer_ms * 1000.0:
-        return None
-    diffs = [b - a for a, b in zip(arrival_times, arrival_times[1:])]
-    period = sum(diffs, Fraction(0)) / len(diffs)
-    grid0 = arrival_times[-1] - (len(arrival_times) - 1) * period
-    dev = [float(t - (grid0 + k * period)) for k, t in enumerate(arrival_times)]
-    msg = UaiMessage(state.flow_id, arrival_times[-1] + period, period,
-                     (min(dev), max(dev)), tuple(sorted(set(psi_levels))),
-                     state.prohibit_timer_ms)
-    state.last_emit_us = float(now)
-    return msg

@@ -113,7 +113,6 @@ class HarqProcess:
     mcs: int
     tb_bits: int
     max_retx: int = MAX_RETX
-    rtt_slots: int = HARQ_RTT_SLOTS
     attempts: int = 0
     outcomes: list[bool] = field(default_factory=list)
 
@@ -134,17 +133,6 @@ def harq_attempt(process: HarqProcess, sinr_db: float, rng: np.random.Generator)
     ack = bool(rng.random() >= bler(effective, process.mcs))
     process.outcomes.append(ack)
     return ack
-
-
-@dataclass
-class LinkState:
-    coupling_db: float
-    sinr_db: float = math.nan
-    csi_sinr_db: float = math.nan
-    csi_period_us: int = 2000
-
-    def sample_csi(self):
-        self.csi_sinr_db = self.sinr_db
 
 
 @dataclass

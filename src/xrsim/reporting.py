@@ -93,30 +93,10 @@ def quantize_bsr(buffer_bytes: int, table: BsTable) -> int:
     return min(idx, len(table.entries) - 1)
 
 
-def select_table(buffer_bytes: int, refined_configured: bool,
-                 refined_max: int = TABLE_DEFAULTS[TableKind.REFINED_LONG][2]) -> TableKind:
-    if refined_configured and buffer_bytes <= refined_max:
-        return TableKind.REFINED_LONG
-    return TableKind.LONG
-
-
-@dataclass(frozen=True)
-class BsrReport:
-    lcg_id: int
-    index: int
-    table_kind: TableKind
-    timestamp: float
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("index out of bounds")
-
-
 @dataclass(frozen=True)
 class DsrReport:
     lcg_id: int
     smallest_remaining_ms: float
-    buffered_bytes_below_threshold: int
     timestamp: float
 
 
@@ -127,10 +107,6 @@ class LcgState:
     lcg_id: int
     sets: Sequence[QueuedSet] = field(default_factory=list)
     dsr_reported: set = field(default_factory=set)  # ids of reported sets
-
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(e.remaining for e in self.sets)
 
 
 def trigger_dsr(lcg: LcgState, threshold_us: int, ref_time_us,
@@ -150,9 +126,8 @@ def trigger_dsr(lcg: LcgState, threshold_us: int, ref_time_us,
     smallest = min(
         max(float((e.pdu_set.deadline - ref_time_us) / ticks_per_us), 0.0)
         for e in below)
-    total = sum(e.remaining for e in below)
     lcg.dsr_reported.update(e.pdu_set.id for e in below)
-    return DsrReport(lcg.lcg_id, smallest / 1000.0, total,
+    return DsrReport(lcg.lcg_id, smallest / 1000.0,
                      float(ref_time_us / ticks_per_us))
 
 

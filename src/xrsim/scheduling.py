@@ -60,10 +60,6 @@ class Allocation:
     tb_bits: int
     segments: list[Segment] = field(default_factory=list)
 
-    @property
-    def carried_bytes(self) -> int:
-        return sum(s.byte_size for s in self.segments)
-
 
 def pf_update(avg_bps: float, served_bps: float, window_slots: int) -> float:
     w = 1.0 / window_slots
@@ -204,13 +200,11 @@ class UlCandidate:
     ue_id: int
     reported_bytes: int
     mcs: int
-    max_rb_unlimited: int = N_RB  # adaptive bandwidth cap from power headroom
     urgency_us: Optional[float] = None  # smallest remaining time via DSR
 
 
 def allocate_ul(slot: int, candidates: list[UlCandidate], total_rb: int = N_RB,
-                data_symbols: int = DATA_SYMBOLS,
-                rb_offset: int = 0) -> list[Allocation]:
+                data_symbols: int = DATA_SYMBOLS) -> list[Allocation]:
     """Grant UL RBs proportionally to reported buffers, urgent UEs first."""
     active = [c for c in candidates if c.reported_bytes > 0]
     if not active:
@@ -219,14 +213,14 @@ def allocate_ul(slot: int, candidates: list[UlCandidate], total_rb: int = N_RB,
     active.sort(key=lambda c: (c.urgency_us if c.urgency_us is not None
                                else math.inf, c.ue_id))
     grants = []
-    rb_used = rb_offset
-    remaining = total_rb - rb_offset
+    rb_used = 0
+    remaining = total_rb
     for c in active:
         if remaining <= 0:
             break
         share = max(1, round(remaining * c.reported_bytes / total_bytes))
         demand = _rb_demand(c.reported_bytes * 8, c.mcs, data_symbols)
-        rb = min(share, demand, remaining, c.max_rb_unlimited)
+        rb = min(share, demand, remaining)
         tb = tb_bits(c.mcs, rb, data_symbols)
         grants.append(Allocation(c.ue_id, "ul", slot, rb_used, rb, c.mcs, tb))
         rb_used += rb

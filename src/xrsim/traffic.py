@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -81,7 +81,6 @@ class Pdu:
     is_last_of_set: bool = False
     is_end_of_burst: bool = False
     deadline: Optional[Fraction] = None
-    ecn_ce: bool = False
 
     def __post_init__(self):
         if self.byte_size <= 0:
@@ -164,12 +163,6 @@ def mtu_sizes(total: int, mtu: int) -> tuple:
     """PDU sizes of total bytes cut into MTU-bounded PDUs."""
     full, rem = divmod(total, mtu)
     return (mtu,) * full + ((rem,) if rem else ())
-
-
-@dataclass
-class DataBurst:
-    id: int
-    pdu_sets: list[PduSet] = field(default_factory=list)
 
 
 def sample_truncated_gaussian(rng: np.random.Generator, mean: float, std: float,

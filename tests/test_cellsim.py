@@ -265,3 +265,82 @@ def test_one_call_per_slot_before_the_end(duration_s, monkeypatch):
     assert [slot for slot, _ in seen] == list(range(n_slots))
     assert all(before_end for _, before_end in seen)
     assert wrapped == plain
+
+
+class _AlwaysNack:
+    """A phy stream whose every draw is 0.0, so every HARQ attempt NACKs."""
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("direction", [Direction.DL, Direction.UL])
+def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
+    # with every attempt NACKed, each transport block is sent 1 + MAX_RETX
+    # times, each retransmission on the first slot of the block's direction
+    # at least HARQ_RTT_SLOTS after the attempt before it; then HARQ gives
+    # up and the block's sets are lost
+    import xrsim.cellsim as cellsim
+    from xrsim.qos import FlowQueue
+    from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX
+
+    cfg = _short(ues_per_cell=1, direction=direction, rate_bps=5e6,
+                 psdb_ms=30.0, discard_timer_ms=None, duration_s=1.5,
+                 warmup_s=0.0)
+    sim = CellSim(cfg, seed=1)
+    sim.phy_rng = _AlwaysNack()
+    current = [None]
+    taken = []  # the sets of each non-empty take, in order
+    blocks = []  # (process, sets carried, slots of its attempts)
+    by_proc = {}
+    on_slot, take, attempt = (CellSim._on_slot, FlowQueue.take,
+                              cellsim.harq_attempt)
+
+    def at_slot(self, slot):
+        current[0] = slot
+        return on_slot(self, slot)
+
+    def taking(self, max_bytes, now=None):
+        segs = take(self, max_bytes, now)
+        if segs:
+            taken.append({s.pdu_set.id for s in segs})
+        return segs
+
+    def attempting(proc, sinr_db, rng):
+        if proc.attempts == 0:  # a first transmission carries the last take
+            by_proc[id(proc)] = (proc, taken.pop(0), [])
+            blocks.append(by_proc[id(proc)])
+        by_proc[id(proc)][2].append(current[0])
+        return attempt(proc, sinr_db, rng)
+
+    monkeypatch.setattr(CellSim, "_on_slot", at_slot)
+    monkeypatch.setattr(FlowQueue, "take", taking)
+    monkeypatch.setattr(cellsim, "harq_attempt", attempting)
+    result = sim.run()
+
+    def next_slot(slot):  # the first slot of the direction at or after slot
+        while (slot_type(slot) == UPLINK) != (direction is Direction.UL):
+            slot += 1
+        return slot
+
+    n_slots = math.ceil(cfg.duration_us / SLOT_US)
+    ids = [sid for _, sets, _ in blocks for sid in sets]
+    assert len(ids) == len(set(ids))  # no set rides in two blocks
+    causes = {}
+    for e in sim.xr[0].queue.events:
+        causes.setdefault(e.set_id, set()).add(e.cause)
+    exhausted = 0
+    for _, sets, slots in blocks:
+        want = [slots[0]]
+        for _ in range(MAX_RETX):
+            want.append(next_slot(want[-1] + HARQ_RTT_SLOTS))
+        assert slots == [s for s in want if s < n_slots]
+        if len(slots) == 1 + MAX_RETX:
+            exhausted += 1
+            assert all("harq" in causes[sid] for sid in sets)
+            assert sets <= sim.xr[0].queue.lost_sets
+    assert exhausted > 30
+    kpi = result.xr_ues()[0]
+    assert kpi.pser > 0
+    assert kpi.frames_total > 0 and kpi.frames_in_budget == 0
+    assert not any(ok for _, ok in kpi.outcomes)

@@ -15,7 +15,6 @@ from xrsim.drx import (
     SLOT_PDSCH,
     SLOT_SLEEP,
     cycle_start_exact,
-    on_duration_starts,
     power_for_run,
     power_saving_gain,
 )
@@ -30,9 +29,6 @@ def frac_cfg(**kw):
 
 
 def test_on_duration_start_examples():
-    starts = on_duration_starts(frac_cfg(), 4)
-    assert starts == [0, 16_500, 33_000, 50_000]
-    assert all(s % 500 == 0 for s in starts)
     assert cycle_start_exact(frac_cfg(), 600) == 10_000_000
 
 

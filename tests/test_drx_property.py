@@ -168,9 +168,7 @@ def reference_update(ctrl, violations_in_epoch):
     _, off, on_us = best
     return DrxConfig(cycle_us=cur.cycle_us, on_duration_us=int(round(on_us)),
                      inactivity_us=cur.inactivity_us,
-                     start_offset_us=Fraction(int(round(off))),
-                     short_cycle=cur.short_cycle,
-                     retx_monitoring=cur.retx_monitoring)
+                     start_offset_us=Fraction(int(round(off))))
 
 
 observations = st.lists(

@@ -292,3 +292,22 @@ def test_run_experiment_gain_only_with_drx(tmp_path):
                                    ("run", "out", str(tmp_path / "out2"))])
     report = run_experiment(cfg2)
     assert 0.0 < report.gain_by_load[2] < 100.0
+
+
+def test_run_experiment_warns_of_a_ue_without_frames(tmp_path):
+    # 5 ms past warm-up is shorter than the 10 ms delay budget, so no frame
+    # of either UE is counted; each UE is named in a warning and none is
+    # satisfied
+    cfg = _tiny_config(tmp_path, [("run", "duration_s", "1.005"),
+                                  ("run", "warmup_s", "1.0"),
+                                  ("run", "seeds", "7")])
+    with pytest.warns(UserWarning) as caught:
+        report = run_experiment(cfg)
+    messages = [str(w.message) for w in caught]
+    for ue in (0, 1):
+        assert any(f"UE {ue} " in m and "load 2" in m and "seed 7" in m
+                   for m in messages)
+    assert [r[5] for r in report.per_ue] == [None, None]
+    with open(os.path.join(cfg.out_dir, "kpi.csv"), newline="") as f:
+        rows = list(csv.reader(f))
+    assert ["2", "satisfied_ues", "0"] in rows

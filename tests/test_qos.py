@@ -3,17 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xrsim.qos import (
-    FlowQueue,
-    MappingConfig,
-    QosFlowProfile,
-    UaiState,
-    annotate_metadata,
-    build_uai,
-    discard_expired,
-    psi_discard,
-    psihi_discard,
-)
+from xrsim.qos import FlowQueue, QosFlowProfile
 from xrsim.traffic import VideoFrame, fragment_frame, pose_source
 
 
@@ -36,7 +26,7 @@ def test_psihi_cascade_discards_rest_of_set():
     (seg,) = q.take(3000)  # pdus 0 and 1 leave the queue in one span
     assert (seg.pdu_set, seg.start, seg.byte_size, seg.completed) == \
         (s, 0, 3000, 2)
-    dropped = psihi_discard(q, s.pdus[1], now=1000)
+    dropped = q.on_pdu_lost(s.pdus[1], 1000)
     assert dropped == [s.pdus[2].id, s.pdus[3].id, s.pdus[4].id]
     assert q.queued_bytes == 0
     assert q.lost_sets == {s.id}
@@ -47,7 +37,7 @@ def test_loss_of_last_pdu_discards_nothing():
     (s,) = make_set()
     q.enqueue_set(s)
     q.take(10**6)
-    assert psihi_discard(q, s.pdus[-1], now=0) == []
+    assert q.on_pdu_lost(s.pdus[-1], 0) == []
     assert q.lost_sets == {s.id}
 
 
@@ -56,7 +46,7 @@ def test_psihi_disabled_keeps_queue():
     (s,) = make_set()
     q.enqueue_set(s)
     q.take(1500)
-    assert psihi_discard(q, s.pdus[0], now=0) == []
+    assert q.on_pdu_lost(s.pdus[0], 0) == []
     assert q.queued_bytes == 6000
     assert q.pser() == 1.0
 
@@ -66,8 +56,8 @@ def test_set_counted_lost_once():
     (s,) = make_set()
     q.enqueue_set(s)
     q.take(10**6)
-    psihi_discard(q, s.pdus[0], now=0)
-    psihi_discard(q, s.pdus[1], now=5)
+    q.on_pdu_lost(s.pdus[0], 0)
+    q.on_pdu_lost(s.pdus[1], 5)
     assert len(q.lost_sets) == 1
     assert q.pser() == q.recount_pser_from_log() == 1.0
 
@@ -78,8 +68,8 @@ def test_timer_discard():
     (b,) = make_set(frame_id=1, arrival=5_000)
     q.enqueue_set(a)
     q.enqueue_set(b)
-    assert discard_expired(q, 29_000) == []
-    gone = discard_expired(q, 31_000)
+    assert q.discard_expired(29_000) == []
+    gone = q.discard_expired(31_000)
     assert {pid[:2] for pid in [g[:2] for g in gone]} == {(0, 0)}
     assert q.lost_sets == {a.id}
     assert [e.pdu_set.id for e in q.entries] == [b.id]
@@ -89,7 +79,7 @@ def test_timer_disabled_never_discards():
     q = fresh_queue(discard_timer_ms=None)
     (s,) = make_set()
     q.enqueue_set(s)
-    assert discard_expired(q, 10**9) == []
+    assert q.discard_expired(10**9) == []
     assert q.queued_bytes == 7500
 
 
@@ -99,7 +89,7 @@ def test_psi_discard_lowest_unstarted_first():
     for s in sets:
         q.enqueue_set(s)
     # 15 kB at 8 Mbps projects a 15 ms drain, past 0.8 * 10 ms
-    dropped = psi_discard(q, now=1_000, service_rate_bps=8e6)
+    dropped = q.psi_discard(now=1_000, service_rate_bps=8e6)
     assert dropped
     assert dropped[0] == sets[1].id  # first low-importance set goes first
     assert sets[0].id not in dropped  # high importance survives psi discard
@@ -108,10 +98,10 @@ def test_psi_discard_lowest_unstarted_first():
 
 def test_psi_discard_idle_and_all_high():
     q = fresh_queue(psi_levels=(0, 1))
-    assert psi_discard(q, 0, 1e6) == []
+    assert q.psi_discard(0, 1e6) == []
     for s in make_set(size=15_000, nsets=3, psi_pattern=(1, 1, 1)):
         q.enqueue_set(s)
-    assert psi_discard(q, 50_000, 1e5) == []
+    assert q.psi_discard(50_000, 1e5) == []
     assert q.queued_bytes == 15_000
 
 
@@ -121,7 +111,7 @@ def test_psi_discard_skips_started_sets():
     for s in sets:
         q.enqueue_set(s)
     q.take(100)  # first low set is in flight
-    dropped = psi_discard(q, 20_000, 1e6)
+    dropped = q.psi_discard(20_000, 1e6)
     assert sets[0].id not in dropped
     assert sets[1].id in dropped
 
@@ -145,37 +135,20 @@ def test_take_never_returns_lost_set():
             if segs and rng.random() < 0.3:
                 q.on_block_lost(segs[-1:], t)
         if rng.random() < 0.2:
-            discard_expired(q, t)
+            q.discard_expired(t)
         if rng.random() < 0.2:
-            psi_discard(q, t, 2e6)
+            q.psi_discard(t, 2e6)
         t += 2_000
     assert q.total_sets == len(all_sets)
     assert q.pser() == q.recount_pser_from_log()
     assert len(q.lost_sets) == len({e.set_id for e in q.events})
 
 
-def test_annotate_metadata_flags():
-    sets = make_set(size=62_500, nsets=10, psi_pattern=(1, 0, 0, 1))
-    ann = annotate_metadata(sets, MappingConfig.N_ONE_ONE)
-    assert sum(1 for a in ann if a.is_end_of_burst) == 1
-    assert sum(1 for a in ann if a.is_last_of_set) == 10
-    assert all(a.set_visible for a in ann)
-    assert ann[-1].is_last_of_set and ann[-1].is_end_of_burst
-
-    hidden = annotate_metadata(sets, MappingConfig.N_N_ONE)
-    assert all(not a.set_visible for a in hidden)
-    assert {a.set_id for a in hidden} == {s.id for s in sets}
-
-    (single,) = make_set(size=4000, nsets=1)
-    one = annotate_metadata([single], MappingConfig.ONE_ONE_ONE)
-    assert one[-1].is_last_of_set and one[-1].is_end_of_burst
-
-
 def test_pose_pdus_are_own_bursts():
     from itertools import islice
     for s in islice(pose_source(), 5):
-        (a,) = annotate_metadata([s], MappingConfig.ONE_ONE_ONE)
-        assert a.is_last_of_set and a.is_end_of_burst
+        (p,) = s.pdus
+        assert p.is_last_of_set and p.is_end_of_burst
 
 
 def test_eodb_partitions_stream():
@@ -193,25 +166,6 @@ def test_eodb_partitions_stream():
     assert cur == []
     assert len(bursts) == 20
     assert sum(len(b) for b in bursts) == len(pdus)
-
-
-def test_uai_prohibit_timer():
-    st = UaiState(flow_id=1, prohibit_timer_ms=100.0)
-    period = Fraction(50_000, 3)
-    arrivals = [k * period for k in range(10)]
-    msg = build_uai(st, arrivals, (0,), now=200_000)
-    assert msg is not None
-    assert msg.periodicity_us == period
-    assert msg.jitter_bounds_us == (0.0, 0.0)
-    assert msg.expected_arrival_us == arrivals[-1] + period
-    assert build_uai(st, arrivals, (0,), now=201_000) is None
-    assert build_uai(st, arrivals, (0,), now=300_500) is not None
-
-
-def test_uai_needs_traffic():
-    st = UaiState(flow_id=0)
-    assert build_uai(st, [], (0,), now=0) is None
-    assert build_uai(st, [Fraction(0)], (0,), now=0) is None
 
 
 def test_profile_validation():

@@ -155,13 +155,3 @@ def test_deployment_drop():
         assert l.position[2] == 1.5
         assert int(np.argmin(l.couplings_db)) == l.cell_id
         assert dep.hall_x[0] <= l.position[0] <= dep.hall_x[1]
-
-
-def test_link_state_csi_sampling():
-    ls = radio.LinkState(coupling_db=60.0)
-    ls.sinr_db = 12.0
-    ls.sample_csi()
-    ls.sinr_db = 15.0
-    assert ls.csi_sinr_db == 12.0
-    ls.sample_csi()
-    assert ls.csi_sinr_db == 15.0

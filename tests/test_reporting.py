@@ -10,7 +10,6 @@ from xrsim.reporting import (
     gen_bs_table,
     quantize_bsr,
     realized_overhead,
-    select_table,
     trigger_dsr,
 )
 from xrsim.qos import QueuedSet
@@ -75,13 +74,6 @@ def test_refined_never_overshoots_more_than_long(tables):
         assert over_r <= over_l
 
 
-def test_select_table():
-    assert select_table(50_000, True) is TableKind.REFINED_LONG
-    assert select_table(1_000_000, True) is TableKind.LONG
-    assert select_table(50_000, False) is TableKind.LONG
-    assert select_table(300_000, True) is TableKind.REFINED_LONG
-
-
 def _queued(pid, size, arrival_us, deadline_us):
     return QueuedSet(PduSet(("x", pid), pid, 0, Fraction(arrival_us), (size,),
                             Fraction(deadline_us)))
@@ -95,18 +87,16 @@ def test_dsr_crossing_time():
     rep = trigger_dsr(lcg, 10_000, 20_500)
     assert rep is not None
     assert rep.smallest_remaining_ms == pytest.approx(9.5)
-    assert rep.buffered_bytes_below_threshold == 500
 
 
 def test_dsr_fires_once_per_pdu():
     lcg = LcgState(0, [_queued(0, 500, 0, 30_000)])
     assert trigger_dsr(lcg, 10_000, 21_000) is not None
     assert trigger_dsr(lcg, 10_000, 22_000) is None
-    # fresh data crossing later re-triggers, totals cover all urgent data
+    # fresh data crossing later re-triggers
     lcg.sets.append(_queued(1, 300, 5_000, 35_000))
     rep = trigger_dsr(lcg, 10_000, 26_000)
     assert rep is not None
-    assert rep.buffered_bytes_below_threshold == 800
     assert rep.smallest_remaining_ms == pytest.approx(4.0)
 
 

@@ -162,8 +162,6 @@ def test_allocate_ul_urgency_first_and_caps():
           UlCandidate(1, 10**6, 5, urgency_us=2000.0)]
     grants = allocate_ul(4, cs)
     assert grants[0].ue_id == 1
-    capped = allocate_ul(4, [UlCandidate(0, 10**8, 20, max_rb_unlimited=40)])
-    assert capped[0].rb_count == 40
     assert allocate_ul(4, [UlCandidate(0, 0, 20)]) == []
 
 
