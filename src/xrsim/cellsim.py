@@ -156,7 +156,7 @@ class UeCtx:
         self.grants = 0
         self.delivered_bits = 0
         self.events_seen = 0
-        self.lcg = LcgState(lcg_id=0)
+        self.lcg = LcgState()
         self.fb_count = 0
 
 
@@ -363,7 +363,7 @@ class CellSim:
                 return
             frame, sets = ue.next_sets
             ue.next_sets = None
-            n_pdus = sum(len(s.sizes) for s in sets)
+            n_pdus = sum(len(s.ends) for s in sets)
             fp = FrameProgress(frame.index, frame.arrival_time,
                                frame.arrival_time + self.psdb_t, n_pdus)
             ue.frames[frame.index] = fp
@@ -583,8 +583,8 @@ class CellSim:
                     if rep is not None:
                         urgency = rep.smallest_remaining_ms * 1000.0
                     elif ue.lcg.dsr_reported:
-                        live = [e.pdu_set for e in ue.lcg.sets
-                                if e.pdu_set.id in ue.lcg.dsr_reported]
+                        live = [s for s in ue.lcg.sets
+                                if s.id in ue.lcg.dsr_reported]
                         if live:
                             urgency = min(
                                 (s.deadline - now) / self.ticks_per_us

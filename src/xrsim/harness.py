@@ -138,9 +138,14 @@ _CHOICES = {
     ("drx", "offset_mode"): ("traffic", "common"),
 }
 
-# keys whose value must be > 0: a zero rate makes every frame size draw
-# retry forever, and a zero frame rate has no frame period
-_POSITIVE = {("traffic", "rate_mbps"), ("traffic", "fps")}
+# the sign each key's value must have: a zero rate makes every frame size
+# draw retry forever, a zero frame rate has no frame period, each other zero
+# fails mid-sweep, and a negative eMBB count takes XR UEs from the load
+_SIGN = dict.fromkeys([("traffic", "rate_mbps"), ("traffic", "fps"),
+                       ("traffic", "psdb_ms"), ("traffic", "sets_per_frame"),
+                       ("scenario", "cells"), ("cg", "rb"), ("cg", "window")],
+                      "positive")
+_SIGN[("scenario", "embb_ues")] = "non-negative"
 
 
 @dataclass
@@ -169,9 +174,10 @@ class ExperimentConfig:
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(
                 f"bad value for key '{key}' in section [{section}]: {e}")
-        if (section, key) in _POSITIVE and not self.values[(section, key)] > 0:
+        sign, value = _SIGN.get((section, key)), self.values[(section, key)]
+        if sign and not (value > 0 if sign == "positive" else value >= 0):
             raise ValueError(
-                f"key '{key}' in section [{section}] must be positive, "
+                f"key '{key}' in section [{section}] must be {sign}, "
                 f"got {text!r}")
         if (section, key) in _CHOICES \
                 and self.values[(section, key)] not in _CHOICES[(section, key)]:
@@ -240,6 +246,9 @@ class ExperimentConfig:
         except ValueError as e:
             raise ValueError(
                 f"keys 'rate_mbps' and 'fps' in section [traffic]: {e}")
+        if not self[("run", "duration_s")] > self[("run", "warmup_s")]:
+            raise ValueError("keys 'duration_s' and 'warmup_s' in section "
+                             "[run]: the run must last beyond its warm-up")
         return CellConfig(
             ues_per_cell=load,
             n_cells=self[("scenario", "cells")],

@@ -64,28 +64,11 @@ class Segment:
         return self.pdu_set.pdus[self.first_pdu_index]
 
 
-class QueuedSet:
-    """A PDU set in a flow queue and how many of its bytes MAC has taken."""
-
-    __slots__ = ("pdu_set", "taken")
-
-    def __init__(self, pdu_set: PduSet):
-        self.pdu_set = pdu_set
-        self.taken = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.pdu_set.total_bytes - self.taken
-
-    def queued_pdu_ids(self) -> list:
-        """Ids of the PDUs not yet fully taken, in order."""
-        s = self.pdu_set
-        return [s.id + (i,)
-                for i in range(bisect_right(s.ends, self.taken), len(s.ends))]
-
-
 class FlowQueue:
     """FIFO byte queue of PDU sets with discard machinery.
+
+    Each entry is the PduSet itself, whose ``taken`` counts the bytes MAC
+    has taken from it; a set is enqueued once, in one queue.
 
     Set times and ``now`` are in µs, or in ticks of 1/ticks_per_us µs for
     a caller on an integer clock; ages and event times come out in µs.
@@ -96,7 +79,7 @@ class FlowQueue:
         self.profile = profile
         self.ue_id = ue_id
         self.ticks_per_us = ticks_per_us
-        self.entries: deque[QueuedSet] = deque()
+        self.entries: deque[PduSet] = deque()
         self.queued_bytes = 0  # queued bytes that MAC has not taken yet
         self.total_sets = 0
         self.lost_sets: set = set()
@@ -105,13 +88,13 @@ class FlowQueue:
 
     def enqueue_set(self, pdu_set: PduSet):
         self.total_sets += 1
-        self.entries.append(QueuedSet(pdu_set))
+        self.entries.append(pdu_set)
         self.queued_bytes += pdu_set.total_bytes
 
     def hol_age_us(self, now) -> float:
         if not self.entries:
             return 0.0
-        return float((now - self.entries[0].pdu_set.arrival_time)
+        return float((now - self.entries[0].arrival_time)
                      / self.ticks_per_us)
 
     def take(self, max_bytes: int, _now=None) -> list[Segment]:
@@ -120,9 +103,8 @@ class FlowQueue:
         budget = max_bytes
         entries = self.entries
         while budget > 0 and entries:
-            entry = entries[0]
-            s = entry.pdu_set
-            start = entry.taken
+            s = entries[0]
+            start = s.taken
             ends = s.ends
             chunk = s.total_bytes - start
             if chunk <= budget:
@@ -132,7 +114,7 @@ class FlowQueue:
                 chunk = budget
                 completed = (bisect_right(ends, start + chunk)
                              - bisect_right(ends, start))
-            entry.taken = start + chunk
+            s.taken = start + chunk
             budget -= chunk
             out.append(Segment(s, start, chunk, completed))
         self.queued_bytes -= max_bytes - budget
@@ -146,11 +128,13 @@ class FlowQueue:
 
     def _remove_set(self, set_id, now, cause) -> list:
         removed = []
-        entry = next((e for e in self.entries if e.pdu_set.id == set_id), None)
-        if entry is not None:
-            self.entries.remove(entry)
-            self.queued_bytes -= entry.remaining
-            removed = entry.queued_pdu_ids()
+        s = next((e for e in self.entries if e.id == set_id), None)
+        if s is not None:
+            self.entries.remove(s)
+            self.queued_bytes -= s.total_bytes - s.taken
+            # the PDUs not yet fully taken
+            removed = [s.id + (i,) for i in
+                       range(bisect_right(s.ends, s.taken), len(s.ends))]
         self._log(now, set_id, cause, removed)
         return removed
 
@@ -187,8 +171,8 @@ class FlowQueue:
             return []
         limit = self.profile.discard_timer_ms * 1000.0
         tpu = self.ticks_per_us
-        expired = [e.pdu_set.id for e in self.entries
-                   if float((now - e.pdu_set.arrival_time) / tpu) > limit]
+        expired = [e.id for e in self.entries
+                   if float((now - e.arrival_time) / tpu) > limit]
         removed = []
         for sid in expired:
             self.lost_sets.add(sid)
@@ -219,9 +203,8 @@ class FlowQueue:
     def _lowest_unstarted_set(self):
         top = max(self.profile.psi_levels)
         best = None
-        for e in self.entries:
-            s = e.pdu_set
-            if s.psi >= top or e.taken > 0:
+        for s in self.entries:
+            if s.psi >= top or s.taken > 0:
                 continue
             if best is None or s.psi < best.psi:
                 best = s

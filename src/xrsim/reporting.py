@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .qos import QueuedSet
+from .traffic import PduSet
 
 SHORT_BSR_CE_BYTES = 4
 LONG_BSR_CE_BYTES = 8
@@ -95,17 +95,14 @@ def quantize_bsr(buffer_bytes: int, table: BsTable) -> int:
 
 @dataclass(frozen=True)
 class DsrReport:
-    lcg_id: int
     smallest_remaining_ms: float
-    timestamp: float
 
 
 @dataclass
 class LcgState:
     """A logical channel group's buffer: the queued PDU sets of its flows."""
 
-    lcg_id: int
-    sets: Sequence[QueuedSet] = field(default_factory=list)
+    sets: Sequence[PduSet] = field(default_factory=list)
     dsr_reported: set = field(default_factory=set)  # ids of reported sets
 
 
@@ -115,20 +112,18 @@ def trigger_dsr(lcg: LcgState, threshold_us: int, ref_time_us,
 
     ref_time_us is the slot the report would ride on, so remaining times are
     what the scheduler will see when the grant lands. It and the sets'
-    deadlines are in ticks of 1/ticks_per_us µs; the report is in ms and µs.
+    deadlines are in ticks of 1/ticks_per_us µs; the report is in ms.
     """
     limit = threshold_us * ticks_per_us
-    below = [e for e in lcg.sets
-             if e.pdu_set.deadline is not None
-             and e.pdu_set.deadline - ref_time_us < limit]
-    if not any(e.pdu_set.id not in lcg.dsr_reported for e in below):
+    below = [s for s in lcg.sets
+             if s.deadline is not None and s.deadline - ref_time_us < limit]
+    if not any(s.id not in lcg.dsr_reported for s in below):
         return None
     smallest = min(
-        max(float((e.pdu_set.deadline - ref_time_us) / ticks_per_us), 0.0)
-        for e in below)
-    lcg.dsr_reported.update(e.pdu_set.id for e in below)
-    return DsrReport(lcg.lcg_id, smallest / 1000.0,
-                     float(ref_time_us / ticks_per_us))
+        max(float((s.deadline - ref_time_us) / ticks_per_us), 0.0)
+        for s in below)
+    lcg.dsr_reported.update(s.id for s in below)
+    return DsrReport(smallest / 1000.0)
 
 
 def realized_overhead(allocation_bytes: int, served_bytes: int) -> int:

@@ -87,15 +87,14 @@ def pduset_metric(cand: DlCandidate, now,
                   policy: SchedulerPolicy) -> Optional[float]:
     """Urgency score of the head PDU set; None flags an expired budget."""
     head = cand.queue.entries[0]
-    s = head.pdu_set
-    deadline = s.deadline
+    deadline = head.deadline
     tau = (float((deadline - now) / cand.queue.ticks_per_us)
            if deadline is not None else cand.psdb_us)
     if tau <= 0:
         return None
     # exp(0.0) is exactly 1.0: an untouched head set has no boost
     boost = (math.exp(policy.pduset_alpha * (head.taken * 8)
-                      / (s.total_bytes * 8)) if head.taken else 1.0)
+                      / (head.total_bytes * 8)) if head.taken else 1.0)
     eps = policy.epsilon_time_us
     return boost / (eps if eps > tau else tau)  # max(tau, eps)
 
@@ -110,7 +109,7 @@ def reads_avg(policy: SchedulerPolicy, is_xr: bool, n_embb: int) -> bool:
 
 
 def _head_expired(cand: DlCandidate, now) -> bool:
-    deadline = cand.queue.entries[0].pdu_set.deadline
+    deadline = cand.queue.entries[0].deadline
     return deadline is not None and deadline <= now
 
 

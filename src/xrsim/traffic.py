@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from operator import sub
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class VideoStreamConfig:
         return self.avg_rate_bps / float(self.fps) / 8.0
 
 
-@dataclass(frozen=True)
-class VideoFrame:
+class VideoFrame(NamedTuple):
     index: int
     arrival_time: Fraction
     byte_size: int
@@ -92,27 +92,31 @@ class Pdu:
 class PduSet:
     """PDUs of one frame slice that share arrival, deadline and importance.
 
-    A set stores its PDU sizes, not PDU objects: PDU i has id ``id + (i,)``
-    and its last byte is byte ``ends[i]`` of the set, so queues locate PDU
-    boundaries by arithmetic. ``pdus`` is a view that builds each Pdu when
-    read, for callers off the simulation's hot path; a set may also be
-    built from explicit ``pdus``, whose sizes and set-level fields it keeps.
+    A set stores where its PDUs end: PDU i has id ``id + (i,)`` and its last
+    byte is byte ``ends[i]`` of the set. ``sizes`` and ``pdus`` are derived
+    when read, off the simulation's hot path. Explicit ``sizes``, or
+    ``pdus`` whose set-level fields the set keeps, are checked; ``ends``,
+    as ``mtu_ends`` builds them, are taken as given and may be shared. A
+    set is its own flow-queue entry: ``taken`` counts the bytes MAC took.
     """
 
-    __slots__ = ("id", "frame_id", "psi", "arrival_time", "deadline", "sizes",
-                 "ends", "total_bytes", "end_of_burst")
+    __slots__ = ("id", "frame_id", "psi", "arrival_time", "deadline", "ends",
+                 "total_bytes", "end_of_burst", "taken")
 
     def __init__(self, id: tuple, frame_id: int, psi: int,
                  arrival_time: Fraction, sizes: Sequence[int] = (),
                  deadline: Optional[Fraction] = None,
                  end_of_burst: bool = False,
-                 pdus: Optional[Sequence[Pdu]] = None):
-        if pdus is not None:
-            sizes = [p.byte_size for p in pdus]
-            deadline = pdus[0].deadline
-            end_of_burst = pdus[-1].is_end_of_burst
-        if not sizes or min(sizes) <= 0:
-            raise ValueError("every pdu must carry payload")
+                 pdus: Optional[Sequence[Pdu]] = None,
+                 ends: Optional[tuple] = None):
+        if ends is None:
+            if pdus is not None:
+                sizes = [p.byte_size for p in pdus]
+                deadline = pdus[0].deadline
+                end_of_burst = pdus[-1].is_end_of_burst
+            if not sizes or min(sizes) <= 0:
+                raise ValueError("every pdu must carry payload")
+            ends = tuple(accumulate(sizes))
         if deadline is not None and deadline <= arrival_time:
             raise ValueError("deadline must lie after arrival")
         self.id = id
@@ -120,10 +124,14 @@ class PduSet:
         self.psi = psi
         self.arrival_time = arrival_time
         self.deadline = deadline
-        self.sizes = tuple(sizes)
-        self.ends = tuple(accumulate(self.sizes))
-        self.total_bytes = self.ends[-1]
+        self.ends = ends
+        self.total_bytes = ends[-1]
         self.end_of_burst = end_of_burst
+        self.taken = 0
+
+    @property
+    def sizes(self) -> tuple:
+        return tuple(map(sub, self.ends, (0,) + self.ends[:-1]))
 
     @property
     def pdus(self) -> PduView:
@@ -143,26 +151,27 @@ class PduView(Sequence):
         self._set = pdu_set
 
     def __len__(self) -> int:
-        return len(self._set.sizes)
+        return len(self._set.ends)
 
     def __getitem__(self, i: int) -> Pdu:
         s = self._set
-        n = len(s.sizes)
+        ends = s.ends
+        n = len(ends)
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("pdu index out of range")
         last = i == n - 1
-        return Pdu(id=s.id + (i,), pdu_set_id=s.id, byte_size=s.sizes[i],
+        return Pdu(id=s.id + (i,), pdu_set_id=s.id,
+                   byte_size=ends[i] - (ends[i - 1] if i else 0),
                    arrival_time=s.arrival_time, psi=s.psi,
                    is_last_of_set=last, is_end_of_burst=s.end_of_burst and last,
                    deadline=s.deadline)
 
 
-def mtu_sizes(total: int, mtu: int) -> tuple:
-    """PDU sizes of total bytes cut into MTU-bounded PDUs."""
-    full, rem = divmod(total, mtu)
-    return (mtu,) * full + ((rem,) if rem else ())
+def mtu_ends(total: int, mtu: int) -> tuple:
+    """PDU ends of total bytes cut into PDUs of mtu bytes and a remainder."""
+    return tuple(range(mtu, total, mtu)) + (total,)
 
 
 def sample_truncated_gaussian(rng: np.random.Generator, mean: float, std: float,
@@ -229,16 +238,18 @@ def fragment_frame(frame: VideoFrame, mtu: int = MTU_BYTES, sets_per_frame: int 
         return []
     arrival = frame.arrival_time
     deadline = None if psdb_us is None else arrival + psdb_us
+    index, last = frame.index, sets_per_frame - 1
     base, rem = divmod(frame.byte_size, sets_per_frame)
-    sets = []
-    for k in range(sets_per_frame):
-        set_bytes = base + (rem if k == sets_per_frame - 1 else 0)
-        if set_bytes == 0:
-            continue
-        sets.append(PduSet((frame.index, k), frame.index,
-                           psi_pattern[k % len(psi_pattern)], arrival,
-                           mtu_sizes(set_bytes, mtu), deadline))
-    sets[-1].end_of_burst = True
+    # the equal sets share one tuple of PDU ends, and so does the last set
+    # when the frame splits evenly
+    ends = mtu_ends(base, mtu) if base else None
+    sets = [PduSet((index, k), index, psi_pattern[k % len(psi_pattern)],
+                   arrival, deadline=deadline, ends=ends)
+            for k in range(last if base else 0)]
+    sets.append(PduSet((index, last), index,
+                       psi_pattern[last % len(psi_pattern)], arrival,
+                       deadline=deadline, end_of_burst=True,
+                       ends=mtu_ends(base + rem, mtu) if rem else ends))
     return sets
 
 
@@ -269,5 +280,5 @@ def ftp3_source(rng: np.random.Generator, file_size: int = 125_000,
     while True:
         t += rng.exponential(mean_interarrival_s) * 1e6
         yield PduSet(("ftp", n), n, 0, int(round(t)) * ticks_per_us,
-                     mtu_sizes(file_size, mtu), end_of_burst=True)
+                     end_of_burst=True, ends=mtu_ends(file_size, mtu))
         n += 1

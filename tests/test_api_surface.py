@@ -2,8 +2,11 @@
 
 A top-level name that no other line of ``src/xrsim/`` reads is API that
 neither the cell nor the harness calls: it is dead code with tests of its
-own, and it goes. The few names kept for another reader are listed below,
-each with the reason.
+own, and it goes. A name counts as used only through a bare read in its
+own module, a ``from .mod import name`` binding that some line of the
+importing module reads, or ``mod.name``: an attribute of any other object
+(a method that shares the name, say) does not count. The few names kept
+for another reader are listed below, each with the reason.
 """
 
 import ast
@@ -33,26 +36,38 @@ def _public_defs(trees):
             and not node.name.startswith("_")]
 
 
-def _reads(trees):
-    """(module, line, name) of every name and attribute read."""
+def _uses(trees):
+    """(module, line, defining module, name) of every use of a top-level
+    name: a bare read in the module, a read of a name bound by
+    ``from .mod import name``, or ``mod.name``."""
     out = []
     for mod, tree in trees.items():
+        bound = {}  # local name -> (module, name) of each from-import
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                out.append((mod, node.lineno, node.id))
-            elif isinstance(node, ast.Attribute):
-                out.append((mod, node.lineno, node.attr))
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rpartition(".")[2]
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = (source, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                source, name = bound.get(node.id, (mod, node.id))
+                out.append((mod, node.lineno, source, name))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in trees):
+                out.append((mod, node.lineno, node.value.id, node.attr))
     return out
 
 
 def _unused(trees):
-    reads = _reads(trees)
-    unused = []
-    for mod, name, first, last in _public_defs(trees):
-        if not any(n == name and (m != mod or not first <= line <= last)
-                   for m, line, n in reads):
-            unused.append(f"{mod}.{name}")
-    return unused
+    defs = _public_defs(trees)
+    uses = {(mod, name): [] for mod, name, _, _ in defs}
+    for mod, line, source, name in _uses(trees):
+        if (source, name) in uses:
+            uses[source, name].append((mod, line))
+    return [f"{mod}.{name}" for mod, name, first, last in defs
+            if not any(m != mod or not first <= line <= last
+                       for m, line in uses[mod, name])]
 
 
 def _exempt(key):
@@ -77,3 +92,17 @@ def test_every_exemption_is_still_needed():
         else:
             assert any(k.split(".")[0] == mod for k in unused), (
                 f"{key}: every name in it is used; drop its exemption")
+
+
+def test_a_method_does_not_hide_a_dead_function_of_its_name():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "def dead():\n    pass\n\n"
+             "def imported():\n    pass\n\n"
+             "def dotted():\n    pass\n\n"
+             "def local():\n    pass\n\n"
+             "class Queue:\n    def dead(self):\n        return local()\n",
+        "b": "from . import a\nfrom .a import Queue, imported as imp\n\n"
+             "def _run():\n    Queue().dead()\n    imp()\n"
+             "    a.dotted()\n",
+    }.items()}
+    assert _unused(trees) == ["a.dead"]

@@ -8,7 +8,8 @@ import pytest
 from xrsim.cellsim import CellConfig, CellSim
 from xrsim.drx import DrxConfig, SLOT_PDSCH, SLOT_SLEEP
 from xrsim.engine import SLOT_US, UPLINK, slot_type
-from xrsim.scheduling import PolicyKind, SchedulerPolicy
+from xrsim.qos import FlowQueue
+from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from xrsim.traffic import Direction, Pdu, PduSet
 
 
@@ -344,3 +345,28 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
     assert kpi.pser > 0
     assert kpi.frames_total > 0 and kpi.frames_in_budget == 0
     assert not any(ok for _, ok in kpi.outcomes)
+
+
+@pytest.mark.parametrize("kw, sources", [
+    (dict(embb_ues=2), {"video", "ftp"}),
+    (dict(embb_ues=1, embb_full_buffer=True), {"video", "fb"}),
+    (dict(direction=Direction.UL,
+          pose_cg=CgConfig(periodicity_us=Fraction(4000),
+                           occasions_per_period=1, rb_per_occasion=50,
+                           uto_uci_window=4)), {"video", "pose"}),
+], ids=["ftp", "full-buffer", "pose-cg"])
+def test_every_source_enqueues_a_fresh_set(kw, sources, monkeypatch):
+    # a set carries its own queue state, so no source may hand a queue a
+    # set that was taken from or queued before
+    seen = {}  # id -> set, kept alive so that no id is reused
+    enqueue = FlowQueue.enqueue_set
+
+    def checked(queue, s):
+        assert s.taken == 0 and id(s) not in seen
+        seen[id(s)] = s
+        enqueue(queue, s)
+
+    monkeypatch.setattr(FlowQueue, "enqueue_set", checked)
+    CellSim(_short(**kw), seed=2).run()
+    assert {"video" if isinstance(s.id[0], int) else s.id[0]
+            for s in seen.values()} == sources

@@ -158,3 +158,37 @@ def test_frame_size_out_of_reach_exits_two(traffic, tmp_path, capsys):
 def test_small_mean_frame_with_a_whole_size_runs(traffic, tmp_path, capsys):
     assert _main_within_alarm(tmp_path, traffic) == 0
     assert "xr capacity:" in capsys.readouterr().out
+
+
+def _ini(sections):
+    """GOOD_INI's keys, each section updated by the given ones."""
+    merged = {"scenario": {"ues_per_cell": "2"},
+              "run": {"duration_s": "1.5", "warmup_s": "0.5", "seeds": "1"}}
+    for section, keys in sections.items():
+        merged.setdefault(section, {}).update(keys)
+    return "".join(f"[{section}]\n"
+                   + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for section, keys in merged.items())
+
+
+@pytest.mark.parametrize("sections, key", [
+    ({"traffic": {"sets_per_frame": "0"}}, "sets_per_frame"),
+    ({"traffic": {"psdb_ms": "0"}}, "psdb_ms"),
+    ({"scenario": {"cells": "0"}}, "cells"),
+    ({"cg": {"enabled": "true", "window": "0"}}, "window"),
+    ({"cg": {"enabled": "true", "rb": "0"}}, "rb"),
+    ({"run": {"duration_s": "0.5"}}, "duration_s"),  # equal to warmup_s
+    ({"run": {"duration_s": "0"}}, "duration_s"),
+    ({"scenario": {"embb_ues": "-1"}}, "embb_ues"),
+], ids=["sets_per_frame=0", "psdb_ms=0", "cells=0", "cg.window=0", "cg.rb=0",
+        "duration_s=warmup_s", "duration_s=0", "embb_ues=-1"])
+def test_config_out_of_domain_exits_two(sections, key, tmp_path, capsys):
+    # each of these used to raise mid-sweep, or, for a negative eMBB count,
+    # to simulate fewer XR UEs than the load it reported
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_ini(sections))
+    out = tmp_path / "res"
+    rc = cli.main(["--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()

@@ -72,7 +72,7 @@ def test_timer_discard():
     gone = q.discard_expired(31_000)
     assert {pid[:2] for pid in [g[:2] for g in gone]} == {(0, 0)}
     assert q.lost_sets == {a.id}
-    assert [e.pdu_set.id for e in q.entries] == [b.id]
+    assert [e.id for e in q.entries] == [b.id]
 
 
 def test_timer_disabled_never_discards():
@@ -93,7 +93,7 @@ def test_psi_discard_lowest_unstarted_first():
     assert dropped
     assert dropped[0] == sets[1].id  # first low-importance set goes first
     assert sets[0].id not in dropped  # high importance survives psi discard
-    assert all(e.pdu_set.psi == 1 or e.taken > 0 for e in q.entries)
+    assert all(e.psi == 1 or e.taken > 0 for e in q.entries)
 
 
 def test_psi_discard_idle_and_all_high():

@@ -172,7 +172,7 @@ def test_set_queue_matches_pdu_model(psihi, timer_ms, first, steps):
 
         assert q.queued_bytes == model.queued_bytes()
         queued = list(dict.fromkeys(p[0] for p in model.pdus))
-        assert [e.pdu_set.id for e in q.entries] == queued
+        assert [e.id for e in q.entries] == queued
         assert [e.taken for e in q.entries] == \
             [model.taken.get(sid, 0) for sid in queued]
         assert q.lost_sets == model.lost

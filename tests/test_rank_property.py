@@ -35,7 +35,7 @@ def _ref_mlwdf_metric(cand, now):
 
 def _ref_head_set(cand):
     head = cand.queue.entries[0]
-    return head.pdu_set, head.taken * 8, head.pdu_set.total_bytes * 8
+    return head, head.taken * 8, head.total_bytes * 8
 
 
 def _ref_pduset_metric(cand, now, policy) -> Optional[float]:
@@ -50,7 +50,7 @@ def _ref_pduset_metric(cand, now, policy) -> Optional[float]:
 
 
 def _ref_head_expired(cand, now) -> bool:
-    deadline = cand.queue.entries[0].pdu_set.deadline
+    deadline = cand.queue.entries[0].deadline
     return deadline is not None and deadline <= now
 
 
@@ -163,7 +163,7 @@ def _build(specs):
             q.enqueue_set(PduSet((spec["ue_id"], k), k, k % 2, arrival,
                                  tuple(sizes), deadline))
         if spec["sent"]:
-            head = q.entries[0].pdu_set.total_bytes
+            head = q.entries[0].total_bytes
             q.take(max(1, int(head * spec["sent"])))
         cands.append(DlCandidate(spec["ue_id"], q, spec["rate"], spec["avg"],
                                  spec["mcs"], is_xr=spec["is_xr"],

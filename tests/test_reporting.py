@@ -12,7 +12,6 @@ from xrsim.reporting import (
     realized_overhead,
     trigger_dsr,
 )
-from xrsim.qos import QueuedSet
 from xrsim.traffic import PduSet
 
 
@@ -75,13 +74,13 @@ def test_refined_never_overshoots_more_than_long(tables):
 
 
 def _queued(pid, size, arrival_us, deadline_us):
-    return QueuedSet(PduSet(("x", pid), pid, 0, Fraction(arrival_us), (size,),
-                            Fraction(deadline_us)))
+    return PduSet(("x", pid), pid, 0, Fraction(arrival_us), (size,),
+                  Fraction(deadline_us))
 
 
 def test_dsr_crossing_time():
     # discard timer 30 ms, threshold 10 ms: crossing at arrival + 20 ms
-    lcg = LcgState(0, [_queued(0, 500, 0, 30_000)])
+    lcg = LcgState([_queued(0, 500, 0, 30_000)])
     assert trigger_dsr(lcg, 10_000, 19_999) is None
     assert trigger_dsr(lcg, 10_000, 20_000) is None
     rep = trigger_dsr(lcg, 10_000, 20_500)
@@ -90,7 +89,7 @@ def test_dsr_crossing_time():
 
 
 def test_dsr_fires_once_per_pdu():
-    lcg = LcgState(0, [_queued(0, 500, 0, 30_000)])
+    lcg = LcgState([_queued(0, 500, 0, 30_000)])
     assert trigger_dsr(lcg, 10_000, 21_000) is not None
     assert trigger_dsr(lcg, 10_000, 22_000) is None
     # fresh data crossing later re-triggers
@@ -101,7 +100,7 @@ def test_dsr_fires_once_per_pdu():
 
 
 def test_dsr_remaining_time_floored_at_zero():
-    lcg = LcgState(2, [_queued(0, 100, 0, 30_000)])
+    lcg = LcgState([_queued(0, 100, 0, 30_000)])
     rep = trigger_dsr(lcg, 10_000, 31_000)
     assert rep.smallest_remaining_ms == 0.0
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from xrsim.traffic import (
     Direction,
+    PduSet,
     VideoFrame,
     VideoSource,
     VideoStreamConfig,
@@ -124,6 +126,66 @@ def test_fragment_assigns_psi_pattern_and_deadline():
     for s in sets:
         assert all(p.psi == s.psi for p in s.pdus)
         assert all(p.deadline == Fraction(500) + 10_000 for p in s.pdus)
+
+
+def _reference_sets(frame, mtu, sets_per_frame, psdb_us, psi_pattern):
+    """The sets of a frame as each was once cut on its own: every set's PDU
+    sizes are mtu-byte PDUs and a remainder, its ends their running sum."""
+    base, rem = divmod(frame.byte_size, sets_per_frame)
+    last = sets_per_frame - 1
+    sets = []
+    for k in range(sets_per_frame):
+        set_bytes = base + (rem if k == last else 0)
+        if set_bytes == 0:
+            continue
+        full, part = divmod(set_bytes, mtu)
+        sizes = (mtu,) * full + ((part,) if part else ())
+        sets.append({
+            "id": (frame.index, k),
+            "psi": psi_pattern[k % len(psi_pattern)],
+            "deadline": (None if psdb_us is None
+                         else frame.arrival_time + psdb_us),
+            "sizes": sizes, "ends": tuple(accumulate(sizes)),
+            "total_bytes": set_bytes, "end_of_burst": k == last})
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 30_000), nsets=st.integers(1, 12),
+       mtu=st.one_of(st.just(1), st.integers(1, 3000)),
+       psdb_us=st.one_of(st.none(), st.integers(1, 50_000)),
+       psi_pattern=st.lists(st.integers(0, 3), min_size=1, max_size=5))
+@example(size=3, nsets=5, mtu=1500, psdb_us=None, psi_pattern=[1, 0, 0, 1])
+@example(size=6000, nsets=4, mtu=1400, psdb_us=10_000, psi_pattern=[1, 0])
+@example(size=6002, nsets=4, mtu=500, psdb_us=10_000, psi_pattern=[1, 0])
+@example(size=17, nsets=3, mtu=1, psdb_us=7, psi_pattern=[2])
+def test_fragment_frame_matches_per_set_cutting(size, nsets, mtu, psdb_us,
+                                                psi_pattern):
+    # the cases above: a frame smaller than its set count, a zero remainder,
+    # an mtu that divides the set size, and one-byte PDUs
+    frame = VideoFrame(9, 123_457, size)
+    sets = fragment_frame(frame, mtu=mtu, sets_per_frame=nsets,
+                          psdb_us=psdb_us, psi_pattern=psi_pattern)
+    got = [{"id": s.id, "psi": s.psi, "deadline": s.deadline,
+            "sizes": s.sizes, "ends": s.ends, "total_bytes": s.total_bytes,
+            "end_of_burst": s.end_of_burst} for s in sets]
+    assert got == _reference_sets(frame, mtu, nsets, psdb_us, psi_pattern)
+    # the equal sets share one tuple of PDU ends
+    if len(sets) > 1:
+        assert all(s.ends is sets[0].ends for s in sets[:-1])
+    assert all(s.taken == 0 and s.frame_id == 9 for s in sets)
+
+
+def test_pdu_set_checks_explicit_sizes():
+    s = PduSet(("x",), 0, 0, 0, (100, 1500, 7), deadline=10)
+    assert s.sizes == (100, 1500, 7)
+    assert s.ends == (100, 1600, 1607) and s.total_bytes == 1607
+    assert [p.byte_size for p in s.pdus] == [100, 1500, 7]
+    for sizes in ((), (100, 0), (-1,)):
+        with pytest.raises(ValueError, match="payload"):
+            PduSet(("x",), 0, 0, 0, sizes)
+    with pytest.raises(ValueError, match="deadline"):
+        PduSet(("x",), 0, 0, 10, (100,), deadline=10)
 
 
 def test_pose_source_defaults():
