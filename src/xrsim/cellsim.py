@@ -18,13 +18,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, AdrxController,
                   AdrxParams, DrxConfig, DrxMachine, PowerModel,
                   power_for_run)
 from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, RngStreams,
-                     slot_type, ticks_per_us)
+                     block_draws, dl_slots_before, slot_type, ticks_per_us)
 from .qos import FlowQueue, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
                     Deployment, HarqProcess, dl_sinr_db,
@@ -41,6 +42,8 @@ from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
 
 # PDSCH symbols of each DL slot kind
 _DATA_SYMBOLS = {DOWNLINK: DATA_SYMBOLS, SPECIAL: S_SLOT_DATA_SYMBOLS}
+
+_ENDS = attrgetter("ends")
 
 
 def _next_dl_slot(slot):
@@ -188,7 +191,9 @@ class CellSim:
     def __init__(self, config: CellConfig, seed: int = 0):
         self.cfg = config
         self.rng = RngStreams(seed)
-        self.phy_rng = self.rng.stream("phy")
+        # the uniforms that decide HARQ attempts, in the order of scalar
+        # Generator.random draws
+        self.phy_uniforms = block_draws(self.rng.stream("phy").random)
         drop_rng = self.rng.stream("drop")
         self.deployment = Deployment(n_cells=config.n_cells)
         links = self.deployment.drop_ues(
@@ -290,6 +295,8 @@ class CellSim:
                                   psdb_us=float(config.psdb_us))
                 for kind, sym in _DATA_SYMBOLS.items()}
         self.timer_discard = timer is not None
+        # a cell with no discard rule has no discard work on any slot
+        self.discards = self.timer_discard or config.psi_discard_enabled
         self.table = gen_bs_table(config.bsr_table)
         self.ce_bytes = (SHORT_BSR_CE_BYTES
                          if config.bsr_table is TableKind.SHORT
@@ -363,7 +370,7 @@ class CellSim:
                 return
             frame, sets = ue.next_sets
             ue.next_sets = None
-            n_pdus = sum(len(s.ends) for s in sets)
+            n_pdus = sum(map(len, map(_ENDS, sets)))
             fp = FrameProgress(frame.index, frame.arrival_time,
                                frame.arrival_time + self.psdb_t, n_pdus)
             ue.frames[frame.index] = fp
@@ -373,8 +380,6 @@ class CellSim:
 
     def _discards(self, now):
         timer, psi = self.timer_discard, self.cfg.psi_discard_enabled
-        if not (timer or psi):
-            return
         for ue in self.xr:
             queue = ue.queue
             if not queue.entries:
@@ -404,7 +409,7 @@ class CellSim:
         lost = ue.queue.lost_sets
         for seg in segments:
             sid = seg.pdu_set.id
-            if sid in lost:
+            if lost and sid in lost:
                 continue
             if post_warmup:
                 ue.delivered_bits += seg.byte_size * 8
@@ -458,7 +463,7 @@ class CellSim:
         """One HARQ attempt of a block: deliver it on an ACK, lose its sets
         once HARQ gives up on it, or else queue its retransmission on the
         first slot that next_slot allows a HARQ round trip later."""
-        if harq_attempt(proc, sinr_db, self.phy_rng):
+        if harq_attempt(proc, sinr_db, self.phy_uniforms):
             self._deliver(ue, alloc.segments, now)
         elif proc.exhausted:
             ue.queue.on_block_lost(alloc.segments, now)
@@ -474,11 +479,12 @@ class CellSim:
         rb_used = 0
 
         # a DL slot checks every due block before it sends the first one
-        for ue, proc, alloc in list(self._retx_due(self.dl_retx, slot)):
-            tx_ues.add(ue)
-            rb_used += alloc.rb_count
-            self._transmit(ue, proc, alloc, ue.sinr_db, self.dl_retx,
-                           _next_dl_slot, slot, now)
+        if slot in self.dl_retx:
+            for ue, proc, alloc in list(self._retx_due(self.dl_retx, slot)):
+                tx_ues.add(ue)
+                rb_used += alloc.rb_count
+                self._transmit(ue, proc, alloc, ue.sinr_db, self.dl_retx,
+                               _next_dl_slot, slot, now)
 
         for ue in self.drx_ues:
             ue.monitoring = ue.drx.step(now, False, ue in tx_ues)[1]
@@ -541,11 +547,12 @@ class CellSim:
         tx_ues = set()
         rb_used = 0
 
-        for ue, proc, alloc in self._retx_due(self.ul_retx, slot):
-            tx_ues.add(ue)
-            rb_used += alloc.rb_count
-            self._transmit(ue, proc, alloc, ue.ul_sinr_db, self.ul_retx,
-                           _next_ul_slot, slot, now)
+        if slot in self.ul_retx:
+            for ue, proc, alloc in self._retx_due(self.ul_retx, slot):
+                tx_ues.add(ue)
+                rb_used += alloc.rb_count
+                self._transmit(ue, proc, alloc, ue.ul_sinr_db, self.ul_retx,
+                               _next_ul_slot, slot, now)
 
         for a in self.ul_grants.pop(slot, ()):
             ue = self.by_id[a.ue_id]
@@ -697,7 +704,8 @@ class CellSim:
     def _on_slot(self, slot):
         now = slot * self.slot_t
         self._arrivals(now)
-        self._discards(now)
+        if self.discards:
+            self._discards(now)
         kind = slot_type(slot)
         if kind == UPLINK:
             self._ul_slot(slot, now)
@@ -722,7 +730,7 @@ class CellSim:
         first = max(a, -(-self.warmup_t // slot_t))  # first post-warm-up slot
         self.rb_utilization.extend([0.0] * max(0, b - first))
         # PF averages decay when next read, a UE without DRX logs PDCCH
-        self.dl_slots += sum(slot_type(slot) != UPLINK for slot in range(a, b))
+        self.dl_slots += dl_slots_before(b) - dl_slots_before(a)
         for ue in self.drx_ues:
             for monitoring, k in ue.drx.skip(a * slot_t, b - a):
                 ue.trace.extend([SLOT_PDCCH if monitoring else SLOT_SLEEP] * k)

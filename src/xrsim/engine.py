@@ -4,8 +4,9 @@ Time is kept in microseconds, and slot boundaries are integers. A cell runs
 on an integer clock: one tick is 1/ticks_per_us µs, where ticks_per_us is
 the least common multiple of the denominators of its rational times, so
 every such time is a whole number of ticks. A cell steps its slots in a
-plain loop and draws from its own ``RngStreams``. The ``Engine`` event heap
-below is on no path of the cell or the harness.
+plain loop and draws from its own ``RngStreams``, the streams it draws on
+busy slots through ``block_draws``. The ``Engine`` event heap below is on
+no path of the cell or the harness.
 """
 from __future__ import annotations
 
@@ -13,13 +14,18 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from itertools import accumulate, chain, repeat
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
 Time = Union[int, Fraction]
 
 SLOT_US = 500  # 30 kHz subcarrier spacing -> 0.5 ms slots
+
+# values a block-drawn stream takes from its generator per numpy call: a
+# longer block saves little time per value and holds more memory per stream
+DRAW_BLOCK = 64
 
 DOWNLINK = "D"
 SPECIAL = "S"
@@ -29,10 +35,21 @@ UPLINK = "U"
 _TDD_PATTERN = (DOWNLINK, DOWNLINK, DOWNLINK, SPECIAL, UPLINK)
 
 
+# non-uplink slots among the first k slots of a period, for k = 0..5
+_DL_PREFIX = tuple(accumulate((kind != UPLINK for kind in _TDD_PATTERN),
+                              initial=0))
+
+
 def slot_type(slot_index: int) -> str:
     if slot_index < 0:
         raise ValueError("slot_index must be >= 0")
     return _TDD_PATTERN[slot_index % 5]
+
+
+def dl_slots_before(slot_index: int) -> int:
+    """The number of DL and special slots among slots 0..slot_index-1."""
+    periods, rest = divmod(slot_index, len(_TDD_PATTERN))
+    return periods * _DL_PREFIX[-1] + _DL_PREFIX[rest]
 
 
 def ticks_per_us(*times) -> int:
@@ -99,6 +116,18 @@ class RngStreams:
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
             self._streams[name] = gen
         return gen
+
+
+def block_draws(fill: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of fill(n), a ``Generator.random`` or
+    ``Generator.standard_normal``, one by one as floats, DRAW_BLOCK per call.
+
+    PCG64 fills an array with the routine a scalar call runs, so the k-th
+    value served equals the k-th scalar draw. Nothing else may draw from the
+    generator once the first value is served; the first block is drawn then.
+    """
+    return chain.from_iterable(map(np.ndarray.tolist,
+                                   map(fill, repeat(DRAW_BLOCK))))
 
 
 class Engine:

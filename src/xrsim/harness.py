@@ -140,12 +140,16 @@ _CHOICES = {
 
 # the sign each key's value must have: a zero rate makes every frame size
 # draw retry forever, a zero frame rate has no frame period, each other zero
-# fails mid-sweep, and a negative eMBB count takes XR UEs from the load
+# fails mid-sweep, a negative eMBB count takes XR UEs from the load, a
+# negative warm-up spreads the delivered bits over more time than was
+# simulated, and a DSR threshold is a time left before a deadline
 _SIGN = dict.fromkeys([("traffic", "rate_mbps"), ("traffic", "fps"),
                        ("traffic", "psdb_ms"), ("traffic", "sets_per_frame"),
                        ("scenario", "cells"), ("cg", "rb"), ("cg", "window")],
                       "positive")
-_SIGN[("scenario", "embb_ues")] = "non-negative"
+_SIGN.update(dict.fromkeys([("scenario", "embb_ues"), ("run", "warmup_s"),
+                            ("reporting", "dsr_threshold_ms")],
+                           "non-negative"))
 
 
 @dataclass
@@ -246,6 +250,13 @@ class ExperimentConfig:
         except ValueError as e:
             raise ValueError(
                 f"keys 'rate_mbps' and 'fps' in section [traffic]: {e}")
+        # the cell holds the budget in whole µs: one that rounds to none
+        # puts each set's deadline on its arrival
+        psdb_ms = self[("traffic", "psdb_ms")]
+        if round(psdb_ms * 1000) <= 0:
+            raise ValueError(
+                f"key 'psdb_ms' in section [traffic] must round to at least "
+                f"1 us, got {psdb_ms!r} ms")
         if not self[("run", "duration_s")] > self[("run", "warmup_s")]:
             raise ValueError("keys 'duration_s' and 'warmup_s' in section "
                              "[run]: the run must last beyond its warm-up")
@@ -255,7 +266,7 @@ class ExperimentConfig:
             direction=Direction(self[("scenario", "direction")]),
             rate_bps=rate_bps,
             fps=fps,
-            psdb_ms=self[("traffic", "psdb_ms")],
+            psdb_ms=psdb_ms,
             sets_per_frame=self[("traffic", "sets_per_frame")],
             policy=SchedulerPolicy(kind=PolicyKind(self[("scheduler", "policy")])),
             duration_s=self[("run", "duration_s")],

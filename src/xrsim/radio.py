@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -114,24 +115,21 @@ class HarqProcess:
     tb_bits: int
     max_retx: int = MAX_RETX
     attempts: int = 0
-    outcomes: list[bool] = field(default_factory=list)
-
-    @property
-    def acked(self) -> bool:
-        return bool(self.outcomes) and self.outcomes[-1]
+    acked: bool = False  # the last attempt's outcome
 
     @property
     def exhausted(self) -> bool:
         return not self.acked and self.attempts >= self.max_retx + 1
 
 
-def harq_attempt(process: HarqProcess, sinr_db: float, rng: np.random.Generator) -> bool:
+def harq_attempt(process: HarqProcess, sinr_db: float,
+                 uniforms: Iterator[float]) -> bool:
+    """One attempt, ACKed when the next uniform draw is at least the BLER."""
     if process.attempts > process.max_retx:
         raise RuntimeError("harq process already exhausted")
     process.attempts += 1
     effective = sinr_db + CHASE_GAIN_DB * (process.attempts - 1)
-    ack = bool(rng.random() >= bler(effective, process.mcs))
-    process.outcomes.append(ack)
+    process.acked = ack = next(uniforms) >= bler(effective, process.mcs)
     return ack
 
 

@@ -13,6 +13,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .engine import block_draws
+
 MTU_BYTES = 1500
 
 # pdu-set importance pattern, cycled over the sets of a frame
@@ -174,11 +176,12 @@ def mtu_ends(total: int, mtu: int) -> tuple:
     return tuple(range(mtu, total, mtu)) + (total,)
 
 
-def sample_truncated_gaussian(rng: np.random.Generator, mean: float, std: float,
-                              lo: float, hi: float) -> float:
-    """Rejection-sample a Gaussian restricted to the open interval (lo, hi)."""
+def sample_truncated_gaussian(normals: Iterator[float], mean: float,
+                              std: float, lo: float, hi: float) -> float:
+    """Rejection-sample a Gaussian restricted to the open interval (lo, hi)
+    from a stream of standard normal draws."""
     while True:
-        x = rng.normal(mean, std)
+        x = mean + std * next(normals)
         if lo < x < hi:
             return x
 
@@ -199,27 +202,31 @@ class VideoSource:
     def __init__(self, config: VideoStreamConfig, rng: np.random.Generator,
                  start_us: Fraction | int = 0, ticks_per_us: int = 1):
         self.config = config
-        self.rng = rng
+        # frame sizes and jitters, in the order of scalar rng.normal draws
+        self._normals = block_draws(rng.standard_normal)
         self.start_us = Fraction(start_us)
         self.frame_index = 0
         self.ticks_per_us = ticks_per_us
         self._start = _whole(self.start_us * ticks_per_us)
         self._period = _whole(Fraction(config.period_us) * ticks_per_us)
-        self._mean = config.mean_frame_bytes
+        mean = self._mean = config.mean_frame_bytes
+        self._size_std = config.size_std_frac * mean
+        self._size_lo = config.size_min_frac * mean
+        self._size_hi = config.size_max_frac * mean
 
     def next_frame(self) -> VideoFrame:
         cfg = self.config
-        mean = self._mean
-        lo = cfg.size_min_frac * mean
-        hi = cfg.size_max_frac * mean
+        mean, std, normals = self._mean, self._size_std, self._normals
+        lo, hi = self._size_lo, self._size_hi
         while True:
-            size = int(round(self.rng.normal(mean, cfg.size_std_frac * mean)))
+            size = int(round(mean + std * next(normals)))
             if lo < size < hi:
                 break
         arrival = self._start + self.frame_index * self._period
         if cfg.direction is Direction.DL:
             jitter = sample_truncated_gaussian(
-                self.rng, 0.0, cfg.jitter_std_us, cfg.jitter_min_us, cfg.jitter_max_us)
+                normals, 0.0, cfg.jitter_std_us, cfg.jitter_min_us,
+                cfg.jitter_max_us)
             arrival += int(round(jitter)) * self.ticks_per_us
         frame = VideoFrame(self.frame_index, arrival, size)
         self.frame_index += 1

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -268,11 +269,14 @@ def test_one_call_per_slot_before_the_end(duration_s, monkeypatch):
     assert wrapped == plain
 
 
-class _AlwaysNack:
-    """A phy stream whose every draw is 0.0, so every HARQ attempt NACKs."""
-
-    def random(self):
-        return 0.0
+def test_skip_counts_the_dl_slots_it_skips():
+    sim = CellSim(_short(ues_per_cell=1), seed=1)
+    for a in range(60):
+        for b in range(a, 60):
+            sim.dl_slots = 0
+            sim._skip(a, b)
+            assert sim.dl_slots == sum(slot_type(s) != UPLINK
+                                       for s in range(a, b)), (a, b)
 
 
 @pytest.mark.parametrize("direction", [Direction.DL, Direction.UL])
@@ -289,7 +293,7 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
                  psdb_ms=30.0, discard_timer_ms=None, duration_s=1.5,
                  warmup_s=0.0)
     sim = CellSim(cfg, seed=1)
-    sim.phy_rng = _AlwaysNack()
+    sim.phy_uniforms = repeat(0.0)  # every draw 0.0: every attempt NACKs
     current = [None]
     taken = []  # the sets of each non-empty take, in order
     blocks = []  # (process, sets carried, slots of its attempts)

@@ -180,11 +180,16 @@ def _ini(sections):
     ({"run": {"duration_s": "0.5"}}, "duration_s"),  # equal to warmup_s
     ({"run": {"duration_s": "0"}}, "duration_s"),
     ({"scenario": {"embb_ues": "-1"}}, "embb_ues"),
+    ({"traffic": {"psdb_ms": "0.0001"}}, "psdb_ms"),  # rounds to 0 us
+    ({"run": {"warmup_s": "-1"}}, "warmup_s"),
+    ({"reporting": {"dsr_threshold_ms": "-1"}}, "dsr_threshold_ms"),
 ], ids=["sets_per_frame=0", "psdb_ms=0", "cells=0", "cg.window=0", "cg.rb=0",
-        "duration_s=warmup_s", "duration_s=0", "embb_ues=-1"])
+        "duration_s=warmup_s", "duration_s=0", "embb_ues=-1",
+        "psdb_ms=0.0001", "warmup_s=-1", "dsr_threshold_ms=-1"])
 def test_config_out_of_domain_exits_two(sections, key, tmp_path, capsys):
-    # each of these used to raise mid-sweep, or, for a negative eMBB count,
-    # to simulate fewer XR UEs than the load it reported
+    # each of these used to raise mid-sweep, or ran to a wrong report: a
+    # negative eMBB count simulated fewer XR UEs than the load it reported,
+    # a negative warm-up under-reported throughput
     cfg = tmp_path / "exp.ini"
     cfg.write_text(_ini(sections))
     out = tmp_path / "res"
@@ -192,3 +197,17 @@ def test_config_out_of_domain_exits_two(sections, key, tmp_path, capsys):
     assert rc == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sections", [
+    {"run": {"warmup_s": "0"}},
+    {"scenario": {"direction": "ul"},
+     "reporting": {"dsr_enabled": "true", "dsr_threshold_ms": "0"}},
+    {"traffic": {"psdb_ms": "0.0006"}},  # rounds to 1 us
+], ids=["warmup_s=0", "dsr_threshold_ms=0", "psdb_ms=0.0006"])
+def test_config_at_the_domain_edge_runs(sections, tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_ini(sections))
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "res")])
+    assert rc == 0
+    assert "xr capacity:" in capsys.readouterr().out

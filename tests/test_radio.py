@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xrsim import radio
+from xrsim.engine import DRAW_BLOCK, block_draws
 from xrsim.radio import (
     Deployment,
     HarqProcess,
@@ -97,31 +98,57 @@ def test_first_transmission_ack_rate():
 
 
 def test_harq_process_lifecycle():
-    rng = np.random.default_rng(5)
+    uniforms = block_draws(np.random.default_rng(5).random)
     proc = HarqProcess(mcs=10, tb_bits=1000)
     # far above threshold: first attempt acks
-    assert harq_attempt(proc, MCS_THRESHOLD_DB[10] + 30.0, rng)
+    assert harq_attempt(proc, MCS_THRESHOLD_DB[10] + 30.0, uniforms)
     assert proc.acked and not proc.exhausted
 
     proc = HarqProcess(mcs=10, tb_bits=1000)
     for _ in range(4):
-        harq_attempt(proc, -100.0, rng)
+        harq_attempt(proc, -100.0, uniforms)
     assert proc.attempts == 4
     assert proc.exhausted
     with pytest.raises(RuntimeError):
-        harq_attempt(proc, -100.0, rng)
+        harq_attempt(proc, -100.0, uniforms)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_uniform_blocks_equal_scalar_draws(seed):
+    scalar = np.random.default_rng(seed)
+    uniforms = block_draws(np.random.default_rng(seed).random)
+    for _ in range(3 * DRAW_BLOCK + DRAW_BLOCK // 2):
+        value = next(uniforms)
+        assert type(value) is float
+        assert value == scalar.random()
+
+
+def test_harq_attempts_decide_on_scalar_draws():
+    # each attempt compares the next draw of the stream with its BLER, as a
+    # scalar rng.random() call would
+    scalar = np.random.default_rng(3)
+    uniforms = block_draws(np.random.default_rng(3).random)
+    mcs = 12
+    s = MCS_THRESHOLD_DB[mcs] - 1.0
+    for _ in range(2 * DRAW_BLOCK):
+        proc = HarqProcess(mcs=mcs, tb_bits=100)
+        while not (proc.acked or proc.exhausted):
+            want = scalar.random() >= bler(
+                s + radio.CHASE_GAIN_DB * proc.attempts, mcs)
+            assert harq_attempt(proc, s, uniforms) is want
+            assert proc.acked is want
 
 
 def test_chase_combining_raises_ack_rate():
-    rng = np.random.default_rng(7)
+    uniforms = block_draws(np.random.default_rng(7).random)
     mcs = 12
     s = MCS_THRESHOLD_DB[mcs]
     first, second = [], []
     for _ in range(4000):
         proc = HarqProcess(mcs=mcs, tb_bits=100)
-        first.append(harq_attempt(proc, s, rng))
+        first.append(harq_attempt(proc, s, uniforms))
         if not first[-1]:
-            second.append(harq_attempt(proc, s, rng))
+            second.append(harq_attempt(proc, s, uniforms))
     assert np.mean(second) > np.mean(first)
 
 

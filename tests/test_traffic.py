@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from xrsim.engine import DRAW_BLOCK
 from xrsim.traffic import (
     Direction,
     PduSet,
@@ -57,6 +58,47 @@ def test_dl_arrivals_strictly_increasing():
     src = make_source(seed=5)
     times = [src.next_frame().arrival_time for _ in range(2_000)]
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def _scalar_frames(cfg, seed, n):
+    """The first n frames of a source, each value drawn with a scalar
+    rng.normal(mean, std) call, and the number of draws they took."""
+    rng = np.random.default_rng(seed)
+    mean = cfg.mean_frame_bytes
+    lo, hi = cfg.size_min_frac * mean, cfg.size_max_frac * mean
+    frames, draws = [], 0
+    for i in range(n):
+        while True:
+            draws += 1
+            size = int(round(rng.normal(mean, cfg.size_std_frac * mean)))
+            if lo < size < hi:
+                break
+        arrival = i * cfg.period_us
+        if cfg.direction is Direction.DL:
+            while True:
+                draws += 1
+                jitter = rng.normal(0.0, cfg.jitter_std_us)
+                if cfg.jitter_min_us < jitter < cfg.jitter_max_us:
+                    break
+            arrival += int(round(jitter))
+        frames.append(VideoFrame(i, arrival, size))
+    return frames, draws
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("direction", [Direction.DL, Direction.UL])
+def test_frames_equal_scalar_normal_draws(seed, direction):
+    # tight bounds reject about a third of the sizes and most jitters, so
+    # rejection loops run across the boundaries of the blocks drawn
+    cfg = VideoStreamConfig(avg_rate_bps=30e6, fps=Fraction(60),
+                            direction=direction, size_min_frac=0.9,
+                            size_max_frac=1.1, jitter_min_us=-1000.0,
+                            jitter_max_us=1000.0)
+    n = 3 * DRAW_BLOCK
+    want, draws = _scalar_frames(cfg, seed, n)
+    assert draws >= 3 * DRAW_BLOCK
+    src = VideoSource(cfg, np.random.default_rng(seed))
+    assert [src.next_frame() for _ in range(n)] == want
 
 
 def test_mean_frame_bytes_formula():
