@@ -3,8 +3,11 @@
 One instance simulates a single deployment drop slot by slot: video
 frames arrive as PDU sets, downlink slots run the configured scheduler
 with HARQ, uplink slots run the report-then-grant pipeline, and per-UE
-DRX machines gate scheduling while a per-slot activity trace feeds the
-power model.
+DRX machines gate scheduling. The power model reads each UE's activity as
+runs of slots: a DRX UE keeps a run-length log, and its machine is stepped
+only on slots where it has data queued or is sent to; the slots between
+are caught up a window at a time. A UE without DRX monitors PDCCH on every
+slot and keeps only the slots that carried its data.
 
 The cell runs on one integer clock: a tick is 1/ticks_per_us µs, where
 ticks_per_us is the least common multiple of the denominators of the
@@ -15,15 +18,16 @@ leave the cell as µs floats.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
 
-from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, AdrxController,
-                  AdrxParams, DrxConfig, DrxMachine, PowerModel,
-                  power_for_run)
+from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
+                  AdrxController, AdrxParams, DrxConfig, DrxMachine,
+                  PowerModel, power_for_run)
 from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, RngStreams,
                      block_draws, dl_slots_before, slot_type, ticks_per_us)
 from .qos import FlowQueue, QosFlowProfile
@@ -56,6 +60,27 @@ def _next_ul_slot(slot):
     while slot_type(slot) != UPLINK:
         slot += 1
     return slot
+
+
+def _always_on_runs(pdsch_slots, start, end):
+    """The (label, slots) runs of a UE without DRX over slots start..end-1:
+    PDCCH on every slot but its PDSCH slots, given in ascending order."""
+    t, k = start, 0  # the next slot, and the PDSCH slots just before it
+    for s in pdsch_slots:
+        if s == t:
+            k += 1
+        elif s > t:
+            if k:
+                yield SLOT_PDSCH, k
+            yield SLOT_PDCCH, s - t
+            k = 1
+        else:
+            continue  # before start
+        t = s + 1
+    if k:
+        yield SLOT_PDSCH, k
+    if end > t:
+        yield SLOT_PDCCH, end - t
 
 
 @dataclass
@@ -145,16 +170,19 @@ class UeCtx:
         self.avg_tput_bps = 1.0
         self.pf_slots = 0
         self.drx: Optional[DrxMachine] = None
-        self.monitoring = True  # PDCCH monitored in the current DL slot
+        # PDCCH monitored in the current DL slot; read only while the UE
+        # has data queued, and a DRX UE is stepped on each such DL slot
+        self.monitoring = True
         # DL candidate per DL slot kind; None for a UE with no DL data
         self.dl_cands: Optional[dict] = None
         self.adrx: Optional[AdrxController] = None
         self.epoch_frames = 0
         self.epoch_viols = 0
-        # per-slot activity labels; a UE without DRX logs only its PDSCH
-        # slots, and the run builds its trace from them at the end
-        self.trace: list = []
-        self.pdsch_slots: list = []
+        # a DRX UE's activity log and the first slot not yet in it; a UE
+        # without DRX keeps only its PDSCH slots
+        self.activity: Optional[ActivityLog] = None
+        self.drx_slot = 0
+        self.pdsch_slots = array("l")
         self.padding_samples: list = []
         self.grants = 0
         self.delivered_bits = 0
@@ -220,6 +248,8 @@ class CellSim:
         self.psdb_t = config.psdb_us * tpu
         self.warmup_t = config.warmup_us * tpu
         self.end_t = config.duration_us * tpu
+        # every slot that starts before the end, the last one maybe partial
+        self.n_slots = -(-self.end_t // self.slot_t)
 
         self.ues: list[UeCtx] = []
         self.by_id: dict = {}
@@ -260,6 +290,7 @@ class CellSim:
                     base = replace(config.drx, start_offset_us=offset)
                     ue.drx = DrxMachine(base.in_ticks(tpu),
                                         slot=self.slot_t)
+                    ue.activity = ActivityLog()
                     if config.adaptive_drx:
                         params = config.adrx_params or AdrxParams(q0=5000.0)
                         ue.adrx = AdrxController(params, base, config.psdb_us)
@@ -478,16 +509,32 @@ class CellSim:
         tx_ues = set()
         rb_used = 0
 
-        # a DL slot checks every due block before it sends the first one
+        # a DL slot checks every due block before it sends the first one;
+        # due blocks take RBs first, and one that would overflow the slot
+        # waits for the next DL slot, ahead of the blocks due there
         if slot in self.dl_retx:
+            deferred = []
             for ue, proc, alloc in list(self._retx_due(self.dl_retx, slot)):
+                if rb_used + alloc.rb_count > N_RB:
+                    deferred.append((ue, proc, alloc))
+                    continue
                 tx_ues.add(ue)
                 rb_used += alloc.rb_count
                 self._transmit(ue, proc, alloc, ue.sinr_db, self.dl_retx,
                                _next_dl_slot, slot, now)
+            if deferred:
+                self.dl_retx.setdefault(_next_dl_slot(slot + 1),
+                                        [])[:0] = deferred
 
-        for ue in self.drx_ues:
+        # a DRX UE with no data and nothing sent to it is no candidate, and
+        # its slot is logged when it is next caught up
+        stepped = [ue for ue in self.drx_ues
+                   if ue in tx_ues or ue.queue.queued_bytes]
+        for ue in stepped:
+            if ue.drx_slot < slot:
+                self._catch_up(ue, slot)
             ue.monitoring = ue.drx.step(now, False, ue in tx_ues)[1]
+            ue.drx_slot = slot + 1
         cands = [ue.dl_cands[kind] for ue in self.dl_ues
                  if ue.monitoring and ue.queue.queued_bytes]
         n_dl = self.dl_slots
@@ -529,13 +576,9 @@ class CellSim:
 
         if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
-        for ue in self.drx_ues:
-            if ue in tx_ues:
-                ue.trace.append(SLOT_PDSCH)
-            elif ue.monitoring:
-                ue.trace.append(SLOT_PDCCH)
-            else:
-                ue.trace.append(SLOT_SLEEP)
+        for ue in stepped:
+            ue.activity.add(SLOT_PDSCH if ue in tx_ues
+                            else SLOT_PDCCH if ue.monitoring else SLOT_SLEEP)
         for ue in tx_ues:
             if ue.drx is None:
                 ue.pdsch_slots.append(slot)
@@ -608,16 +651,16 @@ class CellSim:
 
         if now >= self.warmup_t:
             self.rb_utilization.append(rb_used / N_RB)
-        for ue in self.drx_ues:
-            if ue in tx_ues:
-                ue.trace.append(SLOT_PDSCH)
-            elif ue.drx.step(now, False, False)[1]:
-                ue.trace.append(SLOT_PDCCH)
-            else:
-                ue.trace.append(SLOT_SLEEP)
+        # a UE sent to is logged on PDSCH without a DRX step; the others'
+        # slots are logged when they are next caught up
         for ue in tx_ues:
             if ue.drx is None:
                 ue.pdsch_slots.append(slot)
+            else:
+                if ue.drx_slot < slot:
+                    self._catch_up(ue, slot)
+                ue.activity.add(SLOT_PDSCH)
+                ue.drx_slot = slot + 1
 
     def _cg_rb(self, slot) -> int:
         return sum(o.rb_count for o in self.cg_by_slot.get(slot, ()))
@@ -694,6 +737,8 @@ class CellSim:
         ue.epoch_frames += 1
         ue.epoch_viols += int(not in_budget)
         if ue.epoch_frames >= cfg.adrx_epoch_frames:
+            # the machine retunes as it stands at the end of this slot
+            self._catch_up(ue, min(now // self.slot_t + 1, self.n_slots))
             new_cfg = ue.adrx.update(ue.epoch_viols)
             ue.drx.retune(new_cfg.in_ticks(tpu), now)
             ue.epoch_frames = 0
@@ -723,23 +768,27 @@ class CellSim:
                 return False
         return True
 
+    def _catch_up(self, ue, slot):
+        """Step a DRX UE's machine with no data through slots
+        ue.drx_slot..slot-1, if any, a window at a time, and log them."""
+        log = ue.activity
+        for monitoring, k in ue.drx.skip(ue.drx_slot * self.slot_t,
+                                         slot - ue.drx_slot):
+            log.add(SLOT_PDCCH if monitoring else SLOT_SLEEP, k)
+        ue.drx_slot = slot
+
     def _skip(self, a, b):
         """Do in bulk what _on_slot does on idle slots a..b-1: log zero
-        utilisation, count the DL slots and step DRX with no data."""
-        slot_t = self.slot_t
-        first = max(a, -(-self.warmup_t // slot_t))  # first post-warm-up slot
+        utilisation and count the DL slots. PF averages decay and DRX UEs
+        catch up when next read or stepped."""
+        first = max(a, -(-self.warmup_t // self.slot_t))  # first post-warm-up
         self.rb_utilization.extend([0.0] * max(0, b - first))
-        # PF averages decay when next read, a UE without DRX logs PDCCH
         self.dl_slots += dl_slots_before(b) - dl_slots_before(a)
-        for ue in self.drx_ues:
-            for monitoring, k in ue.drx.skip(a * slot_t, b - a):
-                ue.trace.extend([SLOT_PDCCH if monitoring else SLOT_SLEEP] * k)
 
     def run(self) -> CellResult:
         cfg = self.cfg
         slot_t = self.slot_t
-        # every slot that starts before the end, the last one maybe partial
-        n_slots = -(-self.end_t // slot_t)
+        n_slots = self.n_slots
         slot = 0
         while slot < n_slots:
             self._on_slot(slot)
@@ -755,15 +804,15 @@ class CellSim:
         kpis = []
         for ue in self.ues:
             if ue.drx is None:
-                # PDCCH on every slot but the PDSCH ones
-                ue.trace = [SLOT_PDCCH] * n_slots
-                for s in ue.pdsch_slots:
-                    ue.trace[s] = SLOT_PDSCH
+                runs = _always_on_runs(ue.pdsch_slots, warm_slot, n_slots)
+            else:
+                self._catch_up(ue, n_slots)
+                runs = ue.activity.runs(warm_slot)
             out = ue.outcomes
             total = len(out)
             in_budget = sum(1 for _, ok in out if ok)
-            trace = ue.trace[warm_slot:]
-            avg_power = power_for_run(trace, cfg.power_model) if trace else 0.0
+            avg_power = (power_for_run(runs, cfg.power_model)
+                         if n_slots > warm_slot else 0.0)
             # eMBB flows carry no PDU-set error rate target
             pser = 0.0 if ue.is_embb else ue.queue.pser()
             kpis.append(UeKpi(ue.ue_id, ue.is_embb, total, in_budget,

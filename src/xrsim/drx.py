@@ -7,6 +7,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -306,31 +309,74 @@ SLOT_PDSCH = "pdsch"
 SLOT_SLEEP = "sleep"
 
 
-def power_for_run(trace, model: PowerModel) -> float:
-    """Time-average relative power of a per-slot activity trace."""
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    total = 0.0
-    i = 0
-    n = len(trace)
-    while i < n:
-        label = trace[i]
-        if label != SLOT_SLEEP:
-            total += model.pdcch_plus_pdsch if label == SLOT_PDSCH else model.pdcch_only
-            i += 1
-            continue
-        j = i
-        while j < n and trace[j] == SLOT_SLEEP:
-            j += 1
-        run = j - i
-        light = run * model.light_sleep
-        if run >= model.min_deep_dwell_slots:
-            # the UE picks the cheaper feasible depth for the gap
-            total += min(light, run * model.deep_sleep + model.transition_energy)
+class ActivityLog:
+    """A UE's per-slot activity from slot 0, held as runs: labels[i] for
+    counts[i] slots. A run that repeats the last label merges into it, so
+    the log is the same however its runs were fed."""
+
+    __slots__ = ("labels", "counts")
+
+    def __init__(self):
+        self.labels: list = []
+        self.counts: list = []
+
+    def add(self, label, k=1):
+        labels = self.labels
+        if labels and labels[-1] == label:
+            self.counts[-1] += k
         else:
-            total += light
-        i = j
+            labels.append(label)
+            self.counts.append(k)
+
+    def runs(self, start=0):
+        """The (label, slots) runs from slot start on."""
+        for label, k in zip(self.labels, self.counts):
+            if k > start:
+                yield label, k - start
+                start = 0
+            else:
+                start -= k
+
+
+def power_for_run(runs, model: PowerModel) -> float:
+    """Time-average relative power of an activity given as (label, slots)
+    runs in slot order.
+
+    Each monitoring slot adds its own term, so a run of k adds k terms one
+    by one: k * term would round differently for a model whose values are
+    not whole numbers. Each maximal sleep run, which may span several runs,
+    adds one term."""
+    pdsch, pdcch = model.pdcch_plus_pdsch, model.pdcch_only
+    total = 0.0
+    n = 0
+    asleep = 0
+    for label, k in runs:
+        n += k
+        if label == SLOT_SLEEP:
+            asleep += k
+            continue
+        if asleep:
+            total += _sleep_power(asleep, model)
+            asleep = 0
+        term = pdsch if label == SLOT_PDSCH else pdcch
+        if k == 1:
+            total += term
+        else:
+            total = reduce(add, repeat(term, k), total)
+    if asleep:
+        total += _sleep_power(asleep, model)
+    if n == 0:
+        raise ValueError("no slots to average over")
     return total / n
+
+
+def _sleep_power(run: int, model: PowerModel) -> float:
+    """The energy of a gap of run sleep slots."""
+    light = run * model.light_sleep
+    if run >= model.min_deep_dwell_slots:
+        # the UE picks the cheaper feasible depth for the gap
+        return min(light, run * model.deep_sleep + model.transition_energy)
+    return light
 
 
 def power_saving_gain(p_technique: float, p_always_on: float) -> float:

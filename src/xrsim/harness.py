@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cellsim import CellConfig, CellSim
-from .drx import DrxConfig, power_saving_gain
+from .drx import AdrxParams, DrxConfig, power_saving_gain
 from .reporting import TableKind
 from .scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from .traffic import Direction, VideoStreamConfig
@@ -221,10 +221,24 @@ class ExperimentConfig:
         if self[("drx", "mode")] == "off":
             return None
         ms = 1000
-        return DrxConfig(
-            cycle_us=self[("drx", "cycle_ms")] * ms,
-            on_duration_us=self[("drx", "on_ms")] * ms,
-            inactivity_us=self[("drx", "inactivity_ms")] * ms)
+        try:
+            drx = DrxConfig(
+                cycle_us=self[("drx", "cycle_ms")] * ms,
+                on_duration_us=self[("drx", "on_ms")] * ms,
+                inactivity_us=self[("drx", "inactivity_ms")] * ms)
+        except ValueError as e:
+            raise ValueError(f"{e} (keys 'cycle_ms', 'on_ms' and "
+                             f"'inactivity_ms' in section [drx])")
+        # the adaptive controller picks on-durations from a grid, each no
+        # longer than the cycle: a cycle below the grid leaves none to pick
+        shortest = min(AdrxParams().on_grid_ms)
+        if (self[("drx", "mode")] == "adaptive"
+                and shortest * 1000.0 > float(drx.cycle_us)):
+            raise ValueError(
+                f"keys 'cycle_ms' and 'mode' in section [drx]: an adaptive "
+                f"cycle must last at least {shortest:g} ms, got "
+                f"{float(self[('drx', 'cycle_ms')]):g} ms")
+        return drx
 
     def cell_config(self, load: int, drx_override=...) -> CellConfig:
         """CellConfig for one load point; drx_override=None forces always-on."""
@@ -235,11 +249,15 @@ class ExperimentConfig:
             timer = float(timer)
         cg = None
         if self[("cg", "enabled")]:
-            cg = CgConfig(
-                periodicity_us=self[("cg", "period_ms")] * 1000,
-                occasions_per_period=self[("cg", "occasions")],
-                rb_per_occasion=self[("cg", "rb")],
-                uto_uci_window=self[("cg", "window")])
+            try:
+                cg = CgConfig(
+                    periodicity_us=self[("cg", "period_ms")] * 1000,
+                    occasions_per_period=self[("cg", "occasions")],
+                    rb_per_occasion=self[("cg", "rb")],
+                    uto_uci_window=self[("cg", "window")])
+            except ValueError as e:
+                raise ValueError(f"{e} (keys 'period_ms' and 'occasions' "
+                                 f"in section [cg])")
         drx = self._drx_config() if drx_override is ... else drx_override
         rate_bps = self[("traffic", "rate_mbps")] * 1e6
         fps = self[("traffic", "fps")]

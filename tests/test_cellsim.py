@@ -1,13 +1,16 @@
 """End to end sanity checks on the cell simulator."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from xrsim.cellsim import CellConfig, CellSim
-from xrsim.drx import DrxConfig, SLOT_PDSCH, SLOT_SLEEP
+from xrsim.cellsim import CellConfig, CellSim, _always_on_runs
+from xrsim.drx import DrxConfig, SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP
 from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.qos import FlowQueue
 from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
@@ -71,11 +74,26 @@ def test_pdsch_only_on_dl_slots():
                     inactivity_us=Fraction(2000))
     sim = CellSim(_short(ues_per_cell=1, drx=drx), seed=4)
     sim.run()
-    trace = sim.ues[0].trace
-    assert SLOT_SLEEP in trace
-    for slot, label in enumerate(trace):
+    log = sim.ues[0].activity
+    assert SLOT_SLEEP in log.labels
+    slot = 0
+    for label, k in log.runs():
         if label == SLOT_PDSCH:
-            assert slot_type(slot) != UPLINK
+            assert all(slot_type(s) != UPLINK for s in range(slot, slot + k))
+        slot += k
+    assert slot == sim.n_slots
+
+
+@given(st.sets(st.integers(0, 60)), st.integers(0, 70), st.integers(0, 70))
+def test_always_on_runs_spell_the_per_slot_trace(pdsch, start, end):
+    # a UE without DRX: PDCCH on every slot but its PDSCH ones, from start
+    pdsch = {s for s in pdsch if s < end}  # every slot lies before the end
+    trace = [SLOT_PDSCH if s in pdsch else SLOT_PDCCH
+             for s in range(start, end)]
+    runs = list(_always_on_runs(sorted(pdsch), start, end))
+    assert [label for label, k in runs for _ in range(k)] == trace
+    assert all(k > 0 for _, k in runs)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # maximal
 
 
 def test_embb_soaks_leftover_capacity():
@@ -277,6 +295,20 @@ def test_skip_counts_the_dl_slots_it_skips():
             sim._skip(a, b)
             assert sim.dl_slots == sum(slot_type(s) != UPLINK
                                        for s in range(a, b)), (a, b)
+
+
+def test_dl_retransmissions_stay_within_the_rb_budget():
+    # when slot s+8 is the UL slot, the retransmissions of slots s and s+1
+    # both fall due on s+9; in this two-cell drop they used to add up past
+    # 273 RBs and crash. Blocks that do not fit wait for the next DL slot.
+    repro = CellConfig(n_cells=2, ues_per_cell=6, rate_bps=45e6,
+                       duration_s=2.0)
+    logged = CellSim(repro, seed=1).run().rb_utilization
+    # the warm-up only gates what is logged: with none, every slot is
+    every = CellSim(replace(repro, warmup_s=0.0),
+                    seed=1).run().rb_utilization
+    assert len(every) == 4000 and every[-len(logged):] == logged
+    assert max(every) <= 1.0
 
 
 @pytest.mark.parametrize("direction", [Direction.DL, Direction.UL])

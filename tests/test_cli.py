@@ -199,12 +199,48 @@ def test_config_out_of_domain_exits_two(sections, key, tmp_path, capsys):
     assert not out.exists()
 
 
+# the [drx] keys of an adaptive cycle below the ADRX on-duration grid
+_SHORT_ADRX = {"mode": "adaptive", "on_ms": "1.5", "inactivity_ms": "1"}
+
+
+@pytest.mark.parametrize("sections, keys, message", [
+    ({"drx": {"mode": "fixed", "on_ms": "20"}}, ("cycle_ms", "on_ms"),
+     "on-duration cannot exceed the cycle"),
+    ({"drx": {"mode": "fixed", "cycle_ms": "0"}},
+     ("cycle_ms", "on_ms", "inactivity_ms"), "drx durations must be positive"),
+    ({"cg": {"enabled": "true", "period_ms": "1"}}, ("period_ms", "occasions"),
+     "period cannot fit the occasion train"),
+    ({"cg": {"enabled": "true", "occasions": "0"}}, ("period_ms", "occasions"),
+     "need at least one occasion"),
+    ({"drx": dict(_SHORT_ADRX, cycle_ms="1.9"),
+      "run": {"duration_s": "1", "warmup_s": "0.2"}}, ("cycle_ms", "mode"),
+     "adaptive cycle must last at least 2 ms"),
+], ids=["on_ms>cycle_ms", "cycle_ms=0", "cg.period_ms=1", "cg.occasions=0",
+        "adaptive-cycle_ms=1.9"])
+def test_cross_key_rejection_names_its_keys(sections, keys, message, tmp_path,
+                                            capsys):
+    # each message used to name no key; the short adaptive cycle exited 1
+    # with "min() arg is an empty sequence" mid-sweep
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(_ini(sections))
+    out = tmp_path / "res"
+    rc = cli.main(["--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert [k for k in keys if f"'{k}'" not in err] == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sections", [
     {"run": {"warmup_s": "0"}},
     {"scenario": {"direction": "ul"},
      "reporting": {"dsr_enabled": "true", "dsr_threshold_ms": "0"}},
     {"traffic": {"psdb_ms": "0.0006"}},  # rounds to 1 us
-], ids=["warmup_s=0", "dsr_threshold_ms=0", "psdb_ms=0.0006"])
+    {"drx": dict(_SHORT_ADRX, cycle_ms="2"),  # the grid's shortest entry
+     "run": {"duration_s": "1", "warmup_s": "0.2"}},
+], ids=["warmup_s=0", "dsr_threshold_ms=0", "psdb_ms=0.0006",
+        "adaptive-cycle_ms=2"])
 def test_config_at_the_domain_edge_runs(sections, tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(_ini(sections))

@@ -208,30 +208,30 @@ def test_adrx_choice_is_grid_argmin():
 
 def test_power_examples():
     model = PowerModel()
-    assert power_for_run([SLOT_PDCCH] * 10, model) == pytest.approx(1.0)
+    assert power_for_run([(SLOT_PDCCH, 10)], model) == pytest.approx(1.0)
     custom = PowerModel(deep_sleep=0.1, transition_energy=0.0,
                         min_deep_dwell_slots=1)
-    trace = [SLOT_SLEEP] * 5 + [SLOT_PDCCH] * 5
-    assert power_for_run(trace, custom) == pytest.approx(0.55)
-    with_data = [SLOT_PDSCH if i == 0 else s for i, s in enumerate(trace)]
-    assert power_for_run(with_data, custom) > power_for_run(trace, custom)
+    runs = [(SLOT_SLEEP, 5), (SLOT_PDCCH, 5)]
+    assert power_for_run(runs, custom) == pytest.approx(0.55)
+    with_data = [(SLOT_PDSCH, 1), (SLOT_SLEEP, 4), (SLOT_PDCCH, 5)]
+    assert power_for_run(with_data, custom) > power_for_run(runs, custom)
 
 
 def test_power_sleep_depth_rules():
     model = PowerModel()
     # deep sleep beats light only past the break-even run length:
     # 0.04 L + 4 < 0.4 L at L > 100/9, so a 12-slot gap goes deep
-    trace = [SLOT_PDCCH] * 2 + [SLOT_SLEEP] * 12 + [SLOT_PDCCH] * 2
+    runs = [(SLOT_PDCCH, 2), (SLOT_SLEEP, 12), (SLOT_PDCCH, 2)]
     expect = (2 * 1.0 + 12 * 0.04 + 4.0 + 2 * 1.0) / 16
-    assert power_for_run(trace, model) == pytest.approx(expect)
+    assert power_for_run(runs, model) == pytest.approx(expect)
     # a 10-slot gap may enter deep sleep but light is cheaper, so it doesn't
-    trace = [SLOT_PDCCH] * 2 + [SLOT_SLEEP] * 10 + [SLOT_PDCCH] * 2
+    runs = [(SLOT_PDCCH, 2), (SLOT_SLEEP, 10), (SLOT_PDCCH, 2)]
     expect = (2 * 1.0 + 10 * 0.4 + 2 * 1.0) / 14
-    assert power_for_run(trace, model) == pytest.approx(expect)
+    assert power_for_run(runs, model) == pytest.approx(expect)
     # 4-slot nap stays in light sleep
-    trace = [SLOT_PDCCH] * 2 + [SLOT_SLEEP] * 4 + [SLOT_PDCCH] * 2
+    runs = [(SLOT_PDCCH, 2), (SLOT_SLEEP, 4), (SLOT_PDCCH, 2)]
     expect = (2 * 1.0 + 4 * 0.4 + 2 * 1.0) / 8
-    assert power_for_run(trace, model) == pytest.approx(expect)
+    assert power_for_run(runs, model) == pytest.approx(expect)
 
 
 def test_power_saving_gain():

@@ -1,5 +1,6 @@
 """Property tests: DRX is unit-free, skipping idle slots equals stepping
-them, and the ADRX search picks as before."""
+them, the power of activity runs equals that of a per-slot walk, and the
+ADRX search picks as before."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrsim.drx import AdrxController, AdrxParams, DrxConfig, DrxMachine
+from xrsim.drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
+                       AdrxController, AdrxParams, DrxConfig, DrxMachine,
+                       PowerModel, power_for_run)
 from xrsim.engine import SLOT_US
 from xrsim.scheduling import pf_idle, pf_update
 
@@ -106,6 +109,123 @@ def test_drx_skip_equals_idle_steps(cfg, cfg2, calls, gaps, data):
                     m.step(now, True, True)
             now += slot
         assert machine_state(skipped) == machine_state(stepped)
+
+
+# per slot, as the cell drives a machine lazily: None is a slot with no data
+# (caught up later), "sent" one whose data goes out with no step (a UL
+# slot), and a slot_calls tuple one that is stepped; a retune may follow
+lazy_slots = st.tuples(st.one_of(st.none(), st.just("sent"), slot_calls),
+                       st.booleans())
+
+
+@settings(max_examples=200)
+@given(drx_configs(), drx_configs(),
+       st.lists(st.one_of(lazy_slots, st.tuples(st.none(), st.just(False))),
+                min_size=1, max_size=200))
+def test_caught_up_machine_equals_one_stepped_every_slot(cfg, cfg2, slots):
+    # the eager machine is stepped on every slot but the sent ones and
+    # labels each slot; the lazy one is stepped only on busy slots, and
+    # skips the slots it missed before a step, a send, a retune and the end
+    times = [getattr(c, f) for c in (cfg, cfg2)
+             for f in ("cycle_us", "on_duration_us", "inactivity_us",
+                       "start_offset_us")]
+    tpu = math.lcm(*(t.denominator for t in times))
+    slot_t = SLOT_US * tpu
+    eager, lazy = (DrxMachine(in_ticks(cfg, tpu), slot=slot_t)
+                   for _ in range(2))
+    eager_log, lazy_log = ActivityLog(), ActivityLog()
+    done = 0  # the first slot not yet in the lazy log
+
+    def catch_up(upto):
+        for monitoring, k in lazy.skip(done * slot_t, upto - done):
+            lazy_log.add(SLOT_PDCCH if monitoring else SLOT_SLEEP, k)
+
+    for slot, (call, retune) in enumerate(slots):
+        now = slot * slot_t
+        if call == "sent":
+            eager_log.add(SLOT_PDSCH)
+            catch_up(slot)
+            lazy_log.add(SLOT_PDSCH)
+            done = slot + 1
+        elif call is None:
+            monitoring = eager.step(now, False, False)[1]
+            eager_log.add(SLOT_PDCCH if monitoring else SLOT_SLEEP)
+        else:
+            new_data, scheduled, grant = call
+            catch_up(slot)
+            flags = [m.step(now, new_data, scheduled)[1]
+                     for m in (eager, lazy)]
+            assert flags[0] == flags[1]
+            if grant:
+                for m in (eager, lazy):
+                    m.step(now, True, True)
+            done = slot + 1
+            eager_log.add(SLOT_PDSCH if scheduled or grant
+                          else SLOT_PDCCH if flags[0] else SLOT_SLEEP)
+            lazy_log.add(SLOT_PDSCH if scheduled or grant
+                         else SLOT_PDCCH if flags[1] else SLOT_SLEEP)
+        if retune:
+            catch_up(slot + 1)
+            done = slot + 1
+            for m in (eager, lazy):
+                m.retune(in_ticks(cfg2, tpu), now)
+    catch_up(len(slots))
+    assert (lazy_log.labels, lazy_log.counts) == (eager_log.labels,
+                                                   eager_log.counts)
+    assert sum(lazy_log.counts) == len(slots)
+
+
+def _power_per_slot(trace, model):
+    """The power model as a walk over a per-slot trace of labels."""
+    total = 0.0
+    i = 0
+    n = len(trace)
+    while i < n:
+        label = trace[i]
+        if label != SLOT_SLEEP:
+            total += (model.pdcch_plus_pdsch if label == SLOT_PDSCH
+                      else model.pdcch_only)
+            i += 1
+            continue
+        j = i
+        while j < n and trace[j] == SLOT_SLEEP:
+            j += 1
+        run = j - i
+        light = run * model.light_sleep
+        if run >= model.min_deep_dwell_slots:
+            total += min(light, run * model.deep_sleep + model.transition_energy)
+        else:
+            total += light
+        i = j
+    return total / n
+
+
+power_models = st.one_of(
+    st.just(PowerModel()),
+    st.builds(lambda dwell: PowerModel(deep_sleep=0.03, light_sleep=0.3,
+                                       pdcch_only=1.1, pdcch_plus_pdsch=2.7,
+                                       transition_energy=3.3,
+                                       min_deep_dwell_slots=dwell),
+              st.integers(1, 12)))
+# runs as fed, not merged: sleep runs from a few slots to well past the
+# deep-sleep dwell, monitoring runs long enough to add many rounded terms
+fed_runs = st.lists(st.tuples(st.sampled_from([SLOT_PDCCH, SLOT_PDSCH,
+                                               SLOT_SLEEP]),
+                              st.integers(1, 40)), min_size=1, max_size=40)
+
+
+@settings(max_examples=300)
+@given(power_models, fed_runs, st.data())
+def test_power_of_runs_equals_per_slot_walk(model, runs, data):
+    trace = [label for label, k in runs for _ in range(k)]
+    cut = data.draw(st.integers(0, len(trace) - 1))
+    log = ActivityLog()
+    for label, k in runs:
+        log.add(label, k)
+    want = _power_per_slot(trace[cut:], model)
+    assert power_for_run(log.runs(cut), model) == want  # bit for bit
+    if cut == 0:
+        assert power_for_run(runs, model) == want
 
 
 @settings(max_examples=200)

@@ -1,33 +1,49 @@
 """Idle slots: a cell that fast-forwards them gives the same results as one
-that simulates every slot."""
+that simulates every slot, and a DRX machine stepped only on the slots
+where its UE has data gives the same results as one stepped on every
+slot."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrsim.cellsim import CellConfig, CellSim
 from xrsim.drx import DrxConfig
 from xrsim.engine import SLOT_US
-from xrsim.scheduling import PolicyKind, SchedulerPolicy
+from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from xrsim.traffic import Direction
 
 
-def _run(cfg, seed, skipping):
-    """Result and per-UE traces of one run, with idle skipping on or off."""
+def _run(cfg, seed, skipping, eager_drx=False):
+    """Result and per-UE activity (a DRX UE's log, the PDSCH slots of a UE
+    without DRX) of one run, with idle skipping on or off. With eager_drx,
+    every DRX machine is caught up through each slot before the slot's
+    frames are decided, as if it were stepped on every slot."""
+    decide = CellSim._decide_frames
+
+    def caught_up_first(self, now):
+        for ue in self.drx_ues:
+            self._catch_up(ue, min(now // self.slot_t + 1, self.n_slots))
+        decide(self, now)
+
     with pytest.MonkeyPatch.context() as m:
         if not skipping:
             m.setattr(CellSim, "_idle", lambda self: False)
+        if eager_drx:
+            m.setattr(CellSim, "_decide_frames", caught_up_first)
         sim = CellSim(cfg, seed=seed)
         result = sim.run()
-    return result, [ue.trace for ue in sim.ues]
+    return result, [(ue.activity.labels, ue.activity.counts)
+                    if ue.activity is not None else list(ue.pdsch_slots)
+                    for ue in sim.ues]
 
 
 @st.composite
-def idle_cells(draw):
-    drx_mode = draw(st.sampled_from(["off", "fixed", "adaptive"]))
+def idle_cells(draw, drx_modes=("off", "fixed", "adaptive"), pose_cg=False):
+    drx_mode = draw(st.sampled_from(drx_modes))
     drx = None
     if drx_mode != "off":
         drx = DrxConfig(
@@ -53,22 +69,32 @@ def idle_cells(draw):
         dsr_enabled=draw(st.booleans()),
         psi_discard_enabled=draw(st.booleans()),
         discard_timer_ms=draw(st.sampled_from(["psdb", None])),
+        # pose traffic is sent on UL slots to UEs that may have no video
+        # data queued, and a cell with it never idles
+        pose_cg=(CgConfig(periodicity_us=Fraction(4000))
+                 if pose_cg and draw(st.booleans()) else None),
         stagger=draw(st.booleans()))
 
 
 @settings(max_examples=150)
 @given(idle_cells(), st.integers(0, 1000))
 def test_skipping_idle_slots_changes_nothing(cfg, seed):
-    try:
-        full, full_traces = _run(cfg, seed, False)
-    except AssertionError:
-        # the DL HARQ RB overflow (ROADMAP item 4) crashes both runs alike
-        with pytest.raises(AssertionError):
-            _run(cfg, seed, True)
-        reject()
-    skipped, skipped_traces = _run(cfg, seed, True)
+    full, full_activity = _run(cfg, seed, False)
+    skipped, skipped_activity = _run(cfg, seed, True)
     assert skipped == full
-    assert skipped_traces == full_traces
+    assert skipped_activity == full_activity
+
+
+@settings(max_examples=100)
+@given(idle_cells(drx_modes=["fixed", "adaptive"], pose_cg=True),
+       st.integers(0, 1000))
+def test_stepping_drx_only_with_data_changes_nothing(cfg, seed):
+    # the cell must catch a machine up before an adaptive retune: a window
+    # of the old grid that opens in a missed slot would be lost otherwise
+    lazy, lazy_activity = _run(cfg, seed, True)
+    eager, eager_activity = _run(cfg, seed, True, eager_drx=True)
+    assert lazy == eager
+    assert lazy_activity == eager_activity
 
 
 def test_every_slot_covered_once_in_order(monkeypatch):
