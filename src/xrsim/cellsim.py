@@ -37,10 +37,9 @@ from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
 from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         TableKind, gen_bs_table, quantize_bsr,
                         realized_overhead, trigger_dsr)
-from .scheduling import (CgConfig, DlCandidate, SchedulerPolicy, UlCandidate,
-                         allocate_dl, allocate_ul, build_uto_uci,
-                         cg_occasions, pf_idle, pf_update, reads_avg,
-                         reclaim_unused)
+from .scheduling import (CgConfig, SchedulerPolicy, UlCandidate, allocate_dl,
+                         allocate_ul, build_uto_uci, cg_occasions, pf_idle,
+                         pf_update, reads_avg, reclaim_unused)
 from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
 
@@ -103,7 +102,6 @@ class CellConfig:
     # "common" keeps the configured start offset for every UE
     drx_offset_mode: str = "traffic"
     adaptive_drx: bool = False
-    adrx_params: Optional[AdrxParams] = None
     adrx_epoch_frames: int = 16
     bsr_table: TableKind = TableKind.LONG
     dsr_enabled: bool = False
@@ -173,8 +171,6 @@ class UeCtx:
         # PDCCH monitored in the current DL slot; read only while the UE
         # has data queued, and a DRX UE is stepped on each such DL slot
         self.monitoring = True
-        # DL candidate per DL slot kind; None for a UE with no DL data
-        self.dl_cands: Optional[dict] = None
         self.adrx: Optional[AdrxController] = None
         self.epoch_frames = 0
         self.epoch_viols = 0
@@ -236,8 +232,7 @@ class CellSim:
 
         self.stream_cfg = VideoStreamConfig(
             avg_rate_bps=config.rate_bps, fps=config.fps,
-            direction=config.direction, psdb_us=config.psdb_us,
-            sets_per_frame=config.sets_per_frame)
+            direction=config.direction)
 
         drx = config.drx
         self.ticks_per_us = tpu = ticks_per_us(
@@ -292,8 +287,8 @@ class CellSim:
                                         slot=self.slot_t)
                     ue.activity = ActivityLog()
                     if config.adaptive_drx:
-                        params = config.adrx_params or AdrxParams(q0=5000.0)
-                        ue.adrx = AdrxController(params, base, config.psdb_us)
+                        ue.adrx = AdrxController(AdrxParams(q0=5000.0), base,
+                                                 config.psdb_us)
             self.ues.append(ue)
             self.by_id[ue.ue_id] = ue
 
@@ -312,19 +307,12 @@ class CellSim:
         # a DL cell serves every UE on its DL slots, a UL cell its eMBB UEs
         dl_ues = self.ues if config.direction is Direction.DL else self.embb
         self.dl_ues = dl_ues
-        # the UEs whose DL candidate's PF average allocate_dl may read
+        # the UEs whose PF average allocate_dl may read
         self.avg_ues = [u for u in dl_ues
                         if reads_avg(config.policy, not u.is_embb,
                                      len(self.embb))]
-        rate_scale = 1_000_000 // SLOT_US
-        for ue in dl_ues:
-            # the MCS is static, so is the full-band rate on each slot kind
-            ue.dl_cands = {
-                kind: DlCandidate(ue.ue_id, ue.queue,
-                                  tb_bits(ue.mcs, N_RB, sym) * rate_scale,
-                                  1.0, ue.mcs, is_xr=not ue.is_embb,
-                                  psdb_us=float(config.psdb_us))
-                for kind, sym in _DATA_SYMBOLS.items()}
+        # the delay budget in whole µs, as the DL metrics read it
+        self.psdb_us = float(config.psdb_us)
         self.timer_discard = timer is not None
         # a cell with no discard rule has no discard work on any slot
         self.discards = self.timer_discard or config.psi_discard_enabled
@@ -427,11 +415,9 @@ class CellSim:
         while ue.events_seen < len(evs):
             e = evs[ue.events_seen]
             ue.events_seen += 1
-            fid = e.set_id[0] if isinstance(e.set_id, tuple) else e.set_id
-            if isinstance(fid, int):
-                fp = ue.frames.get(fid)
-                if fp is not None:
-                    fp.lost = True
+            fp = ue.frames.get(e.set_id[0])
+            if fp is not None:
+                fp.lost = True
 
     # ---- delivery ----
 
@@ -446,10 +432,7 @@ class CellSim:
                 ue.delivered_bits += seg.byte_size * 8
             if not seg.completed:
                 continue
-            fid = sid[0]
-            if not isinstance(fid, int):
-                continue
-            fp = ue.frames.get(fid)
+            fp = ue.frames.get(sid[0])
             if fp is None:
                 continue
             fp.delivered += seg.completed
@@ -460,11 +443,9 @@ class CellSim:
 
     def _mark_first_service(self, ue, segments, now):
         for seg in segments:
-            fid = seg.pdu_set.id[0]
-            if isinstance(fid, int):
-                fp = ue.frames.get(fid)
-                if fp is not None and fp.first_service is None:
-                    fp.first_service = now
+            fp = ue.frames.get(seg.pdu_set.id[0])
+            if fp is not None and fp.first_service is None:
+                fp.first_service = now
 
     # ---- downlink ----
 
@@ -535,7 +516,7 @@ class CellSim:
                 self._catch_up(ue, slot)
             ue.monitoring = ue.drx.step(now, False, ue in tx_ues)[1]
             ue.drx_slot = slot + 1
-        cands = [ue.dl_cands[kind] for ue in self.dl_ues
+        cands = [ue for ue in self.dl_ues
                  if ue.monitoring and ue.queue.queued_bytes]
         n_dl = self.dl_slots
         for ue in self.avg_ues:
@@ -548,11 +529,11 @@ class CellSim:
                     ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, gap,
                                               self.pf_window)
                 ue.pf_slots = n_dl
-                ue.dl_cands[kind].avg_tput_bps = ue.avg_tput_bps
 
         if cands:
             allocs = allocate_dl(slot, cands, now, cfg.policy,
-                                 total_rb=N_RB - rb_used, data_symbols=sym)
+                                 total_rb=N_RB - rb_used, data_symbols=sym,
+                                 psdb_us=self.psdb_us)
         else:
             # allocate_dl's budget check of a slot with no new data
             assert rb_used <= N_RB
@@ -732,7 +713,7 @@ class CellSim:
         if fp.first_service is not None and fp.done_time is not None:
             service = (fp.done_time - fp.first_service) / tpu
         else:
-            service = float(cfg.psdb_us)
+            service = self.psdb_us
         ue.adrx.observe_frame(phase, service, not in_budget)
         ue.epoch_frames += 1
         ue.epoch_viols += int(not in_budget)

@@ -177,6 +177,15 @@ class AdrxParams:
         if not self.on_grid_ms:
             raise ValueError("empty candidate grid")
 
+    def check_cycle(self, cycle_us):
+        """Each on-duration picked from the grid is no longer than the cycle,
+        so a cycle below the grid leaves none to pick."""
+        shortest = min(self.on_grid_ms)
+        if shortest * 1000.0 > float(cycle_us):
+            raise ValueError(
+                f"an adaptive cycle must last at least {shortest:g} ms, got "
+                f"{float(cycle_us / 1000):g} ms")
+
 
 @dataclass
 class FrameObservation:
@@ -194,6 +203,7 @@ class AdrxController:
     """
 
     def __init__(self, params: AdrxParams, base: DrxConfig, psdb_us: float):
+        params.check_cycle(base.cycle_us)
         self.params = params
         self.base = base
         self.psdb_us = psdb_us

@@ -229,15 +229,12 @@ class ExperimentConfig:
         except ValueError as e:
             raise ValueError(f"{e} (keys 'cycle_ms', 'on_ms' and "
                              f"'inactivity_ms' in section [drx])")
-        # the adaptive controller picks on-durations from a grid, each no
-        # longer than the cycle: a cycle below the grid leaves none to pick
-        shortest = min(AdrxParams().on_grid_ms)
-        if (self[("drx", "mode")] == "adaptive"
-                and shortest * 1000.0 > float(drx.cycle_us)):
-            raise ValueError(
-                f"keys 'cycle_ms' and 'mode' in section [drx]: an adaptive "
-                f"cycle must last at least {shortest:g} ms, got "
-                f"{float(self[('drx', 'cycle_ms')]):g} ms")
+        if self[("drx", "mode")] == "adaptive":
+            try:
+                AdrxParams().check_cycle(drx.cycle_us)
+            except ValueError as e:
+                raise ValueError(
+                    f"keys 'cycle_ms' and 'mode' in section [drx]: {e}")
         return drx
 
     def cell_config(self, load: int, drx_override=...) -> CellConfig:
@@ -332,13 +329,13 @@ def cdf_points(samples) -> list:
     return out
 
 
-def emit_cdf(samples, name, out_dir) -> str:
+def emit_cdf(points, name, out_dir) -> str:
+    """Write cdf_points' (value, cumulative fraction) pairs as a CSV."""
     path = os.path.join(out_dir, f"cdf_{name}.csv")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["value", "cum_fraction"])
-        for v, p in cdf_points(samples):
-            w.writerow([v, p])
+        w.writerows(points)
     return path
 
 
@@ -399,18 +396,18 @@ def run_experiment(config: ExperimentConfig) -> KpiReport:
             p_on = power[(load, "on")]
             gains[load] = power_saving_gain(sum(p) / len(p),
                                             sum(p_on) / len(p_on))
-    samples = {"padding_bytes": padding, "ue_throughput_mbps": tputs,
-               "rb_utilization": rb_samples}
+    cdfs = {"padding_bytes": cdf_points(padding),
+            "ue_throughput_mbps": cdf_points(tputs),
+            "rb_utilization": cdf_points(rb_samples)}
     report = KpiReport(per_ue=per_ue,
                        satisfaction_by_load=satisfaction,
                        capacity=xr_capacity(satisfaction),
-                       gain_by_load=gains,
-                       cdfs={name: cdf_points(s) for name, s in samples.items()})
-    _write_outputs(config, report, events, samples)
+                       gain_by_load=gains, cdfs=cdfs)
+    _write_outputs(config, report, events)
     return report
 
 
-def _write_outputs(config, report: KpiReport, events, samples):
+def _write_outputs(config, report: KpiReport, events):
     out = config.out_dir
     with open(os.path.join(out, "kpi.csv"), "w", newline="") as f:
         w = csv.writer(f)
@@ -432,8 +429,8 @@ def _write_outputs(config, report: KpiReport, events, samples):
                 w.writerow([load, "power_saving_gain_pct",
                             report.gain_by_load[load]])
         w.writerow(["", "xr_capacity", report.capacity])
-    for name, s in samples.items():
-        emit_cdf(s, name, out)
+    for name, points in report.cdfs.items():
+        emit_cdf(points, name, out)
     # mtime pinned to zero so identical runs give identical bytes
     raw = io.BytesIO()
     with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:

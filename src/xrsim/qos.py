@@ -13,7 +13,6 @@ from .traffic import Pdu, PduSet
 @dataclass(frozen=True)
 class QosFlowProfile:
     psdb_ms: float
-    pser: float = 1e-2
     psihi: bool = True
     psi_levels: tuple[int, ...] = (0, 1)
     discard_timer_ms: Optional[float] = None  # None disables timer discard
@@ -21,8 +20,6 @@ class QosFlowProfile:
     def __post_init__(self):
         if self.psdb_ms <= 0:
             raise ValueError("psdb must be positive")
-        if not 0 <= self.pser <= 1:
-            raise ValueError("pser is a fraction")
 
 
 @dataclass(frozen=True)

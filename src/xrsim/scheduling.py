@@ -12,7 +12,7 @@ from operator import mul
 from typing import Optional
 
 from .engine import SLOT_US
-from .qos import FlowQueue, Segment
+from .qos import Segment
 from .radio import DATA_SYMBOLS, MCS_SE, N_RB, SC_PER_RB, tb_bits
 
 EPS_RATE_BPS = 1.0
@@ -38,21 +38,9 @@ class SchedulerPolicy:
             raise ValueError("policy parameters must be positive")
 
 
-@dataclass
-class DlCandidate:
-    ue_id: int
-    queue: FlowQueue
-    inst_rate_bps: float
-    avg_tput_bps: float
-    mcs: int
-    is_xr: bool = True
-    psdb_us: Optional[float] = None
-
-
 @dataclass(slots=True)
 class Allocation:
     ue_id: int
-    direction: str
     slot: int
     rb_start: int
     rb_count: int
@@ -74,22 +62,25 @@ def pf_idle(avg_bps: float, slots: int, window_slots: int) -> float:
     return reduce(mul, repeat(1.0 - 1.0 / window_slots, slots), avg_bps)
 
 
-def pf_metric(cand: DlCandidate) -> float:
-    return cand.inst_rate_bps / max(cand.avg_tput_bps, EPS_RATE_BPS)
+def pf_metric(ue, data_symbols: int) -> float:
+    """The UE's full-band rate on a slot of data_symbols PDSCH symbols over
+    its PF average."""
+    rate = tb_bits(ue.mcs, N_RB, data_symbols) * (1_000_000 // SLOT_US)
+    return rate / max(ue.avg_tput_bps, EPS_RATE_BPS)
 
 
-def mlwdf_metric(cand: DlCandidate, now) -> float:
-    a_i = -math.log(0.01) / (cand.psdb_us)
-    return a_i * cand.queue.hol_age_us(now) * pf_metric(cand)
+def mlwdf_metric(ue, now, data_symbols: int, psdb_us: float) -> float:
+    a_i = -math.log(0.01) / psdb_us
+    return a_i * ue.queue.hol_age_us(now) * pf_metric(ue, data_symbols)
 
 
-def pduset_metric(cand: DlCandidate, now,
-                  policy: SchedulerPolicy) -> Optional[float]:
+def pduset_metric(ue, now, policy: SchedulerPolicy,
+                  psdb_us: float) -> Optional[float]:
     """Urgency score of the head PDU set; None flags an expired budget."""
-    head = cand.queue.entries[0]
+    head = ue.queue.entries[0]
     deadline = head.deadline
-    tau = (float((deadline - now) / cand.queue.ticks_per_us)
-           if deadline is not None else cand.psdb_us)
+    tau = (float((deadline - now) / ue.queue.ticks_per_us)
+           if deadline is not None else psdb_us)
     if tau <= 0:
         return None
     # exp(0.0) is exactly 1.0: an untouched head set has no boost
@@ -100,48 +91,48 @@ def pduset_metric(cand: DlCandidate, now,
 
 
 def reads_avg(policy: SchedulerPolicy, is_xr: bool, n_embb: int) -> bool:
-    """Whether allocate_dl may read a DL candidate's avg_tput_bps: the PF
-    and M-LWDF metrics read an XR candidate's, the pduset metric does not,
-    and the eMBB pick reads them only to choose between several UEs."""
+    """Whether allocate_dl may read a UE's avg_tput_bps: the PF and M-LWDF
+    metrics read an XR UE's, the pduset metric does not, and the eMBB pick
+    reads them only to choose between several UEs."""
     if is_xr:
         return policy.kind is not PolicyKind.PDUSET
     return n_embb > 1
 
 
-def _head_expired(cand: DlCandidate, now) -> bool:
-    deadline = cand.queue.entries[0].deadline
+def _head_expired(ue, now) -> bool:
+    deadline = ue.queue.entries[0].deadline
     return deadline is not None and deadline <= now
 
 
-def _rank(candidates: list[DlCandidate], now,
-          policy: SchedulerPolicy) -> list[DlCandidate]:
+def _rank(ues: list, now, policy: SchedulerPolicy, data_symbols: int,
+          psdb_us: float) -> list:
     kind = policy.kind
-    keyed = []  # (-metric, ue_id, index) of each candidate with a metric
+    keyed = []  # (-metric, ue_id, index) of each UE with a metric
     expired = []
-    for i, c in enumerate(candidates):
+    for i, ue in enumerate(ues):
         # data held beyond its budget drops to a floor priority under
         # every policy; it is only served when nothing fresh wants the
         # slot. pduset_metric flags an expired head itself
         if kind is PolicyKind.PDUSET:
-            m = pduset_metric(c, now, policy)
-        elif _head_expired(c, now):
+            m = pduset_metric(ue, now, policy, psdb_us)
+        elif _head_expired(ue, now):
             m = None
         elif kind is PolicyKind.PF:
-            m = pf_metric(c)
+            m = pf_metric(ue, data_symbols)
         else:
-            m = mlwdf_metric(c, now)
+            m = mlwdf_metric(ue, now, data_symbols, psdb_us)
         if m is None:
             expired.append(i)
         else:
-            keyed.append((-m, c.ue_id, i))
+            keyed.append((-m, ue.ue_id, i))
     if expired:
         positive = [-k[0] for k in keyed if k[0] < 0]
         floor = (min(positive) if positive else 1.0) * EXPIRED_FLOOR_FACTOR
         for i in expired:
-            keyed.append((-floor, candidates[i].ue_id, i))
+            keyed.append((-floor, ues[i].ue_id, i))
     # the index breaks ties in input order, as a stable sort would
     keyed.sort()
-    return [candidates[k[2]] for k in keyed]
+    return [ues[k[2]] for k in keyed]
 
 
 def _rb_demand(queue_bits: int, mcs: int, data_symbols: int) -> int:
@@ -149,47 +140,35 @@ def _rb_demand(queue_bits: int, mcs: int, data_symbols: int) -> int:
     return max(1, math.ceil(queue_bits / bits_per_rb))
 
 
-def allocate_dl(slot: int, candidates: list[DlCandidate], now,
-                policy: SchedulerPolicy, total_rb: int = N_RB,
-                data_symbols: int = DATA_SYMBOLS) -> list[Allocation]:
-    """One slot of DL allocation: XR first by policy metric, then eMBB by PF.
-
-    Only the candidates for which reads_avg holds need an up-to-date
-    avg_tput_bps."""
+def allocate_dl(slot: int, ues: list, now, policy: SchedulerPolicy,
+                total_rb: int = N_RB, data_symbols: int = DATA_SYMBOLS,
+                *, psdb_us: float) -> list[Allocation]:
+    """One slot of DL allocation to UE records: XR UEs first by policy
+    metric, then the eMBB UE with the highest PF metric. Only the UEs for
+    which reads_avg holds need an up-to-date avg_tput_bps."""
+    xr, embb = [], []
+    for ue in ues:
+        if ue.queue.queued_bytes > 0:
+            (embb if ue.is_embb else xr).append(ue)
+    if len(xr) > 1:  # one UE ranks as itself
+        xr = _rank(xr, now, policy, data_symbols, psdb_us)
+    if len(embb) > 1:  # the highest PF metric, then the lowest ue_id
+        embb = [embb[min((-pf_metric(ue, data_symbols), ue.ue_id, i)
+                         for i, ue in enumerate(embb))[2]]]
     allocations = []
     rb_used = 0
-    xr, embb = [], []
-    for c in candidates:
-        if c.queue.queued_bytes > 0:
-            (xr if c.is_xr else embb).append(c)
-    if len(xr) > 1:  # one candidate ranks as itself
-        xr = _rank(xr, now, policy)
-    for cand in xr:
+    for ue in xr + embb:
         if rb_used >= total_rb:
             break
-        need = _rb_demand(cand.queue.queued_bytes * 8, cand.mcs, data_symbols)
+        need = _rb_demand(ue.queue.queued_bytes * 8, ue.mcs, data_symbols)
         rb = min(need, total_rb - rb_used)
-        tb = tb_bits(cand.mcs, rb, data_symbols)
-        segments = cand.queue.take(tb // 8, now)
+        tb = tb_bits(ue.mcs, rb, data_symbols)
+        segments = ue.queue.take(tb // 8, now)
         if not segments:
             continue
-        allocations.append(Allocation(cand.ue_id, "dl", slot, rb_used, rb,
-                                      cand.mcs, tb, segments))
+        allocations.append(Allocation(ue.ue_id, slot, rb_used, rb, ue.mcs,
+                                      tb, segments))
         rb_used += rb
-    if embb and rb_used < total_rb:
-        if len(embb) == 1:
-            best = embb[0]
-        else:  # the highest PF metric, then the lowest ue_id, then the first
-            best = embb[min((-pf_metric(c), c.ue_id, i)
-                            for i, c in enumerate(embb))[2]]
-        need = _rb_demand(best.queue.queued_bytes * 8, best.mcs, data_symbols)
-        rb = min(need, total_rb - rb_used)
-        tb = tb_bits(best.mcs, rb, data_symbols)
-        segments = best.queue.take(tb // 8, now)
-        if segments:
-            allocations.append(Allocation(best.ue_id, "dl", slot, rb_used, rb,
-                                          best.mcs, tb, segments))
-            rb_used += rb
     assert rb_used <= total_rb
     return allocations
 
@@ -221,7 +200,7 @@ def allocate_ul(slot: int, candidates: list[UlCandidate], total_rb: int = N_RB,
         demand = _rb_demand(c.reported_bytes * 8, c.mcs, data_symbols)
         rb = min(share, demand, remaining)
         tb = tb_bits(c.mcs, rb, data_symbols)
-        grants.append(Allocation(c.ue_id, "ul", slot, rb_used, rb, c.mcs, tb))
+        grants.append(Allocation(c.ue_id, slot, rb_used, rb, c.mcs, tb))
         rb_used += rb
         remaining -= rb
     return grants

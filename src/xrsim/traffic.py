@@ -39,10 +39,6 @@ class VideoStreamConfig:
     jitter_std_us: float = 2000.0
     jitter_min_us: float = -4000.0
     jitter_max_us: float = 4000.0
-    psdb_us: Optional[int] = None
-    sets_per_frame: int = 1
-    mtu: int = MTU_BYTES
-    psi_pattern: Sequence[int] = DEFAULT_PSI_PATTERN
 
     def __post_init__(self):
         if not (self.size_min_frac < 1 < self.size_max_frac):

@@ -241,7 +241,7 @@ def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
 
     def allocate(slot, cands, now, policy, **kwargs):
         reads.extend((c.avg_tput_bps, eager[c.ue_id]) for c in cands
-                     if reads_avg(policy, c.is_xr, embb))
+                     if reads_avg(policy, not c.is_embb, embb))
         out = allocate_dl(slot, cands, now, policy, **kwargs)
         served.update((a.ue_id, a.tb_bits) for a in out)
         return out
@@ -406,3 +406,18 @@ def test_every_source_enqueues_a_fresh_set(kw, sources, monkeypatch):
     CellSim(_short(**kw), seed=2).run()
     assert {"video" if isinstance(s.id[0], int) else s.id[0]
             for s in seen.values()} == sources
+
+
+def test_short_adaptive_cycle_fails_when_the_cell_is_built():
+    # the ADRX grid's shortest on-duration is 2 ms: a 1.9 ms cycle leaves
+    # the controller nothing to pick, which used to raise "min() arg is an
+    # empty sequence" at its first update, mid-run
+    cfg = CellConfig(ues_per_cell=2, duration_s=1.0, warmup_s=0.2,
+                     adaptive_drx=True,
+                     drx=DrxConfig(cycle_us=Fraction(1900),
+                                   on_duration_us=Fraction(1500),
+                                   inactivity_us=Fraction(1000)))
+    with pytest.raises(ValueError, match="at least 2 ms, got 1.9 ms"):
+        CellSim(cfg, seed=1)
+    # the same cycle without the controller runs
+    CellSim(replace(cfg, adaptive_drx=False), seed=1).run()

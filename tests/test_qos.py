@@ -171,5 +171,3 @@ def test_eodb_partitions_stream():
 def test_profile_validation():
     with pytest.raises(ValueError):
         QosFlowProfile(psdb_ms=0)
-    with pytest.raises(ValueError):
-        QosFlowProfile(psdb_ms=10, pser=1.5)

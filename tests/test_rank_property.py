@@ -2,10 +2,11 @@
 
 The reference below is the implementation that the one-pass ranking
 replaced: an expiry check before every metric, a head-set tuple for the
-pduset metric, a lambda sort key and two filtering passes in allocate_dl.
-Random candidates with expired heads, heads without a deadline, partly
-sent heads and tied metrics must rank the same under PF, M-LWDF and
-pduset, and allocate_dl must hand out the same blocks.
+pduset metric, a lambda sort key, two filtering passes in allocate_dl and
+a second allocation block for the eMBB pick. Random UE records with
+expired heads, heads without a deadline, partly sent heads and tied
+metrics must rank the same under PF, M-LWDF and pduset, and allocate_dl
+must hand out the same blocks.
 """
 
 import math
@@ -14,23 +15,28 @@ from typing import Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xrsim.cellsim import UeCtx
+from xrsim.engine import SLOT_US
 from xrsim.qos import FlowQueue, QosFlowProfile
 from xrsim.radio import MCS_SE, N_RB, SC_PER_RB, tb_bits
 from xrsim.scheduling import (EPS_RATE_BPS, EXPIRED_FLOOR_FACTOR, Allocation,
-                              DlCandidate, PolicyKind, SchedulerPolicy, _rank,
-                              allocate_dl, pduset_metric, reads_avg)
+                              PolicyKind, SchedulerPolicy, _rank, allocate_dl,
+                              pduset_metric, reads_avg)
 from xrsim.traffic import PduSet
 
 # ---- the reference ranking ----
 
 
-def _ref_pf_metric(cand):
-    return cand.inst_rate_bps / max(cand.avg_tput_bps, EPS_RATE_BPS)
+def _ref_pf_metric(cand, data_symbols):
+    # the full-band rate at the UE's MCS, in bits per second
+    rate = tb_bits(cand.mcs, N_RB, data_symbols) * (1_000_000 // SLOT_US)
+    return rate / max(cand.avg_tput_bps, EPS_RATE_BPS)
 
 
-def _ref_mlwdf_metric(cand, now):
-    a_i = -math.log(0.01) / (cand.psdb_us)
-    return a_i * cand.queue.hol_age_us(now) * _ref_pf_metric(cand)
+def _ref_mlwdf_metric(cand, now, data_symbols, psdb_us):
+    a_i = -math.log(0.01) / psdb_us
+    return (a_i * cand.queue.hol_age_us(now)
+            * _ref_pf_metric(cand, data_symbols))
 
 
 def _ref_head_set(cand):
@@ -38,11 +44,11 @@ def _ref_head_set(cand):
     return head, head.taken * 8, head.total_bytes * 8
 
 
-def _ref_pduset_metric(cand, now, policy) -> Optional[float]:
+def _ref_pduset_metric(cand, now, policy, psdb_us) -> Optional[float]:
     head, sent_bits, set_bits = _ref_head_set(cand)
     deadline = head.deadline
     tau = (float((deadline - now) / cand.queue.ticks_per_us)
-           if deadline is not None else cand.psdb_us)
+           if deadline is not None else psdb_us)
     if tau <= 0:
         return None
     boost = math.exp(policy.pduset_alpha * sent_bits / set_bits)
@@ -54,17 +60,17 @@ def _ref_head_expired(cand, now) -> bool:
     return deadline is not None and deadline <= now
 
 
-def _ref_rank(candidates, now, policy):
+def _ref_rank(candidates, now, policy, data_symbols, psdb_us):
     raw = []
     for c in candidates:
         if _ref_head_expired(c, now):
             raw.append(None)
         elif policy.kind is PolicyKind.PF:
-            raw.append(_ref_pf_metric(c))
+            raw.append(_ref_pf_metric(c, data_symbols))
         elif policy.kind is PolicyKind.MLWDF:
-            raw.append(_ref_mlwdf_metric(c, now))
+            raw.append(_ref_mlwdf_metric(c, now, data_symbols, psdb_us))
         else:
-            raw.append(_ref_pduset_metric(c, now, policy))
+            raw.append(_ref_pduset_metric(c, now, policy, psdb_us))
     positive = [m for m in raw if m is not None and m > 0]
     floor = (min(positive) if positive else 1.0) * EXPIRED_FLOOR_FACTOR
     scored = [(floor if m is None else m, c) for m, c in zip(raw, candidates)]
@@ -77,12 +83,14 @@ def _ref_rb_demand(queue_bits, mcs, data_symbols):
     return max(1, math.ceil(queue_bits / bits_per_rb))
 
 
-def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols):
+def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
+                     psdb_us):
     allocations = []
     rb_used = 0
-    xr = [c for c in candidates if c.is_xr and c.queue.queued_bytes > 0]
+    xr = [c for c in candidates
+          if not c.is_embb and c.queue.queued_bytes > 0]
     if len(xr) > 1:
-        xr = _ref_rank(xr, now, policy)
+        xr = _ref_rank(xr, now, policy, data_symbols, psdb_us)
     for cand in xr:
         if rb_used >= total_rb:
             break
@@ -93,13 +101,13 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols):
         segments = cand.queue.take(tb // 8, now)
         if not segments:
             continue
-        allocations.append(Allocation(cand.ue_id, "dl", slot, rb_used, rb,
+        allocations.append(Allocation(cand.ue_id, slot, rb_used, rb,
                                       cand.mcs, tb, segments))
         rb_used += rb
     embb = [c for c in candidates
-            if not c.is_xr and c.queue.queued_bytes > 0]
+            if c.is_embb and c.queue.queued_bytes > 0]
     if embb and rb_used < total_rb:
-        embb.sort(key=lambda c: (-_ref_pf_metric(c), c.ue_id))
+        embb.sort(key=lambda c: (-_ref_pf_metric(c, data_symbols), c.ue_id))
         best = embb[0]
         need = _ref_rb_demand(best.queue.queued_bytes * 8, best.mcs,
                               data_symbols)
@@ -107,19 +115,18 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols):
         tb = tb_bits(best.mcs, rb, data_symbols)
         segments = best.queue.take(tb // 8, now)
         if segments:
-            allocations.append(Allocation(best.ue_id, "dl", slot, rb_used,
+            allocations.append(Allocation(best.ue_id, slot, rb_used,
                                           rb, best.mcs, tb, segments))
             rb_used += rb
     return allocations
 
 
-# ---- random candidates ----
+# ---- random UE records ----
 
 NOW = 50_000  # ticks; deadlines are drawn around it
 TPU = 3
 
 # few distinct values, so that metrics tie often
-_RATES = (5e7, 1e8, 2e8)
 _AVGS = (0.0, 0.5, 1.0, 1e6, 4e6)
 _DEADLINES = (None, NOW - 3000, NOW, NOW + 1, NOW + 1500, NOW + 90_000)
 
@@ -142,17 +149,15 @@ def _candidate_specs(draw):
             # bytes already sent of the head set, as a share of it: none,
             # one byte, some, or all of a one-set queue
             sent=draw(st.sampled_from((0.0, 1e-9, 0.25, 0.5, 0.999, 1.0))),
-            rate=draw(st.sampled_from(_RATES)),
             avg=draw(st.sampled_from(_AVGS)),
             mcs=draw(st.sampled_from((0, 9, 20, 27))),
-            is_xr=draw(st.booleans()),
-            psdb_us=draw(st.sampled_from((5000.0, 10_000.0)))))
+            is_embb=draw(st.booleans())))
     return specs
 
 
 def _build(specs):
-    """Fresh candidates, queues included, from the drawn specs."""
-    cands = []
+    """Fresh UE records, queues included, from the drawn specs."""
+    ues = []
     for spec in specs:
         q = FlowQueue(QosFlowProfile(psdb_ms=10.0), ue_id=spec["ue_id"],
                       ticks_per_us=TPU)
@@ -165,10 +170,10 @@ def _build(specs):
         if spec["sent"]:
             head = q.entries[0].total_bytes
             q.take(max(1, int(head * spec["sent"])))
-        cands.append(DlCandidate(spec["ue_id"], q, spec["rate"], spec["avg"],
-                                 spec["mcs"], is_xr=spec["is_xr"],
-                                 psdb_us=spec["psdb_us"]))
-    return cands
+        ue = UeCtx(spec["ue_id"], None, spec["is_embb"])
+        ue.queue, ue.mcs, ue.avg_tput_bps = q, spec["mcs"], spec["avg"]
+        ues.append(ue)
+    return ues
 
 
 def _blocks(allocations):
@@ -183,47 +188,53 @@ _POLICIES = st.sampled_from([SchedulerPolicy(kind=k) for k in PolicyKind]
                                                epsilon_time_us=100.0)])
 
 
+_NOWS = st.sampled_from((NOW - 1, NOW, NOW + 2000))
+_SYMBOLS = st.sampled_from((10, 12))
+_BUDGETS = st.sampled_from((5000.0, 10_000.0))
+
+
 @settings(max_examples=200)
-@given(specs=_candidate_specs(), policy=_POLICIES,
-       now=st.sampled_from((NOW - 1, NOW, NOW + 2000)))
-def test_rank_matches_reference(specs, policy, now):
-    cands = [c for c in _build(specs) if c.queue.queued_bytes]
-    if not cands:
+@given(specs=_candidate_specs(), policy=_POLICIES, now=_NOWS,
+       data_symbols=_SYMBOLS, psdb_us=_BUDGETS)
+def test_rank_matches_reference(specs, policy, now, data_symbols, psdb_us):
+    ues = [ue for ue in _build(specs) if ue.queue.queued_bytes]
+    if not ues:
         return
-    for c in cands:
-        assert pduset_metric(c, now, policy) == \
-            _ref_pduset_metric(c, now, policy)
-    got = [c.ue_id for c in _rank(cands, now, policy)]
-    assert got == [c.ue_id for c in _ref_rank(cands, now, policy)]
+    for ue in ues:
+        assert pduset_metric(ue, now, policy, psdb_us) == \
+            _ref_pduset_metric(ue, now, policy, psdb_us)
+    got = [ue.ue_id for ue in _rank(ues, now, policy, data_symbols, psdb_us)]
+    assert got == [ue.ue_id for ue in _ref_rank(ues, now, policy,
+                                                data_symbols, psdb_us)]
 
 
 @settings(max_examples=200)
-@given(specs=_candidate_specs(), policy=_POLICIES,
-       now=st.sampled_from((NOW - 1, NOW, NOW + 2000)),
-       total_rb=st.sampled_from((1, 7, 60, N_RB)),
-       data_symbols=st.sampled_from((10, 12)))
+@given(specs=_candidate_specs(), policy=_POLICIES, now=_NOWS,
+       total_rb=st.sampled_from((1, 7, 60, N_RB)), data_symbols=_SYMBOLS,
+       psdb_us=_BUDGETS)
 def test_allocate_dl_matches_reference(specs, policy, now, total_rb,
-                                       data_symbols):
+                                       data_symbols, psdb_us):
     got = allocate_dl(7, _build(specs), now, policy, total_rb=total_rb,
-                      data_symbols=data_symbols)
+                      data_symbols=data_symbols, psdb_us=psdb_us)
     want = _ref_allocate_dl(7, _build(specs), now, policy, total_rb,
-                            data_symbols)
+                            data_symbols, psdb_us)
     assert _blocks(got) == _blocks(want)
 
 
 @settings(max_examples=200)
-@given(specs=_candidate_specs(), policy=_POLICIES,
-       now=st.sampled_from((NOW - 1, NOW, NOW + 2000)),
+@given(specs=_candidate_specs(), policy=_POLICIES, now=_NOWS,
        total_rb=st.sampled_from((1, 7, 60, N_RB)))
 def test_allocate_dl_reads_no_average_reads_avg_rules_out(specs, policy, now,
                                                           total_rb):
     # the cell refreshes only the averages that reads_avg names, so a stale
     # (here NaN) average anywhere else must leave every block unchanged
-    want = allocate_dl(7, _build(specs), now, policy, total_rb=total_rb)
-    cands = _build(specs)
-    n_embb = sum(not c.is_xr for c in cands)
-    for c in cands:
-        if not reads_avg(policy, c.is_xr, n_embb):
-            c.avg_tput_bps = math.nan
-    got = allocate_dl(7, cands, now, policy, total_rb=total_rb)
+    want = allocate_dl(7, _build(specs), now, policy, total_rb=total_rb,
+                       psdb_us=10_000.0)
+    ues = _build(specs)
+    n_embb = sum(ue.is_embb for ue in ues)
+    for ue in ues:
+        if not reads_avg(policy, not ue.is_embb, n_embb):
+            ue.avg_tput_bps = math.nan
+    got = allocate_dl(7, ues, now, policy, total_rb=total_rb,
+                      psdb_us=10_000.0)
     assert _blocks(got) == _blocks(want)

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from xrsim.cellsim import UeCtx
 from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.qos import FlowQueue, QosFlowProfile
-from xrsim.radio import MCS_SE
+from xrsim.radio import DATA_SYMBOLS, N_RB, S_SLOT_DATA_SYMBOLS, tb_bits
 from xrsim.scheduling import (
     CgConfig,
-    DlCandidate,
     PolicyKind,
     SchedulerPolicy,
     UlCandidate,
@@ -35,59 +35,76 @@ def queue_with(size, arrival=0, psdb_ms=10.0, nsets=1, frame_id=0, **prof):
     return q
 
 
-def cand(ue_id, size=9000, mcs=27, avg=1e6, inst=None, psdb_ms=10.0,
-         arrival=0, is_xr=True, nsets=1):
-    q = queue_with(size, arrival=arrival, psdb_ms=psdb_ms, nsets=nsets,
-                   frame_id=ue_id)
-    inst = inst if inst is not None else MCS_SE[mcs] * 273 * 144 / 500e-6
-    return DlCandidate(ue_id, q, inst, avg, mcs, is_xr, psdb_ms * 1000)
+def cand(ue_id, size=9000, mcs=27, avg=1e6, psdb_ms=10.0, arrival=0,
+         is_embb=False, nsets=1):
+    """A UE record as allocate_dl reads it, with one frame queued."""
+    ue = UeCtx(ue_id, None, is_embb)
+    ue.queue = queue_with(size, arrival=arrival, psdb_ms=psdb_ms, nsets=nsets,
+                          frame_id=ue_id)
+    ue.mcs = mcs
+    ue.avg_tput_bps = avg
+    return ue
+
+
+BUDGET_US = 10_000.0
 
 
 def test_pf_metric_ratios():
-    a = cand(0, inst=2e8, avg=1e7)
-    b = cand(1, inst=1e8, avg=1e7)
-    assert pf_metric(a) == pytest.approx(2 * pf_metric(b))
-    c = cand(2, inst=1e8, avg=2e7)
-    assert pf_metric(b) > pf_metric(c)
-    zero_avg = cand(3, inst=1e8, avg=0.0)
-    assert math.isfinite(pf_metric(zero_avg)) and pf_metric(zero_avg) > 0
+    a = cand(0, avg=1e7)
+    # the full-band rate at the UE's MCS, in bits per second
+    assert pf_metric(a, DATA_SYMBOLS) == \
+        tb_bits(27, N_RB, DATA_SYMBOLS) * 2000 / 1e7
+    assert pf_metric(a, DATA_SYMBOLS) > pf_metric(a, S_SLOT_DATA_SYMBOLS)
+    b = cand(1, avg=2e7)
+    assert pf_metric(a, DATA_SYMBOLS) == pytest.approx(
+        2 * pf_metric(b, DATA_SYMBOLS))
+    assert pf_metric(cand(2, mcs=20, avg=1e7), DATA_SYMBOLS) < \
+        pf_metric(a, DATA_SYMBOLS)
+    zero_avg = cand(3, avg=0.0)
+    assert math.isfinite(pf_metric(zero_avg, DATA_SYMBOLS))
+    assert pf_metric(zero_avg, DATA_SYMBOLS) > 0
 
 
 def test_mlwdf_metric_shape():
+    def metric(ue, now, psdb_us=BUDGET_US):
+        return mlwdf_metric(ue, now, DATA_SYMBOLS, psdb_us)
+
     base = cand(0, arrival=0)
-    assert mlwdf_metric(base, 0) == 0.0
-    assert mlwdf_metric(base, 4000) == pytest.approx(2 * mlwdf_metric(base, 2000))
-    short = cand(1, psdb_ms=10.0, arrival=0)
-    long_ = cand(2, psdb_ms=15.0, arrival=0)
-    assert mlwdf_metric(short, 3000) == pytest.approx(
-        1.5 * mlwdf_metric(long_, 3000))
+    assert metric(base, 0) == 0.0
+    assert metric(base, 4000) == pytest.approx(2 * metric(base, 2000))
+    assert metric(base, 3000, 10_000.0) == pytest.approx(
+        1.5 * metric(base, 3000, 15_000.0))
 
 
 def test_pduset_metric_shape():
     pol = SchedulerPolicy(kind=PolicyKind.PDUSET)
+
+    def metric(ue, now):
+        return pduset_metric(ue, now, pol, BUDGET_US)
+
     c = cand(0, size=10_000, psdb_ms=10.0, arrival=0)
     # untouched set, full budget left
-    assert pduset_metric(c, 0, pol) == pytest.approx(1.0 / 10_000.0)
+    assert metric(c, 0) == pytest.approx(1.0 / 10_000.0)
     # tau halves, score doubles
-    assert pduset_metric(c, 5000, pol) == pytest.approx(2.0 / 10_000.0)
+    assert metric(c, 5000) == pytest.approx(2.0 / 10_000.0)
     # sending boosts the score exponentially
     c.queue.take(5000)
-    boosted = pduset_metric(c, 5000, pol)
+    boosted = metric(c, 5000)
     assert boosted == pytest.approx(math.exp(0.5) * 2.0 / 10_000.0)
     full = cand(1, size=10_000, psdb_ms=10.0)
     full.queue.take(9999)
-    almost = pduset_metric(full, 5000, pol)
-    assert almost / pduset_metric(cand(2, size=10_000), 5000, pol) == \
+    almost = metric(full, 5000)
+    assert almost / metric(cand(2, size=10_000), 5000) == \
         pytest.approx(math.exp(0.9999), rel=1e-3)
     # expired budget flags the floor path
-    assert pduset_metric(c, 11_000, pol) is None
+    assert metric(c, 11_000) is None
 
 
 def test_allocate_dl_hard_priority():
     pol = SchedulerPolicy(kind=PolicyKind.PF)
     xr = cand(0, size=9000, mcs=27)
-    embb = cand(1, size=10**7, mcs=27, is_xr=False)
-    allocs = allocate_dl(0, [xr, embb], 0, pol)
+    embb = cand(1, size=10**7, mcs=27, is_embb=True)
+    allocs = allocate_dl(0, [xr, embb], 0, pol, psdb_us=BUDGET_US)
     assert [a.ue_id for a in allocs] == [0, 1]
     need = math.ceil(9000 * 8 / (7.8 * 12 * 12))
     assert allocs[0].rb_count == need
@@ -96,16 +113,17 @@ def test_allocate_dl_hard_priority():
 
 
 def test_allocate_dl_empty():
-    assert allocate_dl(0, [], 0, SchedulerPolicy()) == []
+    assert allocate_dl(0, [], 0, SchedulerPolicy(), psdb_us=BUDGET_US) == []
     drained = cand(0, size=1000)
     drained.queue.take(10**6)
-    assert allocate_dl(0, [drained], 0, SchedulerPolicy()) == []
+    assert allocate_dl(0, [drained], 0, SchedulerPolicy(),
+                       psdb_us=BUDGET_US) == []
 
 
 def test_allocate_dl_rb_budget_and_disjoint():
     pol = SchedulerPolicy(kind=PolicyKind.MLWDF)
     cands = [cand(i, size=500_000, mcs=10, arrival=-1000 * i) for i in range(4)]
-    allocs = allocate_dl(0, cands, 0, pol)
+    allocs = allocate_dl(0, cands, 0, pol, psdb_us=BUDGET_US)
     spans = sorted((a.rb_start, a.rb_start + a.rb_count) for a in allocs)
     assert all(s2 >= e1 for (_, e1), (s2, _) in zip(spans, spans[1:]))
     assert sum(a.rb_count for a in allocs) <= 273
@@ -117,7 +135,7 @@ def test_allocate_dl_pduset_urgency_order():
     pol = SchedulerPolicy(kind=PolicyKind.PDUSET)
     late = cand(0, size=50_000, arrival=-8000, psdb_ms=10.0)
     fresh = cand(1, size=50_000, arrival=0, psdb_ms=10.0)
-    allocs = allocate_dl(0, [fresh, late], 0, pol)
+    allocs = allocate_dl(0, [fresh, late], 0, pol, psdb_us=BUDGET_US)
     assert allocs[0].ue_id == 0  # two ms of budget left ranks first
 
 
@@ -125,17 +143,22 @@ def test_allocate_dl_expired_floor_still_schedules():
     pol = SchedulerPolicy(kind=PolicyKind.PDUSET)
     expired = cand(0, size=5000, arrival=-20_000, psdb_ms=10.0)
     alive = cand(1, size=5000, arrival=0, psdb_ms=10.0)
-    allocs = allocate_dl(0, [expired, alive], 0, pol)
+    allocs = allocate_dl(0, [expired, alive], 0, pol,
+                         psdb_us=BUDGET_US)
     assert [a.ue_id for a in allocs] == [1, 0]
 
 
 def test_metric_scale_invariance():
     pol = SchedulerPolicy(kind=PolicyKind.MLWDF)
     cands = [cand(i, size=30_000, arrival=-500 * (i + 1)) for i in range(3)]
-    base = [a.ue_id for a in allocate_dl(0, cands, 0, pol)]
     scaled = [cand(i, size=30_000, arrival=-500 * (i + 1), avg=1e6 / 7.0)
               for i in range(3)]
-    assert [a.ue_id for a in allocate_dl(0, scaled, 0, pol)] == base
+
+    def order(ues):
+        return [a.ue_id
+                for a in allocate_dl(0, ues, 0, pol, psdb_us=BUDGET_US)]
+
+    assert order(scaled) == order(cands)
 
 
 def test_pf_update_smoothing():
