@@ -26,7 +26,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
-                  AdrxController, AdrxParams, DrxConfig, DrxMachine,
+                  AdrxController, DrxConfig, DrxMachine,
                   PowerModel, power_for_run)
 from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, RngStreams,
                      block_draws, dl_slots_before, slot_type, ticks_per_us)
@@ -37,9 +37,10 @@ from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
 from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         TableKind, gen_bs_table, quantize_bsr,
                         realized_overhead, trigger_dsr)
-from .scheduling import (CgConfig, SchedulerPolicy, UlCandidate, allocate_dl,
-                         allocate_ul, build_uto_uci, cg_occasions, pf_idle,
-                         pf_update, reads_avg, reclaim_unused)
+from .scheduling import (PF_WINDOW_SLOTS, CgConfig, SchedulerPolicy,
+                         UlCandidate, allocate_dl, allocate_ul, build_uto_uci,
+                         cg_occasions, pf_idle, pf_update, reads_avg,
+                         reclaim_unused)
 from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
 
@@ -47,6 +48,9 @@ from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
 _DATA_SYMBOLS = {DOWNLINK: DATA_SYMBOLS, SPECIAL: S_SLOT_DATA_SYMBOLS}
 
 _ENDS = attrgetter("ends")
+
+# pf_idle's factor for one slot, which the candidate loop inlines
+_PF_KEEP = 1.0 - 1.0 / PF_WINDOW_SLOTS
 
 
 def _next_dl_slot(slot):
@@ -205,7 +209,6 @@ class UeKpi:
 class CellResult:
     ues: list
     rb_utilization: list
-    duration_s: float
 
     def xr_ues(self) -> list:
         return [u for u in self.ues if not u.is_embb]
@@ -287,8 +290,7 @@ class CellSim:
                                         slot=self.slot_t)
                     ue.activity = ActivityLog()
                     if config.adaptive_drx:
-                        ue.adrx = AdrxController(AdrxParams(q0=5000.0), base,
-                                                 config.psdb_us)
+                        ue.adrx = AdrxController(base, config.psdb_us)
             self.ues.append(ue)
             self.by_id[ue.ue_id] = ue
 
@@ -298,9 +300,6 @@ class CellSim:
         self.next_at = 0  # the earliest ue.next_at
         # DL slots run so far; each UE's PF average catches up to it lazily
         self.dl_slots = 0
-        self.pf_window = config.policy.pf_avg_window
-        # pf_idle's factor for one slot, which the candidate loop inlines
-        self.pf_keep = 1.0 - 1.0 / self.pf_window
         # only XR frames arrive in a cell with no eMBB UE and no pose CG,
         # so only such a cell can fall idle until the next frame
         self.can_idle = not self.embb and config.pose_cg is None
@@ -455,7 +454,7 @@ class CellSim:
         n = self.dl_slots
         if ue.pf_slots != n:
             ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, n - ue.pf_slots,
-                                      self.pf_window)
+                                      PF_WINDOW_SLOTS)
             ue.pf_slots = n
         return ue.avg_tput_bps
 
@@ -524,10 +523,10 @@ class CellSim:
                 # _pf_avg, inlined: a busy UE is most often one slot behind
                 gap = n_dl - ue.pf_slots
                 if gap == 1:
-                    ue.avg_tput_bps *= self.pf_keep
+                    ue.avg_tput_bps *= _PF_KEEP
                 elif gap:
                     ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, gap,
-                                              self.pf_window)
+                                              PF_WINDOW_SLOTS)
                 ue.pf_slots = n_dl
 
         if cands:
@@ -545,7 +544,7 @@ class CellSim:
             ue.grants += 1
             # this slot's PF update, the only one that serves the UE
             ue.avg_tput_bps = pf_update(self._pf_avg(ue), a.tb_bits * 2000,
-                                        self.pf_window)
+                                        PF_WINDOW_SLOTS)
             ue.pf_slots = n_dl + 1
             if ue.adrx is not None:  # only the ADRX controller reads it
                 self._mark_first_service(ue, a.segments, now)
@@ -583,7 +582,7 @@ class CellSim:
             tx_ues.add(ue)
             rb_used += a.rb_count
             cap = max(0, a.tb_bits // 8 - self.ce_bytes)
-            segs = ue.queue.take(cap, now)
+            segs = ue.queue.take(cap)
             served = sum(s.byte_size for s in segs)
             if now >= self.warmup_t:
                 ue.padding_samples.append(
@@ -658,12 +657,13 @@ class CellSim:
         if cfg.pose_cg is None:
             return 0
         window = cfg.pose_cg.uto_uci_window
+        mcs = self.xr[0].ul_mcs  # the grant tracks CSI
         rb = 0
         for occ in self.cg_by_slot.get(slot, ()):
             idx = self.cg_index[occ]
             if idx % window == 0:
                 w = self._cg_all[idx:idx + window]
-                caps = [tb_bits(self._cg_mcs(o), o.rb_count) // 8 for o in w]
+                caps = [tb_bits(mcs, o.rb_count) // 8 for o in w]
                 buf = sum(u.pose_queue.queued_bytes for u in self.xr)
                 bitmap = build_uto_uci(buf, caps, len(w))
                 for freed in reclaim_unused(bitmap, w, slot):
@@ -672,9 +672,9 @@ class CellSim:
                     self.cg_skip.add(freed)
             if occ in self.cg_skip:
                 continue
-            cap = tb_bits(self._cg_mcs(occ), occ.rb_count) // 8
+            cap = tb_bits(mcs, occ.rb_count) // 8
             for u in self.xr:
-                segs = u.pose_queue.take(cap, now)
+                segs = u.pose_queue.take(cap)
                 if segs:
                     rb += occ.rb_count
                     tx_ues.add(u)
@@ -682,9 +682,6 @@ class CellSim:
                         u.delivered_bits += sum(s.byte_size for s in segs) * 8
                     break
         return rb
-
-    def _cg_mcs(self, occ) -> int:
-        return occ.mcs if occ.mcs is not None else self.xr[0].ul_mcs
 
     # ---- frame bookkeeping ----
 
@@ -714,7 +711,7 @@ class CellSim:
             service = (fp.done_time - fp.first_service) / tpu
         else:
             service = self.psdb_us
-        ue.adrx.observe_frame(phase, service, not in_budget)
+        ue.adrx.observe_frame(phase, service)
         ue.epoch_frames += 1
         ue.epoch_viols += int(not in_budget)
         if ue.epoch_frames >= cfg.adrx_epoch_frames:
@@ -799,4 +796,4 @@ class CellSim:
             kpis.append(UeKpi(ue.ue_id, ue.is_embb, total, in_budget,
                               ue.padding_samples, ue.grants,
                               ue.delivered_bits, avg_power, pser, out))
-        return CellResult(kpis, self.rb_utilization, cfg.duration_s)
+        return CellResult(kpis, self.rb_utilization)

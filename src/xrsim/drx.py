@@ -154,44 +154,37 @@ class DrxMachine:
         return runs
 
 
-@dataclass
-class AdrxParams:
-    on_grid_ms: tuple = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-    offset_delta_ms: tuple = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)
-    v: float = 10.0
-    target_violations: float = 0.01  # per update epoch
-    adapt_offset: bool = True  # False adapts on-duration only
-    history: int = 64
-    # initial virtual-queue backlog; > 0 starts the controller QoS-first
-    # instead of power-greedy
-    q0: float = 0.0
-    # a candidate window counts an arrival it would leave sleeping longer
-    # than this as a predicted violation, keeping the window over the
-    # arrival-uncertainty span instead of trading waits against the budget
-    wait_tolerance_us: float = 1000.0
-    # each observed phase defends this much slack on both sides, so the
-    # window is not trimmed to the sample extremes of the jitter
-    phase_guard_us: float = 1000.0
+# adaptive DRX: the candidate on-durations, the window offsets tried around
+# the expected arrival phase, the power weight, the violations allowed per
+# update epoch, the frames remembered and the initial virtual-queue backlog,
+# which starts the controller QoS-first instead of power-greedy
+ADRX_ON_GRID_MS = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+ADRX_OFFSET_DELTA_MS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)
+ADRX_V = 10.0
+ADRX_TARGET_VIOLATIONS = 0.01
+ADRX_HISTORY = 64
+ADRX_Q0 = 5000.0
+# a window that would leave an arrival asleep longer than this predicts a
+# violation, and each observed phase defends a guard on both of its sides,
+# so the window spans the arrival jitter instead of its sample extremes
+ADRX_WAIT_TOLERANCE_US = 1000.0
+ADRX_PHASE_GUARD_US = 1000.0
 
-    def __post_init__(self):
-        if not self.on_grid_ms:
-            raise ValueError("empty candidate grid")
 
-    def check_cycle(self, cycle_us):
-        """Each on-duration picked from the grid is no longer than the cycle,
-        so a cycle below the grid leaves none to pick."""
-        shortest = min(self.on_grid_ms)
-        if shortest * 1000.0 > float(cycle_us):
-            raise ValueError(
-                f"an adaptive cycle must last at least {shortest:g} ms, got "
-                f"{float(cycle_us / 1000):g} ms")
+def check_adrx_cycle(cycle_us):
+    """Each on-duration picked from the grid is no longer than the cycle,
+    so a cycle below the grid leaves none to pick."""
+    shortest = min(ADRX_ON_GRID_MS)
+    if shortest * 1000.0 > float(cycle_us):
+        raise ValueError(
+            f"an adaptive cycle must last at least {shortest:g} ms, got "
+            f"{float(cycle_us / 1000):g} ms")
 
 
 @dataclass
 class FrameObservation:
     phase_us: float  # arrival time modulo the drx cycle
     service_us: float  # airtime from first grant to delivery
-    violated: bool
 
 
 class AdrxController:
@@ -202,17 +195,15 @@ class AdrxController:
     cheapest configuration under Q * predicted_violations + V * active_time.
     """
 
-    def __init__(self, params: AdrxParams, base: DrxConfig, psdb_us: float):
-        params.check_cycle(base.cycle_us)
-        self.params = params
-        self.base = base
+    def __init__(self, base: DrxConfig, psdb_us: float):
+        check_adrx_cycle(base.cycle_us)
         self.psdb_us = psdb_us
-        self.q = params.q0
-        self.observations: deque[FrameObservation] = deque(maxlen=params.history)
+        self.q = ADRX_Q0
+        self.observations: deque[FrameObservation] = deque(maxlen=ADRX_HISTORY)
         self.current = base
 
-    def observe_frame(self, phase_us: float, service_us: float, violated: bool):
-        self.observations.append(FrameObservation(phase_us, service_us, violated))
+    def observe_frame(self, phase_us: float, service_us: float):
+        self.observations.append(FrameObservation(phase_us, service_us))
 
     def _expected_phase(self) -> float:
         period = float(self.current.cycle_us)
@@ -225,7 +216,7 @@ class AdrxController:
 
     def _shifted(self) -> list:
         """(phase - guard, phase + guard, service) of each observation."""
-        guard = self.params.phase_guard_us
+        guard = ADRX_PHASE_GUARD_US
         return [(o.phase_us - guard, o.phase_us + guard, o.service_us)
                 for o in self.observations]
 
@@ -253,7 +244,7 @@ class AdrxController:
         worst = np.where(rel_lo < on, 0.0, period - rel_lo)
         wait_hi = period - rel_hi
         worst = np.where((rel_hi >= on) & (wait_hi > worst), wait_hi, worst)
-        viol = ((worst > self.params.wait_tolerance_us)
+        viol = ((worst > ADRX_WAIT_TOLERANCE_US)
                 | (worst + service > self.psdb_us))
         return viol.sum(axis=-1).T
 
@@ -269,25 +260,21 @@ class AdrxController:
         return (viol / n, on_dur_us + self._excess(shifted, on_dur_us) / n)
 
     def update(self, violations_in_epoch: int) -> DrxConfig:
-        self.q = max(self.q + violations_in_epoch - self.params.target_violations, 0.0)
+        self.q = max(self.q + violations_in_epoch - ADRX_TARGET_VIOLATIONS, 0.0)
         if not self.observations:
             return self.current
         period = float(self.current.cycle_us)
         base_offset = float(self.current.start_offset_us % self.current.cycle_us)
-        if self.params.adapt_offset:
-            anchor = self._expected_phase()
-            offsets = [(anchor + d * 1000.0) % period
-                       for d in self.params.offset_delta_ms]
-        else:
-            offsets = [base_offset]
+        anchor = self._expected_phase()
+        offsets = [(anchor + d * 1000.0) % period for d in ADRX_OFFSET_DELTA_MS]
         # the candidates, costs and choice of a loop over predict, with the
         # offset-independent work done once per update: the least key wins,
         # and equal keys are the same candidate, so the loop order is free
         shifted = self._shifted()
         n = len(shifted)
-        on_grid = [on_ms * 1000.0 for on_ms in self.params.on_grid_ms
+        on_grid = [on_ms * 1000.0 for on_ms in ADRX_ON_GRID_MS
                    if on_ms * 1000.0 <= period]
-        power = [self.params.v * (on_us + self._excess(shifted, on_us) / n)
+        power = [ADRX_V * (on_us + self._excess(shifted, on_us) / n)
                  / 1000.0 for on_us in on_grid]
         counts = self._violation_counts(shifted, period, offsets, on_grid)
         _, on_us, _, off = min(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cellsim import CellConfig, CellSim
-from .drx import AdrxParams, DrxConfig, power_saving_gain
+from .drx import DrxConfig, check_adrx_cycle, power_saving_gain
 from .reporting import TableKind
 from .scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from .traffic import Direction, VideoStreamConfig
@@ -60,6 +60,8 @@ def parse_loads(text: str) -> list:
             loads.append(int(part))
     if not loads or any(n < 1 for n in loads):
         raise ValueError(f"invalid load range: {text!r}")
+    if len(set(loads)) < len(loads):
+        raise ValueError(f"a load is repeated in {text!r}")
     return loads
 
 
@@ -67,6 +69,9 @@ def parse_seeds(text: str) -> list:
     seeds = [int(s) for s in text.split(",") if s.strip()]
     if not seeds:
         raise ValueError(f"invalid seed list: {text!r}")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be non-negative and distinct, got "
+                         f"{text!r}")
     return seeds
 
 
@@ -231,7 +236,7 @@ class ExperimentConfig:
                              f"'inactivity_ms' in section [drx])")
         if self[("drx", "mode")] == "adaptive":
             try:
-                AdrxParams().check_cycle(drx.cycle_us)
+                check_adrx_cycle(drx.cycle_us)
             except ValueError as e:
                 raise ValueError(
                     f"keys 'cycle_ms' and 'mode' in section [drx]: {e}")

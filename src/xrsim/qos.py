@@ -14,7 +14,6 @@ from .traffic import Pdu, PduSet
 class QosFlowProfile:
     psdb_ms: float
     psihi: bool = True
-    psi_levels: tuple[int, ...] = (0, 1)
     discard_timer_ms: Optional[float] = None  # None disables timer discard
 
     def __post_init__(self):
@@ -94,7 +93,7 @@ class FlowQueue:
         return float((now - self.entries[0].arrival_time)
                      / self.ticks_per_us)
 
-    def take(self, max_bytes: int, _now=None) -> list[Segment]:
+    def take(self, max_bytes: int) -> list[Segment]:
         """Remove up to max_bytes from the head for one transport block."""
         out = []
         budget = max_bytes
@@ -198,10 +197,9 @@ class FlowQueue:
         return projected > 0.8 * self.profile.psdb_ms * 1000.0
 
     def _lowest_unstarted_set(self):
-        top = max(self.profile.psi_levels)
         best = None
         for s in self.entries:
-            if s.psi >= top or s.taken > 0:
+            if s.psi >= 1 or s.taken > 0:  # the top level, 1, is kept
                 continue
             if best is None or s.psi < best.psi:
                 best = s

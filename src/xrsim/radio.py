@@ -24,6 +24,13 @@ UE_NF_DB = 9.0
 NOISE_PSD_DBM_HZ = -174.0
 SHADOW_STD_DB = 3.0
 
+# the hall: cells ISD_M apart in rows of up to GRID_COLS, a margin around
+ISD_M = 20.0
+GRID_COLS = 6
+HALL_MARGIN_M = 10.0
+BS_HEIGHT_M = 3.0
+UE_HEIGHT_M = 1.5
+
 P0_DBM = -93.0
 PC_ALPHA = 1.0
 PCMAX_DBM = 23.0
@@ -44,9 +51,9 @@ _BLER_SLOPE = 1.0 / math.log(10.0)  # one dB per decade of error
 _BLER_OFFSET = _BLER_SLOPE * math.log(9.0)
 
 
-def pathloss_db(distance_3d_m: float, fc_ghz: float = FC_GHZ) -> float:
+def pathloss_db(distance_3d_m: float) -> float:
     d = max(distance_3d_m, 1.0)
-    return 32.4 + 17.3 * math.log10(d) + 20.0 * math.log10(fc_ghz)
+    return 32.4 + 17.3 * math.log10(d) + 20.0 * math.log10(FC_GHZ)
 
 
 def coupling_loss_db(pl_db: float, shadow_db: float = 0.0) -> float:
@@ -113,19 +120,18 @@ def bler(sinr_db: float, mcs: int) -> float:
 class HarqProcess:
     mcs: int
     tb_bits: int
-    max_retx: int = MAX_RETX
     attempts: int = 0
     acked: bool = False  # the last attempt's outcome
 
     @property
     def exhausted(self) -> bool:
-        return not self.acked and self.attempts >= self.max_retx + 1
+        return not self.acked and self.attempts >= MAX_RETX + 1
 
 
 def harq_attempt(process: HarqProcess, sinr_db: float,
                  uniforms: Iterator[float]) -> bool:
     """One attempt, ACKed when the next uniform draw is at least the BLER."""
-    if process.attempts > process.max_retx:
+    if process.attempts > MAX_RETX:
         raise RuntimeError("harq process already exhausted")
     process.attempts += 1
     effective = sinr_db + CHASE_GAIN_DB * (process.attempts - 1)
@@ -152,30 +158,25 @@ class UeLink:
 class Deployment:
     """Cells on a 20 m grid inside a hall, UEs dropped uniformly."""
 
-    def __init__(self, n_cells: int = 1, isd_m: float = 20.0,
-                 fc_ghz: float = FC_GHZ, bs_height_m: float = 3.0,
-                 ue_height_m: float = 1.5, margin_m: float = 10.0,
-                 cols: int = 6):
+    def __init__(self, n_cells: int = 1):
         self.n_cells = n_cells
-        self.fc_ghz = fc_ghz
-        self.ue_height_m = ue_height_m
-        ncols = min(n_cells, cols)
+        ncols = min(n_cells, GRID_COLS)
         nrows = math.ceil(n_cells / ncols)
         self.cell_pos = np.array([
-            ((i % ncols) * isd_m, (i // ncols) * isd_m, bs_height_m)
+            ((i % ncols) * ISD_M, (i // ncols) * ISD_M, BS_HEIGHT_M)
             for i in range(n_cells)])
-        self.hall_x = (-margin_m, (ncols - 1) * isd_m + margin_m)
-        self.hall_y = (-margin_m, (nrows - 1) * isd_m + margin_m)
+        self.hall_x = (-HALL_MARGIN_M, (ncols - 1) * ISD_M + HALL_MARGIN_M)
+        self.hall_y = (-HALL_MARGIN_M, (nrows - 1) * ISD_M + HALL_MARGIN_M)
 
     def _candidate(self, rng: np.random.Generator):
         x = rng.uniform(*self.hall_x)
         y = rng.uniform(*self.hall_y)
-        pos = np.array([x, y, self.ue_height_m])
+        pos = np.array([x, y, UE_HEIGHT_M])
         d3d = np.linalg.norm(self.cell_pos - pos, axis=1)
-        pl = np.array([pathloss_db(d, self.fc_ghz) for d in d3d])
+        pl = np.array([pathloss_db(d) for d in d3d])
         shadow = rng.normal(0.0, SHADOW_STD_DB, size=self.n_cells)
         couplings = np.array([coupling_loss_db(p, s) for p, s in zip(pl, shadow)])
-        return (x, y, self.ue_height_m), couplings
+        return (x, y, UE_HEIGHT_M), couplings
 
     def drop_ues(self, ues_per_cell: int, rng: np.random.Generator) -> list[UeLink]:
         """Placement conditioned so each cell serves exactly ues_per_cell UEs."""

@@ -20,7 +20,7 @@ class TableKind(Enum):
     REFINED_LONG = "refined_long"
 
 
-TABLE_DEFAULTS = {
+TABLE_PARAMS = {
     TableKind.SHORT: (32, 10, 150_000),
     TableKind.LONG: (256, 10, 81_000_000),
     TableKind.REFINED_LONG: (256, 10, 300_000),
@@ -69,16 +69,10 @@ def _refined_entries(n: int, b_min: int, b_max: int, parent: list[int]) -> list[
     return [0] + vals
 
 
-def gen_bs_table(kind: TableKind, b_min: Optional[int] = None,
-                 b_max: Optional[int] = None, n: Optional[int] = None) -> BsTable:
-    dn, dmin, dmax = TABLE_DEFAULTS[kind]
-    n = n if n is not None else dn
-    b_min = b_min if b_min is not None else dmin
-    b_max = b_max if b_max is not None else dmax
-    if not (0 < b_min < b_max) or n < 2:
-        raise ValueError("invalid table bounds")
+def gen_bs_table(kind: TableKind) -> BsTable:
+    n, b_min, b_max = TABLE_PARAMS[kind]
     if kind is TableKind.REFINED_LONG:
-        ln, lmin, lmax = TABLE_DEFAULTS[TableKind.LONG]
+        ln, lmin, lmax = TABLE_PARAMS[TableKind.LONG]
         entries = _refined_entries(n, b_min, b_max, _geometric_entries(ln, lmin, lmax))
     else:
         entries = _geometric_entries(n, b_min, b_max)

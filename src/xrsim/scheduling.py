@@ -17,6 +17,11 @@ from .radio import DATA_SYMBOLS, MCS_SE, N_RB, SC_PER_RB, tb_bits
 
 EPS_RATE_BPS = 1.0
 EXPIRED_FLOOR_FACTOR = 1e-3
+PF_WINDOW_SLOTS = 100  # the PF average's window, in DL slots
+# the pduset metric: boost exponent of a partly sent head set, and the
+# floor of its remaining time in µs
+PDUSET_ALPHA = 1.0
+EPSILON_TIME_US = 1000.0
 
 
 class PolicyKind(Enum):
@@ -28,14 +33,6 @@ class PolicyKind(Enum):
 @dataclass(frozen=True)
 class SchedulerPolicy:
     kind: PolicyKind = PolicyKind.PF
-    pf_avg_window: int = 100
-    pduset_alpha: float = 1.0
-    epsilon_time_us: float = 1000.0
-
-    def __post_init__(self):
-        if self.pf_avg_window <= 0 or self.pduset_alpha <= 0 \
-                or self.epsilon_time_us <= 0:
-            raise ValueError("policy parameters must be positive")
 
 
 @dataclass(slots=True)
@@ -74,8 +71,7 @@ def mlwdf_metric(ue, now, data_symbols: int, psdb_us: float) -> float:
     return a_i * ue.queue.hol_age_us(now) * pf_metric(ue, data_symbols)
 
 
-def pduset_metric(ue, now, policy: SchedulerPolicy,
-                  psdb_us: float) -> Optional[float]:
+def pduset_metric(ue, now, psdb_us: float) -> Optional[float]:
     """Urgency score of the head PDU set; None flags an expired budget."""
     head = ue.queue.entries[0]
     deadline = head.deadline
@@ -84,10 +80,9 @@ def pduset_metric(ue, now, policy: SchedulerPolicy,
     if tau <= 0:
         return None
     # exp(0.0) is exactly 1.0: an untouched head set has no boost
-    boost = (math.exp(policy.pduset_alpha * (head.taken * 8)
+    boost = (math.exp(PDUSET_ALPHA * (head.taken * 8)
                       / (head.total_bytes * 8)) if head.taken else 1.0)
-    eps = policy.epsilon_time_us
-    return boost / (eps if eps > tau else tau)  # max(tau, eps)
+    return boost / (EPSILON_TIME_US if EPSILON_TIME_US > tau else tau)
 
 
 def reads_avg(policy: SchedulerPolicy, is_xr: bool, n_embb: int) -> bool:
@@ -114,7 +109,7 @@ def _rank(ues: list, now, policy: SchedulerPolicy, data_symbols: int,
         # every policy; it is only served when nothing fresh wants the
         # slot. pduset_metric flags an expired head itself
         if kind is PolicyKind.PDUSET:
-            m = pduset_metric(ue, now, policy, psdb_us)
+            m = pduset_metric(ue, now, psdb_us)
         elif _head_expired(ue, now):
             m = None
         elif kind is PolicyKind.PF:
@@ -163,7 +158,7 @@ def allocate_dl(slot: int, ues: list, now, policy: SchedulerPolicy,
         need = _rb_demand(ue.queue.queued_bytes * 8, ue.mcs, data_symbols)
         rb = min(need, total_rb - rb_used)
         tb = tb_bits(ue.mcs, rb, data_symbols)
-        segments = ue.queue.take(tb // 8, now)
+        segments = ue.queue.take(tb // 8)
         if not segments:
             continue
         allocations.append(Allocation(ue.ue_id, slot, rb_used, rb, ue.mcs,
@@ -211,7 +206,6 @@ class CgConfig:
     periodicity_us: Fraction
     occasions_per_period: int = 1
     rb_per_occasion: int = 50
-    mcs: Optional[int] = None  # None tracks CSI at grant time
     uto_uci_window: int = 4
 
     def __post_init__(self):
@@ -227,7 +221,6 @@ class CgOccasion:
     period: int
     slot: int
     rb_count: int
-    mcs: Optional[int]
 
 
 def _ul_slot_at_or_after(slot: int) -> int:
@@ -245,7 +238,7 @@ def cg_occasions(cfg: CgConfig, horizon_us) -> list[CgOccasion]:
         for k in range(cfg.occasions_per_period):
             slot = u + 5 * k
             if slot * SLOT_US < horizon_us:
-                out.append(CgOccasion(n, slot, cfg.rb_per_occasion, cfg.mcs))
+                out.append(CgOccasion(n, slot, cfg.rb_per_occasion))
         n += 1
     return out
 

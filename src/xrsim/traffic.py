@@ -20,6 +20,16 @@ MTU_BYTES = 1500
 # pdu-set importance pattern, cycled over the sets of a frame
 DEFAULT_PSI_PATTERN = (1, 0, 0, 1)
 
+# video frame sizes, as fractions of the mean frame: a Gaussian of this
+# std, kept strictly between the bounds; DL arrival jitter, in µs: a
+# Gaussian, kept strictly between its bounds
+FRAME_SIZE_STD_FRAC = 0.105
+FRAME_SIZE_MIN_FRAC = 0.5
+FRAME_SIZE_MAX_FRAC = 1.5
+JITTER_STD_US = 2000.0
+JITTER_MIN_US = -4000.0
+JITTER_MAX_US = 4000.0
+
 
 class Direction(Enum):
     DL = "dl"
@@ -33,22 +43,12 @@ class VideoStreamConfig:
     avg_rate_bps: float
     fps: Fraction
     direction: Direction = Direction.DL
-    size_std_frac: float = 0.105
-    size_min_frac: float = 0.5
-    size_max_frac: float = 1.5
-    jitter_std_us: float = 2000.0
-    jitter_min_us: float = -4000.0
-    jitter_max_us: float = 4000.0
 
     def __post_init__(self):
-        if not (self.size_min_frac < 1 < self.size_max_frac):
-            raise ValueError("size bounds must bracket the mean")
-        if not (self.jitter_min_us <= 0 <= self.jitter_max_us):
-            raise ValueError("jitter bounds must bracket zero")
         # VideoSource redraws a frame size until it is a whole number of
         # bytes strictly within the bounds; without one it never returns
         mean = self.mean_frame_bytes
-        lo, hi = self.size_min_frac * mean, self.size_max_frac * mean
+        lo, hi = FRAME_SIZE_MIN_FRAC * mean, FRAME_SIZE_MAX_FRAC * mean
         if not math.floor(lo) + 1 < hi:
             raise ValueError(
                 f"a mean video frame of {mean:.3g} bytes leaves no whole "
@@ -172,16 +172,6 @@ def mtu_ends(total: int, mtu: int) -> tuple:
     return tuple(range(mtu, total, mtu)) + (total,)
 
 
-def sample_truncated_gaussian(normals: Iterator[float], mean: float,
-                              std: float, lo: float, hi: float) -> float:
-    """Rejection-sample a Gaussian restricted to the open interval (lo, hi)
-    from a stream of standard normal draws."""
-    while True:
-        x = mean + std * next(normals)
-        if lo < x < hi:
-            return x
-
-
 def _whole(t):
     """A rational time as an int when it is whole, so sums of it stay ints."""
     return t.numerator if t.denominator == 1 else t
@@ -200,18 +190,16 @@ class VideoSource:
         self.config = config
         # frame sizes and jitters, in the order of scalar rng.normal draws
         self._normals = block_draws(rng.standard_normal)
-        self.start_us = Fraction(start_us)
         self.frame_index = 0
         self.ticks_per_us = ticks_per_us
-        self._start = _whole(self.start_us * ticks_per_us)
+        self._start = _whole(Fraction(start_us) * ticks_per_us)
         self._period = _whole(Fraction(config.period_us) * ticks_per_us)
         mean = self._mean = config.mean_frame_bytes
-        self._size_std = config.size_std_frac * mean
-        self._size_lo = config.size_min_frac * mean
-        self._size_hi = config.size_max_frac * mean
+        self._size_std = FRAME_SIZE_STD_FRAC * mean
+        self._size_lo = FRAME_SIZE_MIN_FRAC * mean
+        self._size_hi = FRAME_SIZE_MAX_FRAC * mean
 
     def next_frame(self) -> VideoFrame:
-        cfg = self.config
         mean, std, normals = self._mean, self._size_std, self._normals
         lo, hi = self._size_lo, self._size_hi
         while True:
@@ -219,10 +207,11 @@ class VideoSource:
             if lo < size < hi:
                 break
         arrival = self._start + self.frame_index * self._period
-        if cfg.direction is Direction.DL:
-            jitter = sample_truncated_gaussian(
-                normals, 0.0, cfg.jitter_std_us, cfg.jitter_min_us,
-                cfg.jitter_max_us)
+        if self.config.direction is Direction.DL:
+            while True:
+                jitter = JITTER_STD_US * next(normals)
+                if JITTER_MIN_US < jitter < JITTER_MAX_US:
+                    break
             arrival += int(round(jitter)) * self.ticks_per_us
         frame = VideoFrame(self.frame_index, arrival, size)
         self.frame_index += 1
@@ -256,32 +245,29 @@ def fragment_frame(frame: VideoFrame, mtu: int = MTU_BYTES, sets_per_frame: int 
     return sets
 
 
-def pose_source(period_us: int = 4000, size: int = 100,
-                psdb_us: Optional[int] = None,
-                start_us: int = 0, ticks_per_us: int = 1) -> Iterator[PduSet]:
-    """Periodic fixed-size control packets, one single-PDU set each.
+def pose_source(ticks_per_us: int = 1) -> Iterator[PduSet]:
+    """100-byte control packets every 4 ms from time 0, one single-PDU set
+    each, without deadlines.
 
     Times are in µs, or in ticks of 1/ticks_per_us µs."""
     n = 0
     while True:
-        t = (start_us + n * period_us) * ticks_per_us
-        yield PduSet(("pose", n), n, 0, t, (size,),
-                     None if psdb_us is None else t + psdb_us * ticks_per_us,
+        yield PduSet(("pose", n), n, 0, n * 4000 * ticks_per_us, (100,),
                      end_of_burst=True)
         n += 1
 
 
-def ftp3_source(rng: np.random.Generator, file_size: int = 125_000,
-                mean_interarrival_s: float = 1.0,
-                mtu: int = MTU_BYTES,
+def ftp3_source(rng: np.random.Generator,
                 ticks_per_us: int = 1) -> Iterator[PduSet]:
-    """Poisson file arrivals, each file one set of plain PDUs without deadlines.
+    """Poisson arrivals of 125 kB files, 1 s apart on average, each file
+    one set of plain PDUs without deadlines.
 
     Arrivals fall on whole µs and are given in ticks of 1/ticks_per_us µs."""
+    ends = mtu_ends(125_000, MTU_BYTES)  # shared by every file
     t = 0.0
     n = 0
     while True:
-        t += rng.exponential(mean_interarrival_s) * 1e6
+        t += rng.exponential(1.0) * 1e6
         yield PduSet(("ftp", n), n, 0, int(round(t)) * ticks_per_us,
-                     end_of_burst=True, ends=mtu_ends(file_size, mtu))
+                     end_of_burst=True, ends=ends)
         n += 1

@@ -1,4 +1,5 @@
-"""Every public function and class of the package is used by the package.
+"""Every public function and class of the package is used by the package,
+and every module-level constant is read by it.
 
 A top-level name that no other line of ``src/xrsim/`` reads is API that
 neither the cell nor the harness calls: it is dead code with tests of its
@@ -6,7 +7,9 @@ own, and it goes. A name counts as used only through a bare read in its
 own module, a ``from .mod import name`` binding that some line of the
 importing module reads, or ``mod.name``: an attribute of any other object
 (a method that shares the name, say) does not count. The few names kept
-for another reader are listed below, each with the reason.
+for another reader are listed below, each with the reason. A module-level
+constant, public or private, that no line of the package reads is a model
+value that nothing uses, and it goes too.
 """
 
 import ast
@@ -19,6 +22,11 @@ EXEMPT = {
     "l4s": "acceptance criterion 9 runs the L4S marking loop on its own",
     "engine.Engine": "the benchmark times Engine.run_until; it goes when "
                      "the benchmark drops that hook",
+}
+
+# module.name of a constant -> why it stays without a reader in the package
+CONSTANTS_EXEMPT = {
+    "__init__.__version__": "package metadata, read by tools, not the model",
 }
 
 
@@ -70,6 +78,22 @@ def _unused(trees):
                        for m, line in uses[mod, name])]
 
 
+def _constants(trees):
+    """(module, name) of each name a top-level assignment binds."""
+    return [(mod, target.id) for mod, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)]
+
+
+def _unread_constants(trees):
+    read = {(source, name) for _, _, source, name in _uses(trees)}
+    return [f"{mod}.{name}" for mod, name in _constants(trees)
+            if (mod, name) not in read]
+
+
 def _exempt(key):
     return key in EXEMPT or key.split(".")[0] in EXEMPT
 
@@ -94,6 +118,15 @@ def test_every_exemption_is_still_needed():
                 f"{key}: every name in it is used; drop its exemption")
 
 
+def test_every_module_constant_is_read():
+    unread = _unread_constants(_trees())
+    assert [key for key in unread if key not in CONSTANTS_EXEMPT] == [], (
+        "no line of src/xrsim/ reads these; delete them, or list each in "
+        "CONSTANTS_EXEMPT with the reason it stays")
+    assert [key for key in CONSTANTS_EXEMPT if key not in unread] == [], (
+        "these are read or gone; drop their exemptions")
+
+
 def test_a_method_does_not_hide_a_dead_function_of_its_name():
     trees = {name: ast.parse(text) for name, text in {
         "a": "def dead():\n    pass\n\n"
@@ -106,3 +139,14 @@ def test_a_method_does_not_hide_a_dead_function_of_its_name():
              "    a.dotted()\n",
     }.items()}
     assert _unused(trees) == ["a.dead"]
+
+
+def test_an_unread_constant_is_found():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "READ = 1\nUNREAD = 2\n_PRIVATE = 3\n_LOCAL: int = 4\n"
+             "IMPORTED = 5\nDOTTED = 6\n\n"
+             "def f():\n    UNREAD = 7\n    return READ + _LOCAL\n",
+        "b": "from . import a\nfrom .a import IMPORTED, UNREAD\n\n"
+             "X = IMPORTED + a.DOTTED\n",
+    }.items()}
+    assert _unread_constants(trees) == ["a.UNREAD", "a._PRIVATE", "b.X"]

@@ -10,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xrsim.cellsim import CellConfig, CellSim, _always_on_runs
-from xrsim.drx import DrxConfig, SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP
+from xrsim.drx import ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP
 from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.qos import FlowQueue
-from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
+from xrsim.scheduling import (PF_WINDOW_SLOTS, CgConfig, PolicyKind,
+                              SchedulerPolicy)
 from xrsim.traffic import Direction, Pdu, PduSet
 
 
@@ -187,7 +188,7 @@ def test_no_fraction_work_per_slot(monkeypatch):
     calls.clear()  # count the run only, not the set-up
     result = sim.run()
     slots = 1.0 * 1e6 / SLOT_US
-    assert any(u.adrx.q != u.adrx.params.q0 for u in sim.xr)  # adapted
+    assert any(u.adrx.q != ADRX_Q0 for u in sim.xr)  # adapted
     assert all(k.frames_total > 0 for k in result.xr_ues())
     assert len(calls) < slots / 10
 
@@ -232,7 +233,6 @@ def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
                          psi_discard_enabled=psi, duration_s=0.5,
                          warmup_s=0.0, policy=SchedulerPolicy(kind=kind)),
                   seed=3)
-    window = sim.cfg.policy.pf_avg_window
     eager = {ue.ue_id: 1.0 for ue in sim.ues}
     served = {}
     reads = []
@@ -250,7 +250,8 @@ def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
         served.clear()
         dl_slot(self, *args)
         for ue_id, avg in eager.items():
-            eager[ue_id] = pf_update(avg, served.get(ue_id, 0) * 2000, window)
+            eager[ue_id] = pf_update(avg, served.get(ue_id, 0) * 2000,
+                                     PF_WINDOW_SLOTS)
 
     def psi_read(self, now, rate):
         reads.append((rate, max(eager[self.ue_id], 1e6)))
@@ -337,8 +338,8 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
         current[0] = slot
         return on_slot(self, slot)
 
-    def taking(self, max_bytes, now=None):
-        segs = take(self, max_bytes, now)
+    def taking(self, max_bytes):
+        segs = take(self, max_bytes)
         if segs:
             taken.append({s.pdu_set.id for s in segs})
         return segs

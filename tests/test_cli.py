@@ -171,7 +171,7 @@ def _ini(sections):
                    for section, keys in merged.items())
 
 
-@pytest.mark.parametrize("sections, key", [
+@pytest.mark.parametrize("sections, key, flags", [(*case, []) for case in [
     ({"traffic": {"sets_per_frame": "0"}}, "sets_per_frame"),
     ({"traffic": {"psdb_ms": "0"}}, "psdb_ms"),
     ({"scenario": {"cells": "0"}}, "cells"),
@@ -183,17 +183,27 @@ def _ini(sections):
     ({"traffic": {"psdb_ms": "0.0001"}}, "psdb_ms"),  # rounds to 0 us
     ({"run": {"warmup_s": "-1"}}, "warmup_s"),
     ({"reporting": {"dsr_threshold_ms": "-1"}}, "dsr_threshold_ms"),
-], ids=["sets_per_frame=0", "psdb_ms=0", "cells=0", "cg.window=0", "cg.rb=0",
-        "duration_s=warmup_s", "duration_s=0", "embb_ues=-1",
-        "psdb_ms=0.0001", "warmup_s=-1", "dsr_threshold_ms=-1"])
-def test_config_out_of_domain_exits_two(sections, key, tmp_path, capsys):
+    ({"run": {"seeds": "-1"}}, "seeds"),
+    ({"run": {"seeds": "1,1"}}, "seeds"),
+    ({"scenario": {"ues_per_cell": "2,2"}}, "ues_per_cell"),
+    ({"scenario": {"ues_per_cell": "1-3,2"}}, "ues_per_cell"),
+]] + [({}, "seeds", ["--seeds=-3"])],
+    ids=["sets_per_frame=0", "psdb_ms=0", "cells=0", "cg.window=0", "cg.rb=0",
+         "duration_s=warmup_s", "duration_s=0", "embb_ues=-1",
+         "psdb_ms=0.0001", "warmup_s=-1", "dsr_threshold_ms=-1", "seeds=-1",
+         "seeds=1,1", "ues_per_cell=2,2", "ues_per_cell=1-3,2",
+         "--seeds=-3"])
+def test_config_out_of_domain_exits_two(sections, key, flags, tmp_path,
+                                        capsys):
     # each of these used to raise mid-sweep, or ran to a wrong report: a
     # negative eMBB count simulated fewer XR UEs than the load it reported,
-    # a negative warm-up under-reported throughput
+    # a negative warm-up under-reported throughput, a negative seed exited
+    # 1 after the output directory was made, and a repeated seed or load
+    # ran twice, pooling the UEs of both runs into one load's rows
     cfg = tmp_path / "exp.ini"
     cfg.write_text(_ini(sections))
     out = tmp_path / "res"
-    rc = cli.main(["--config", str(cfg), "--out", str(out)])
+    rc = cli.main(["--config", str(cfg), "--out", str(out), *flags])
     assert rc == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
@@ -239,8 +249,9 @@ def test_cross_key_rejection_names_its_keys(sections, keys, message, tmp_path,
     {"traffic": {"psdb_ms": "0.0006"}},  # rounds to 1 us
     {"drx": dict(_SHORT_ADRX, cycle_ms="2"),  # the grid's shortest entry
      "run": {"duration_s": "1", "warmup_s": "0.2"}},
+    {"run": {"seeds": "0"}},
 ], ids=["warmup_s=0", "dsr_threshold_ms=0", "psdb_ms=0.0006",
-        "adaptive-cycle_ms=2"])
+        "adaptive-cycle_ms=2", "seeds=0"])
 def test_config_at_the_domain_edge_runs(sections, tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(_ini(sections))

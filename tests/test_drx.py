@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from xrsim.drx import (
+    ADRX_OFFSET_DELTA_MS,
+    ADRX_ON_GRID_MS,
+    ADRX_V,
     AdrxController,
-    AdrxParams,
     DrxConfig,
     DrxMachine,
     DrxMode,
@@ -114,15 +116,13 @@ def test_config_validation():
                   inactivity_us=0)
     with pytest.raises(ValueError):
         DrxConfig(cycle_us=Fraction(0), on_duration_us=1, inactivity_us=0)
-    with pytest.raises(ValueError):
-        AdrxParams(on_grid_ms=())
 
 
 def test_adrx_shrinks_without_violations():
-    ctrl = AdrxController(AdrxParams(adapt_offset=False), frac_cfg(),
-                          psdb_us=10_000.0)
+    ctrl = AdrxController(frac_cfg(), psdb_us=10_000.0)
+    ctrl.q = 0.0  # power-greedy from the start
     for _ in range(200):
-        ctrl.observe_frame(phase_us=1000.0, service_us=1500.0, violated=False)
+        ctrl.observe_frame(phase_us=1000.0, service_us=1500.0)
         cfg = ctrl.update(violations_in_epoch=0)
     assert cfg.on_duration_us == 2000
     assert ctrl.q == 0.0
@@ -138,11 +138,12 @@ def outcome_under(cfg, phase, service_us, psdb_us):
 
 
 def test_adrx_expands_under_violations():
-    # frames at phase 9 ms with 3 ms service and a fixed window at offset 0:
-    # waiting for the next cycle busts the budget, so only a window still
-    # open at 9 ms can ever deliver in time
-    ctrl = AdrxController(AdrxParams(adapt_offset=False), frac_cfg(),
-                          psdb_us=10_000.0)
+    # frames at phase 9 ms with 3 ms service, and the window at offset 0 at
+    # first: waiting for the next cycle busts the budget, so the first epoch
+    # violates every frame, and the controller moves the window onto the
+    # arrival phase, where a short on-duration delivers every frame in time
+    ctrl = AdrxController(frac_cfg(), psdb_us=10_000.0)
+    ctrl.q = 0.0  # power-greedy: only the violations push the window
     cfg = ctrl.current
     epochs = []
     for _ in range(40):
@@ -150,19 +151,21 @@ def test_adrx_expands_under_violations():
         for _ in range(8):
             v = outcome_under(cfg, 9000.0, 3000.0, 10_000.0)
             viols += v
-            ctrl.observe_frame(9000.0, 3000.0, v)
+            ctrl.observe_frame(9000.0, 3000.0)
         cfg = ctrl.update(viols)
         epochs.append(viols)
-    assert ctrl.q > 0
-    assert cfg.on_duration_us >= 10_000
-    assert epochs[-1] == 0 and epochs[0] > 0
+    assert epochs == [8] + [0] * 39
+    assert cfg.start_offset_us == 9000
+    assert cfg.on_duration_us == 2000
+    # the 8 violations, less the per-epoch target over 40 epochs
+    assert ctrl.q == pytest.approx(8 - 40 * 0.01)
 
 
 def test_adrx_offset_mode_closed_loop():
     rng = np.random.default_rng(3)
     # QoS-first start: violation pressure dominates from the first update
-    ctrl = AdrxController(AdrxParams(adapt_offset=True, q0=2000.0), frac_cfg(),
-                          psdb_us=5_000.0)
+    ctrl = AdrxController(frac_cfg(), psdb_us=5_000.0)
+    ctrl.q = 2000.0
     cfg = ctrl.current
     epochs = []
     for _ in range(60):
@@ -171,7 +174,7 @@ def test_adrx_offset_mode_closed_loop():
             phase = 9000.0 + float(rng.uniform(-2000, 2000))
             v = outcome_under(cfg, phase, 1500.0, 5_000.0)
             viols += v
-            ctrl.observe_frame(phase, 1500.0, v)
+            ctrl.observe_frame(phase, 1500.0)
         cfg = ctrl.update(viols)
         epochs.append(viols)
     # converges: later epochs violation-free, predictions agree
@@ -186,23 +189,22 @@ def test_adrx_offset_mode_closed_loop():
 
 def test_adrx_choice_is_grid_argmin():
     rng = np.random.default_rng(11)
-    ctrl = AdrxController(AdrxParams(adapt_offset=True), frac_cfg(),
-                          psdb_us=8_000.0)
+    ctrl = AdrxController(frac_cfg(), psdb_us=8_000.0)
     for _ in range(50):
         ctrl.observe_frame(float(rng.uniform(0, 16_000)),
-                           float(rng.uniform(500, 4000)), bool(rng.random() < 0.3))
+                           float(rng.uniform(500, 4000)))
     ctrl.q = 37.0
     cfg = ctrl.update(violations_in_epoch=0)
     anchor = ctrl._expected_phase()
     costs = []
-    for on_ms in ctrl.params.on_grid_ms:
-        for d in ctrl.params.offset_delta_ms:
+    for on_ms in ADRX_ON_GRID_MS:
+        for d in ADRX_OFFSET_DELTA_MS:
             off = (anchor + d * 1000.0) % float(FRAC_CYCLE)
             fv, act = ctrl.predict(off, on_ms * 1000.0)
-            costs.append(ctrl.q * fv + ctrl.params.v * act / 1000.0)
+            costs.append(ctrl.q * fv + ADRX_V * act / 1000.0)
     got_fv, got_act = ctrl.predict(float(cfg.start_offset_us % cfg.cycle_us),
                                    cfg.on_duration_us)
-    got = ctrl.q * got_fv + ctrl.params.v * got_act / 1000.0
+    got = ctrl.q * got_fv + ADRX_V * got_act / 1000.0
     assert got == pytest.approx(min(costs))
 
 

@@ -8,9 +8,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrsim.drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
-                       AdrxController, AdrxParams, DrxConfig, DrxMachine,
-                       PowerModel, power_for_run)
+from xrsim.drx import (ADRX_OFFSET_DELTA_MS, ADRX_ON_GRID_MS,
+                       ADRX_PHASE_GUARD_US, ADRX_TARGET_VIOLATIONS, ADRX_V,
+                       ADRX_WAIT_TOLERANCE_US, SLOT_PDCCH, SLOT_PDSCH,
+                       SLOT_SLEEP, ActivityLog, AdrxController, DrxConfig,
+                       DrxMachine, PowerModel, power_for_run)
 from xrsim.engine import SLOT_US
 from xrsim.scheduling import pf_idle, pf_update
 
@@ -243,8 +245,8 @@ def reference_predict(ctrl, offset_us, on_dur_us):
     period = float(ctrl.current.cycle_us)
     viol = 0
     excess = 0.0
-    tol = ctrl.params.wait_tolerance_us
-    guard = ctrl.params.phase_guard_us
+    tol = ADRX_WAIT_TOLERANCE_US
+    guard = ADRX_PHASE_GUARD_US
     for o in ctrl.observations:
         worst = 0.0
         for ph in (o.phase_us - guard, o.phase_us + guard):
@@ -262,26 +264,22 @@ def reference_predict(ctrl, offset_us, on_dur_us):
 
 def reference_update(ctrl, violations_in_epoch):
     """AdrxController.update as a loop over reference_predict."""
-    ctrl.q = max(ctrl.q + violations_in_epoch - ctrl.params.target_violations,
-                 0.0)
+    ctrl.q = max(ctrl.q + violations_in_epoch - ADRX_TARGET_VIOLATIONS, 0.0)
     if not ctrl.observations:
         return ctrl.current
     cur = ctrl.current
     base_offset = float(cur.start_offset_us % cur.cycle_us)
-    if ctrl.params.adapt_offset:
-        anchor = ctrl._expected_phase()
-        offsets = [(anchor + d * 1000.0) % float(cur.cycle_us)
-                   for d in ctrl.params.offset_delta_ms]
-    else:
-        offsets = [base_offset]
+    anchor = ctrl._expected_phase()
+    offsets = [(anchor + d * 1000.0) % float(cur.cycle_us)
+               for d in ADRX_OFFSET_DELTA_MS]
     best = None
-    for on_ms in ctrl.params.on_grid_ms:
+    for on_ms in ADRX_ON_GRID_MS:
         on_us = on_ms * 1000.0
         if on_us > float(cur.cycle_us):
             continue
         for off in offsets:
             frac, active = reference_predict(ctrl, off, on_us)
-            cost = ctrl.q * frac + ctrl.params.v * active / 1000.0
+            cost = ctrl.q * frac + ADRX_V * active / 1000.0
             key = (cost, on_us, abs(off - base_offset), off)
             if best is None or key < best[0]:
                 best = (key, off, on_us)
@@ -292,25 +290,23 @@ def reference_update(ctrl, violations_in_epoch):
 
 
 observations = st.lists(
-    st.tuples(st.floats(0, 1.0), st.floats(0, 15_000), st.booleans()),
-    max_size=64)
+    st.tuples(st.floats(0, 1.0), st.floats(0, 15_000)), max_size=64)
 
 
 @settings(max_examples=150)
-@given(observations, st.floats(0, 200), st.booleans(), st.integers(0, 16),
+@given(observations, st.floats(0, 200), st.integers(0, 16),
        st.sampled_from([Fraction(50_000, 3), Fraction(16_000),
                         Fraction(50_000_000, 2997)]),
        st.integers(0, 20_000), st.floats(-5_000, 20_000))
-def test_adrx_search_unchanged(obs, q, adapt_offset, viols, cycle, base_off,
-                               probe_off):
+def test_adrx_search_unchanged(obs, q, viols, cycle, base_off, probe_off):
     base = DrxConfig(cycle_us=cycle, on_duration_us=8000,
                      inactivity_us=2000, start_offset_us=Fraction(base_off))
-    params = AdrxParams(q0=q, adapt_offset=adapt_offset)
-    ctrl, ref = (AdrxController(params, base, 10_000) for _ in range(2))
+    ctrl, ref = (AdrxController(base, 10_000) for _ in range(2))
     for c in (ctrl, ref):
-        for frac, service, violated in obs:
-            c.observe_frame(frac * float(cycle), service, violated)
-    for on_ms in params.on_grid_ms:
+        c.q = q
+        for frac, service in obs:
+            c.observe_frame(frac * float(cycle), service)
+    for on_ms in ADRX_ON_GRID_MS:
         assert (ctrl.predict(probe_off, on_ms * 1000.0)
                 == reference_predict(ref, probe_off, on_ms * 1000.0))
     for _ in range(2):  # the second search starts from the first's choice

@@ -84,7 +84,7 @@ def test_timer_disabled_never_discards():
 
 
 def test_psi_discard_lowest_unstarted_first():
-    q = fresh_queue(psdb_ms=10.0, psi_levels=(0, 1))
+    q = fresh_queue(psdb_ms=10.0)
     sets = make_set(size=15_000, nsets=3, psi_pattern=(1, 0, 0), arrival=0)
     for s in sets:
         q.enqueue_set(s)
@@ -97,7 +97,7 @@ def test_psi_discard_lowest_unstarted_first():
 
 
 def test_psi_discard_idle_and_all_high():
-    q = fresh_queue(psi_levels=(0, 1))
+    q = fresh_queue()
     assert q.psi_discard(0, 1e6) == []
     for s in make_set(size=15_000, nsets=3, psi_pattern=(1, 1, 1)):
         q.enqueue_set(s)
@@ -106,7 +106,7 @@ def test_psi_discard_idle_and_all_high():
 
 
 def test_psi_discard_skips_started_sets():
-    q = fresh_queue(psi_levels=(0, 1))
+    q = fresh_queue()
     sets = make_set(size=15_000, nsets=3, psi_pattern=(0, 0, 1))
     for s in sets:
         q.enqueue_set(s)

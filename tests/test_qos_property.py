@@ -140,7 +140,6 @@ ops = st.lists(st.one_of(
        first=st.lists(new_set, min_size=1, max_size=8), steps=ops)
 def test_set_queue_matches_pdu_model(psihi, timer_ms, first, steps):
     q = FlowQueue(QosFlowProfile(psdb_ms=PSDB_MS, psihi=psihi,
-                                 psi_levels=PSI_LEVELS,
                                  discard_timer_ms=timer_ms))
     model = PduQueueModel(psihi, timer_ms)
     now = Fraction(30_000)

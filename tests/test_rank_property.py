@@ -19,7 +19,8 @@ from xrsim.cellsim import UeCtx
 from xrsim.engine import SLOT_US
 from xrsim.qos import FlowQueue, QosFlowProfile
 from xrsim.radio import MCS_SE, N_RB, SC_PER_RB, tb_bits
-from xrsim.scheduling import (EPS_RATE_BPS, EXPIRED_FLOOR_FACTOR, Allocation,
+from xrsim.scheduling import (EPS_RATE_BPS, EPSILON_TIME_US,
+                              EXPIRED_FLOOR_FACTOR, PDUSET_ALPHA, Allocation,
                               PolicyKind, SchedulerPolicy, _rank, allocate_dl,
                               pduset_metric, reads_avg)
 from xrsim.traffic import PduSet
@@ -44,15 +45,15 @@ def _ref_head_set(cand):
     return head, head.taken * 8, head.total_bytes * 8
 
 
-def _ref_pduset_metric(cand, now, policy, psdb_us) -> Optional[float]:
+def _ref_pduset_metric(cand, now, psdb_us) -> Optional[float]:
     head, sent_bits, set_bits = _ref_head_set(cand)
     deadline = head.deadline
     tau = (float((deadline - now) / cand.queue.ticks_per_us)
            if deadline is not None else psdb_us)
     if tau <= 0:
         return None
-    boost = math.exp(policy.pduset_alpha * sent_bits / set_bits)
-    return boost / max(tau, policy.epsilon_time_us)
+    boost = math.exp(PDUSET_ALPHA * sent_bits / set_bits)
+    return boost / max(tau, EPSILON_TIME_US)
 
 
 def _ref_head_expired(cand, now) -> bool:
@@ -70,7 +71,7 @@ def _ref_rank(candidates, now, policy, data_symbols, psdb_us):
         elif policy.kind is PolicyKind.MLWDF:
             raw.append(_ref_mlwdf_metric(c, now, data_symbols, psdb_us))
         else:
-            raw.append(_ref_pduset_metric(c, now, policy, psdb_us))
+            raw.append(_ref_pduset_metric(c, now, psdb_us))
     positive = [m for m in raw if m is not None and m > 0]
     floor = (min(positive) if positive else 1.0) * EXPIRED_FLOOR_FACTOR
     scored = [(floor if m is None else m, c) for m, c in zip(raw, candidates)]
@@ -98,7 +99,7 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
                               data_symbols)
         rb = min(need, total_rb - rb_used)
         tb = tb_bits(cand.mcs, rb, data_symbols)
-        segments = cand.queue.take(tb // 8, now)
+        segments = cand.queue.take(tb // 8)
         if not segments:
             continue
         allocations.append(Allocation(cand.ue_id, slot, rb_used, rb,
@@ -113,7 +114,7 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
                               data_symbols)
         rb = min(need, total_rb - rb_used)
         tb = tb_bits(best.mcs, rb, data_symbols)
-        segments = best.queue.take(tb // 8, now)
+        segments = best.queue.take(tb // 8)
         if segments:
             allocations.append(Allocation(best.ue_id, slot, rb_used,
                                           rb, best.mcs, tb, segments))
@@ -182,10 +183,7 @@ def _blocks(allocations):
               for s in a.segments]) for a in allocations]
 
 
-_POLICIES = st.sampled_from([SchedulerPolicy(kind=k) for k in PolicyKind]
-                            + [SchedulerPolicy(kind=PolicyKind.PDUSET,
-                                               pduset_alpha=3.0,
-                                               epsilon_time_us=100.0)])
+_POLICIES = st.sampled_from([SchedulerPolicy(kind=k) for k in PolicyKind])
 
 
 _NOWS = st.sampled_from((NOW - 1, NOW, NOW + 2000))
@@ -201,8 +199,8 @@ def test_rank_matches_reference(specs, policy, now, data_symbols, psdb_us):
     if not ues:
         return
     for ue in ues:
-        assert pduset_metric(ue, now, policy, psdb_us) == \
-            _ref_pduset_metric(ue, now, policy, psdb_us)
+        assert pduset_metric(ue, now, psdb_us) == \
+            _ref_pduset_metric(ue, now, psdb_us)
     got = [ue.ue_id for ue in _rank(ues, now, policy, data_symbols, psdb_us)]
     assert got == [ue.ue_id for ue in _ref_rank(ues, now, policy,
                                                 data_symbols, psdb_us)]

@@ -77,10 +77,8 @@ def test_mlwdf_metric_shape():
 
 
 def test_pduset_metric_shape():
-    pol = SchedulerPolicy(kind=PolicyKind.PDUSET)
-
     def metric(ue, now):
-        return pduset_metric(ue, now, pol, BUDGET_US)
+        return pduset_metric(ue, now, BUDGET_US)
 
     c = cand(0, size=10_000, psdb_ms=10.0, arrival=0)
     # untouched set, full budget left

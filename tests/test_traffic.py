@@ -8,6 +8,12 @@ from scipy import stats
 
 from xrsim.engine import DRAW_BLOCK
 from xrsim.traffic import (
+    FRAME_SIZE_MAX_FRAC,
+    FRAME_SIZE_MIN_FRAC,
+    FRAME_SIZE_STD_FRAC,
+    JITTER_MAX_US,
+    JITTER_MIN_US,
+    JITTER_STD_US,
     Direction,
     PduSet,
     VideoFrame,
@@ -62,41 +68,46 @@ def test_dl_arrivals_strictly_increasing():
 
 def _scalar_frames(cfg, seed, n):
     """The first n frames of a source, each value drawn with a scalar
-    rng.normal(mean, std) call, and the number of draws they took."""
+    rng.normal(mean, std) call, the number of draws they took, and the
+    0-based index of each draw a rejection loop threw away."""
     rng = np.random.default_rng(seed)
     mean = cfg.mean_frame_bytes
-    lo, hi = cfg.size_min_frac * mean, cfg.size_max_frac * mean
-    frames, draws = [], 0
+    lo, hi = FRAME_SIZE_MIN_FRAC * mean, FRAME_SIZE_MAX_FRAC * mean
+    frames, draws, rejected = [], 0, []
     for i in range(n):
         while True:
             draws += 1
-            size = int(round(rng.normal(mean, cfg.size_std_frac * mean)))
+            size = int(round(rng.normal(mean, FRAME_SIZE_STD_FRAC * mean)))
             if lo < size < hi:
                 break
+            rejected.append(draws - 1)
         arrival = i * cfg.period_us
         if cfg.direction is Direction.DL:
             while True:
                 draws += 1
-                jitter = rng.normal(0.0, cfg.jitter_std_us)
-                if cfg.jitter_min_us < jitter < cfg.jitter_max_us:
+                jitter = rng.normal(0.0, JITTER_STD_US)
+                if JITTER_MIN_US < jitter < JITTER_MAX_US:
                     break
+                rejected.append(draws - 1)
             arrival += int(round(jitter))
         frames.append(VideoFrame(i, arrival, size))
-    return frames, draws
+    return frames, draws, rejected
 
 
 @pytest.mark.parametrize("seed", [2, 9])
 @pytest.mark.parametrize("direction", [Direction.DL, Direction.UL])
 def test_frames_equal_scalar_normal_draws(seed, direction):
-    # tight bounds reject about a third of the sizes and most jitters, so
-    # rejection loops run across the boundaries of the blocks drawn
-    cfg = VideoStreamConfig(avg_rate_bps=30e6, fps=Fraction(60),
-                            direction=direction, size_min_frac=0.9,
-                            size_max_frac=1.1, jitter_min_us=-1000.0,
-                            jitter_max_us=1000.0)
-    n = 3 * DRAW_BLOCK
-    want, draws = _scalar_frames(cfg, seed, n)
-    assert draws >= 3 * DRAW_BLOCK
+    # a rejection loop that runs across the boundary of the blocks drawn
+    # must go on with the next block: DL jitters fall outside their bounds
+    # about 4.6 % of the time, and the sizes of a 2-byte mean frame (UL at
+    # 960 bps) about 1.7 %, so 64 blocks of frames reject a block's last draw
+    rate_bps = 30e6 if direction is Direction.DL else 960.0
+    cfg = VideoStreamConfig(avg_rate_bps=rate_bps, fps=Fraction(60),
+                            direction=direction)
+    n = 64 * DRAW_BLOCK
+    want, draws, rejected = _scalar_frames(cfg, seed, n)
+    assert draws >= n
+    assert any(i % DRAW_BLOCK == DRAW_BLOCK - 1 for i in rejected)
     src = VideoSource(cfg, np.random.default_rng(seed))
     assert [src.next_frame() for _ in range(n)] == want
 
