@@ -18,6 +18,7 @@ leave the cell as µs floats.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -28,8 +29,9 @@ from typing import Optional
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
                   AdrxController, DrxConfig, DrxMachine,
                   PowerModel, power_for_run)
-from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, RngStreams,
-                     block_draws, dl_slots_before, slot_type, ticks_per_us)
+from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, ConfigError,
+                     RngStreams, block_draws, dl_slots_before, slot_type,
+                     ticks_per_us)
 from .qos import FlowQueue, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
                     Deployment, HarqProcess, dl_sinr_db,
@@ -117,6 +119,33 @@ class CellConfig:
     pose_cg: Optional[CgConfig] = None
     stagger: bool = True
     power_model: PowerModel = field(default_factory=PowerModel)
+
+    def __post_init__(self):
+        # the cell holds its times in whole µs; a zero rate or frame rate has
+        # no frame to draw, a negative eMBB count takes XR UEs from the load,
+        # a negative warm-up spreads the bits over more time than was run,
+        # and a DSR threshold is a time left before a deadline
+        positive = ("ues_per_cell", "n_cells", "rate_bps", "fps", "psdb_ms",
+                    "sets_per_frame")
+        for name in positive + ("embb_ues", "warmup_s", "dsr_threshold_ms",
+                                "duration_s"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ConfigError("must be finite", name)
+            sign = "positive" if name in positive else "non-negative"
+            if not (value > 0 if name in positive else value >= 0):
+                raise ConfigError(f"must be {sign}", name)
+        # a budget of no whole µs puts each set's deadline on its arrival
+        if self.psdb_us < 1:
+            raise ConfigError("must round to at least 1 us", "psdb_ms")
+        if not self.duration_us > self.warmup_us:
+            raise ConfigError("the run must last beyond its warm-up",
+                              "duration_s", "warmup_s")
+        timer = self.discard_timer_ms
+        if timer not in ("psdb", None) and not 0 < timer < math.inf:
+            raise ConfigError("must be a finite time above 0 ms",
+                              "discard_timer_ms")
+        VideoStreamConfig(rate_bps=self.rate_bps, fps=self.fps)
 
     @property
     def psdb_us(self) -> int:
@@ -234,7 +263,7 @@ class CellSim:
         embb_profile = QosFlowProfile(psdb_ms=10_000.0, psihi=False)
 
         self.stream_cfg = VideoStreamConfig(
-            avg_rate_bps=config.rate_bps, fps=config.fps,
+            rate_bps=config.rate_bps, fps=config.fps,
             direction=config.direction)
 
         drx = config.drx
@@ -789,8 +818,7 @@ class CellSim:
             out = ue.outcomes
             total = len(out)
             in_budget = sum(1 for _, ok in out if ok)
-            avg_power = (power_for_run(runs, cfg.power_model)
-                         if n_slots > warm_slot else 0.0)
+            avg_power = power_for_run(runs, cfg.power_model)
             # eMBB flows carry no PDU-set error rate target
             pser = 0.0 if ue.is_embb else ue.queue.pser()
             kpis.append(UeKpi(ue.ue_id, ue.is_embb, total, in_budget,

@@ -6,17 +6,18 @@ import argparse
 import configparser
 import sys
 
-from .harness import ExperimentConfig, run_experiment
+from .harness import SCHEMA, ExperimentConfig, run_experiment
 
-# CLI flag -> (section, key) it overrides in the config file
-_OVERRIDES = [
-    ("seeds", ("run", "seeds")),
-    ("ues_per_cell", ("scenario", "ues_per_cell")),
-    ("scheduler", ("scheduler", "policy")),
-    ("drx", ("drx", "mode")),
-    ("duration", ("run", "duration_s")),
-    ("out", ("run", "out")),
-]
+# CLI flag -> the (section, key) it overrides in the config file, and help
+_OVERRIDES = {
+    "--seeds": ("run", "seeds", "comma separated seed list, e.g. 1,2,3"),
+    "--ues-per-cell": ("scenario", "ues_per_cell",
+                       'load sweep: "4", "1-8", or "2,4,6"'),
+    "--scheduler": ("scheduler", "policy", None),
+    "--drx": ("drx", "mode", None),
+    "--duration": ("run", "duration_s", "simulated seconds per run"),
+    "--out": ("run", "out", "output directory"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,13 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simulate",
         description="Run an XR cell simulation sweep and write KPI CSVs.")
     p.add_argument("--config", required=True, help="INI experiment config")
-    p.add_argument("--seeds", help="comma separated seed list, e.g. 1,2,3")
-    p.add_argument("--ues-per-cell", dest="ues_per_cell",
-                   help='load sweep: "4", "1-8", or "2,4,6"')
-    p.add_argument("--scheduler", choices=["pf", "mlwdf", "pduset"])
-    p.add_argument("--drx", choices=["off", "fixed", "adaptive"])
-    p.add_argument("--duration", help="simulated seconds per run")
-    p.add_argument("--out", help="output directory")
+    for flag, (section, key, text) in _OVERRIDES.items():
+        p.add_argument(flag, dest=key, help=text,
+                       choices=SCHEMA[section][key].choices or None)
     return p
 
 
@@ -38,8 +35,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_ini(args.config)
-        for flag, (section, key) in _OVERRIDES:
-            value = getattr(args, flag)
+        for section, key, _ in _OVERRIDES.values():
+            value = getattr(args, key)
             if value is not None:
                 config.set(section, key, value)
         # build every load's cell config now, so that a value only the

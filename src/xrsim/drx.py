@@ -13,7 +13,7 @@ from operator import add
 
 import numpy as np
 
-from .engine import SLOT_US, to_ticks
+from .engine import SLOT_US, ConfigError, to_ticks
 
 
 class DrxMode(Enum):
@@ -31,9 +31,11 @@ class DrxConfig:
 
     def __post_init__(self):
         if self.cycle_us <= 0 or self.on_duration_us <= 0 or self.inactivity_us < 0:
-            raise ValueError("drx durations must be positive")
+            raise ConfigError("drx durations must be positive", "cycle_us",
+                              "on_duration_us", "inactivity_us")
         if self.on_duration_us > self.cycle_us:
-            raise ValueError("on-duration cannot exceed the cycle")
+            raise ConfigError("on-duration cannot exceed the cycle",
+                              "cycle_us", "on_duration_us")
 
     def in_ticks(self, tpu: int) -> DrxConfig:
         """The same config with its times in ticks of 1/tpu µs."""
@@ -176,9 +178,9 @@ def check_adrx_cycle(cycle_us):
     so a cycle below the grid leaves none to pick."""
     shortest = min(ADRX_ON_GRID_MS)
     if shortest * 1000.0 > float(cycle_us):
-        raise ValueError(
+        raise ConfigError(
             f"an adaptive cycle must last at least {shortest:g} ms, got "
-            f"{float(cycle_us / 1000):g} ms")
+            f"{float(cycle_us / 1000):g} ms", "cycle_us", "adaptive_drx")
 
 
 @dataclass

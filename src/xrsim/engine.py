@@ -66,6 +66,15 @@ def to_ticks(time_us, tpu: int) -> int:
     return ticks
 
 
+class ConfigError(ValueError):
+    """A config value outside its domain: ``fields`` names the fields that
+    the broken rule reads, and ``reason`` says what the rule requires."""
+
+    def __init__(self, reason: str, *fields: str):
+        self.reason, self.fields = reason, fields
+        super().__init__(f"{reason} ({', '.join(fields)})")
+
+
 class SchedulingInPastError(Exception):
     """An event was scheduled before the current simulation time."""
 

@@ -6,17 +6,19 @@ import configparser
 import csv
 import gzip
 import io
+import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cellsim import CellConfig, CellSim
 from .drx import DrxConfig, check_adrx_cycle, power_saving_gain
+from .engine import ConfigError
 from .reporting import TableKind
 from .scheduling import CgConfig, PolicyKind, SchedulerPolicy
-from .traffic import Direction, VideoStreamConfig
+from .traffic import Direction
 
 SATISFACTION_BAR = 0.99  # strictly more than 99% of frames in budget
 CAPACITY_BAR = 0.90  # at least 90% of UEs satisfied
@@ -76,100 +78,121 @@ def parse_seeds(text: str) -> list:
 
 
 def _to_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "on", "1"):
-        return True
-    if t in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
-# section -> key -> (parser, default). The schema is the documentation of
-# record for config files; anything outside it is rejected.
+def _finite(kind):
+    """kind's parser, rejecting inf, nan and a rational beyond a float."""
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {text!r}")
+        return value
+    return parse
+
+
+_real, _rational = _finite(float), _finite(Fraction)
+
+
+def _discard_timer(text: str):
+    """"psdb", None for "off", or a time in ms."""
+    return text if text == "psdb" else None if text == "off" else _real(text)
+
+
+def _values(kind) -> tuple:
+    return tuple(member.value for member in kind)
+
+
+def _ms_to_us(ms):
+    return ms * 1000
+
+
+class _Key(NamedTuple):
+    parse: Callable  # text -> the value the config holds
+    default: str
+    field: Optional[str] = None  # the model config field the key sets
+    to_field: Callable = lambda value: value  # in the field's unit and type
+    choices: tuple = ()
+
+
+# section -> key -> row. The schema is the documentation of record for
+# config files; anything outside it is rejected. A parser checks a value's
+# syntax, and the model config that a field belongs to checks its domain
+# when cell_config builds it.
 SCHEMA = {
     "scenario": {
-        "cells": (int, "1"),
-        "ues_per_cell": (parse_loads, "1"),
-        "embb_ues": (int, "0"),
-        "embb_full_buffer": (_to_bool, "false"),
-        "direction": (str, "dl"),
+        "cells": _Key(int, "1", "n_cells"),
+        "ues_per_cell": _Key(parse_loads, "1", "ues_per_cell"),
+        "embb_ues": _Key(int, "0", "embb_ues"),
+        "embb_full_buffer": _Key(_to_bool, "false", "embb_full_buffer"),
+        "direction": _Key(str, "dl", "direction", Direction,
+                          _values(Direction)),
     },
     "traffic": {
-        "rate_mbps": (float, "30.0"),
-        "fps": (Fraction, "60"),
-        "psdb_ms": (float, "10.0"),
-        "sets_per_frame": (int, "1"),
+        "rate_mbps": _Key(_real, "30.0", "rate_bps", lambda mbps: mbps * 1e6),
+        "fps": _Key(_rational, "60", "fps"),
+        "psdb_ms": _Key(_real, "10.0", "psdb_ms"),
+        "sets_per_frame": _Key(int, "1", "sets_per_frame"),
     },
     "scheduler": {
-        "policy": (str, "pf"),
+        "policy": _Key(str, "pf", "policy",
+                       lambda kind: SchedulerPolicy(kind=PolicyKind(kind)),
+                       _values(PolicyKind)),
     },
     "reporting": {
-        "bsr_table": (str, "long"),
-        "dsr_enabled": (_to_bool, "false"),
-        "dsr_threshold_ms": (float, "10.0"),
+        "bsr_table": _Key(str, "long", "bsr_table", TableKind,
+                          _values(TableKind)),
+        "dsr_enabled": _Key(_to_bool, "false", "dsr_enabled"),
+        "dsr_threshold_ms": _Key(_real, "10.0", "dsr_threshold_ms"),
     },
     "drx": {
-        "mode": (str, "off"),
-        "cycle_ms": (Fraction, "50/3"),
-        "on_ms": (Fraction, "8.0"),
-        "inactivity_ms": (Fraction, "8.0"),
-        "offset_mode": (str, "traffic"),
+        "mode": _Key(str, "off", "adaptive_drx",
+                     choices=("off", "fixed", "adaptive")),
+        "cycle_ms": _Key(_rational, "50/3", "cycle_us", _ms_to_us),
+        "on_ms": _Key(_rational, "8.0", "on_duration_us", _ms_to_us),
+        "inactivity_ms": _Key(_rational, "8.0", "inactivity_us", _ms_to_us),
+        "offset_mode": _Key(str, "traffic", "drx_offset_mode",
+                            choices=("traffic", "common")),
     },
     "qos": {
-        "psihi": (_to_bool, "true"),
-        "psi_discard": (_to_bool, "false"),
-        "discard_timer": (str, "psdb"),
+        "psihi": _Key(_to_bool, "true", "psihi"),
+        "psi_discard": _Key(_to_bool, "false", "psi_discard_enabled"),
+        "discard_timer": _Key(_discard_timer, "psdb", "discard_timer_ms"),
     },
     "cg": {
-        "enabled": (_to_bool, "false"),
-        "period_ms": (Fraction, "4"),
-        "occasions": (int, "1"),
-        "rb": (int, "50"),
-        "window": (int, "4"),
+        "enabled": _Key(_to_bool, "false", "pose_cg"),
+        "period_ms": _Key(_rational, "4", "periodicity_us", _ms_to_us),
+        "occasions": _Key(int, "1", "occasions_per_period"),
+        "rb": _Key(int, "50", "rb_per_occasion"),
+        "window": _Key(int, "4", "uto_uci_window"),
     },
     "run": {
-        "duration_s": (float, "10.0"),
-        "warmup_s": (float, "1.0"),
-        "seeds": (parse_seeds, "1,2,3,4,5"),
-        "out": (str, "out"),
+        "duration_s": _Key(_real, "10.0", "duration_s"),
+        "warmup_s": _Key(_real, "1.0", "warmup_s"),
+        "seeds": _Key(parse_seeds, "1,2,3,4,5"),
+        "out": _Key(str, "out"),
     },
 }
 
-_CHOICES = {
-    ("scenario", "direction"): ("dl", "ul"),
-    ("scheduler", "policy"): ("pf", "mlwdf", "pduset"),
-    ("reporting", "bsr_table"): ("short", "long", "refined_long"),
-    ("drx", "mode"): ("off", "fixed", "adaptive"),
-    ("drx", "offset_mode"): ("traffic", "common"),
-}
-
-# the sign each key's value must have: a zero rate makes every frame size
-# draw retry forever, a zero frame rate has no frame period, each other zero
-# fails mid-sweep, a negative eMBB count takes XR UEs from the load, a
-# negative warm-up spreads the delivered bits over more time than was
-# simulated, and a DSR threshold is a time left before a deadline
-_SIGN = dict.fromkeys([("traffic", "rate_mbps"), ("traffic", "fps"),
-                       ("traffic", "psdb_ms"), ("traffic", "sets_per_frame"),
-                       ("scenario", "cells"), ("cg", "rb"), ("cg", "window")],
-                      "positive")
-_SIGN.update(dict.fromkeys([("scenario", "embb_ues"), ("run", "warmup_s"),
-                            ("reporting", "dsr_threshold_ms")],
-                           "non-negative"))
+def _key_message(e: ConfigError) -> str:
+    """A model config's rejection, naming the keys that set its fields."""
+    keys = [(section, key) for section, rows in SCHEMA.items()
+            for key, row in rows.items() if row.field in e.fields]
+    section, names = keys[0][0], [repr(key) for _, key in keys]
+    if len(names) == 1:
+        return f"key {names[0]} in section [{section}] {e.reason}"
+    return (f"{e.reason} (keys {', '.join(names[:-1])} and {names[-1]} "
+            f"in section [{section}])")
 
 
-@dataclass
 class ExperimentConfig:
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for section, keys in SCHEMA.items():
-            for key, (parse, default) in keys.items():
-                self.values.setdefault((section, key), parse(default))
-        for sk, allowed in _CHOICES.items():
-            if self.values[sk] not in allowed:
-                raise ValueError(
-                    f"key '{sk[1]}' in section [{sk[0]}] must be one of "
-                    f"{'|'.join(allowed)}, got {self.values[sk]!r}")
+    def __init__(self):
+        self.values = {(section, key): row.parse(row.default)
+                       for section, rows in SCHEMA.items()
+                       for key, row in rows.items()}
 
     def __getitem__(self, sk):
         return self.values[sk]
@@ -177,22 +200,18 @@ class ExperimentConfig:
     def set(self, section, key, text):
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ValueError(f"unknown key '{key}' in section [{section}]")
-        parse = SCHEMA[section][key][0]
+        row = SCHEMA[section][key]
         try:
-            self.values[(section, key)] = parse(text)
-        except (ValueError, ZeroDivisionError) as e:
+            if not text:
+                raise ValueError("the value is empty")
+            value = row.parse(text)
+            if row.choices and value not in row.choices:
+                raise ValueError(f"must be one of {'|'.join(row.choices)}, "
+                                 f"got {text!r}")
+        except (ValueError, ArithmeticError) as e:
             raise ValueError(
                 f"bad value for key '{key}' in section [{section}]: {e}")
-        sign, value = _SIGN.get((section, key)), self.values[(section, key)]
-        if sign and not (value > 0 if sign == "positive" else value >= 0):
-            raise ValueError(
-                f"key '{key}' in section [{section}] must be {sign}, "
-                f"got {text!r}")
-        if (section, key) in _CHOICES \
-                and self.values[(section, key)] not in _CHOICES[(section, key)]:
-            raise ValueError(
-                f"key '{key}' in section [{section}] must be one of "
-                f"{'|'.join(_CHOICES[(section, key)])}, got {text!r}")
+        self.values[(section, key)] = value
 
     @classmethod
     def from_ini(cls, path) -> "ExperimentConfig":
@@ -204,9 +223,6 @@ class ExperimentConfig:
             if section not in SCHEMA:
                 raise ValueError(f"unknown section [{section}] in {path}")
             for key, text in parser.items(section):
-                if key not in SCHEMA[section]:
-                    raise ValueError(
-                        f"unknown key '{key}' in section [{section}] of {path}")
                 cfg.set(section, key, text)
         return cfg
 
@@ -222,88 +238,32 @@ class ExperimentConfig:
     def out_dir(self) -> str:
         return self[("run", "out")]
 
-    def _drx_config(self) -> Optional[DrxConfig]:
-        if self[("drx", "mode")] == "off":
-            return None
-        ms = 1000
-        try:
-            drx = DrxConfig(
-                cycle_us=self[("drx", "cycle_ms")] * ms,
-                on_duration_us=self[("drx", "on_ms")] * ms,
-                inactivity_us=self[("drx", "inactivity_ms")] * ms)
-        except ValueError as e:
-            raise ValueError(f"{e} (keys 'cycle_ms', 'on_ms' and "
-                             f"'inactivity_ms' in section [drx])")
-        if self[("drx", "mode")] == "adaptive":
-            try:
-                check_adrx_cycle(drx.cycle_us)
-            except ValueError as e:
-                raise ValueError(
-                    f"keys 'cycle_ms' and 'mode' in section [drx]: {e}")
-        return drx
+    def _build(self, cls, **given):
+        """A model config, each field not given set from its key."""
+        names = {f.name for f in fields(cls)} - given.keys()
+        return cls(**given, **{
+            row.field: row.to_field(self[(section, key)])
+            for section, rows in SCHEMA.items() for key, row in rows.items()
+            if row.field in names})
 
     def cell_config(self, load: int, drx_override=...) -> CellConfig:
-        """CellConfig for one load point; drx_override=None forces always-on."""
-        timer = self[("qos", "discard_timer")]
-        if timer == "off":
-            timer = None
-        elif timer != "psdb":
-            timer = float(timer)
-        cg = None
-        if self[("cg", "enabled")]:
-            try:
-                cg = CgConfig(
-                    periodicity_us=self[("cg", "period_ms")] * 1000,
-                    occasions_per_period=self[("cg", "occasions")],
-                    rb_per_occasion=self[("cg", "rb")],
-                    uto_uci_window=self[("cg", "window")])
-            except ValueError as e:
-                raise ValueError(f"{e} (keys 'period_ms' and 'occasions' "
-                                 f"in section [cg])")
-        drx = self._drx_config() if drx_override is ... else drx_override
-        rate_bps = self[("traffic", "rate_mbps")] * 1e6
-        fps = self[("traffic", "fps")]
-        # the rate and the frame rate together must leave a frame size to
-        # draw; checked here, once both keys hold their final values
+        """CellConfig for one load point; drx_override=None forces always-on.
+        Every key is checked, also when its feature is off, and a rejection
+        names the keys that set the rejected fields."""
+        mode = self[("drx", "mode")]
         try:
-            VideoStreamConfig(avg_rate_bps=rate_bps, fps=fps)
-        except ValueError as e:
-            raise ValueError(
-                f"keys 'rate_mbps' and 'fps' in section [traffic]: {e}")
-        # the cell holds the budget in whole µs: one that rounds to none
-        # puts each set's deadline on its arrival
-        psdb_ms = self[("traffic", "psdb_ms")]
-        if round(psdb_ms * 1000) <= 0:
-            raise ValueError(
-                f"key 'psdb_ms' in section [traffic] must round to at least "
-                f"1 us, got {psdb_ms!r} ms")
-        if not self[("run", "duration_s")] > self[("run", "warmup_s")]:
-            raise ValueError("keys 'duration_s' and 'warmup_s' in section "
-                             "[run]: the run must last beyond its warm-up")
-        return CellConfig(
-            ues_per_cell=load,
-            n_cells=self[("scenario", "cells")],
-            direction=Direction(self[("scenario", "direction")]),
-            rate_bps=rate_bps,
-            fps=fps,
-            psdb_ms=psdb_ms,
-            sets_per_frame=self[("traffic", "sets_per_frame")],
-            policy=SchedulerPolicy(kind=PolicyKind(self[("scheduler", "policy")])),
-            duration_s=self[("run", "duration_s")],
-            warmup_s=self[("run", "warmup_s")],
-            embb_ues=self[("scenario", "embb_ues")],
-            embb_full_buffer=self[("scenario", "embb_full_buffer")],
-            drx=drx,
-            drx_offset_mode=self[("drx", "offset_mode")],
-            adaptive_drx=(drx is not None
-                          and self[("drx", "mode")] == "adaptive"),
-            bsr_table=TableKind(self[("reporting", "bsr_table")]),
-            dsr_enabled=self[("reporting", "dsr_enabled")],
-            dsr_threshold_ms=self[("reporting", "dsr_threshold_ms")],
-            psihi=self[("qos", "psihi")],
-            psi_discard_enabled=self[("qos", "psi_discard")],
-            discard_timer_ms=timer,
-            pose_cg=cg)
+            drx = self._build(DrxConfig)
+            if mode == "adaptive":
+                check_adrx_cycle(drx.cycle_us)
+            cg = self._build(CgConfig)
+            if mode == "off" or drx_override is None:
+                drx = None
+            return self._build(
+                CellConfig, ues_per_cell=load, drx=drx,
+                adaptive_drx=drx is not None and mode == "adaptive",
+                pose_cg=cg if self[("cg", "enabled")] else None)
+        except ConfigError as e:
+            raise ValueError(_key_message(e)) from None
 
 
 @dataclass

@@ -11,7 +11,7 @@ from itertools import repeat
 from operator import mul
 from typing import Optional
 
-from .engine import SLOT_US
+from .engine import SLOT_US, ConfigError
 from .qos import Segment
 from .radio import DATA_SYMBOLS, MCS_SE, N_RB, SC_PER_RB, tb_bits
 
@@ -209,11 +209,15 @@ class CgConfig:
     uto_uci_window: int = 4
 
     def __post_init__(self):
+        train = ("periodicity_us", "occasions_per_period")
         if self.occasions_per_period < 1:
-            raise ValueError("need at least one occasion")
+            raise ConfigError("need at least one occasion", *train)
         # DDDSU has one UL slot each 5 slots, so the train spans 5 slots per occasion
         if self.occasions_per_period * 5 * SLOT_US > self.periodicity_us:
-            raise ValueError("period cannot fit the occasion train")
+            raise ConfigError("period cannot fit the occasion train", *train)
+        for name in ("rb_per_occasion", "uto_uci_window"):
+            if getattr(self, name) < 1:
+                raise ConfigError("must be positive", name)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .engine import block_draws
+from .engine import ConfigError, block_draws
 
 MTU_BYTES = 1500
 
@@ -40,7 +40,7 @@ class Direction(Enum):
 class VideoStreamConfig:
     """Quasi-periodic video stream with truncated-Gaussian frame sizes."""
 
-    avg_rate_bps: float
+    rate_bps: float
     fps: Fraction
     direction: Direction = Direction.DL
 
@@ -50,9 +50,10 @@ class VideoStreamConfig:
         mean = self.mean_frame_bytes
         lo, hi = FRAME_SIZE_MIN_FRAC * mean, FRAME_SIZE_MAX_FRAC * mean
         if not math.floor(lo) + 1 < hi:
-            raise ValueError(
+            raise ConfigError(
                 f"a mean video frame of {mean:.3g} bytes leaves no whole "
-                f"frame size between {lo:.3g} and {hi:.3g} bytes")
+                f"frame size between {lo:.3g} and {hi:.3g} bytes",
+                "rate_bps", "fps")
 
     @property
     def period_us(self) -> Fraction:
@@ -60,7 +61,7 @@ class VideoStreamConfig:
 
     @property
     def mean_frame_bytes(self) -> float:
-        return self.avg_rate_bps / float(self.fps) / 8.0
+        return self.rate_bps / float(self.fps) / 8.0
 
 
 class VideoFrame(NamedTuple):
@@ -224,8 +225,6 @@ def fragment_frame(frame: VideoFrame, mtu: int = MTU_BYTES, sets_per_frame: int 
     """Split a frame into PDU sets and each set into MTU-bounded PDUs."""
     if mtu <= 0:
         raise ValueError("mtu must be positive")
-    if sets_per_frame < 1:
-        raise ValueError("need at least one set per frame")
     if frame.byte_size == 0:
         return []
     arrival = frame.arrival_time

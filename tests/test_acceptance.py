@@ -41,7 +41,7 @@ def _satisfied_count(result) -> int:
 
 
 def test_criterion_01_traffic_statistics():
-    cfg = VideoStreamConfig(avg_rate_bps=30e6, fps=Fraction(60))
+    cfg = VideoStreamConfig(rate_bps=30e6, fps=Fraction(60))
     src = VideoSource(cfg, np.random.default_rng(7))
     n = 100_000
     sizes = np.empty(n)

@@ -187,12 +187,26 @@ def _ini(sections):
     ({"run": {"seeds": "1,1"}}, "seeds"),
     ({"scenario": {"ues_per_cell": "2,2"}}, "ues_per_cell"),
     ({"scenario": {"ues_per_cell": "1-3,2"}}, "ues_per_cell"),
-]] + [({}, "seeds", ["--seeds=-3"])],
+    ({"traffic": {"rate_mbps": "inf"}}, "rate_mbps"),
+    ({"traffic": {"psdb_ms": "inf"}}, "psdb_ms"),
+    ({"run": {"duration_s": "inf"}}, "duration_s"),
+    ({"scenario": {"direction": "ul"},
+      "reporting": {"dsr_enabled": "true", "dsr_threshold_ms": "inf"}},
+     "dsr_threshold_ms"),
+    ({"qos": {"discard_timer": "abc"}}, "discard_timer"),
+    ({"qos": {"discard_timer": "-5"}}, "discard_timer"),
+    ({"qos": {"discard_timer": "0"}}, "discard_timer"),
+    ({"qos": {"discard_timer": "nan"}}, "discard_timer"),
+    ({"run": {"out": ""}}, "out"),
+]] + [({}, "seeds", ["--seeds=-3"]), ({}, "out", ["--out="])],
     ids=["sets_per_frame=0", "psdb_ms=0", "cells=0", "cg.window=0", "cg.rb=0",
          "duration_s=warmup_s", "duration_s=0", "embb_ues=-1",
          "psdb_ms=0.0001", "warmup_s=-1", "dsr_threshold_ms=-1", "seeds=-1",
          "seeds=1,1", "ues_per_cell=2,2", "ues_per_cell=1-3,2",
-         "--seeds=-3"])
+         "rate_mbps=inf", "psdb_ms=inf", "duration_s=inf",
+         "dsr_threshold_ms=inf", "discard_timer=abc", "discard_timer=-5",
+         "discard_timer=0", "discard_timer=nan", "out=", "--seeds=-3",
+         "--out="])
 def test_config_out_of_domain_exits_two(sections, key, flags, tmp_path,
                                         capsys):
     # each of these used to raise mid-sweep, or ran to a wrong report: a

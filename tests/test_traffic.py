@@ -26,7 +26,7 @@ from xrsim.traffic import (
 
 
 def make_source(seed=1, **overrides):
-    kw = dict(avg_rate_bps=30e6, fps=Fraction(60), direction=Direction.DL)
+    kw = dict(rate_bps=30e6, fps=Fraction(60), direction=Direction.DL)
     kw.update(overrides)
     cfg = VideoStreamConfig(**kw)
     return VideoSource(cfg, np.random.default_rng(seed))
@@ -55,7 +55,7 @@ def test_jitter_std_matches_truncated_oracle():
 
 
 def test_ul_arrivals_are_exact_rationals():
-    src = make_source(seed=3, direction=Direction.UL, avg_rate_bps=10e6)
+    src = make_source(seed=3, direction=Direction.UL, rate_bps=10e6)
     for n in range(200):
         assert src.next_frame().arrival_time == n * Fraction(50_000, 3)
 
@@ -102,7 +102,7 @@ def test_frames_equal_scalar_normal_draws(seed, direction):
     # about 4.6 % of the time, and the sizes of a 2-byte mean frame (UL at
     # 960 bps) about 1.7 %, so 64 blocks of frames reject a block's last draw
     rate_bps = 30e6 if direction is Direction.DL else 960.0
-    cfg = VideoStreamConfig(avg_rate_bps=rate_bps, fps=Fraction(60),
+    cfg = VideoStreamConfig(rate_bps=rate_bps, fps=Fraction(60),
                             direction=direction)
     n = 64 * DRAW_BLOCK
     want, draws, rejected = _scalar_frames(cfg, seed, n)
@@ -114,7 +114,7 @@ def test_frames_equal_scalar_normal_draws(seed, direction):
 
 def test_mean_frame_bytes_formula():
     assert make_source().config.mean_frame_bytes == 62500.0
-    assert make_source(avg_rate_bps=10e6).config.mean_frame_bytes == pytest.approx(20833.33, abs=0.01)
+    assert make_source(rate_bps=10e6).config.mean_frame_bytes == pytest.approx(20833.33, abs=0.01)
 
 
 @pytest.mark.parametrize("rate_bps", [0.0, 100.0, 300.0])
@@ -122,12 +122,12 @@ def test_mean_frame_without_a_whole_size_is_rejected(rate_bps):
     # at 60 fps these means are 0, 0.21 and 0.625 B: no whole frame size
     # lies strictly within half and one and a half times the mean
     with pytest.raises(ValueError, match="no whole frame size"):
-        VideoStreamConfig(avg_rate_bps=rate_bps, fps=Fraction(60))
+        VideoStreamConfig(rate_bps=rate_bps, fps=Fraction(60))
 
 
 def test_sub_byte_mean_frame_with_a_whole_size_draws_it():
     # a 0.71 B mean keeps 1 B within its bounds, and every draw lands there
-    src = make_source(avg_rate_bps=340.0)
+    src = make_source(rate_bps=340.0)
     assert {src.next_frame().byte_size for _ in range(200)} == {1}
 
 
