@@ -35,6 +35,19 @@ SWEEP_SHA256 = {
         "8d12b17e0b7bbf7ffdf3def5477188e298481134db80e1029f5cabac1000df44",
 }
 
+UL_SWEEP_SHA256 = {
+    "kpi.csv":
+        "55074822c3a7f6ed9163e6b9cdc90c0566eb6ac8b5d9c213d03e4728cd71a3b0",
+    "cdf_padding_bytes.csv":
+        "186a062d43043cc7920cd91fc0f59fb41fe24784fff765a701561174c24630a7",
+    "cdf_ue_throughput_mbps.csv":
+        "f18c554ba17ff83a3d6f1f5a97cca95326f2335ef39ed460ca750fe147ae6424",
+    "cdf_rb_utilization.csv":
+        "a4fd0fbee82caca12ad19e380646bb69bb0bbe80b90cadce089503e6f34a263b",
+    "events.csv.gz":
+        "64f5fc7f705775893cf0003173a66b39b08cd0a7950038dcf38df25e60fe831e",
+}
+
 CELL_DIGESTS = {
     "pduset-fullbuffer":
         "2c43f22ed051ec460a90f25de32f06bb2bb2dd9d88b1d7f88d07132fd1b2accf",
@@ -72,6 +85,18 @@ def _sweep_ini(out_dir) -> str:
             "[drx]\nmode = adaptive\ninactivity_ms = 2\n\n"
             "[qos]\ndiscard_timer = psdb\n\n"
             f"[run]\nduration_s = 2\nwarmup_s = 0.5\nseeds = 1\n"
+            f"out = {out_dir}\n")
+
+
+def _ul_sweep_ini(out_dir) -> str:
+    # UL with DSR, an FTP eMBB UE and fixed DRX over two seeds: the sweep
+    # that fills the padding CDF and pools seeds; no PSI discard, CG or
+    # second cell
+    return ("[scenario]\ndirection = ul\nues_per_cell = 2,6\nembb_ues = 1\n\n"
+            "[traffic]\nrate_mbps = 10\npsdb_ms = 30\n\n"
+            "[reporting]\ndsr_enabled = true\ndsr_threshold_ms = 25\n\n"
+            "[drx]\nmode = fixed\n\n"
+            f"[run]\nduration_s = 1.5\nwarmup_s = 0.5\nseeds = 1,2\n"
             f"out = {out_dir}\n")
 
 
@@ -169,15 +194,21 @@ def cell_digest(result) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def test_golden_sweep_outputs(tmp_path, capsys):
+def _sweep_hashes(tmp_path, make_ini) -> dict:
     out = tmp_path / "out"
     ini = tmp_path / "sweep.ini"
-    ini.write_text(_sweep_ini(out))
+    ini.write_text(make_ini(out))
     assert main(["--config", str(ini)]) == 0
-    capsys.readouterr()
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in SWEEP_FILES}
-    assert got == SWEEP_SHA256
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SWEEP_FILES}
+
+
+def test_golden_sweep_outputs(tmp_path):
+    assert _sweep_hashes(tmp_path, _sweep_ini) == SWEEP_SHA256
+
+
+def test_golden_ul_sweep_outputs(tmp_path):
+    assert _sweep_hashes(tmp_path, _ul_sweep_ini) == UL_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(CELL_DIGESTS))
