@@ -9,7 +9,8 @@ import io
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -25,19 +26,11 @@ CAPACITY_BAR = 0.90  # at least 90% of UEs satisfied
 RB_CDF_STRIDE = 10
 
 
-def ue_satisfied(frame_outcomes, psdb_us) -> Optional[bool]:
-    """Per-UE satisfaction flag from a per-frame latency log.
-
-    Each outcome is the frame's delivery latency in µs, or None if it never
-    completed. Zero observed frames leaves the flag undefined; the UE is
-    excluded from ratios and a warning is raised.
-    """
-    outcomes = list(frame_outcomes)
-    if not outcomes:
-        warnings.warn("UE with zero observed frames excluded from satisfaction")
-        return None
-    good = sum(1 for lat in outcomes if lat is not None and lat <= psdb_us)
-    return good / len(outcomes) > SATISFACTION_BAR
+def ue_satisfied(in_budget) -> Optional[bool]:
+    """Per-UE satisfaction from the cell's per-frame in-budget flags; None
+    for a UE with zero frames, which the satisfaction ratio excludes."""
+    flags = list(in_budget)
+    return sum(flags) / len(flags) > SATISFACTION_BAR if flags else None
 
 
 def xr_capacity(satisfaction_by_load: dict) -> int:
@@ -266,14 +259,48 @@ class ExperimentConfig:
             raise ValueError(_key_message(e)) from None
 
 
+@dataclass(frozen=True)
+class UeRecord:  # one XR UE of one (load, seed) pair
+    load: int
+    seed: int
+    ue_id: int
+    frames_total: int
+    frames_in_budget: int
+    satisfied: Optional[bool]  # None with zero frames
+    tput_mbps: float  # delivered bits over duration_s - warmup_s
+    avg_power: float
+    mean_padding: float  # bytes per UL grant; 0 without a grant
+
+
+@dataclass
+class PairResult:  # one cell and, with DRX on, its always-on baseline
+    load: int
+    seed: int
+    ues: list  # UeRecord per XR UE
+    events: list  # (load, seed, ue_id, arrival_us, in_budget) per frame
+    padding: Counter  # padding bytes -> UL grants
+    rb_use: Counter  # RB utilisation -> sampled post-warm-up slots
+    base_power: list  # the always-on baseline's per-UE power; [] without DRX
+
+
+@dataclass(frozen=True)
+class LoadKpis:
+    ues: int  # UEs with zero frames included
+    satisfied_ues: int
+    mean_tput_mbps: float
+    mean_padding_bytes: float  # the mean of per-UE means
+    mean_power: float
+
+
 @dataclass
 class KpiReport:
-    per_ue: list  # (load, seed, ue_id, frames_total, frames_in_budget,
-    #                satisfied, tput_mbps, avg_power, mean_padding)
+    per_ue: list  # UeRecord, in the config's (load, seed) order
     satisfaction_by_load: dict
     capacity: int
     gain_by_load: dict
-    cdfs: dict
+    cdfs: dict  # name -> cdf_points
+    by_load: dict = field(default_factory=dict)  # load -> LoadKpis
+    events: list = field(default_factory=list)  # sorted frame events
 
     def __post_init__(self):
         for n, r in self.satisfaction_by_load.items():
@@ -283,14 +310,13 @@ class KpiReport:
             raise ValueError("capacity inconsistent with satisfaction table")
 
 
-def cdf_points(samples) -> list:
-    """Sorted (value, cumulative fraction) pairs, one per distinct value."""
-    xs = sorted(samples)
-    n = len(xs)
-    out = []
-    for i, v in enumerate(xs):
-        if i + 1 == n or xs[i + 1] != v:
-            out.append((v, (i + 1) / n))
+def cdf_points(counts: Counter) -> list:
+    """Sorted (value, cumulative fraction) pairs from value -> count."""
+    n = sum(counts.values())
+    out, cum = [], 0
+    for v in sorted(counts):
+        cum += counts[v]
+        out.append((v, cum / n))
     return out
 
 
@@ -304,92 +330,87 @@ def emit_cdf(points, name, out_dir) -> str:
     return path
 
 
+def run_pair(config: ExperimentConfig, load: int, seed: int) -> PairResult:
+    """Run one (load, seed) cell and, with DRX on, its always-on baseline."""
+    result = CellSim(config.cell_config(load), seed=seed).run()
+    span_s = config[("run", "duration_s")] - config[("run", "warmup_s")]
+    ues, events, padding = [], [], Counter()
+    for kpi in result.xr_ues():
+        sat = ue_satisfied(ok for _, ok in kpi.outcomes)
+        if sat is None:
+            warnings.warn(f"UE {kpi.ue_id} (load {load}, seed {seed}) saw "
+                          "zero frames; excluded from satisfaction")
+        pad = kpi.padding_samples
+        ues.append(UeRecord(load, seed, kpi.ue_id, kpi.frames_total,
+                            kpi.frames_in_budget, sat,
+                            kpi.delivered_bits / span_s / 1e6, kpi.avg_power,
+                            sum(pad) / len(pad) if pad else 0.0))
+        padding.update(pad)
+        events.extend((load, seed, kpi.ue_id, arrival, int(ok))
+                      for arrival, ok in kpi.outcomes)
+    base = []
+    if config[("drx", "mode")] != "off":
+        base = [k.avg_power for k in CellSim(config.cell_config(
+            load, drx_override=None), seed=seed).run().xr_ues()]
+    return PairResult(load, seed, ues, events, padding,
+                      Counter(result.rb_utilization[::RB_CDF_STRIDE]), base)
+
+
+def aggregate(config: ExperimentConfig, pairs) -> KpiReport:
+    """Fold the pairs in the config's (load, seed) order, whatever order
+    they are given in; each UE is pooled into its load across seeds."""
+    by_key = {(p.load, p.seed): p for p in pairs}
+    per_ue, by_load, satisfaction, gains = [], {}, {}, {}
+    padding, rb_use = Counter(), Counter()
+    for load in config.loads:
+        runs = [by_key[(load, seed)] for seed in config.seeds]
+        rows = [u for p in runs for u in p.ues]
+        flags = [u.satisfied for u in rows if u.satisfied is not None]
+        satisfaction[load] = sum(flags) / len(flags) if flags else 0.0
+        kpis = by_load[load] = LoadKpis(
+            len(rows), sum(flags), sum(u.tput_mbps for u in rows) / len(rows),
+            sum(u.mean_padding for u in rows) / len(rows),
+            sum(u.avg_power for u in rows) / len(rows))
+        if config[("drx", "mode")] != "off":
+            base = [w for p in runs for w in p.base_power]
+            gains[load] = power_saving_gain(kpis.mean_power,
+                                            sum(base) / len(base))
+        per_ue += rows
+        for p in runs:
+            padding.update(p.padding)
+            rb_use.update(p.rb_use)
+    cdfs = {"padding_bytes": cdf_points(padding),
+            "ue_throughput_mbps": cdf_points(Counter(u.tput_mbps
+                                                     for u in per_ue)),
+            "rb_utilization": cdf_points(rb_use)}
+    return KpiReport(per_ue, satisfaction, xr_capacity(satisfaction), gains,
+                     cdfs, by_load, sorted(e for p in by_key.values()
+                                           for e in p.events))
+
+
 def run_experiment(config: ExperimentConfig) -> KpiReport:
     """Sweep loads x seeds, pool UEs across seeds, write the CSV outputs."""
     os.makedirs(config.out_dir, exist_ok=True)
-    per_ue = []
-    events = []
-    padding = []
-    tputs = []
-    rb_samples = []
-    power = {}  # (load, "on"|"drx") -> [avg powers]
-    drx_on = config[("drx", "mode")] != "off"
-    span_s = config[("run", "duration_s")] - config[("run", "warmup_s")]
-    psdb_us = config[("traffic", "psdb_ms")] * 1000
-    for load in config.loads:
-        for seed in config.seeds:
-            result = CellSim(config.cell_config(load), seed=seed).run()
-            for kpi in result.xr_ues():
-                sat = None
-                if not kpi.outcomes:
-                    warnings.warn(
-                        f"UE {kpi.ue_id} (load {load}, seed {seed}) saw zero "
-                        "frames; excluded from satisfaction")
-                else:
-                    # a frame in budget counts as delivered with no delay,
-                    # any other as never completed
-                    sat = ue_satisfied([0 if ok else None
-                                        for _, ok in kpi.outcomes], psdb_us)
-                tput = kpi.delivered_bits / span_s / 1e6
-                pad = (sum(kpi.padding_samples) / len(kpi.padding_samples)
-                       if kpi.padding_samples else 0.0)
-                per_ue.append((load, seed, kpi.ue_id, kpi.frames_total,
-                               kpi.frames_in_budget, sat, tput,
-                               kpi.avg_power, pad))
-                padding.extend(kpi.padding_samples)
-                tputs.append(tput)
-                power.setdefault((load, "drx" if drx_on else "on"),
-                                 []).append(kpi.avg_power)
-            rb_samples.extend(result.rb_utilization[::RB_CDF_STRIDE])
-            for kpi in result.xr_ues():
-                for arrival, ok in kpi.outcomes:
-                    events.append((load, seed, kpi.ue_id, arrival, int(ok)))
-            if drx_on:
-                base = CellSim(config.cell_config(load, drx_override=None),
-                               seed=seed).run()
-                power.setdefault((load, "on"), []).extend(
-                    k.avg_power for k in base.xr_ues())
-
-    satisfaction = {}
-    for load in config.loads:
-        flags = [row[5] for row in per_ue if row[0] == load and row[5] is not None]
-        satisfaction[load] = (sum(flags) / len(flags)) if flags else 0.0
-    gains = {}
-    if drx_on:
-        for load in config.loads:
-            p = power[(load, "drx")]
-            p_on = power[(load, "on")]
-            gains[load] = power_saving_gain(sum(p) / len(p),
-                                            sum(p_on) / len(p_on))
-    cdfs = {"padding_bytes": cdf_points(padding),
-            "ue_throughput_mbps": cdf_points(tputs),
-            "rb_utilization": cdf_points(rb_samples)}
-    report = KpiReport(per_ue=per_ue,
-                       satisfaction_by_load=satisfaction,
-                       capacity=xr_capacity(satisfaction),
-                       gain_by_load=gains, cdfs=cdfs)
-    _write_outputs(config, report, events)
+    report = aggregate(config, [run_pair(config, n, s) for n in config.loads
+                                for s in config.seeds])
+    _write_outputs(config, report)
     return report
 
 
-def _write_outputs(config, report: KpiReport, events):
+def _write_outputs(config, report: KpiReport):
     out = config.out_dir
     with open(os.path.join(out, "kpi.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["load", "metric", "value"])
         for load in config.loads:
-            rows = [r for r in report.per_ue if r[0] == load]
-            sat_flags = [r[5] for r in rows if r[5] is not None]
-            w.writerow([load, "ues", len(rows)])
-            w.writerow([load, "satisfied_ues", sum(sat_flags)])
-            w.writerow([load, "satisfaction_ratio",
-                        report.satisfaction_by_load[load]])
-            w.writerow([load, "mean_ue_throughput_mbps",
-                        sum(r[6] for r in rows) / len(rows) if rows else 0.0])
-            w.writerow([load, "mean_padding_bytes",
-                        sum(r[8] for r in rows) / len(rows) if rows else 0.0])
-            w.writerow([load, "mean_power",
-                        sum(r[7] for r in rows) / len(rows) if rows else 0.0])
+            k = report.by_load[load]
+            w.writerows([[load, "ues", k.ues],
+                         [load, "satisfied_ues", k.satisfied_ues],
+                         [load, "satisfaction_ratio",
+                          report.satisfaction_by_load[load]],
+                         [load, "mean_ue_throughput_mbps", k.mean_tput_mbps],
+                         [load, "mean_padding_bytes", k.mean_padding_bytes],
+                         [load, "mean_power", k.mean_power]])
             if load in report.gain_by_load:
                 w.writerow([load, "power_saving_gain_pct",
                             report.gain_by_load[load]])
@@ -402,8 +423,7 @@ def _write_outputs(config, report: KpiReport, events):
         text = io.TextIOWrapper(gz, encoding="utf-8", newline="")
         w = csv.writer(text)
         w.writerow(["load", "seed", "ue_id", "arrival_us", "in_budget"])
-        for row in sorted(events):
-            w.writerow(row)
+        w.writerows(report.events)
         text.flush()
         text.detach()
     with open(os.path.join(out, "events.csv.gz"), "wb") as f:

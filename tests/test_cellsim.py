@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xrsim.cellsim import CellConfig, CellSim, _always_on_runs
+from xrsim.cellsim import CellConfig, CellSim, FrameProgress, _always_on_runs
 from xrsim.drx import ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP
 from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.qos import FlowQueue
@@ -50,6 +50,26 @@ def test_frame_accounting_window():
         for arrival, _ in kpi.outcomes:
             assert arrival >= 0.5e6
             assert arrival + 10_000 <= 2.0e6
+
+
+def test_in_budget_means_done_by_the_deadline():
+    # the one in-budget rule: a frame done at its deadline counts, one done
+    # a tick later does not, and a lost frame never does
+    sim = CellSim(_short(ues_per_cell=1), seed=1)
+    ue = sim.xr[0]
+    arrival = sim.warmup_t
+    deadline = arrival + sim.psdb_t
+    frames = [FrameProgress(i, arrival, deadline, 1) for i in range(4)]
+    frames[0].done_time = deadline
+    frames[1].done_time = deadline + 1
+    frames[2].lost = True
+    frames[3].lost = True
+    frames[3].done_time = arrival
+    ue.undecided.extend(frames)
+    sim._decide_frames(deadline + 1)
+    assert not ue.undecided
+    assert ue.outcomes == [(arrival / sim.ticks_per_us, ok)
+                           for ok in (True, False, False, False)]
 
 
 def test_low_load_all_in_budget():
