@@ -23,7 +23,6 @@ from .traffic import Direction
 
 SATISFACTION_BAR = 0.99  # strictly more than 99% of frames in budget
 CAPACITY_BAR = 0.90  # at least 90% of UEs satisfied
-RB_CDF_STRIDE = 10
 
 
 def ue_satisfied(in_budget) -> Optional[bool]:
@@ -279,7 +278,7 @@ class PairResult:  # one cell and, with DRX on, its always-on baseline
     ues: list  # UeRecord per XR UE
     events: list  # (load, seed, ue_id, arrival_us, in_budget) per frame
     padding: Counter  # padding bytes -> UL grants
-    rb_use: Counter  # RB utilisation -> sampled post-warm-up slots
+    rb_use: Counter  # RB utilisation -> post-warm-up slots
     base_power: list  # the always-on baseline's per-UE power; [] without DRX
 
 
@@ -353,7 +352,7 @@ def run_pair(config: ExperimentConfig, load: int, seed: int) -> PairResult:
         base = [k.avg_power for k in CellSim(config.cell_config(
             load, drx_override=None), seed=seed).run().xr_ues()]
     return PairResult(load, seed, ues, events, padding,
-                      Counter(result.rb_utilization[::RB_CDF_STRIDE]), base)
+                      Counter(result.rb_utilization), base)
 
 
 def aggregate(config: ExperimentConfig, pairs) -> KpiReport:

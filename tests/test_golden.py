@@ -30,7 +30,7 @@ SWEEP_SHA256 = {
     "cdf_ue_throughput_mbps.csv":
         "bf29232c1cf5e07b5f489aacc98bf6c435a7c2b2576fca5d3ea8b7c27ae4ff4e",
     "cdf_rb_utilization.csv":
-        "763f84ca60d860c3ac6284554c32dae7f5bb9fa18a6ea6829c98bf4c8cb00fd3",
+        "0f9b99afc68c33dd77e2c6b99e8a6b6c2e089998aadb611ae101352de793b10a",
     "events.csv.gz":
         "8d12b17e0b7bbf7ffdf3def5477188e298481134db80e1029f5cabac1000df44",
 }
@@ -43,7 +43,7 @@ UL_SWEEP_SHA256 = {
     "cdf_ue_throughput_mbps.csv":
         "f18c554ba17ff83a3d6f1f5a97cca95326f2335ef39ed460ca750fe147ae6424",
     "cdf_rb_utilization.csv":
-        "a4fd0fbee82caca12ad19e380646bb69bb0bbe80b90cadce089503e6f34a263b",
+        "3b653c8d5abc6fd077dc1c62d8147ac3241a1d8d3142e4dd8c62390bd2449719",
     "events.csv.gz":
         "64f5fc7f705775893cf0003173a66b39b08cd0a7950038dcf38df25e60fe831e",
 }

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from xrsim.cellsim import CellConfig, CellSim
+from xrsim.engine import UPLINK, slot_type
 from xrsim.harness import (ExperimentConfig, KpiReport, _write_outputs,
                            aggregate, cdf_points, emit_cdf, parse_loads,
                            parse_seeds, run_experiment, run_pair, ue_satisfied,
@@ -354,3 +355,22 @@ def test_aggregate_ignores_the_order_of_the_pairs(tmp_path):
     # loads are reported in the config's order, not sorted
     assert list(report.by_load) == [3, 1]
     assert [u.load for u in report.per_ue] == [3] * 6 + [1] * 2
+
+
+def test_rb_cdf_counts_every_post_warm_up_slot(tmp_path):
+    # a UL cell uses RBs on its UL slots, one slot in five; the RB CDF is
+    # that of the pooled series of every post-warm-up slot
+    cfg = _tiny_config(tmp_path, [("scenario", "direction", "ul"),
+                                  ("traffic", "rate_mbps", "10"),
+                                  ("traffic", "psdb_ms", "30")])
+    report = aggregate(cfg, _pairs(cfg))
+    first = 1000  # the first slot after the 0.5 s warm-up
+    pooled, ul = [], []
+    for seed in cfg.seeds:
+        series = CellSim(cfg.cell_config(2), seed=seed).run().rb_utilization
+        pooled += series
+        ul += [x for i, x in enumerate(series)
+               if slot_type(first + i) == UPLINK]
+    assert report.cdfs["rb_utilization"] == cdf_points(Counter(pooled))
+    values = {v for v, _ in report.cdfs["rb_utilization"]}
+    assert set(ul) <= values and max(ul) > 0
