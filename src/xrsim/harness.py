@@ -299,7 +299,6 @@ class KpiReport:
     gain_by_load: dict
     cdfs: dict  # name -> cdf_points
     by_load: dict = field(default_factory=dict)  # load -> LoadKpis
-    events: list = field(default_factory=list)  # sorted frame events
 
     def __post_init__(self):
         for n, r in self.satisfaction_by_load.items():
@@ -383,20 +382,21 @@ def aggregate(config: ExperimentConfig, pairs) -> KpiReport:
                                                      for u in per_ue)),
             "rb_utilization": cdf_points(rb_use)}
     return KpiReport(per_ue, satisfaction, xr_capacity(satisfaction), gains,
-                     cdfs, by_load, sorted(e for p in by_key.values()
-                                           for e in p.events))
+                     cdfs, by_load)
 
 
 def run_experiment(config: ExperimentConfig) -> KpiReport:
     """Sweep loads x seeds, pool UEs across seeds, write the CSV outputs."""
     os.makedirs(config.out_dir, exist_ok=True)
-    report = aggregate(config, [run_pair(config, n, s) for n in config.loads
-                                for s in config.seeds])
-    _write_outputs(config, report)
+    pairs = [run_pair(config, load, seed)
+             for load in config.loads for seed in config.seeds]
+    report = aggregate(config, pairs)
+    _write_outputs(config, report, pairs)
     return report
 
 
-def _write_outputs(config, report: KpiReport):
+def _write_outputs(config, report: KpiReport, pairs):
+    """kpi.csv and the CDFs from the report, the frame log from the pairs."""
     out = config.out_dir
     with open(os.path.join(out, "kpi.csv"), "w", newline="") as f:
         w = csv.writer(f)
@@ -422,7 +422,7 @@ def _write_outputs(config, report: KpiReport):
         text = io.TextIOWrapper(gz, encoding="utf-8", newline="")
         w = csv.writer(text)
         w.writerow(["load", "seed", "ue_id", "arrival_us", "in_budget"])
-        w.writerows(report.events)
+        w.writerows(sorted(e for p in pairs for e in p.events))
         text.flush()
         text.detach()
     with open(os.path.join(out, "events.csv.gz"), "wb") as f:

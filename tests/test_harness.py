@@ -341,7 +341,7 @@ def test_aggregate_ignores_the_order_of_the_pairs(tmp_path):
     pairs = _pairs(cfg)
     report = aggregate(cfg, pairs)
     os.makedirs(cfg.out_dir)
-    _write_outputs(cfg, report)
+    _write_outputs(cfg, report, pairs)
     written = {name: open(os.path.join(cfg.out_dir, name), "rb").read()
                for name in os.listdir(cfg.out_dir)}
     shuffled = pairs[:]
@@ -349,7 +349,7 @@ def test_aggregate_ignores_the_order_of_the_pairs(tmp_path):
     for order in (pairs[::-1], shuffled):
         again = aggregate(cfg, order)
         assert again == report
-        _write_outputs(cfg, again)
+        _write_outputs(cfg, again, order)
         for name, data in written.items():
             assert open(os.path.join(cfg.out_dir, name), "rb").read() == data
     # loads are reported in the config's order, not sorted
