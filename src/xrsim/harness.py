@@ -10,7 +10,7 @@ import math
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -298,7 +298,7 @@ class KpiReport:
     capacity: int
     gain_by_load: dict
     cdfs: dict  # name -> cdf_points
-    by_load: dict = field(default_factory=dict)  # load -> LoadKpis
+    by_load: dict  # load -> LoadKpis
 
     def __post_init__(self):
         for n, r in self.satisfaction_by_load.items():
@@ -369,8 +369,8 @@ def aggregate(config: ExperimentConfig, pairs) -> KpiReport:
             len(rows), sum(flags), sum(u.tput_mbps for u in rows) / len(rows),
             sum(u.mean_padding for u in rows) / len(rows),
             sum(u.avg_power for u in rows) / len(rows))
-        if config[("drx", "mode")] != "off":
-            base = [w for p in runs for w in p.base_power]
+        base = [w for p in runs for w in p.base_power]
+        if base:
             gains[load] = power_saving_gain(kpis.mean_power,
                                             sum(base) / len(base))
         per_ue += rows

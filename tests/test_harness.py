@@ -5,6 +5,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,13 +239,13 @@ def test_config_drx_override_forces_always_on():
 def test_kpi_report_checks_capacity():
     with pytest.raises(ValueError):
         KpiReport(per_ue=[], satisfaction_by_load={4: 1.0}, capacity=0,
-                  gain_by_load={}, cdfs={})
+                  gain_by_load={}, cdfs={}, by_load={})
 
 
 def test_kpi_report_checks_ratio_range():
     with pytest.raises(ValueError):
         KpiReport(per_ue=[], satisfaction_by_load={4: 1.2}, capacity=4,
-                  gain_by_load={}, cdfs={})
+                  gain_by_load={}, cdfs={}, by_load={})
 
 
 # ---- end to end ----
@@ -342,16 +343,15 @@ def test_aggregate_ignores_the_order_of_the_pairs(tmp_path):
     report = aggregate(cfg, pairs)
     os.makedirs(cfg.out_dir)
     _write_outputs(cfg, report, pairs)
-    written = {name: open(os.path.join(cfg.out_dir, name), "rb").read()
-               for name in os.listdir(cfg.out_dir)}
+    written = {p.name: p.read_bytes() for p in Path(cfg.out_dir).iterdir()}
     shuffled = pairs[:]
     random.Random(3).shuffle(shuffled)
     for order in (pairs[::-1], shuffled):
         again = aggregate(cfg, order)
         assert again == report
         _write_outputs(cfg, again, order)
-        for name, data in written.items():
-            assert open(os.path.join(cfg.out_dir, name), "rb").read() == data
+        assert {p.name: p.read_bytes()
+                for p in Path(cfg.out_dir).iterdir()} == written
     # loads are reported in the config's order, not sorted
     assert list(report.by_load) == [3, 1]
     assert [u.load for u in report.per_ue] == [3] * 6 + [1] * 2
