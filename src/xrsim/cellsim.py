@@ -178,9 +178,8 @@ class FrameProgress:
 class UeCtx:
     """Mutable per-UE simulation state."""
 
-    def __init__(self, ue_id, link, is_embb=False):
+    def __init__(self, ue_id, is_embb=False):
         self.ue_id = ue_id
-        self.link = link
         self.is_embb = is_embb
         self.sinr_db = 0.0
         self.ul_sinr_db = 0.0
@@ -284,7 +283,7 @@ class CellSim:
         for link in links:
             rank = link.ue_id % per_cell
             is_embb = rank >= config.ues_per_cell
-            ue = UeCtx(link.ue_id, link, is_embb)
+            ue = UeCtx(link.ue_id, is_embb)
             ue.sinr_db = dl_sinr_db(link.serving_coupling_db,
                                     link.interferer_couplings(cells))
             ue.ul_sinr_db = ul_sinr_db(50, link.serving_coupling_db)
@@ -384,8 +383,7 @@ class CellSim:
                 # keep a deep backlog so the queue never drains
                 while ue.queue.queued_bytes < 1_000_000:
                     sid = ("fb", ue.ue_id, ue.fb_count)
-                    ue.queue.enqueue_set(PduSet(sid, ue.fb_count, 0, now,
-                                                (150_000,)))
+                    ue.queue.enqueue_set(PduSet(sid, 0, now, (150_000,)))
                     ue.fb_count += 1
                 continue
             if ue.next_sets is None:

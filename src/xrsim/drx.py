@@ -57,11 +57,11 @@ class DrxMachine:
     ticks, and the machine then does integer arithmetic only.
     """
 
-    def __init__(self, cfg: DrxConfig, now=0, slot=SLOT_US):
+    def __init__(self, cfg: DrxConfig, slot=SLOT_US):
         self.cfg = cfg
         self.slot = slot
         self.next_start = cfg.start_offset_us
-        self._align(now)
+        self._align(0)
         self.on_expiry: float = -math.inf
         self.inactivity_expiry: float = -math.inf
         self.mode = DrxMode.SLEEP
@@ -250,17 +250,6 @@ class AdrxController:
                 | (worst + service > self.psdb_us))
         return viol.sum(axis=-1).T
 
-    def predict(self, offset_us: float, on_dur_us: float) -> tuple[float, float]:
-        """(violation fraction, active µs per cycle) for one candidate."""
-        if not self.observations:
-            return 0.0, on_dur_us
-        period = float(self.current.cycle_us)
-        shifted = self._shifted()
-        n = len(shifted)
-        viol = int(self._violation_counts(shifted, period, [offset_us],
-                                          [on_dur_us])[0, 0])
-        return (viol / n, on_dur_us + self._excess(shifted, on_dur_us) / n)
-
     def update(self, violations_in_epoch: int) -> DrxConfig:
         self.q = max(self.q + violations_in_epoch - ADRX_TARGET_VIOLATIONS, 0.0)
         if not self.observations:
@@ -269,9 +258,10 @@ class AdrxController:
         base_offset = float(self.current.start_offset_us % self.current.cycle_us)
         anchor = self._expected_phase()
         offsets = [(anchor + d * 1000.0) % period for d in ADRX_OFFSET_DELTA_MS]
-        # the candidates, costs and choice of a loop over predict, with the
-        # offset-independent work done once per update: the least key wins,
-        # and equal keys are the same candidate, so the loop order is free
+        # each (offset, on-duration) candidate costs its violation fraction
+        # and its active µs per cycle, the offset-independent work done once
+        # per update: the least key wins, and equal keys are the same
+        # candidate, so the loop order is free
         shifted = self._shifted()
         n = len(shifted)
         on_grid = [on_ms * 1000.0 for on_ms in ADRX_ON_GRID_MS

@@ -293,7 +293,6 @@ class LoadKpis:
 
 @dataclass
 class KpiReport:
-    per_ue: list  # UeRecord, in the config's (load, seed) order
     satisfaction_by_load: dict
     capacity: int
     gain_by_load: dict
@@ -381,8 +380,8 @@ def aggregate(config: ExperimentConfig, pairs) -> KpiReport:
             "ue_throughput_mbps": cdf_points(Counter(u.tput_mbps
                                                      for u in per_ue)),
             "rb_utilization": cdf_points(rb_use)}
-    return KpiReport(per_ue, satisfaction, xr_capacity(satisfaction), gains,
-                     cdfs, by_load)
+    return KpiReport(satisfaction, xr_capacity(satisfaction), gains, cdfs,
+                     by_load)
 
 
 def run_experiment(config: ExperimentConfig) -> KpiReport:

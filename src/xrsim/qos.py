@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .traffic import Pdu, PduSet
+from .traffic import PduSet
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,8 @@ class Segment:
         self.completed = completed
 
     @property
-    def completes_pdu(self) -> bool:
-        return self.completed > 0
-
-    @property
     def first_pdu_index(self) -> int:
         return bisect_right(self.pdu_set.ends, self.start)
-
-    @property
-    def pdu(self) -> Pdu:
-        """The first PDU the span touches, built on demand."""
-        return self.pdu_set.pdus[self.first_pdu_index]
 
 
 class FlowQueue:
@@ -145,21 +136,14 @@ class FlowQueue:
             self._log(now, set_id, cause)
         return removed
 
-    def _harq_loss(self, set_id, pdu_id, now) -> list:
-        self._log(now, set_id, "harq", (pdu_id,))
-        return self.mark_set_lost(set_id, now, "harq")
-
-    def on_pdu_lost(self, pdu: Pdu, now) -> list:
-        return self._harq_loss(pdu.pdu_set_id, pdu.id, now)
-
     def on_block_lost(self, segments: Iterable[Segment], now) -> list:
         """HARQ gave up on a transport block: every set it carried is lost."""
         removed = []
         for seg in segments:
             s = seg.pdu_set
             if s.id not in self.lost_sets:
-                removed += self._harq_loss(
-                    s.id, s.id + (seg.first_pdu_index,), now)
+                self._log(now, s.id, "harq", (s.id + (seg.first_pdu_index,),))
+                removed += self.mark_set_lost(s.id, now, "harq")
         return removed
 
     def discard_expired(self, now) -> list:

@@ -79,14 +79,10 @@ def ul_tx_power_dbm(n_rb: int, pathloss_db_: float) -> float:
     return min(PCMAX_DBM, P0_DBM + 10.0 * math.log10(n_rb) + PC_ALPHA * pathloss_db_)
 
 
-def ul_sinr_db(n_rb: int, coupling_db: float,
-               interference_dbm_per_rb: float | None = None) -> float:
+def ul_sinr_db(n_rb: int, coupling_db: float) -> float:
     p = ul_tx_power_dbm(n_rb, coupling_db)
     rx_psd = p - coupling_db - 10.0 * math.log10(n_rb)
-    n = 10.0 ** (noise_dbm(1, BS_NF_DB) / 10.0)
-    if interference_dbm_per_rb is not None:
-        n += 10.0 ** (interference_dbm_per_rb / 10.0)
-    return rx_psd - 10.0 * math.log10(n)
+    return rx_psd - 10.0 * math.log10(10.0 ** (noise_dbm(1, BS_NF_DB) / 10.0))
 
 
 def select_mcs(csi_sinr_db: float) -> tuple[int, float]:
@@ -143,7 +139,6 @@ def harq_attempt(process: HarqProcess, sinr_db: float,
 class UeLink:
     ue_id: int
     cell_id: int
-    position: tuple[float, float, float]
     couplings_db: np.ndarray  # to every cell, shadowing included
 
     @property
@@ -168,15 +163,15 @@ class Deployment:
         self.hall_x = (-HALL_MARGIN_M, (ncols - 1) * ISD_M + HALL_MARGIN_M)
         self.hall_y = (-HALL_MARGIN_M, (nrows - 1) * ISD_M + HALL_MARGIN_M)
 
-    def _candidate(self, rng: np.random.Generator):
+    def _candidate(self, rng: np.random.Generator) -> np.ndarray:
+        """The couplings of a uniformly drawn UE position to every cell."""
         x = rng.uniform(*self.hall_x)
         y = rng.uniform(*self.hall_y)
         pos = np.array([x, y, UE_HEIGHT_M])
         d3d = np.linalg.norm(self.cell_pos - pos, axis=1)
         pl = np.array([pathloss_db(d) for d in d3d])
         shadow = rng.normal(0.0, SHADOW_STD_DB, size=self.n_cells)
-        couplings = np.array([coupling_loss_db(p, s) for p, s in zip(pl, shadow)])
-        return (x, y, UE_HEIGHT_M), couplings
+        return np.array([coupling_loss_db(p, s) for p, s in zip(pl, shadow)])
 
     def drop_ues(self, ues_per_cell: int, rng: np.random.Generator) -> list[UeLink]:
         """Placement conditioned so each cell serves exactly ues_per_cell UEs."""
@@ -185,9 +180,9 @@ class Deployment:
         for cell in range(self.n_cells):
             accepted = 0
             while accepted < ues_per_cell:
-                pos, couplings = self._candidate(rng)
+                couplings = self._candidate(rng)
                 if int(np.argmin(couplings)) == cell:
-                    links.append(UeLink(ue_id, cell, pos, couplings))
+                    links.append(UeLink(ue_id, cell, couplings))
                     ue_id += 1
                     accepted += 1
         return links

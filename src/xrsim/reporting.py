@@ -32,14 +32,6 @@ class BsTable:
     kind: TableKind
     entries: tuple[int, ...]
 
-    @property
-    def max_bytes(self) -> int:
-        return self.entries[-1]
-
-    @property
-    def index_count(self) -> int:
-        return len(self.entries)
-
 
 def _geometric_entries(n: int, b_min: int, b_max: int) -> list[int]:
     # nearest-integer rounding can collide adjacent low entries; bump to

@@ -39,7 +39,6 @@ class SchedulerPolicy:
 class Allocation:
     ue_id: int
     slot: int
-    rb_start: int
     rb_count: int
     mcs: int
     tb_bits: int
@@ -161,8 +160,8 @@ def allocate_dl(slot: int, ues: list, now, policy: SchedulerPolicy,
         segments = ue.queue.take(tb // 8)
         if not segments:
             continue
-        allocations.append(Allocation(ue.ue_id, slot, rb_used, rb, ue.mcs,
-                                      tb, segments))
+        allocations.append(Allocation(ue.ue_id, slot, rb, ue.mcs, tb,
+                                      segments))
         rb_used += rb
     assert rb_used <= total_rb
     return allocations
@@ -176,8 +175,8 @@ class UlCandidate:
     urgency_us: Optional[float] = None  # smallest remaining time via DSR
 
 
-def allocate_ul(slot: int, candidates: list[UlCandidate], total_rb: int = N_RB,
-                data_symbols: int = DATA_SYMBOLS) -> list[Allocation]:
+def allocate_ul(slot: int, candidates: list[UlCandidate],
+                total_rb: int = N_RB) -> list[Allocation]:
     """Grant UL RBs proportionally to reported buffers, urgent UEs first."""
     active = [c for c in candidates if c.reported_bytes > 0]
     if not active:
@@ -186,17 +185,15 @@ def allocate_ul(slot: int, candidates: list[UlCandidate], total_rb: int = N_RB,
     active.sort(key=lambda c: (c.urgency_us if c.urgency_us is not None
                                else math.inf, c.ue_id))
     grants = []
-    rb_used = 0
     remaining = total_rb
     for c in active:
         if remaining <= 0:
             break
         share = max(1, round(remaining * c.reported_bytes / total_bytes))
-        demand = _rb_demand(c.reported_bytes * 8, c.mcs, data_symbols)
+        demand = _rb_demand(c.reported_bytes * 8, c.mcs, DATA_SYMBOLS)
         rb = min(share, demand, remaining)
-        tb = tb_bits(c.mcs, rb, data_symbols)
-        grants.append(Allocation(c.ue_id, slot, rb_used, rb, c.mcs, tb))
-        rb_used += rb
+        grants.append(Allocation(c.ue_id, slot, rb, c.mcs,
+                                 tb_bits(c.mcs, rb)))
         remaining -= rb
     return grants
 
@@ -222,7 +219,6 @@ class CgConfig:
 
 @dataclass(frozen=True)
 class CgOccasion:
-    period: int
     slot: int
     rb_count: int
 
@@ -242,7 +238,7 @@ def cg_occasions(cfg: CgConfig, horizon_us) -> list[CgOccasion]:
         for k in range(cfg.occasions_per_period):
             slot = u + 5 * k
             if slot * SLOT_US < horizon_us:
-                out.append(CgOccasion(n, slot, cfg.rb_per_occasion))
+                out.append(CgOccasion(slot, cfg.rb_per_occasion))
         n += 1
     return out
 

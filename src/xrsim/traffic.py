@@ -93,33 +93,27 @@ class PduSet:
 
     A set stores where its PDUs end: PDU i has id ``id + (i,)`` and its last
     byte is byte ``ends[i]`` of the set. ``sizes`` and ``pdus`` are derived
-    when read, off the simulation's hot path. Explicit ``sizes``, or
-    ``pdus`` whose set-level fields the set keeps, are checked; ``ends``,
-    as ``mtu_ends`` builds them, are taken as given and may be shared. A
-    set is its own flow-queue entry: ``taken`` counts the bytes MAC took.
+    when read, off the simulation's hot path. Explicit ``sizes`` are
+    checked; ``ends``, as ``mtu_ends`` builds them, are taken as given and
+    may be shared. A set is its own flow-queue entry: ``taken`` counts the
+    bytes MAC took.
     """
 
-    __slots__ = ("id", "frame_id", "psi", "arrival_time", "deadline", "ends",
+    __slots__ = ("id", "psi", "arrival_time", "deadline", "ends",
                  "total_bytes", "end_of_burst", "taken")
 
-    def __init__(self, id: tuple, frame_id: int, psi: int,
-                 arrival_time: Fraction, sizes: Sequence[int] = (),
+    def __init__(self, id: tuple, psi: int, arrival_time: Fraction,
+                 sizes: Sequence[int] = (),
                  deadline: Optional[Fraction] = None,
                  end_of_burst: bool = False,
-                 pdus: Optional[Sequence[Pdu]] = None,
                  ends: Optional[tuple] = None):
         if ends is None:
-            if pdus is not None:
-                sizes = [p.byte_size for p in pdus]
-                deadline = pdus[0].deadline
-                end_of_burst = pdus[-1].is_end_of_burst
             if not sizes or min(sizes) <= 0:
                 raise ValueError("every pdu must carry payload")
             ends = tuple(accumulate(sizes))
         if deadline is not None and deadline <= arrival_time:
             raise ValueError("deadline must lie after arrival")
         self.id = id
-        self.frame_id = frame_id
         self.psi = psi
         self.arrival_time = arrival_time
         self.deadline = deadline
@@ -219,28 +213,25 @@ class VideoSource:
         return frame
 
 
-def fragment_frame(frame: VideoFrame, mtu: int = MTU_BYTES, sets_per_frame: int = 1,
-                   psdb_us: Optional[int] = None,
-                   psi_pattern: Sequence[int] = DEFAULT_PSI_PATTERN) -> list[PduSet]:
+def fragment_frame(frame: VideoFrame, sets_per_frame: int = 1,
+                   psdb_us: Optional[int] = None) -> list[PduSet]:
     """Split a frame into PDU sets and each set into MTU-bounded PDUs."""
-    if mtu <= 0:
-        raise ValueError("mtu must be positive")
     if frame.byte_size == 0:
         return []
     arrival = frame.arrival_time
     deadline = None if psdb_us is None else arrival + psdb_us
     index, last = frame.index, sets_per_frame - 1
     base, rem = divmod(frame.byte_size, sets_per_frame)
+    psi = DEFAULT_PSI_PATTERN
     # the equal sets share one tuple of PDU ends, and so does the last set
     # when the frame splits evenly
-    ends = mtu_ends(base, mtu) if base else None
-    sets = [PduSet((index, k), index, psi_pattern[k % len(psi_pattern)],
-                   arrival, deadline=deadline, ends=ends)
+    ends = mtu_ends(base, MTU_BYTES) if base else None
+    sets = [PduSet((index, k), psi[k % len(psi)], arrival,
+                   deadline=deadline, ends=ends)
             for k in range(last if base else 0)]
-    sets.append(PduSet((index, last), index,
-                       psi_pattern[last % len(psi_pattern)], arrival,
+    sets.append(PduSet((index, last), psi[last % len(psi)], arrival,
                        deadline=deadline, end_of_burst=True,
-                       ends=mtu_ends(base + rem, mtu) if rem else ends))
+                       ends=mtu_ends(base + rem, MTU_BYTES) if rem else ends))
     return sets
 
 
@@ -251,7 +242,7 @@ def pose_source(ticks_per_us: int = 1) -> Iterator[PduSet]:
     Times are in µs, or in ticks of 1/ticks_per_us µs."""
     n = 0
     while True:
-        yield PduSet(("pose", n), n, 0, n * 4000 * ticks_per_us, (100,),
+        yield PduSet(("pose", n), 0, n * 4000 * ticks_per_us, (100,),
                      end_of_burst=True)
         n += 1
 
@@ -267,6 +258,6 @@ def ftp3_source(rng: np.random.Generator,
     n = 0
     while True:
         t += rng.exponential(1.0) * 1e6
-        yield PduSet(("ftp", n), n, 0, int(round(t)) * ticks_per_us,
+        yield PduSet(("ftp", n), 0, int(round(t)) * ticks_per_us,
                      end_of_burst=True, ends=ends)
         n += 1

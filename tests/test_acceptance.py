@@ -19,7 +19,7 @@ from xrsim.reporting import TableKind, gen_bs_table, quantize_bsr
 from xrsim.scheduling import (CgConfig, PolicyKind, SchedulerPolicy, UlCandidate,
                               allocate_ul, build_uto_uci, cg_occasions,
                               reclaim_unused)
-from xrsim.traffic import Direction, Pdu, PduSet, VideoSource, VideoStreamConfig
+from xrsim.traffic import Direction, PduSet, VideoSource, VideoStreamConfig
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -66,13 +66,14 @@ def test_criterion_02_bsr_round_up_law():
     tables = {kind: gen_bs_table(kind) for kind in TableKind}
     for kind, table in tables.items():
         for _ in range(10_000):
-            b = rng.randint(0, table.max_bytes)
+            b = rng.randint(0, table.entries[-1])
             idx = quantize_bsr(b, table)
             assert table.entries[idx] >= b
     long_t = tables[TableKind.LONG]
     ref_t = tables[TableKind.REFINED_LONG]
-    probes = [rng.randint(0, ref_t.max_bytes) for _ in range(10_000)]
-    probes += [0, 1, 10, ref_t.max_bytes - 1, ref_t.max_bytes]
+    top = ref_t.entries[-1]
+    probes = [rng.randint(0, top) for _ in range(10_000)]
+    probes += [0, 1, 10, top - 1, top]
     worst = 0
     for b in probes:
         over_ref = ref_t.entries[quantize_bsr(b, ref_t)] - b
@@ -195,33 +196,25 @@ def test_criterion_07_pdu_set_discard_correctness():
         rng = random.Random(13)
         q = FlowQueue(QosFlowProfile(psdb_ms=1000.0, psihi=psihi))
         for s in range(n_sets):
-            count = rng.randint(2, 5)
-            pdus = [Pdu(id=(s, i), pdu_set_id=(s,),
-                        byte_size=rng.randint(500, 1500),
-                        arrival_time=Fraction(0),
-                        is_last_of_set=(i == count - 1))
-                    for i in range(count)]
-            q.enqueue_set(PduSet(id=(s,), frame_id=s, pdus=pdus, psi=0,
-                                 arrival_time=Fraction(0)))
+            sizes = [rng.randint(500, 1500)
+                     for _ in range(rng.randint(2, 5))]
+            q.enqueue_set(PduSet(id=(s,), psi=0, arrival_time=Fraction(0),
+                                 sizes=sizes))
         lost_sets = set()
         survivors_served = set()
         now = 0.0
         while q.queued_bytes > 0:
             now += 1.0
             segs = q.take(rng.randint(800, 4000))
-            completed = []
             for seg in segs:
-                sid = seg.pdu.pdu_set_id
+                sid = seg.pdu_set.id
                 if sid in lost_sets:
                     assert not psihi, \
                         "PDU of a lost set served after the loss under PSIHI"
                     survivors_served.add(sid)
-                if seg.completes_pdu:
-                    completed.append(seg.pdu)
-            for pdu in completed:
-                if pdu.pdu_set_id not in lost_sets and rng.random() < 0.03:
-                    q.on_pdu_lost(pdu, now)
-                    lost_sets.add(pdu.pdu_set_id)
+            if rng.random() < 0.03:  # HARQ gives up on the block
+                q.on_block_lost(segs, now)
+                lost_sets.update(seg.pdu_set.id for seg in segs)
         assert q.pser() == q.recount_pser_from_log()
         assert q.pser() == len(lost_sets) / n_sets
         summaries[psihi] = (len(lost_sets), len(survivors_served))

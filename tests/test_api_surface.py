@@ -1,5 +1,6 @@
 """Every public function and class of the package is used by the package,
-and every module-level constant is read by it.
+every module-level constant and class member is read by it, and every
+defaulted parameter is set by some call in it.
 
 A top-level name that no other line of ``src/xrsim/`` reads is API that
 neither the cell nor the harness calls: it is dead code with tests of its
@@ -10,9 +11,19 @@ importing module reads, or ``mod.name``: an attribute of any other object
 for another reader are listed below, each with the reason. A module-level
 constant, public or private, that no line of the package reads is a model
 value that nothing uses, and it goes too.
+
+Class members are checked by name. A method, a property, a dataclass or
+NamedTuple field, or an attribute set on ``self`` counts as read when an
+attribute read, a keyword argument or a string names it anywhere in the
+package; the strings of a ``__slots__`` declaration are not reads, and an
+augmented assignment (``x.n += 1``) is not either. A parameter with a
+default counts as set when some call of its function's name (its class's
+name for ``__init__``) passes it by position or by keyword. Members and
+parameters under a name that ``EXEMPT`` keeps are kept with it.
 """
 
 import ast
+import math
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xrsim"
@@ -27,6 +38,29 @@ EXEMPT = {
 # module.name of a constant -> why it stays without a reader in the package
 CONSTANTS_EXEMPT = {
     "__init__.__version__": "package metadata, read by tools, not the model",
+}
+
+# module.Class.member -> why it stays without a reader in the package
+MEMBERS_EXEMPT = {
+    "engine.SimStats.events_processed": "the benchmark's engine.events "
+                                        "metric reads it from Engine."
+                                        "run_until; it goes with Engine",
+    "qos.DiscardEvent.time_us": "the discard log that a per-frame miss "
+                                "report (ROADMAP item 9) reads, and that "
+                                "test_qos_property checks against the PDU "
+                                "model",
+    "qos.DiscardEvent.cause": "the discard log, as time_us",
+    "qos.DiscardEvent.pdu_ids": "the discard log, as time_us",
+    "qos.FlowQueue.recount_pser_from_log": "the tests compare pser() "
+                                           "against this independent tally",
+    "traffic.PduSet.pdus": "the benchmark's traffic.pdus metric counts "
+                           "len(s.pdus) of each set fragment_frame returns",
+}
+
+# module.function.parameter or module.Class.method.parameter -> why no call
+# in the package sets it
+PARAMS_EXEMPT = {
+    "cli.main.argv": "the tests and the benchmark's op.py pass it",
 }
 
 
@@ -94,8 +128,125 @@ def _unread_constants(trees):
             if (mod, name) not in read]
 
 
+def _members(trees):
+    """module.Class.member of each method, property and class-body field of
+    a top-level class, and of each attribute its methods set on self;
+    dunder names are Python's."""
+    out = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = {}  # dict keeps the first-seen order
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names[node.name] = None
+                elif (isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)):
+                    names[node.target.id] = None
+            for node in ast.walk(cls):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]
+                           if isinstance(node, ast.AnnAssign) else [])
+                for target in targets:
+                    for t in (target.elts if isinstance(target, ast.Tuple)
+                              else [target]):
+                        if (isinstance(t, ast.Attribute)
+                                and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"):
+                            names[t.attr] = None
+            out += [f"{mod}.{cls.name}.{name}" for name in names
+                    if not (name.startswith("__") and name.endswith("__"))]
+    return out
+
+
+def _member_reads(trees):
+    """Every name that an attribute read, a keyword argument or a string
+    outside a ``__slots__`` declaration gives."""
+    read = set()
+    for tree in trees.values():
+        slots = {id(node) for stmt in ast.walk(tree)
+                 if isinstance(stmt, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                         for t in stmt.targets)
+                 for node in ast.walk(stmt.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                read.add(node.arg)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in slots):
+                read.add(node.value)
+    return read
+
+
+def _unread_members(trees):
+    read = _member_reads(trees)
+    return [key for key in _members(trees)
+            if key.rpartition(".")[2] not in read]
+
+
+def _calls(trees):
+    """(callee name, positional arguments, keyword names) of every call;
+    a starred argument counts as every position."""
+    out = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr",
+                                                                None)
+            n = (math.inf if any(isinstance(a, ast.Starred)
+                                 for a in node.args) else len(node.args))
+            out.append((name, n, {k.arg for k in node.keywords}))
+    return out
+
+
+def _functions(tree):
+    """(class or None, def) of each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield node, fn
+
+
+def _unset_params(trees):
+    """module.[Class.]function.parameter of each parameter with a default
+    that no call passes."""
+    calls = _calls(trees)
+    out = []
+    for mod, tree in trees.items():
+        for cls, fn in _functions(tree):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 0 if cls is None or static else 1  # self is not passed
+            callee = cls.name if fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            defaulted = [(i - skip, a.arg) for i, a in enumerate(args)
+                         if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                        fn.args.kw_defaults)
+                          if d is not None]
+            owner = f"{mod}.{cls.name}" if cls else mod
+            out += [f"{owner}.{fn.name}.{arg}" for i, arg in defaulted
+                    if not any(name == callee
+                               and (arg in kw or i is not None and n > i)
+                               for name, n, kw in calls)]
+    return out
+
+
 def _exempt(key):
-    return key in EXEMPT or key.split(".")[0] in EXEMPT
+    """Whether EXEMPT keeps the key, its module or a name it lies in."""
+    parts = key.split(".")
+    return any(".".join(parts[:i]) in EXEMPT
+               for i in range(1, len(parts) + 1))
 
 
 def test_every_public_name_has_a_caller_in_the_package():
@@ -116,6 +267,12 @@ def test_every_exemption_is_still_needed():
         else:
             assert any(k.split(".")[0] == mod for k in unused), (
                 f"{key}: every name in it is used; drop its exemption")
+    for table, found in ((MEMBERS_EXEMPT, _unread_members(trees)),
+                         (PARAMS_EXEMPT, _unset_params(trees))):
+        assert [key for key in table if key not in found] == [], (
+            "these are read, set or gone; drop their exemptions")
+        assert [key for key in table if _exempt(key)] == [], (
+            "EXEMPT already keeps these; drop their exemptions")
 
 
 def test_every_module_constant_is_read():
@@ -125,6 +282,22 @@ def test_every_module_constant_is_read():
         "CONSTANTS_EXEMPT with the reason it stays")
     assert [key for key in CONSTANTS_EXEMPT if key not in unread] == [], (
         "these are read or gone; drop their exemptions")
+
+
+def test_every_class_member_is_read():
+    unread = [key for key in _unread_members(_trees())
+              if not _exempt(key) and key not in MEMBERS_EXEMPT]
+    assert unread == [], (
+        f"{unread}: no line of src/xrsim/ reads these; delete them, or list "
+        "each in MEMBERS_EXEMPT with the reason it stays")
+
+
+def test_every_defaulted_parameter_is_set():
+    unset = [key for key in _unset_params(_trees())
+             if not _exempt(key) and key not in PARAMS_EXEMPT]
+    assert unset == [], (
+        f"{unset}: no call in src/xrsim/ passes these; make each a constant, "
+        "or list it in PARAMS_EXEMPT with the reason it stays")
 
 
 def test_a_method_does_not_hide_a_dead_function_of_its_name():
@@ -150,3 +323,59 @@ def test_an_unread_constant_is_found():
              "X = IMPORTED + a.DOTTED\n",
     }.items()}
     assert _unread_constants(trees) == ["a.UNREAD", "a._PRIVATE", "b.X"]
+
+
+def test_an_unread_member_is_found():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "class Box:\n"
+             "    __slots__ = ('stored', 'counted', 'read')\n"
+             "    field: int\n"
+             "    named: int\n"
+             "    def __init__(self):\n"
+             "        self.stored = self.read = 0\n"
+             "        self.counted, self.pair = 1, 2\n"
+             "    def dead(self):\n"
+             "        self.counted += 1\n"
+             "    @property\n"
+             "    def prop(self):\n"
+             "        return self.read\n",
+        "b": "from .a import Box\n\n"
+             "def f(box):\n"
+             "    g(field=box.prop, key='named')\n"
+             "    return box.pair\n",
+    }.items()}
+    assert _unread_members(trees) == ["a.Box.dead", "a.Box.stored",
+                                      "a.Box.counted"]
+
+
+def test_an_unset_parameter_is_found():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "def f(a, by_pos=1, by_kw=2, unset=3, *, kw_only=4):\n"
+             "    pass\n\n"
+             "def starred(a=1, b=2):\n"
+             "    pass\n\n"
+             "class Box:\n"
+             "    def __init__(self, a, size=0, unset=None):\n"
+             "        pass\n"
+             "    def method(self, a=1, unset=2):\n"
+             "        pass\n"
+             "    @staticmethod\n"
+             "    def static(a=1):\n"
+             "        pass\n",
+        "b": "from .a import Box, f, starred\n\n"
+             "def g(box, args):\n"
+             "    f(0, 1, by_kw=2)\n"
+             "    starred(*args)\n"
+             "    Box(0, 5)\n"
+             "    box.method(1)\n"
+             "    Box.static(1)\n",
+    }.items()}
+    assert _unset_params(trees) == ["a.f.unset", "a.f.kw_only",
+                                    "a.Box.__init__.unset",
+                                    "a.Box.method.unset"]
+
+
+def test_an_exemption_keeps_what_lies_in_its_name():
+    assert _exempt("l4s.Marker.mark") and _exempt("engine.Engine.run_until")
+    assert _exempt("engine.Engine") and not _exempt("engine.EngineX.run")
+    assert not _exempt("engine.SimStats.count")

@@ -180,7 +180,7 @@ def test_dl_cell_builds_no_pdu_objects(monkeypatch):
     sim.run()
     assert sum(len(u.queue.events) for u in sim.xr) > 0  # discards ran
     assert built == []
-    PduSet(("x",), 0, 0, Fraction(0), (100, 200)).pdus[1]
+    PduSet(("x",), 0, Fraction(0), (100, 200)).pdus[1]
     assert built == [("x", 1)]  # the hook sees a PDU being built
 
 

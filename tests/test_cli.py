@@ -75,7 +75,7 @@ def test_overrides_reach_config(tmp_path, monkeypatch):
 
     def fake_run(config):
         seen["config"] = config
-        return KpiReport(per_ue=[], satisfaction_by_load={}, capacity=0,
+        return KpiReport(satisfaction_by_load={}, capacity=0,
                          gain_by_load={}, cdfs={}, by_load={})
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)

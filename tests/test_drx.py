@@ -20,6 +20,7 @@ from xrsim.drx import (
     power_for_run,
     power_saving_gain,
 )
+from test_drx_property import reference_predict
 
 FRAC_CYCLE = Fraction(50_000, 3)
 
@@ -179,8 +180,8 @@ def test_adrx_offset_mode_closed_loop():
         epochs.append(viols)
     # converges: later epochs violation-free, predictions agree
     assert sum(epochs[-10:]) == 0
-    fv, _ = ctrl.predict(float(cfg.start_offset_us % cfg.cycle_us),
-                         cfg.on_duration_us)
+    fv, _ = reference_predict(ctrl, float(cfg.start_offset_us % cfg.cycle_us),
+                              cfg.on_duration_us)
     assert fv == 0.0
     # the window tracks the arrival phase
     off = float(cfg.start_offset_us % cfg.cycle_us)
@@ -200,10 +201,10 @@ def test_adrx_choice_is_grid_argmin():
     for on_ms in ADRX_ON_GRID_MS:
         for d in ADRX_OFFSET_DELTA_MS:
             off = (anchor + d * 1000.0) % float(FRAC_CYCLE)
-            fv, act = ctrl.predict(off, on_ms * 1000.0)
+            fv, act = reference_predict(ctrl, off, on_ms * 1000.0)
             costs.append(ctrl.q * fv + ADRX_V * act / 1000.0)
-    got_fv, got_act = ctrl.predict(float(cfg.start_offset_us % cfg.cycle_us),
-                                   cfg.on_duration_us)
+    got_fv, got_act = reference_predict(
+        ctrl, float(cfg.start_offset_us % cfg.cycle_us), cfg.on_duration_us)
     got = ctrl.q * got_fv + ADRX_V * got_act / 1000.0
     assert got == pytest.approx(min(costs))
 

@@ -241,7 +241,8 @@ def test_pf_idle_equals_updates_with_nothing_served(avg, slots, window):
 
 
 def reference_predict(ctrl, offset_us, on_dur_us):
-    """AdrxController.predict as one loop over the observations."""
+    """(violation fraction, active µs per cycle) of one candidate window, as
+    one loop over the controller's observations."""
     period = float(ctrl.current.cycle_us)
     viol = 0
     excess = 0.0
@@ -297,8 +298,8 @@ observations = st.lists(
 @given(observations, st.floats(0, 200), st.integers(0, 16),
        st.sampled_from([Fraction(50_000, 3), Fraction(16_000),
                         Fraction(50_000_000, 2997)]),
-       st.integers(0, 20_000), st.floats(-5_000, 20_000))
-def test_adrx_search_unchanged(obs, q, viols, cycle, base_off, probe_off):
+       st.integers(0, 20_000))
+def test_adrx_search_unchanged(obs, q, viols, cycle, base_off):
     base = DrxConfig(cycle_us=cycle, on_duration_us=8000,
                      inactivity_us=2000, start_offset_us=Fraction(base_off))
     ctrl, ref = (AdrxController(base, 10_000) for _ in range(2))
@@ -306,9 +307,6 @@ def test_adrx_search_unchanged(obs, q, viols, cycle, base_off, probe_off):
         c.q = q
         for frac, service in obs:
             c.observe_frame(frac * float(cycle), service)
-    for on_ms in ADRX_ON_GRID_MS:
-        assert (ctrl.predict(probe_off, on_ms * 1000.0)
-                == reference_predict(ref, probe_off, on_ms * 1000.0))
     for _ in range(2):  # the second search starts from the first's choice
         ref.current = reference_update(ref, viols)
         assert ctrl.update(viols) == ref.current

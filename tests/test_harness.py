@@ -238,13 +238,13 @@ def test_config_drx_override_forces_always_on():
 
 def test_kpi_report_checks_capacity():
     with pytest.raises(ValueError):
-        KpiReport(per_ue=[], satisfaction_by_load={4: 1.0}, capacity=0,
+        KpiReport(satisfaction_by_load={4: 1.0}, capacity=0,
                   gain_by_load={}, cdfs={}, by_load={})
 
 
 def test_kpi_report_checks_ratio_range():
     with pytest.raises(ValueError):
-        KpiReport(per_ue=[], satisfaction_by_load={4: 1.2}, capacity=4,
+        KpiReport(satisfaction_by_load={4: 1.2}, capacity=4,
                   gain_by_load={}, cdfs={}, by_load={})
 
 
@@ -265,8 +265,8 @@ def _tiny_config(tmp_path, overrides=()) -> ExperimentConfig:
 def test_run_experiment_pools_ues_across_seeds(tmp_path):
     cfg = _tiny_config(tmp_path)
     report = run_experiment(cfg)
-    rows = [r for r in report.per_ue if r.load == 2]
-    assert len(rows) == 4  # 2 UEs x 2 seeds pooled into one load bucket
+    assert report.by_load[2].ues == 4  # 2 UEs x 2 seeds in one load bucket
+    rows = [u for p in _pairs(cfg) for u in p.ues]
     flags = [r.satisfied for r in rows if r.satisfied is not None]
     assert report.satisfaction_by_load[2] == sum(flags) / len(flags)
 
@@ -315,7 +315,9 @@ def test_run_experiment_warns_of_a_ue_without_frames(tmp_path):
     for ue in (0, 1):
         assert any(f"UE {ue} " in m and "load 2" in m and "seed 7" in m
                    for m in messages)
-    assert [r.satisfied for r in report.per_ue] == [None, None]
+    assert report.by_load[2].ues == 2
+    with pytest.warns(UserWarning):
+        assert [u.satisfied for u in run_pair(cfg, 2, 7).ues] == [None, None]
     with open(os.path.join(cfg.out_dir, "kpi.csv"), newline="") as f:
         rows = list(csv.reader(f))
     assert ["2", "satisfied_ues", "0"] in rows
@@ -354,7 +356,7 @@ def test_aggregate_ignores_the_order_of_the_pairs(tmp_path):
                 for p in Path(cfg.out_dir).iterdir()} == written
     # loads are reported in the config's order, not sorted
     assert list(report.by_load) == [3, 1]
-    assert [u.load for u in report.per_ue] == [3] * 6 + [1] * 2
+    assert [k.ues for k in report.by_load.values()] == [6, 2]
 
 
 def test_rb_cdf_counts_every_post_warm_up_slot(tmp_path):

@@ -8,9 +8,13 @@ from xrsim.traffic import VideoFrame, fragment_frame, pose_source
 
 
 def make_set(frame_id=0, size=7500, nsets=1, psi_pattern=(1,), arrival=0):
+    """fragment_frame's sets of a frame, with the importance cycled from
+    psi_pattern in place of the default pattern."""
     frame = VideoFrame(frame_id, Fraction(arrival), size)
-    return fragment_frame(frame, mtu=1500, sets_per_frame=nsets,
-                          psi_pattern=psi_pattern)
+    sets = fragment_frame(frame, sets_per_frame=nsets)
+    for k, s in enumerate(sets):
+        s.psi = psi_pattern[k % len(psi_pattern)]
+    return sets
 
 
 def fresh_queue(**profile_kw):
@@ -26,7 +30,7 @@ def test_psihi_cascade_discards_rest_of_set():
     (seg,) = q.take(3000)  # pdus 0 and 1 leave the queue in one span
     assert (seg.pdu_set, seg.start, seg.byte_size, seg.completed) == \
         (s, 0, 3000, 2)
-    dropped = q.on_pdu_lost(s.pdus[1], 1000)
+    dropped = q.on_block_lost([seg], 1000)
     assert dropped == [s.pdus[2].id, s.pdus[3].id, s.pdus[4].id]
     assert q.queued_bytes == 0
     assert q.lost_sets == {s.id}
@@ -36,8 +40,7 @@ def test_loss_of_last_pdu_discards_nothing():
     q = fresh_queue()
     (s,) = make_set()
     q.enqueue_set(s)
-    q.take(10**6)
-    assert q.on_pdu_lost(s.pdus[-1], 0) == []
+    assert q.on_block_lost(q.take(10**6), 0) == []
     assert q.lost_sets == {s.id}
 
 
@@ -45,8 +48,7 @@ def test_psihi_disabled_keeps_queue():
     q = fresh_queue(psihi=False)
     (s,) = make_set()
     q.enqueue_set(s)
-    q.take(1500)
-    assert q.on_pdu_lost(s.pdus[0], 0) == []
+    assert q.on_block_lost(q.take(1500), 0) == []
     assert q.queued_bytes == 6000
     assert q.pser() == 1.0
 
@@ -55,9 +57,9 @@ def test_set_counted_lost_once():
     q = fresh_queue()
     (s,) = make_set()
     q.enqueue_set(s)
-    q.take(10**6)
-    q.on_pdu_lost(s.pdus[0], 0)
-    q.on_pdu_lost(s.pdus[1], 5)
+    first, rest = q.take(1500), q.take(10**6)  # two blocks of one set
+    q.on_block_lost(first, 0)
+    q.on_block_lost(rest, 5)
     assert len(q.lost_sets) == 1
     assert q.pser() == q.recount_pser_from_log() == 1.0
 

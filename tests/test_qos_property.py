@@ -128,7 +128,6 @@ ops = st.lists(st.one_of(
     new_set,
     st.tuples(st.just("take"), take_size),
     st.tuples(st.just("block_lost")),
-    st.tuples(st.just("pdu_lost")),
     st.tuples(st.just("timer")),
     st.tuples(st.just("psi"), st.sampled_from((1e5, 1e6, 8e6))),
     st.tuples(st.just("tick"), st.integers(0, 20_000)),
@@ -149,7 +148,7 @@ def test_set_queue_matches_pdu_model(psihi, timer_ms, first, steps):
         if op == "enqueue":
             _, pdu_sizes, psi, age = step
             sid = (n,)
-            q.enqueue_set(PduSet(sid, n, psi, now - age, pdu_sizes))
+            q.enqueue_set(PduSet(sid, psi, now - age, pdu_sizes))
             model.enqueue(sid, pdu_sizes, psi, now - age)
         elif op == "take":
             last = q.take(step[1])
@@ -157,10 +156,6 @@ def test_set_queue_matches_pdu_model(psihi, timer_ms, first, steps):
         elif op == "block_lost":
             assert q.on_block_lost(last, now) == \
                 model.block_lost(spans_of(last))
-        elif op == "pdu_lost" and last:
-            g = last[0]
-            assert q.on_pdu_lost(g.pdu, now) == \
-                model.harq_loss(g.pdu_set.id, g.first_pdu_index)
         elif op == "timer":
             assert q.discard_expired(now) == model.discard_expired(now)
         elif op == "psi":

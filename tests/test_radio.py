@@ -179,6 +179,4 @@ def test_deployment_drop():
     for cell in range(3):
         assert sum(1 for l in links if l.cell_id == cell) == 4
     for l in links:
-        assert l.position[2] == 1.5
         assert int(np.argmin(l.couplings_db)) == l.cell_id
-        assert dep.hall_x[0] <= l.position[0] <= dep.hall_x[1]

@@ -102,8 +102,8 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
         segments = cand.queue.take(tb // 8)
         if not segments:
             continue
-        allocations.append(Allocation(cand.ue_id, slot, rb_used, rb,
-                                      cand.mcs, tb, segments))
+        allocations.append(Allocation(cand.ue_id, slot, rb, cand.mcs, tb,
+                                      segments))
         rb_used += rb
     embb = [c for c in candidates
             if c.is_embb and c.queue.queued_bytes > 0]
@@ -116,8 +116,8 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
         tb = tb_bits(best.mcs, rb, data_symbols)
         segments = best.queue.take(tb // 8)
         if segments:
-            allocations.append(Allocation(best.ue_id, slot, rb_used,
-                                          rb, best.mcs, tb, segments))
+            allocations.append(Allocation(best.ue_id, slot, rb, best.mcs,
+                                          tb, segments))
             rb_used += rb
     return allocations
 
@@ -166,19 +166,19 @@ def _build(specs):
             arrival = NOW - age
             if deadline is not None and deadline <= arrival:
                 deadline = arrival + 1
-            q.enqueue_set(PduSet((spec["ue_id"], k), k, k % 2, arrival,
+            q.enqueue_set(PduSet((spec["ue_id"], k), k % 2, arrival,
                                  tuple(sizes), deadline))
         if spec["sent"]:
             head = q.entries[0].total_bytes
             q.take(max(1, int(head * spec["sent"])))
-        ue = UeCtx(spec["ue_id"], None, spec["is_embb"])
+        ue = UeCtx(spec["ue_id"], spec["is_embb"])
         ue.queue, ue.mcs, ue.avg_tput_bps = q, spec["mcs"], spec["avg"]
         ues.append(ue)
     return ues
 
 
 def _blocks(allocations):
-    return [(a.ue_id, a.rb_start, a.rb_count, a.mcs, a.tb_bits,
+    return [(a.ue_id, a.rb_count, a.mcs, a.tb_bits,
              [(s.pdu_set.id, s.start, s.byte_size, s.completed)
               for s in a.segments]) for a in allocations]
 

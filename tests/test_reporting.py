@@ -22,15 +22,15 @@ def tables():
 
 def test_table_shapes(tables):
     short = tables[TableKind.SHORT]
-    assert short.index_count == 32
+    assert len(short.entries) == 32
     assert short.entries[0] == 0 and short.entries[1] == 10
-    assert short.max_bytes == 150_000
+    assert short.entries[-1] == 150_000
     long_t = tables[TableKind.LONG]
-    assert long_t.index_count == 256
-    assert long_t.max_bytes == 81_000_000
+    assert len(long_t.entries) == 256
+    assert long_t.entries[-1] == 81_000_000
     refined = tables[TableKind.REFINED_LONG]
-    assert refined.index_count == 256
-    assert refined.max_bytes == 300_000
+    assert len(refined.entries) == 256
+    assert refined.entries[-1] == 300_000
     for t in tables.values():
         assert all(b > a for a, b in zip(t.entries, t.entries[1:]))
 
@@ -53,9 +53,9 @@ def test_quantize_round_up_law(tables):
         assert quantize_bsr(t.entries[k], t) == k
         if k < 255:
             assert quantize_bsr(t.entries[k] + 1, t) == k + 1
-    assert quantize_bsr(t.max_bytes + 5000, t) == 255
+    assert quantize_bsr(t.entries[-1] + 5000, t) == 255
     rng = np.random.default_rng(3)
-    for b in rng.integers(0, t.max_bytes, size=2000):
+    for b in rng.integers(0, t.entries[-1], size=2000):
         idx = quantize_bsr(int(b), t)
         assert t.entries[idx] >= b
         if idx > 0:
@@ -74,7 +74,7 @@ def test_refined_never_overshoots_more_than_long(tables):
 
 
 def _queued(pid, size, arrival_us, deadline_us):
-    return PduSet(("x", pid), pid, 0, Fraction(arrival_us), (size,),
+    return PduSet(("x", pid), 0, Fraction(arrival_us), (size,),
                   Fraction(deadline_us))
 
 

@@ -38,7 +38,7 @@ def queue_with(size, arrival=0, psdb_ms=10.0, nsets=1, frame_id=0, **prof):
 def cand(ue_id, size=9000, mcs=27, avg=1e6, psdb_ms=10.0, arrival=0,
          is_embb=False, nsets=1):
     """A UE record as allocate_dl reads it, with one frame queued."""
-    ue = UeCtx(ue_id, None, is_embb)
+    ue = UeCtx(ue_id, is_embb)
     ue.queue = queue_with(size, arrival=arrival, psdb_ms=psdb_ms, nsets=nsets,
                           frame_id=ue_id)
     ue.mcs = mcs
@@ -107,7 +107,6 @@ def test_allocate_dl_hard_priority():
     need = math.ceil(9000 * 8 / (7.8 * 12 * 12))
     assert allocs[0].rb_count == need
     assert allocs[1].rb_count == 273 - need
-    assert allocs[0].rb_start == 0 and allocs[1].rb_start == need
 
 
 def test_allocate_dl_empty():
@@ -122,8 +121,7 @@ def test_allocate_dl_rb_budget_and_disjoint():
     pol = SchedulerPolicy(kind=PolicyKind.MLWDF)
     cands = [cand(i, size=500_000, mcs=10, arrival=-1000 * i) for i in range(4)]
     allocs = allocate_dl(0, cands, 0, pol, psdb_us=BUDGET_US)
-    spans = sorted((a.rb_start, a.rb_start + a.rb_count) for a in allocs)
-    assert all(s2 >= e1 for (_, e1), (s2, _) in zip(spans, spans[1:]))
+    # only RB counts are modelled: the grants fit the slot together
     assert sum(a.rb_count for a in allocs) <= 273
     # oldest head-of-line wins under M-LWDF
     assert allocs[0].ue_id == 3
@@ -174,8 +172,6 @@ def test_allocate_ul_proportional():
     assert set(by_ue) == {0, 1}
     assert by_ue[0].rb_count >= by_ue[1].rb_count
     assert sum(g.rb_count for g in grants) <= 273
-    spans = sorted((g.rb_start, g.rb_start + g.rb_count) for g in grants)
-    assert all(s2 >= e1 for (_, e1), (s2, _) in zip(spans, spans[1:]))
 
 
 def test_allocate_ul_urgency_first_and_caps():
@@ -190,12 +186,10 @@ def test_cg_occasions_land_on_ul_slots():
     cfg = CgConfig(periodicity_us=Fraction(50_000, 3), occasions_per_period=4)
     occs = cg_occasions(cfg, 10_000_000)
     assert all(slot_type(o.slot) == UPLINK for o in occs)
-    assert len({o.period for o in occs}) == 600
     assert len(occs) == 2400
-    by_period = {}
-    for o in occs:
-        by_period.setdefault(o.period, []).append(o.slot)
-    for slots in by_period.values():
+    # the occasions come period by period, four to a period
+    for k in range(0, 2400, 4):
+        slots = [o.slot for o in occs[k:k + 4]]
         assert [b - a for a, b in zip(slots, slots[1:])] == [5, 5, 5]
 
 
@@ -203,8 +197,8 @@ def test_cg_single_occasion_tracks_period_without_drift():
     cfg = CgConfig(periodicity_us=Fraction(50_000, 3), occasions_per_period=1)
     occs = cg_occasions(cfg, 10_000_000)
     assert len(occs) == 600
-    for o in occs:
-        start = o.period * cfg.periodicity_us
+    for period, o in enumerate(occs):
+        start = period * cfg.periodicity_us
         assert slot_type(o.slot) == UPLINK
         assert o.slot * SLOT_US >= start - SLOT_US  # at/after period start
         assert (o.slot - 4) % 5 == 0

@@ -8,12 +8,14 @@ from scipy import stats
 
 from xrsim.engine import DRAW_BLOCK
 from xrsim.traffic import (
+    DEFAULT_PSI_PATTERN,
     FRAME_SIZE_MAX_FRAC,
     FRAME_SIZE_MIN_FRAC,
     FRAME_SIZE_STD_FRAC,
     JITTER_MAX_US,
     JITTER_MIN_US,
     JITTER_STD_US,
+    MTU_BYTES,
     Direction,
     PduSet,
     VideoFrame,
@@ -133,7 +135,7 @@ def test_sub_byte_mean_frame_with_a_whole_size_draws_it():
 
 def test_fragment_single_set_example():
     frame = VideoFrame(0, Fraction(0), 62500)
-    sets = fragment_frame(frame, mtu=1500, sets_per_frame=1)
+    sets = fragment_frame(frame, sets_per_frame=1)  # 1500-byte PDUs
     assert len(sets) == 1
     sizes = [p.byte_size for p in sets[0].pdus]
     assert sizes == [1500] * 41 + [1000]
@@ -143,7 +145,7 @@ def test_fragment_single_set_example():
 
 def test_fragment_ten_sets_example():
     frame = VideoFrame(4, Fraction(1000), 62500)
-    sets = fragment_frame(frame, mtu=1500, sets_per_frame=10)
+    sets = fragment_frame(frame, sets_per_frame=10)
     assert len(sets) == 10
     assert all(s.total_bytes == 6250 for s in sets)
     assert all(len(s.pdus) == 5 for s in sets)
@@ -156,11 +158,10 @@ def test_fragment_lossless_for_random_frames():
     for _ in range(300):
         size = int(rng.integers(1, 200_000))
         nsets = int(rng.integers(1, 12))
-        mtu = int(rng.integers(200, 3000))
-        sets = fragment_frame(VideoFrame(0, Fraction(0), size), mtu=mtu,
+        sets = fragment_frame(VideoFrame(0, Fraction(0), size),
                               sets_per_frame=nsets)
         assert sum(s.total_bytes for s in sets) == size
-        assert all(p.byte_size <= mtu for s in sets for p in s.pdus)
+        assert all(p.byte_size <= MTU_BYTES for s in sets for p in s.pdus)
         for s in sets:
             assert sum(1 for p in s.pdus if p.is_last_of_set) == 1
             assert s.pdus[-1].is_last_of_set
@@ -173,17 +174,18 @@ def test_fragment_zero_byte_frame():
 
 def test_fragment_assigns_psi_pattern_and_deadline():
     frame = VideoFrame(2, Fraction(500), 10_000)
-    sets = fragment_frame(frame, mtu=1500, sets_per_frame=6, psdb_us=10_000,
-                          psi_pattern=(1, 0, 0, 1))
-    assert [s.psi for s in sets] == [1, 0, 0, 1, 1, 0]
+    sets = fragment_frame(frame, sets_per_frame=6, psdb_us=10_000)
+    assert [s.psi for s in sets] == [1, 0, 0, 1, 1, 0]  # (1, 0, 0, 1) cycled
     for s in sets:
         assert all(p.psi == s.psi for p in s.pdus)
         assert all(p.deadline == Fraction(500) + 10_000 for p in s.pdus)
 
 
-def _reference_sets(frame, mtu, sets_per_frame, psdb_us, psi_pattern):
+def _reference_sets(frame, sets_per_frame, psdb_us):
     """The sets of a frame as each was once cut on its own: every set's PDU
-    sizes are mtu-byte PDUs and a remainder, its ends their running sum."""
+    sizes are MTU-byte PDUs and a remainder, its ends their running sum,
+    and its importance is the default pattern cycled."""
+    mtu, psi_pattern = MTU_BYTES, DEFAULT_PSI_PATTERN
     base, rem = divmod(frame.byte_size, sets_per_frame)
     last = sets_per_frame - 1
     sets = []
@@ -205,40 +207,38 @@ def _reference_sets(frame, mtu, sets_per_frame, psdb_us, psi_pattern):
 
 @settings(max_examples=300, deadline=None)
 @given(size=st.integers(1, 30_000), nsets=st.integers(1, 12),
-       mtu=st.one_of(st.just(1), st.integers(1, 3000)),
-       psdb_us=st.one_of(st.none(), st.integers(1, 50_000)),
-       psi_pattern=st.lists(st.integers(0, 3), min_size=1, max_size=5))
-@example(size=3, nsets=5, mtu=1500, psdb_us=None, psi_pattern=[1, 0, 0, 1])
-@example(size=6000, nsets=4, mtu=1400, psdb_us=10_000, psi_pattern=[1, 0])
-@example(size=6002, nsets=4, mtu=500, psdb_us=10_000, psi_pattern=[1, 0])
-@example(size=17, nsets=3, mtu=1, psdb_us=7, psi_pattern=[2])
-def test_fragment_frame_matches_per_set_cutting(size, nsets, mtu, psdb_us,
-                                                psi_pattern):
-    # the cases above: a frame smaller than its set count, a zero remainder,
-    # an mtu that divides the set size, and one-byte PDUs
+       psdb_us=st.one_of(st.none(), st.integers(1, 50_000)))
+@example(size=3, nsets=5, psdb_us=None)
+@example(size=6000, nsets=4, psdb_us=10_000)
+@example(size=6002, nsets=4, psdb_us=10_000)
+@example(size=17, nsets=3, psdb_us=7)
+@example(size=27_001, nsets=6, psdb_us=None)
+def test_fragment_frame_matches_per_set_cutting(size, nsets, psdb_us):
+    # the cases above: a frame smaller than its set count, sets of one whole
+    # MTU, a non-zero remainder, sets under one MTU, and a last set of
+    # several PDUs and a remainder
     frame = VideoFrame(9, 123_457, size)
-    sets = fragment_frame(frame, mtu=mtu, sets_per_frame=nsets,
-                          psdb_us=psdb_us, psi_pattern=psi_pattern)
+    sets = fragment_frame(frame, sets_per_frame=nsets, psdb_us=psdb_us)
     got = [{"id": s.id, "psi": s.psi, "deadline": s.deadline,
             "sizes": s.sizes, "ends": s.ends, "total_bytes": s.total_bytes,
             "end_of_burst": s.end_of_burst} for s in sets]
-    assert got == _reference_sets(frame, mtu, nsets, psdb_us, psi_pattern)
+    assert got == _reference_sets(frame, nsets, psdb_us)
     # the equal sets share one tuple of PDU ends
     if len(sets) > 1:
         assert all(s.ends is sets[0].ends for s in sets[:-1])
-    assert all(s.taken == 0 and s.frame_id == 9 for s in sets)
+    assert all(s.taken == 0 for s in sets)
 
 
 def test_pdu_set_checks_explicit_sizes():
-    s = PduSet(("x",), 0, 0, 0, (100, 1500, 7), deadline=10)
+    s = PduSet(("x",), 0, 0, (100, 1500, 7), deadline=10)
     assert s.sizes == (100, 1500, 7)
     assert s.ends == (100, 1600, 1607) and s.total_bytes == 1607
     assert [p.byte_size for p in s.pdus] == [100, 1500, 7]
     for sizes in ((), (100, 0), (-1,)):
         with pytest.raises(ValueError, match="payload"):
-            PduSet(("x",), 0, 0, 0, sizes)
+            PduSet(("x",), 0, 0, sizes)
     with pytest.raises(ValueError, match="deadline"):
-        PduSet(("x",), 0, 0, 10, (100,), deadline=10)
+        PduSet(("x",), 0, 10, (100,), deadline=10)
 
 
 def test_pose_source_defaults():
