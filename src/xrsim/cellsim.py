@@ -138,8 +138,10 @@ class CellConfig:
         # a budget of no whole µs puts each set's deadline on its arrival
         if self.psdb_us < 1:
             raise ConfigError("must round to at least 1 us", "psdb_ms")
-        if not self.duration_us > self.warmup_us:
-            raise ConfigError("the run must last beyond its warm-up",
+        # the KPIs count from the first slot that starts at or after the
+        # warm-up's end, so some slot of the run must start there
+        if not -(-self.duration_us // SLOT_US) > -(-self.warmup_us // SLOT_US):
+            raise ConfigError("a slot of the run must start after its warm-up",
                               "duration_s", "warmup_s")
         timer = self.discard_timer_ms
         if timer not in ("psdb", None) and not 0 < timer < math.inf:
@@ -273,6 +275,9 @@ class CellSim:
         self.slot_t = SLOT_US * tpu
         self.psdb_t = config.psdb_us * tpu
         self.warmup_t = config.warmup_us * tpu
+        # the first slot that starts at or after the warm-up's end: the
+        # RB samples, padding, delivered bits and power count from it
+        self.warm_slot = -(-self.warmup_t // self.slot_t)
         self.end_t = config.duration_us * tpu
         # every slot that starts before the end, the last one maybe partial
         self.n_slots = -(-self.end_t // self.slot_t)
@@ -786,8 +791,7 @@ class CellSim:
         """Do in bulk what _on_slot does on idle slots a..b-1: log zero
         utilisation and count the DL slots. PF averages decay and DRX UEs
         catch up when next read or stepped."""
-        first = max(a, -(-self.warmup_t // self.slot_t))  # first post-warm-up
-        self.rb_utilization.extend([0.0] * max(0, b - first))
+        self.rb_utilization.extend([0.0] * max(0, b - max(a, self.warm_slot)))
         self.dl_slots += dl_slots_before(b) - dl_slots_before(a)
 
     def run(self) -> CellResult:
@@ -805,14 +809,14 @@ class CellSim:
                     self._skip(slot, nxt)
                     slot = nxt
         self._decide_frames(self.end_t)
-        warm_slot = cfg.warmup_us // SLOT_US
         kpis = []
         for ue in self.ues:
             if ue.drx is None:
-                runs = _always_on_runs(ue.pdsch_slots, warm_slot, n_slots)
+                runs = _always_on_runs(ue.pdsch_slots, self.warm_slot,
+                                       n_slots)
             else:
                 self._catch_up(ue, n_slots)
-                runs = ue.activity.runs(warm_slot)
+                runs = ue.activity.runs(self.warm_slot)
             out = ue.outcomes
             total = len(out)
             in_budget = sum(1 for _, ok in out if ok)

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xrsim.cellsim import CellConfig, CellSim, FrameProgress, _always_on_runs
-from xrsim.drx import ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP
+from xrsim.drx import (ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH,
+                       SLOT_SLEEP, power_for_run)
 from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.qos import FlowQueue
 from xrsim.scheduling import (PF_WINDOW_SLOTS, CgConfig, PolicyKind,
@@ -306,6 +307,23 @@ def test_one_call_per_slot_before_the_end(duration_s, monkeypatch):
     assert [slot for slot, _ in seen] == list(range(n_slots))
     assert all(before_end for _, before_end in seen)
     assert wrapped == plain
+
+
+@pytest.mark.parametrize("drx", [None, DrxConfig(
+    cycle_us=Fraction(50_000, 3), on_duration_us=4000, inactivity_us=2000)])
+def test_power_and_rb_samples_share_the_warm_up_boundary(drx):
+    # a 200.3 ms warm-up ends inside slot 400, so slot 401 is the first
+    # post-warm-up slot: the RB samples start there, and so does the power
+    cfg = _short(ues_per_cell=3, rate_bps=10e6, drx=drx, duration_s=1.0013,
+                 warmup_s=0.2003)
+    sim = CellSim(cfg, seed=1)
+    result = sim.run()
+    first = sim.n_slots - len(result.rb_utilization)
+    assert first == 401
+    for ue, kpi in zip(sim.ues, result.ues):
+        runs = (ue.activity.runs(first) if drx else
+                _always_on_runs(ue.pdsch_slots, first, sim.n_slots))
+        assert kpi.avg_power == power_for_run(runs, cfg.power_model)
 
 
 def test_skip_counts_the_dl_slots_it_skips():

@@ -29,6 +29,8 @@ from xrsim.scheduling import CgConfig
     (lambda: CellConfig(fps=0), "fps"),
     (lambda: CellConfig(warmup_s=10.0), "warmup_s"),  # the default duration
     (lambda: CellConfig(warmup_s=5.0, duration_s=0.3), "duration_s"),
+    # the warm-up ends inside the last slot, so no slot starts after it
+    (lambda: CellConfig(warmup_s=1.0012, duration_s=1.0013), "warmup_s"),
     (lambda: CellConfig(embb_ues=-1), "embb_ues"),
     (lambda: CellConfig(discard_timer_ms=-5.0), "discard_timer_ms"),
     (lambda: CellConfig(discard_timer_ms=math.nan), "discard_timer_ms"),
@@ -39,7 +41,7 @@ from xrsim.scheduling import CgConfig
     (lambda: CgConfig(Fraction(4000), rb_per_occasion=0), "rb_per_occasion"),
     (lambda: CgConfig(Fraction(4000), uto_uci_window=0), "uto_uci_window"),
 ], ids=["n_cells=0", "ues_per_cell=-2", "fps=0", "warmup_s=duration_s",
-        "warmup_s>duration_s", "embb_ues=-1", "discard_timer_ms=-5", "discard_timer_ms=nan",
+        "warmup_s>duration_s", "warmup_s_in_the_last_slot", "embb_ues=-1", "discard_timer_ms=-5", "discard_timer_ms=nan",
         "psdb_ms=0.0001", "psdb_ms=inf", "rate_bps=inf", "dsr_threshold_ms=-1",
         "rb_per_occasion=0", "uto_uci_window=0"])
 def test_out_of_domain_field_fails_when_the_config_is_built(build, field):

@@ -66,7 +66,7 @@ CELL_DIGESTS = {
     "ul-dl-embb":
         "4b30c6798983de10f5f35f50e2c4ee33d17f8377011f78b29b43d77a23425407",
     "pf-drx-idle":
-        "9dee6d072863fbd059fc144636075ec0bf71b91db5891126b2b9b3a28b864a3b",
+        "5326c09adac526ada8e6dd8e65a7fdb0e4bd07fe6416de6d4434a461d4a4302f",
     "mlwdf-psi-idle":
         "514527a1f9d6b138d07f82304b0fcd3f77ee0a04537169c99a598a5f1c129deb",
     "ul-drx-dsr-idle":

@@ -61,8 +61,9 @@ def idle_cells(draw, drx_modes=("off", "fixed", "adaptive"), pose_cg=False):
         sets_per_frame=draw(st.sampled_from([1, 2, 4])),
         policy=SchedulerPolicy(kind=draw(st.sampled_from(list(PolicyKind)))),
         duration_s=duration_us / 1e6,
-        # a cell runs beyond its warm-up
-        warmup_s=draw(st.integers(0, duration_us - 1)) / 1e6,
+        # a slot of the run starts at or after its warm-up's end
+        warmup_s=draw(st.integers(
+            0, (-(-duration_us // SLOT_US) - 1) * SLOT_US)) / 1e6,
         drx=drx,
         drx_offset_mode=draw(st.sampled_from(["traffic", "common"])),
         adaptive_drx=drx_mode == "adaptive",
