@@ -82,7 +82,7 @@ def ul_tx_power_dbm(n_rb: int, pathloss_db_: float) -> float:
 def ul_sinr_db(n_rb: int, coupling_db: float) -> float:
     p = ul_tx_power_dbm(n_rb, coupling_db)
     rx_psd = p - coupling_db - 10.0 * math.log10(n_rb)
-    return rx_psd - 10.0 * math.log10(10.0 ** (noise_dbm(1, BS_NF_DB) / 10.0))
+    return rx_psd - noise_dbm(1, BS_NF_DB)
 
 
 def select_mcs(csi_sinr_db: float) -> tuple[int, float]:
