@@ -373,9 +373,3 @@ def test_an_unset_parameter_is_found():
     assert _unset_params(trees) == ["a.f.unset", "a.f.kw_only",
                                     "a.Box.__init__.unset",
                                     "a.Box.method.unset"]
-
-
-def test_an_exemption_keeps_what_lies_in_its_name():
-    assert _exempt("l4s.Marker.mark") and _exempt("engine.Engine.run_until")
-    assert _exempt("engine.Engine") and not _exempt("engine.EngineX.run")
-    assert not _exempt("engine.SimStats.count")
