@@ -39,10 +39,10 @@ from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
 from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         TableKind, gen_bs_table, quantize_bsr,
                         realized_overhead, trigger_dsr)
-from .scheduling import (PF_WINDOW_SLOTS, CgConfig, SchedulerPolicy,
-                         UlCandidate, allocate_dl, allocate_ul, build_uto_uci,
-                         cg_occasions, pf_idle, pf_update, reads_avg,
-                         reclaim_unused)
+from .scheduling import (PF_WINDOW_SLOTS, Allocation, CgConfig,
+                         SchedulerPolicy, UlCandidate, allocate_dl,
+                         allocate_ul, build_uto_uci, cg_occasions, pf_idle,
+                         pf_update, reads_avg, reclaim_unused)
 from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
                       fragment_frame, ftp3_source, pose_source)
 
@@ -55,16 +55,12 @@ _ENDS = attrgetter("ends")
 _PF_KEEP = 1.0 - 1.0 / PF_WINDOW_SLOTS
 
 
-def _next_dl_slot(slot):
-    while slot_type(slot) == UPLINK:
-        slot += 1
-    return slot
-
-
-def _next_ul_slot(slot):
-    while slot_type(slot) != UPLINK:
-        slot += 1
-    return slot
+def _next_slot(slot, start):
+    """The first slot at or after start in the direction of slot."""
+    ul = slot_type(slot) == UPLINK
+    while (slot_type(start) == UPLINK) != ul:
+        start += 1
+    return start
 
 
 def _always_on_runs(pdsch_slots, start, end):
@@ -352,20 +348,17 @@ class CellSim:
         self.ce_bytes = (SHORT_BSR_CE_BYTES
                          if config.bsr_table is TableKind.SHORT
                          else LONG_BSR_CE_BYTES)
-        self.dl_retx: dict = {}
-        self.ul_retx: dict = {}
+        # the blocks due on each slot, (ue, queue, HARQ process, allocation)
+        # each; a DL slot and a UL slot never share an index
+        self.retx: dict = {}
         self.ul_grants: dict = {}
         self.rb_utilization: list = []
-        self.cg_by_slot: dict = {}
-        self.cg_index: dict = {}
-        self.cg_freed: dict = {}
-        self.cg_skip: set = set()
-        self._cg_all = []
+        # the CG occasions, and the index of each by its slot (no two share
+        # a slot) until the occasion is declared unused
+        self.cg_occasions = ([] if config.pose_cg is None else
+                             cg_occasions(config.pose_cg, config.duration_us))
+        self.cg_slot = {o.slot: i for i, o in enumerate(self.cg_occasions)}
         if config.pose_cg is not None:
-            self._cg_all = cg_occasions(config.pose_cg, config.duration_us)
-            for i, occ in enumerate(self._cg_all):
-                self.cg_by_slot.setdefault(occ.slot, []).append(occ)
-                self.cg_index[occ] = i
             for u in self.xr:
                 u.pose_queue = FlowQueue(
                     QosFlowProfile(psdb_ms=10_000.0, psihi=False),
@@ -452,9 +445,9 @@ class CellSim:
 
     # ---- delivery ----
 
-    def _deliver(self, ue, segments, now):
+    def _deliver(self, ue, queue, segments, now):
         post_warmup = now >= self.warmup_t
-        lost = ue.queue.lost_sets
+        lost = queue.lost_sets
         for seg in segments:
             sid = seg.pdu_set.id
             if lost and sid in lost:
@@ -490,30 +483,47 @@ class CellSim:
             ue.pf_slots = n
         return ue.avg_tput_bps
 
-    def _retx_due(self, retx, slot):
-        """Yield the blocks of a retransmission table that are due on this
-        slot, each cut to the sets not lost since it was last sent; a block
-        left with none is dropped. Each block is checked when it is reached,
-        so the check sees the sets lost by the blocks sent before it."""
-        for ue, proc, alloc in retx.pop(slot, ()):
-            lost = ue.queue.lost_sets
-            segs = [s for s in alloc.segments if s.pdu_set.id not in lost]
-            if segs:
-                alloc.segments = segs
-                yield ue, proc, alloc
+    def _send_due(self, slot, now, limit, tx_ues) -> int:
+        """Send the blocks due on this slot and return their RBs. Before the
+        first is sent, every due block is cut to the sets of its queue not
+        lost since it was last sent; one left with none is dropped. A block
+        that would take the slot past limit RBs waits for the next slot of
+        this direction, ahead of the blocks due there."""
+        due = self.retx.pop(slot)
+        for _, queue, _, alloc in due:
+            lost = queue.lost_sets
+            alloc.segments = [s for s in alloc.segments
+                              if s.pdu_set.id not in lost]
+        ul = slot_type(slot) == UPLINK
+        rb_used = 0
+        deferred = []
+        for entry in due:
+            ue, queue, proc, alloc = entry
+            if not alloc.segments:
+                continue
+            if rb_used + alloc.rb_count > limit:
+                deferred.append(entry)
+                continue
+            tx_ues.add(ue)
+            rb_used += alloc.rb_count
+            self._transmit(ue, queue, proc, alloc,
+                           ue.ul_sinr_db if ul else ue.sinr_db, slot, now)
+        if deferred:
+            self.retx.setdefault(_next_slot(slot, slot + 1), [])[:0] = deferred
+        return rb_used
 
-    def _transmit(self, ue, proc, alloc, sinr_db, retx, next_slot, slot, now):
-        """One HARQ attempt of a block: deliver it on an ACK, lose its sets
-        once HARQ gives up on it, or else queue its retransmission on the
-        first slot that next_slot allows a HARQ round trip later."""
+    def _transmit(self, ue, queue, proc, alloc, sinr_db, slot, now):
+        """One HARQ attempt of a block from queue: deliver it on an ACK, lose
+        its sets once HARQ gives up on it, or else queue its retransmission
+        on the first slot of its direction a HARQ round trip later."""
         if harq_attempt(proc, sinr_db, self.phy_uniforms):
-            self._deliver(ue, alloc.segments, now)
+            self._deliver(ue, queue, alloc.segments, now)
         elif proc.exhausted:
-            ue.queue.on_block_lost(alloc.segments, now)
+            queue.on_block_lost(alloc.segments, now)
             self._sync_events(ue)
         else:
-            retx.setdefault(next_slot(slot + HARQ_RTT_SLOTS), []).append(
-                (ue, proc, alloc))
+            self.retx.setdefault(_next_slot(slot, slot + HARQ_RTT_SLOTS),
+                                 []).append((ue, queue, proc, alloc))
 
     def _dl_slot(self, slot, now, kind):
         sym = _DATA_SYMBOLS[kind]
@@ -521,22 +531,9 @@ class CellSim:
         tx_ues = set()
         rb_used = 0
 
-        # a DL slot checks every due block before it sends the first one;
-        # due blocks take RBs first, and one that would overflow the slot
-        # waits for the next DL slot, ahead of the blocks due there
-        if slot in self.dl_retx:
-            deferred = []
-            for ue, proc, alloc in list(self._retx_due(self.dl_retx, slot)):
-                if rb_used + alloc.rb_count > N_RB:
-                    deferred.append((ue, proc, alloc))
-                    continue
-                tx_ues.add(ue)
-                rb_used += alloc.rb_count
-                self._transmit(ue, proc, alloc, ue.sinr_db, self.dl_retx,
-                               _next_dl_slot, slot, now)
-            if deferred:
-                self.dl_retx.setdefault(_next_dl_slot(slot + 1),
-                                        [])[:0] = deferred
+        # due blocks take RBs first
+        if slot in self.retx:
+            rb_used = self._send_due(slot, now, N_RB, tx_ues)
 
         # a DRX UE with no data and nothing sent to it is no candidate, and
         # its slot is logged when it is next caught up
@@ -580,8 +577,8 @@ class CellSim:
             ue.pf_slots = n_dl + 1
             if ue.adrx is not None:  # only the ADRX controller reads it
                 self._mark_first_service(ue, a.segments, now)
-            self._transmit(ue, HarqProcess(a.mcs, a.tb_bits), a, ue.sinr_db,
-                           self.dl_retx, _next_dl_slot, slot, now)
+            self._transmit(ue, ue.queue, HarqProcess(a.mcs, a.tb_bits), a,
+                           ue.sinr_db, slot, now)
             if ue.drx is not None:
                 ue.drx.step(now, True, True)
         self.dl_slots = n_dl + 1
@@ -602,12 +599,11 @@ class CellSim:
         tx_ues = set()
         rb_used = 0
 
-        if slot in self.ul_retx:
-            for ue, proc, alloc in self._retx_due(self.ul_retx, slot):
-                tx_ues.add(ue)
-                rb_used += alloc.rb_count
-                self._transmit(ue, proc, alloc, ue.ul_sinr_db, self.ul_retx,
-                               _next_ul_slot, slot, now)
+        # due blocks take RBs first, up to what this slot's CG occasion
+        # leaves; the grants for this slot were sized without their RBs
+        if slot in self.retx:
+            rb_used = self._send_due(slot, now, N_RB - self._cg_rb(slot),
+                                     tx_ues)
 
         for a in self.ul_grants.pop(slot, ()):
             ue = self.by_id[a.ue_id]
@@ -625,8 +621,8 @@ class CellSim:
             if not segs:
                 continue
             a.segments = segs
-            self._transmit(ue, HarqProcess(a.mcs, a.tb_bits), a, ue.ul_sinr_db,
-                           self.ul_retx, _next_ul_slot, slot, now)
+            self._transmit(ue, ue.queue, HarqProcess(a.mcs, a.tb_bits), a,
+                           ue.ul_sinr_db, slot, now)
 
         rb_used += self._cg_serve(slot, now, tx_ues)
 
@@ -653,9 +649,10 @@ class CellSim:
                                 for s in live)
                 cands.append(UlCandidate(ue.ue_id, reported + self.ce_bytes,
                                          ue.ul_mcs, urgency_us=urgency))
+            # the next UL slot; every block due there is already known
             target = slot + 5
             budget = (N_RB - self._cg_rb(target)
-                      + self.cg_freed.get(target, 0))
+                      - sum(a.rb_count for *_, a in self.retx.get(target, ())))
             if cands and budget > 0:
                 grants = allocate_ul(target, cands, total_rb=budget)
                 for g in grants:
@@ -675,45 +672,47 @@ class CellSim:
                 ue.drx_slot = slot + 1
 
     def _cg_rb(self, slot) -> int:
-        return sum(o.rb_count for o in self.cg_by_slot.get(slot, ()))
+        """The RBs of this slot's CG occasion, 0 if none or declared unused."""
+        i = self.cg_slot.get(slot)
+        return 0 if i is None else self.cg_occasions[i].rb_count
 
     def _cg_serve(self, slot, now, tx_ues) -> int:
-        """Serve pose traffic on this slot's configured-grant occasions.
+        """Send pose traffic on this slot's configured-grant occasion, if
+        any, and return its RBs.
 
-        The grant region is shared by the cell's pose flows; at each
-        window boundary the aggregate buffer decides which upcoming
-        occasions are declared unused, and their blocks return to the
-        dynamic pool of that slot.
+        The cell's pose flows share the grant region. At each window
+        boundary their aggregate buffer, against occasions sized at the
+        first XR UE's MCS, decides which upcoming occasions are declared
+        unused; their RBs return to the dynamic pool of their slot. The
+        first XR UE with pose data takes an occasion, in a block sized at
+        its own MCS that goes through HARQ against its pose queue.
         """
-        cfg = self.cfg
-        if cfg.pose_cg is None:
+        i = self.cg_slot.get(slot)
+        if i is None:
             return 0
-        window = cfg.pose_cg.uto_uci_window
-        mcs = self.xr[0].ul_mcs  # the grant tracks CSI
-        rb = 0
-        for occ in self.cg_by_slot.get(slot, ()):
-            idx = self.cg_index[occ]
-            if idx % window == 0:
-                w = self._cg_all[idx:idx + window]
-                caps = [tb_bits(mcs, o.rb_count) // 8 for o in w]
-                buf = sum(u.pose_queue.queued_bytes for u in self.xr)
-                bitmap = build_uto_uci(buf, caps, len(w))
-                for freed in reclaim_unused(bitmap, w, slot):
-                    self.cg_freed[freed.slot] = (
-                        self.cg_freed.get(freed.slot, 0) + freed.rb_count)
-                    self.cg_skip.add(freed)
-            if occ in self.cg_skip:
-                continue
-            cap = tb_bits(mcs, occ.rb_count) // 8
-            for u in self.xr:
-                segs = u.pose_queue.take(cap)
-                if segs:
-                    rb += occ.rb_count
-                    tx_ues.add(u)
-                    if now >= self.warmup_t:
-                        u.delivered_bits += sum(s.byte_size for s in segs) * 8
-                    break
-        return rb
+        window = self.cfg.pose_cg.uto_uci_window
+        if i % window == 0:
+            mcs = self.xr[0].ul_mcs  # the grant tracks CSI
+            w = self.cg_occasions[i:i + window]
+            caps = [tb_bits(mcs, o.rb_count) // 8 for o in w]
+            buf = sum(u.pose_queue.queued_bytes for u in self.xr)
+            bitmap = build_uto_uci(buf, caps, len(w))
+            # only later occasions are declared unused, none of them the
+            # first of a window
+            for o in reclaim_unused(bitmap, w, slot):
+                del self.cg_slot[o.slot]
+        rb = self.cg_occasions[i].rb_count
+        for u in self.xr:
+            tb = tb_bits(u.ul_mcs, rb)
+            segs = u.pose_queue.take(tb // 8)
+            if segs:
+                tx_ues.add(u)
+                self._transmit(u, u.pose_queue, HarqProcess(u.ul_mcs, tb),
+                               Allocation(u.ue_id, slot, rb, u.ul_mcs, tb,
+                                          segs),
+                               u.ul_sinr_db, slot, now)
+                return rb
+        return 0
 
     # ---- frame bookkeeping ----
 
@@ -771,7 +770,7 @@ class CellSim:
     def _idle(self) -> bool:
         """No byte is queued, no HARQ process or UL grant is pending and no
         frame is undecided, so nothing happens before the next arrival."""
-        if self.dl_retx or self.ul_retx or self.ul_grants:
+        if self.retx or self.ul_grants:
             return False
         for ue in self.xr:
             if ue.queue.entries or ue.undecided:

@@ -350,12 +350,31 @@ def test_dl_retransmissions_stay_within_the_rb_budget():
     assert max(every) <= 1.0
 
 
+@pytest.mark.parametrize("cfg, seed", [
+    # four UEs on one UL cell: due retransmissions came on top of grants
+    # sized for the whole slot, up to 1.22 x 273 RBs
+    (CellConfig(ues_per_cell=4, direction=Direction.UL, rate_bps=10e6,
+                psdb_ms=30.0, duration_s=10.0, warmup_s=0.0), 1),
+    # two cells with a pose CG, whose blocks retransmit like any other
+    (CellConfig(ues_per_cell=2, n_cells=2, direction=Direction.UL,
+                rate_bps=10e6, psdb_ms=30.0, duration_s=3.0, warmup_s=0.0,
+                pose_cg=CgConfig(periodicity_us=Fraction(4000))), 1),
+], ids=["4-ues", "2-cells-cg"])
+def test_ul_blocks_stay_within_the_rb_budget(cfg, seed):
+    # the grants of a UL slot are sized five slots ahead, when every block
+    # due on it is known, so their RBs and the slot's CG occasion come off
+    # the grant budget
+    assert max(CellSim(cfg, seed=seed).run().rb_utilization) <= 1.0
+
+
 @pytest.mark.parametrize("direction", [Direction.DL, Direction.UL])
 def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
     # with every attempt NACKed, each transport block is sent 1 + MAX_RETX
     # times, each retransmission on the first slot of the block's direction
     # at least HARQ_RTT_SLOTS after the attempt before it; then HARQ gives
-    # up and the block's sets are lost
+    # up and the block's sets are lost. A UL grant shrinks by the RBs of
+    # the blocks due on its slot, so a set can ride in two blocks, and a
+    # block stops early once every set it carries is lost
     import xrsim.cellsim as cellsim
     from xrsim.qos import FlowQueue
     from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX
@@ -366,8 +385,8 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
     sim = CellSim(cfg, seed=1)
     sim.phy_uniforms = repeat(0.0)  # every draw 0.0: every attempt NACKs
     current = [None]
-    taken = []  # the sets of each non-empty take, in order
-    blocks = []  # (process, sets carried, slots of its attempts)
+    taken = []  # the (set, start, bytes) spans of each non-empty take
+    blocks = []  # (process, spans carried, slots of its attempts)
     by_proc = {}
     on_slot, take, attempt = (CellSim._on_slot, FlowQueue.take,
                               cellsim.harq_attempt)
@@ -379,7 +398,8 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
     def taking(self, max_bytes):
         segs = take(self, max_bytes)
         if segs:
-            taken.append({s.pdu_set.id for s in segs})
+            taken.append([(s.pdu_set.id, s.start, s.byte_size)
+                          for s in segs])
         return segs
 
     def attempting(proc, sinr_db, rng):
@@ -400,26 +420,78 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
         return slot
 
     n_slots = math.ceil(cfg.duration_us / SLOT_US)
-    ids = [sid for _, sets, _ in blocks for sid in sets]
-    assert len(ids) == len(set(ids))  # no set rides in two blocks
+    # no byte rides in two blocks: the spans of a set do not overlap
+    spans = sorted(span for _, carried, _ in blocks for span in carried)
+    for (a, start, size), (b, next_start, _) in zip(spans, spans[1:]):
+        assert a != b or start + size <= next_start
+    lost = sim.xr[0].queue.lost_sets
     causes = {}
     for e in sim.xr[0].queue.events:
         causes.setdefault(e.set_id, set()).add(e.cause)
     exhausted = 0
-    for _, sets, slots in blocks:
+    for _, carried, slots in blocks:
+        sets = {sid for sid, _, _ in carried}
         want = [slots[0]]
         for _ in range(MAX_RETX):
             want.append(next_slot(want[-1] + HARQ_RTT_SLOTS))
-        assert slots == [s for s in want if s < n_slots]
+        want = [s for s in want if s < n_slots]
+        assert slots == want[:len(slots)]
+        if len(slots) < len(want):
+            assert sets <= lost  # stopped early: all its sets were lost
         if len(slots) == 1 + MAX_RETX:
             exhausted += 1
             assert all("harq" in causes[sid] for sid in sets)
-            assert sets <= sim.xr[0].queue.lost_sets
+            assert sets <= lost
     assert exhausted > 30
     kpi = result.xr_ues()[0]
     assert kpi.pser > 0
     assert kpi.frames_total > 0 and kpi.frames_in_budget == 0
     assert not any(ok for _, ok in kpi.outcomes)
+
+
+def test_cg_blocks_go_through_harq(monkeypatch):
+    # with every attempt NACKed, each configured-grant block is sent
+    # 1 + MAX_RETX times on the UL slots the round trip allows; then HARQ
+    # gives up and its pose sets are lost in the pose queue, never counted
+    # as delivered or in the video queue's PSER
+    from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX
+
+    cfg = _short(ues_per_cell=1, direction=Direction.UL, rate_bps=1e6,
+                 psdb_ms=30.0, duration_s=1.5, warmup_s=0.0,
+                 pose_cg=CgConfig(periodicity_us=Fraction(4000)))
+    sim = CellSim(cfg, seed=1)
+    sim.phy_uniforms = repeat(0.0)  # every attempt NACKs
+    blocks = {}  # id of the process -> (process, queue, sets, attempt slots)
+    transmit = CellSim._transmit
+
+    def transmitting(self, ue, queue, proc, alloc, sinr_db, slot, now):
+        sets = {s.pdu_set.id for s in alloc.segments}
+        blocks.setdefault(id(proc), (proc, queue, sets, []))[3].append(slot)
+        return transmit(self, ue, queue, proc, alloc, sinr_db, slot, now)
+
+    monkeypatch.setattr(CellSim, "_transmit", transmitting)
+    result = sim.run()
+
+    ue = sim.xr[0]
+    occasions = {o.slot for o in sim.cg_occasions}
+    cg = [(sets, slots) for _, queue, sets, slots in blocks.values()
+          if queue is ue.pose_queue]
+    assert len(cg) > 50
+    for sets, slots in cg:
+        assert slots[0] in occasions
+        want = [slots[0]]
+        for _ in range(MAX_RETX):
+            slot = want[-1] + HARQ_RTT_SLOTS
+            while slot_type(slot) != UPLINK:
+                slot += 1
+            want.append(slot)
+        assert slots == [s for s in want if s < sim.n_slots]
+        if len(slots) == 1 + MAX_RETX:
+            assert sets <= ue.pose_queue.lost_sets
+    assert ue.pose_queue.lost_sets
+    assert all(sid[0] == "pose" for sid in ue.pose_queue.lost_sets)
+    assert not any(sid[0] == "pose" for sid in ue.queue.lost_sets)
+    assert result.xr_ues()[0].delivered_bits == 0
 
 
 @pytest.mark.parametrize("kw, sources", [

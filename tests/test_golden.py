@@ -37,13 +37,13 @@ SWEEP_SHA256 = {
 
 UL_SWEEP_SHA256 = {
     "kpi.csv":
-        "55074822c3a7f6ed9163e6b9cdc90c0566eb6ac8b5d9c213d03e4728cd71a3b0",
+        "a958963eeb17dca9dc89e17c84c80a66f4f1ffa67595a01196a7b2b6784edcb2",
     "cdf_padding_bytes.csv":
         "186a062d43043cc7920cd91fc0f59fb41fe24784fff765a701561174c24630a7",
     "cdf_ue_throughput_mbps.csv":
-        "f18c554ba17ff83a3d6f1f5a97cca95326f2335ef39ed460ca750fe147ae6424",
+        "ad3b46263132635775a516888b309f24ba89faace52267de81da0d88121a754f",
     "cdf_rb_utilization.csv":
-        "3b653c8d5abc6fd077dc1c62d8147ac3241a1d8d3142e4dd8c62390bd2449719",
+        "27f9a17846b11e9dad49b9405ea36350a80d58d5f85ca46d5536011e8f149380",
     "events.csv.gz":
         "64f5fc7f705775893cf0003173a66b39b08cd0a7950038dcf38df25e60fe831e",
 }
@@ -54,7 +54,7 @@ CELL_DIGESTS = {
     "mlwdf-ftp-psi":
         "1f6a2e8bdb2ac75b066401bc024ba31069e72b9eafde384faa70acc02ce75f53",
     "ul-long-bsr-cg":
-        "0f3e27a207109a9395af5f7dd2a6418135bb0737b01e71aaf643ec63cfa3174c",
+        "6d216e0657ce8a853a4d8198dccd4037f3f2ac82056bd969b21f5c31dfe89408",
     "fixed-drx-90fps-mlwdf":
         "e1232021c3e5299b44e6dd32521b5fdc2fc4d7f4880990a5c7e0ca00ad4ecd7b",
     "adrx-2997-50fps":
@@ -91,7 +91,8 @@ def _sweep_ini(out_dir) -> str:
 def _ul_sweep_ini(out_dir) -> str:
     # UL with DSR, an FTP eMBB UE and fixed DRX over two seeds: the sweep
     # that fills the padding CDF and pools seeds; no PSI discard, CG or
-    # second cell
+    # second cell. At load 6 each cell NACKs 5-6 UL blocks, whose
+    # retransmissions come off the grant budget of their slot
     return ("[scenario]\ndirection = ul\nues_per_cell = 2,6\nembb_ues = 1\n\n"
             "[traffic]\nrate_mbps = 10\npsdb_ms = 30\n\n"
             "[reporting]\ndsr_enabled = true\ndsr_threshold_ms = 25\n\n"
@@ -113,6 +114,8 @@ def _cells() -> dict:
             ues_per_cell=6, rate_bps=45e6, psdb_ms=10.0, sets_per_frame=4,
             embb_ues=2, psi_discard_enabled=True,
             policy=SchedulerPolicy(kind=PolicyKind.MLWDF), **short), 2),
+        # a pose CG whose blocks go through HARQ like any other; the due
+        # blocks and the occasion of a UL slot come off its grant budget
         "ul-long-bsr-cg": (CellConfig(
             ues_per_cell=4, direction=Direction.UL, rate_bps=10e6,
             psdb_ms=30.0, bsr_table=TableKind.LONG, dsr_enabled=False,

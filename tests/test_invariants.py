@@ -1,10 +1,12 @@
 """Invariants that hold for every config: output bytes that do not depend on
-the interpreter's hash seed, and per-cell bounds over drawn DL cells."""
+the interpreter's hash seed, per-cell bounds over drawn DL and UL cells, and
+a DRX that never sleeps giving the cell of a UE without DRX."""
 
 import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from xrsim.cellsim import CellConfig, CellSim
 from xrsim.drx import DrxConfig
-from xrsim.scheduling import PolicyKind, SchedulerPolicy
+from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
+from xrsim.traffic import Direction
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,10 +81,27 @@ def dl_cells(draw):
         psi_discard_enabled=draw(st.booleans()))
 
 
-@settings(max_examples=40)
-@given(cfg=dl_cells(), seed=st.integers(0, 50))
-def test_dl_cell_invariants(cfg, seed):
+@st.composite
+def ul_cells(draw):
+    # 3 s runs: a UL slot over 273 RBs needs a retransmission due on a full
+    # slot, which shorter runs seldom reach
+    cg_rb = draw(st.sampled_from([None, 10, 50]))
+    return CellConfig(
+        ues_per_cell=draw(st.integers(1, 4)),
+        n_cells=draw(st.integers(1, 3)),
+        direction=Direction.UL,
+        rate_bps=draw(st.sampled_from([5e6, 10e6, 20e6])),
+        psdb_ms=30.0, duration_s=3.0, warmup_s=0.2,
+        embb_ues=draw(st.integers(0, 1)),
+        dsr_enabled=draw(st.booleans()), dsr_threshold_ms=25.0,
+        drx=draw(st.sampled_from([None, _FIXED_DRX])),
+        pose_cg=None if cg_rb is None else CgConfig(
+            periodicity_us=Fraction(4000), rb_per_occasion=cg_rb))
+
+
+def _check_cell(cfg, seed):
     result = CellSim(cfg, seed=seed).run()
+    # no slot uses more than 273 RBs
     assert all(0.0 <= u <= 1.0 for u in result.rb_utilization)
     model = cfg.power_model
     for ue in result.ues:
@@ -89,3 +109,42 @@ def test_dl_cell_invariants(cfg, seed):
         assert model.deep_sleep <= ue.avg_power <= model.pdcch_plus_pdsch
         arrivals = [arrival for arrival, _ in ue.outcomes]
         assert len(set(arrivals)) == len(arrivals)
+
+
+@settings(max_examples=40)
+@given(cfg=dl_cells(), seed=st.integers(0, 50))
+def test_dl_cell_invariants(cfg, seed):
+    _check_cell(cfg, seed)
+
+
+@settings(max_examples=60)
+@given(cfg=ul_cells(), seed=st.integers(0, 50))
+def test_ul_cell_invariants(cfg, seed):
+    _check_cell(cfg, seed)
+
+
+@pytest.mark.parametrize("cycle_ms, policy, kw", [
+    (Fraction(50, 3), PolicyKind.PF, {}),
+    (Fraction(16), PolicyKind.MLWDF,
+     dict(n_cells=2, psi_discard_enabled=True)),
+    (Fraction(10), PolicyKind.PDUSET,
+     dict(embb_ues=1, psi_discard_enabled=True)),
+    (Fraction(50, 3), PolicyKind.PF,
+     dict(direction=Direction.UL, dsr_enabled=True)),
+    (Fraction(16), PolicyKind.PDUSET, dict(direction=Direction.UL, n_cells=2)),
+    (Fraction(10), PolicyKind.MLWDF,
+     dict(direction=Direction.UL, embb_ues=1, psi_discard_enabled=True)),
+], ids=["dl-pf", "dl-mlwdf-2cells-psi", "dl-pduset-embb-psi", "ul-dsr",
+        "ul-2cells", "ul-embb-psi"])
+def test_drx_that_never_sleeps_is_drx_off(cycle_ms, policy, kw):
+    # an on-duration as long as the cycle, no inactivity timer and one
+    # common grid: the UEs monitor PDCCH on every slot, so the DRX UEs' run
+    # log must give the results of UEs without DRX, power included
+    cfg = CellConfig(ues_per_cell=3, rate_bps=20e6, psdb_ms=30.0,
+                     duration_s=1.0, warmup_s=0.2,
+                     policy=SchedulerPolicy(kind=policy), **kw)
+    cycle = cycle_ms * 1000
+    always_on = replace(cfg, drx=DrxConfig(
+        cycle_us=cycle, on_duration_us=cycle, inactivity_us=Fraction(0)),
+        drx_offset_mode="common")
+    assert CellSim(always_on, seed=2).run() == CellSim(cfg, seed=2).run()
