@@ -55,9 +55,8 @@ _ENDS = attrgetter("ends")
 _PF_KEEP = 1.0 - 1.0 / PF_WINDOW_SLOTS
 
 
-def _next_slot(slot, start):
-    """The first slot at or after start in the direction of slot."""
-    ul = slot_type(slot) == UPLINK
+def _next_slot(ul, start):
+    """The first slot at or after start, a UL slot if ul, else a DL one."""
     while (slot_type(start) == UPLINK) != ul:
         start += 1
     return start
@@ -483,18 +482,18 @@ class CellSim:
             ue.pf_slots = n
         return ue.avg_tput_bps
 
-    def _send_due(self, slot, now, limit, tx_ues) -> int:
-        """Send the blocks due on this slot and return their RBs. Before the
-        first is sent, every due block is cut to the sets of its queue not
-        lost since it was last sent; one left with none is dropped. A block
-        that would take the slot past limit RBs waits for the next slot of
-        this direction, ahead of the blocks due there."""
+    def _send_due(self, slot, now, limit, tx_ues, ul) -> int:
+        """Send the blocks due on this slot, a UL slot if ul, and return
+        their RBs. Before the first is sent, every due block is cut to the
+        sets of its queue not lost since it was last sent; one left with
+        none is dropped. A block that would take the slot past limit RBs
+        waits for the next slot of this direction, ahead of the blocks due
+        there."""
         due = self.retx.pop(slot)
         for _, queue, _, alloc in due:
             lost = queue.lost_sets
             alloc.segments = [s for s in alloc.segments
                               if s.pdu_set.id not in lost]
-        ul = slot_type(slot) == UPLINK
         rb_used = 0
         deferred = []
         for entry in due:
@@ -506,23 +505,25 @@ class CellSim:
                 continue
             tx_ues.add(ue)
             rb_used += alloc.rb_count
-            self._transmit(ue, queue, proc, alloc,
-                           ue.ul_sinr_db if ul else ue.sinr_db, slot, now)
+            self._transmit(ue, queue, proc, alloc, ul, slot, now)
         if deferred:
-            self.retx.setdefault(_next_slot(slot, slot + 1), [])[:0] = deferred
+            self.retx.setdefault(_next_slot(ul, slot + 1), [])[:0] = deferred
         return rb_used
 
-    def _transmit(self, ue, queue, proc, alloc, sinr_db, slot, now):
-        """One HARQ attempt of a block from queue: deliver it on an ACK, lose
-        its sets once HARQ gives up on it, or else queue its retransmission
-        on the first slot of its direction a HARQ round trip later."""
-        if harq_attempt(proc, sinr_db, self.phy_uniforms):
+    def _transmit(self, ue, queue, proc, alloc, ul, slot, now):
+        """One HARQ attempt of a block from queue, on a UL slot if ul: deliver
+        it on an ACK, lose its sets once HARQ gives up on it, or else queue
+        its retransmission on the first slot of its direction a HARQ round
+        trip later. The callers know the direction, so no slot is looked up
+        on the DL per-block path."""
+        if harq_attempt(proc, ue.ul_sinr_db if ul else ue.sinr_db,
+                        self.phy_uniforms):
             self._deliver(ue, queue, alloc.segments, now)
         elif proc.exhausted:
             queue.on_block_lost(alloc.segments, now)
             self._sync_events(ue)
         else:
-            self.retx.setdefault(_next_slot(slot, slot + HARQ_RTT_SLOTS),
+            self.retx.setdefault(_next_slot(ul, slot + HARQ_RTT_SLOTS),
                                  []).append((ue, queue, proc, alloc))
 
     def _dl_slot(self, slot, now, kind):
@@ -533,7 +534,7 @@ class CellSim:
 
         # due blocks take RBs first
         if slot in self.retx:
-            rb_used = self._send_due(slot, now, N_RB, tx_ues)
+            rb_used = self._send_due(slot, now, N_RB, tx_ues, False)
 
         # a DRX UE with no data and nothing sent to it is no candidate, and
         # its slot is logged when it is next caught up
@@ -578,7 +579,7 @@ class CellSim:
             if ue.adrx is not None:  # only the ADRX controller reads it
                 self._mark_first_service(ue, a.segments, now)
             self._transmit(ue, ue.queue, HarqProcess(a.mcs, a.tb_bits), a,
-                           ue.sinr_db, slot, now)
+                           False, slot, now)
             if ue.drx is not None:
                 ue.drx.step(now, True, True)
         self.dl_slots = n_dl + 1
@@ -603,7 +604,7 @@ class CellSim:
         # leaves; the grants for this slot were sized without their RBs
         if slot in self.retx:
             rb_used = self._send_due(slot, now, N_RB - self._cg_rb(slot),
-                                     tx_ues)
+                                     tx_ues, True)
 
         for a in self.ul_grants.pop(slot, ()):
             ue = self.by_id[a.ue_id]
@@ -622,7 +623,7 @@ class CellSim:
                 continue
             a.segments = segs
             self._transmit(ue, ue.queue, HarqProcess(a.mcs, a.tb_bits), a,
-                           ue.ul_sinr_db, slot, now)
+                           True, slot, now)
 
         rb_used += self._cg_serve(slot, now, tx_ues)
 
@@ -710,7 +711,7 @@ class CellSim:
                 self._transmit(u, u.pose_queue, HarqProcess(u.ul_mcs, tb),
                                Allocation(u.ue_id, slot, rb, u.ul_mcs, tb,
                                           segs),
-                               u.ul_sinr_db, slot, now)
+                               True, slot, now)
                 return rb
         return 0
 

@@ -367,21 +367,26 @@ def test_ul_blocks_stay_within_the_rb_budget(cfg, seed):
     assert max(CellSim(cfg, seed=seed).run().rb_utilization) <= 1.0
 
 
-@pytest.mark.parametrize("direction", [Direction.DL, Direction.UL])
-def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
+@pytest.mark.parametrize("direction, pose_cg", [
+    (Direction.DL, None), (Direction.UL, None),
+    (Direction.UL, CgConfig(periodicity_us=Fraction(4000))),
+], ids=["Direction.DL", "Direction.UL", "pose-cg"])
+def test_harq_exhaustion_loses_the_block(direction, pose_cg, monkeypatch):
     # with every attempt NACKed, each transport block is sent 1 + MAX_RETX
     # times, each retransmission on the first slot of the block's direction
     # at least HARQ_RTT_SLOTS after the attempt before it; then HARQ gives
-    # up and the block's sets are lost. A UL grant shrinks by the RBs of
-    # the blocks due on its slot, so a set can ride in two blocks, and a
-    # block stops early once every set it carries is lost
+    # up and the block's sets are lost in its own queue. A configured-grant
+    # block, first sent on an occasion, goes the same way against the pose
+    # queue. A UL grant shrinks by the RBs of the blocks due on its slot, so
+    # a UL video set can ride in two blocks, and such a block stops early
+    # once every set it carries is lost
     import xrsim.cellsim as cellsim
     from xrsim.qos import FlowQueue
     from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX
 
     cfg = _short(ues_per_cell=1, direction=direction, rate_bps=5e6,
                  psdb_ms=30.0, discard_timer_ms=None, duration_s=1.5,
-                 warmup_s=0.0)
+                 warmup_s=0.0, pose_cg=pose_cg)
     sim = CellSim(cfg, seed=1)
     sim.phy_uniforms = repeat(0.0)  # every draw 0.0: every attempt NACKs
     current = [None]
@@ -419,14 +424,24 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
             slot += 1
         return slot
 
+    ue = sim.xr[0]
+    queue = ue.queue
+    ul_video = direction is Direction.UL and pose_cg is None
+    if pose_cg is not None:  # the pose blocks, first sent on an occasion
+        queue = ue.pose_queue
+        blocks = [b for b in blocks if b[1][0][0][0] == "pose"]
+        occasions = {o.slot for o in sim.cg_occasions}
+        assert all(slots[0] in occasions for _, _, slots in blocks)
     n_slots = math.ceil(cfg.duration_us / SLOT_US)
-    # no byte rides in two blocks: the spans of a set do not overlap
-    spans = sorted(span for _, carried, _ in blocks for span in carried)
-    for (a, start, size), (b, next_start, _) in zip(spans, spans[1:]):
-        assert a != b or start + size <= next_start
-    lost = sim.xr[0].queue.lost_sets
+    if ul_video:  # no byte rides in two blocks: a set's spans do not overlap
+        spans = sorted(span for _, carried, _ in blocks for span in carried)
+        for (a, start, size), (b, next_start, _) in zip(spans, spans[1:]):
+            assert a != b or start + size <= next_start
+    else:  # no set rides in two blocks
+        ids = [sid for _, carried, _ in blocks for sid, _, _ in carried]
+        assert len(ids) == len(set(ids))
     causes = {}
-    for e in sim.xr[0].queue.events:
+    for e in queue.events:
         causes.setdefault(e.set_id, set()).add(e.cause)
     exhausted = 0
     for _, carried, slots in blocks:
@@ -435,63 +450,23 @@ def test_harq_exhaustion_loses_the_block(direction, monkeypatch):
         for _ in range(MAX_RETX):
             want.append(next_slot(want[-1] + HARQ_RTT_SLOTS))
         want = [s for s in want if s < n_slots]
-        assert slots == want[:len(slots)]
-        if len(slots) < len(want):
-            assert sets <= lost  # stopped early: all its sets were lost
+        if ul_video:
+            assert slots == want[:len(slots)]
+            if len(slots) < len(want):
+                assert sets <= queue.lost_sets  # stopped early: sets lost
+        else:
+            assert slots == want
         if len(slots) == 1 + MAX_RETX:
             exhausted += 1
             assert all("harq" in causes[sid] for sid in sets)
-            assert sets <= lost
+            assert sets <= queue.lost_sets
     assert exhausted > 30
     kpi = result.xr_ues()[0]
-    assert kpi.pser > 0
+    assert kpi.pser > 0 and kpi.delivered_bits == 0
     assert kpi.frames_total > 0 and kpi.frames_in_budget == 0
     assert not any(ok for _, ok in kpi.outcomes)
-
-
-def test_cg_blocks_go_through_harq(monkeypatch):
-    # with every attempt NACKed, each configured-grant block is sent
-    # 1 + MAX_RETX times on the UL slots the round trip allows; then HARQ
-    # gives up and its pose sets are lost in the pose queue, never counted
-    # as delivered or in the video queue's PSER
-    from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX
-
-    cfg = _short(ues_per_cell=1, direction=Direction.UL, rate_bps=1e6,
-                 psdb_ms=30.0, duration_s=1.5, warmup_s=0.0,
-                 pose_cg=CgConfig(periodicity_us=Fraction(4000)))
-    sim = CellSim(cfg, seed=1)
-    sim.phy_uniforms = repeat(0.0)  # every attempt NACKs
-    blocks = {}  # id of the process -> (process, queue, sets, attempt slots)
-    transmit = CellSim._transmit
-
-    def transmitting(self, ue, queue, proc, alloc, sinr_db, slot, now):
-        sets = {s.pdu_set.id for s in alloc.segments}
-        blocks.setdefault(id(proc), (proc, queue, sets, []))[3].append(slot)
-        return transmit(self, ue, queue, proc, alloc, sinr_db, slot, now)
-
-    monkeypatch.setattr(CellSim, "_transmit", transmitting)
-    result = sim.run()
-
-    ue = sim.xr[0]
-    occasions = {o.slot for o in sim.cg_occasions}
-    cg = [(sets, slots) for _, queue, sets, slots in blocks.values()
-          if queue is ue.pose_queue]
-    assert len(cg) > 50
-    for sets, slots in cg:
-        assert slots[0] in occasions
-        want = [slots[0]]
-        for _ in range(MAX_RETX):
-            slot = want[-1] + HARQ_RTT_SLOTS
-            while slot_type(slot) != UPLINK:
-                slot += 1
-            want.append(slot)
-        assert slots == [s for s in want if s < sim.n_slots]
-        if len(slots) == 1 + MAX_RETX:
-            assert sets <= ue.pose_queue.lost_sets
-    assert ue.pose_queue.lost_sets
-    assert all(sid[0] == "pose" for sid in ue.pose_queue.lost_sets)
+    # pose losses stay in the pose queue, out of the video PSER
     assert not any(sid[0] == "pose" for sid in ue.queue.lost_sets)
-    assert result.xr_ues()[0].delivered_bits == 0
 
 
 @pytest.mark.parametrize("kw, sources", [
