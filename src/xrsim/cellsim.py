@@ -1,13 +1,16 @@
 """System-level cell simulation binding traffic, radio, MAC and DRX.
 
-One instance simulates a single deployment drop slot by slot: video
-frames arrive as PDU sets, downlink slots run the configured scheduler
-with HARQ, uplink slots run the report-then-grant pipeline, and per-UE
-DRX machines gate scheduling. The power model reads each UE's activity as
-runs of slots: a DRX UE keeps a run-length log, and its machine is stepped
-only on slots where it has data queued or is sent to; the slots between
-are caught up a window at a time. A UE without DRX monitors PDCCH on every
-slot and keeps only the slots that carried its data.
+One instance simulates one cell of a deployment drop slot by slot;
+run_drop runs every cell of the drop in turn. Cells share no state from
+slot to slot: each UE's SINR is fixed at set-up, with every other cell
+interfering at full load. In a cell, video frames arrive as PDU sets,
+downlink slots run the configured scheduler with HARQ, uplink slots run
+the report-then-grant pipeline, and per-UE DRX machines gate scheduling.
+The power model reads each UE's activity as runs of slots: a DRX UE keeps a
+run-length log, and its machine is stepped only on slots where it has data
+queued or is sent to; the slots between are caught up a window at a time.
+A UE without DRX monitors PDCCH on every slot and keeps only the slots that
+carried its data.
 
 The cell runs on one integer clock: a tick is 1/ticks_per_us µs, where
 ticks_per_us is the least common multiple of the denominators of the
@@ -240,17 +243,18 @@ class CellResult:
 
 
 class CellSim:
-    def __init__(self, config: CellConfig, seed: int = 0):
+    def __init__(self, config: CellConfig, seed: int = 0, cell: int = 0):
         self.cfg = config
         self.rng = RngStreams(seed)
         # the uniforms that decide HARQ attempts, in the order of scalar
-        # Generator.random draws
-        self.phy_uniforms = block_draws(self.rng.stream("phy").random)
-        drop_rng = self.rng.stream("drop")
-        self.deployment = Deployment(n_cells=config.n_cells)
-        links = self.deployment.drop_ues(
-            config.ues_per_cell + config.embb_ues, drop_rng)
-        cells = range(config.n_cells)
+        # Generator.random draws; each cell has its own stream, and cell 0
+        # keeps the one-cell stream's name so one-cell outputs do not move
+        self.phy_uniforms = block_draws(self.rng.stream(
+            "phy" if cell == 0 else f"phy.{cell}").random)
+        # every cell draws the whole drop alike and keeps its own UEs
+        links = [link for link in Deployment(config.n_cells).drop_ues(
+            config.ues_per_cell + config.embb_ues, self.rng.stream("drop"))
+            if link.cell_id == cell]
 
         timer = (config.psdb_ms if config.discard_timer_ms == "psdb"
                  else config.discard_timer_ms)
@@ -285,7 +289,7 @@ class CellSim:
             is_embb = rank >= config.ues_per_cell
             ue = UeCtx(link.ue_id, is_embb)
             ue.sinr_db = dl_sinr_db(link.serving_coupling_db,
-                                    link.interferer_couplings(cells))
+                                    link.interferer_couplings())
             ue.ul_sinr_db = ul_sinr_db(50, link.serving_coupling_db)
             ue.ul_mcs, _ = select_mcs(ue.ul_sinr_db)
             # SINR is static, so every CSI report repeats it and the MCS
@@ -681,12 +685,12 @@ class CellSim:
         """Send pose traffic on this slot's configured-grant occasion, if
         any, and return its RBs.
 
-        The cell's pose flows share the grant region. At each window
-        boundary their aggregate buffer, against occasions sized at the
-        first XR UE's MCS, decides which upcoming occasions are declared
-        unused; their RBs return to the dynamic pool of their slot. The
-        first XR UE with pose data takes an occasion, in a block sized at
-        its own MCS that goes through HARQ against its pose queue.
+        The pose flows of this cell's XR UEs share the grant region. At each
+        window boundary their aggregate buffer, against occasions sized at
+        the cell's first XR UE's MCS, decides which upcoming occasions are
+        declared unused; their RBs return to the dynamic pool of their slot.
+        The first XR UE with pose data takes an occasion, in a block sized
+        at its own MCS that goes through HARQ against its pose queue.
         """
         i = self.cg_slot.get(slot)
         if i is None:
@@ -827,3 +831,13 @@ class CellSim:
                               ue.padding_samples, ue.grants,
                               ue.delivered_bits, avg_power, pser, out))
         return CellResult(kpis, self.rb_utilization)
+
+
+def run_drop(config: CellConfig, seed: int) -> CellResult:
+    """Simulate cells 0..n_cells-1 of one drop, one after another, and join
+    their results: the UEs in cell order, which is id order, and the RB
+    series cell after cell."""
+    results = [CellSim(config, seed, cell).run()
+               for cell in range(config.n_cells)]
+    return CellResult([u for r in results for u in r.ues],
+                      [x for r in results for x in r.rb_utilization])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .cellsim import CellConfig, CellSim
+from .cellsim import CellConfig, run_drop
 from .drx import DrxConfig, check_adrx_cycle, power_saving_gain
 from .engine import ConfigError
 from .reporting import TableKind
@@ -260,11 +260,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class UeRecord:  # one XR UE of one (load, seed) pair
-    load: int
-    seed: int
     ue_id: int
-    frames_total: int
-    frames_in_budget: int
     satisfied: Optional[bool]  # None with zero frames
     tput_mbps: float  # delivered bits over duration_s - warmup_s
     avg_power: float
@@ -272,7 +268,7 @@ class UeRecord:  # one XR UE of one (load, seed) pair
 
 
 @dataclass
-class PairResult:  # one cell and, with DRX on, its always-on baseline
+class PairResult:  # one drop and, with DRX on, its always-on baseline
     load: int
     seed: int
     ues: list  # UeRecord per XR UE
@@ -328,8 +324,8 @@ def emit_cdf(points, name, out_dir) -> str:
 
 
 def run_pair(config: ExperimentConfig, load: int, seed: int) -> PairResult:
-    """Run one (load, seed) cell and, with DRX on, its always-on baseline."""
-    result = CellSim(config.cell_config(load), seed=seed).run()
+    """Run one (load, seed) drop and, with DRX on, its always-on baseline."""
+    result = run_drop(config.cell_config(load), seed)
     span_s = config[("run", "duration_s")] - config[("run", "warmup_s")]
     ues, events, padding = [], [], Counter()
     for kpi in result.xr_ues():
@@ -338,8 +334,7 @@ def run_pair(config: ExperimentConfig, load: int, seed: int) -> PairResult:
             warnings.warn(f"UE {kpi.ue_id} (load {load}, seed {seed}) saw "
                           "zero frames; excluded from satisfaction")
         pad = kpi.padding_samples
-        ues.append(UeRecord(load, seed, kpi.ue_id, kpi.frames_total,
-                            kpi.frames_in_budget, sat,
+        ues.append(UeRecord(kpi.ue_id, sat,
                             kpi.delivered_bits / span_s / 1e6, kpi.avg_power,
                             sum(pad) / len(pad) if pad else 0.0))
         padding.update(pad)
@@ -347,8 +342,8 @@ def run_pair(config: ExperimentConfig, load: int, seed: int) -> PairResult:
                       for arrival, ok in kpi.outcomes)
     base = []
     if config[("drx", "mode")] != "off":
-        base = [k.avg_power for k in CellSim(config.cell_config(
-            load, drx_override=None), seed=seed).run().xr_ues()]
+        base = [k.avg_power for k in run_drop(config.cell_config(
+            load, drx_override=None), seed).xr_ues()]
     return PairResult(load, seed, ues, events, padding,
                       Counter(result.rb_utilization), base)
 

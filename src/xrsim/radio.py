@@ -145,9 +145,10 @@ class UeLink:
     def serving_coupling_db(self) -> float:
         return float(self.couplings_db[self.cell_id])
 
-    def interferer_couplings(self, active_cells) -> tuple:
-        return tuple(float(self.couplings_db[c]) for c in active_cells
-                     if c != self.cell_id)
+    def interferer_couplings(self) -> tuple:
+        """The couplings to every cell but the serving one, in cell order."""
+        return tuple(float(c) for i, c in enumerate(self.couplings_db)
+                     if i != self.cell_id)
 
 
 class Deployment:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xrsim.cellsim import CellConfig, CellSim, FrameProgress, _always_on_runs
+from xrsim.cellsim import (CellConfig, CellSim, FrameProgress, _always_on_runs,
+                           _next_slot, run_drop)
 from xrsim.drx import (ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH,
                        SLOT_SLEEP, power_for_run)
 from xrsim.engine import SLOT_US, UPLINK, slot_type
@@ -336,18 +337,55 @@ def test_skip_counts_the_dl_slots_it_skips():
                                        for s in range(a, b)), (a, b)
 
 
-def test_dl_retransmissions_stay_within_the_rb_budget():
+def test_dl_retransmissions_stay_within_the_rb_budget(monkeypatch):
     # when slot s+8 is the UL slot, the retransmissions of slots s and s+1
     # both fall due on s+9; in this two-cell drop they used to add up past
     # 273 RBs and crash. Blocks that do not fit wait for the next DL slot.
     repro = CellConfig(n_cells=2, ues_per_cell=6, rate_bps=45e6,
                        duration_s=2.0)
-    logged = CellSim(repro, seed=1).run().rb_utilization
-    # the warm-up only gates what is logged: with none, every slot is
-    every = CellSim(replace(repro, warmup_s=0.0),
-                    seed=1).run().rb_utilization
-    assert len(every) == 4000 and every[-len(logged):] == logged
+    logged = run_drop(repro, 1).rb_utilization
+    # the warm-up only gates what is logged: with none, every slot of each
+    # cell is, cell after cell
+    every = run_drop(replace(repro, warmup_s=0.0), 1).rb_utilization
+    assert len(every) == 2 * 4000 and len(logged) % 2 == 0
+    n = len(logged) // 2
+    for cell in range(2):
+        assert every[4000 * cell:4000 * (cell + 1)][-n:] == \
+            logged[n * cell:n * (cell + 1)]
     assert max(every) <= 1.0
+    # the drop still takes the deferral path: count the due blocks that
+    # wait for the next DL slot, per cell
+    send, deferred = CellSim._send_due, []
+
+    def counted(self, slot, now, limit, tx_ues, ul):
+        due = list(self.retx[slot])
+        used = send(self, slot, now, limit, tx_ues, ul)
+        later = self.retx.get(_next_slot(ul, slot + 1), ())
+        deferred[-1] += sum(any(e is x for x in later) for e in due)
+        return used
+
+    monkeypatch.setattr(CellSim, "_send_due", counted)
+    for cell in range(2):
+        deferred.append(0)
+        CellSim(repro, seed=1, cell=cell).run()
+    assert sum(deferred) > 0
+
+
+def test_each_cell_has_its_own_rb_pool():
+    # three cells of two 30 Mbps UEs each: one shared 273-RB pool gave one
+    # series and starved four of the six UEs. Each cell now schedules only
+    # its own UEs, so the UEs at MCS 19 meet every frame, as in one cell.
+    cfg = CellConfig(n_cells=3, ues_per_cell=2, rate_bps=30e6,
+                     duration_s=2.0, warmup_s=0.0)
+    result = run_drop(cfg, 1)
+    assert len(result.rb_utilization) == 3 * 4000
+    assert [u.ue_id for u in result.ues] == list(range(6))
+    first, last = result.ues[0], result.ues[5]
+    assert (first.frames_in_budget, first.frames_total) == (119, 119)
+    assert (last.frames_in_budget, last.frames_total) == (120, 120)
+    # each cell draws its HARQ outcomes from its own stream
+    assert next(CellSim(cfg, 1, 0).phy_uniforms) != \
+        next(CellSim(cfg, 1, 1).phy_uniforms)
 
 
 @pytest.mark.parametrize("cfg, seed", [
@@ -364,7 +402,7 @@ def test_ul_blocks_stay_within_the_rb_budget(cfg, seed):
     # the grants of a UL slot are sized five slots ahead, when every block
     # due on it is known, so their RBs and the slot's CG occasion come off
     # the grant budget
-    assert max(CellSim(cfg, seed=seed).run().rb_utilization) <= 1.0
+    assert max(run_drop(cfg, seed).rb_utilization) <= 1.0
 
 
 @pytest.mark.parametrize("direction, pose_cg", [

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from xrsim.cellsim import CellConfig, CellSim
+from xrsim.cellsim import CellConfig, run_drop
 from xrsim.cli import main
 from xrsim.drx import DrxConfig
 from xrsim.reporting import TableKind
@@ -62,7 +62,7 @@ CELL_DIGESTS = {
     "ul-long-bsr-dsr":
         "720338a9938b0ff31e8ba21d5057d43475c5e8e5362940a728a7a8fb9fcf80f6",
     "pf-2cells-ftp":
-        "f034787f6f91392e517a98024b8160521223bfdc682839a0cac572e0133c59df",
+        "ea0bb21fb8971da6170efdaac09b6b0d1502b8b6b025ad7759c3f53620f1321b",
     "ul-dl-embb":
         "4b30c6798983de10f5f35f50e2c4ee33d17f8377011f78b29b43d77a23425407",
     "pf-drx-idle":
@@ -146,8 +146,9 @@ def _cells() -> dict:
             ues_per_cell=4, direction=Direction.UL, rate_bps=10e6,
             psdb_ms=30.0, bsr_table=TableKind.LONG, dsr_enabled=True,
             dsr_threshold_ms=25.0, **short), 6),
-        # PF over two cells, simultaneous frame arrivals and FTP eMBB; the
-        # run ends 300 µs into its last slot
+        # PF over the two cells of one drop, each with its own UEs, RB pool
+        # and HARQ stream and each series in turn; simultaneous frame
+        # arrivals and FTP eMBB; the run ends 300 µs into its last slot
         "pf-2cells-ftp": (CellConfig(
             ues_per_cell=3, n_cells=2, rate_bps=20e6, embb_ues=1,
             stagger=False, policy=SchedulerPolicy(kind=PolicyKind.PF),
@@ -217,4 +218,4 @@ def test_golden_ul_sweep_outputs(tmp_path):
 @pytest.mark.parametrize("name", sorted(CELL_DIGESTS))
 def test_golden_cell_results(name):
     cfg, seed = _cells()[name]
-    assert cell_digest(CellSim(cfg, seed=seed).run()) == CELL_DIGESTS[name]
+    assert cell_digest(run_drop(cfg, seed)) == CELL_DIGESTS[name]

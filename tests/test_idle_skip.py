@@ -17,11 +17,11 @@ from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from xrsim.traffic import Direction
 
 
-def _run(cfg, seed, skipping, eager_drx=False):
+def _run(cfg, cell, seed, skipping, eager_drx=False):
     """Result and per-UE activity (a DRX UE's log, the PDSCH slots of a UE
-    without DRX) of one run, with idle skipping on or off. With eager_drx,
-    every DRX machine is caught up through each slot before the slot's
-    frames are decided, as if it were stepped on every slot."""
+    without DRX) of one run of a drop's cell, with idle skipping on or off.
+    With eager_drx, every DRX machine is caught up through each slot before
+    the slot's frames are decided, as if it were stepped on every slot."""
     decide = CellSim._decide_frames
 
     def caught_up_first(self, now):
@@ -34,7 +34,7 @@ def _run(cfg, seed, skipping, eager_drx=False):
             m.setattr(CellSim, "_idle", lambda self: False)
         if eager_drx:
             m.setattr(CellSim, "_decide_frames", caught_up_first)
-        sim = CellSim(cfg, seed=seed)
+        sim = CellSim(cfg, seed=seed, cell=cell)
         result = sim.run()
     return result, [(ue.activity.labels, ue.activity.counts)
                     if ue.activity is not None else list(ue.pdsch_slots)
@@ -43,6 +43,8 @@ def _run(cfg, seed, skipping, eager_drx=False):
 
 @st.composite
 def idle_cells(draw, drx_modes=("off", "fixed", "adaptive"), pose_cg=False):
+    """A config and one of its cells."""
+    n_cells = draw(st.integers(1, 2))
     drx_mode = draw(st.sampled_from(drx_modes))
     drx = None
     if drx_mode != "off":
@@ -52,9 +54,9 @@ def idle_cells(draw, drx_modes=("off", "fixed", "adaptive"), pose_cg=False):
             # inactivity timers under a slot end inside a slot
             inactivity_us=Fraction(draw(st.integers(0, 4000))))
     duration_us = draw(st.integers(60_000, 300_000))
-    return CellConfig(
+    cfg = CellConfig(
         ues_per_cell=draw(st.integers(1, 4)),
-        n_cells=draw(st.integers(1, 2)),
+        n_cells=n_cells,
         direction=draw(st.sampled_from([Direction.DL, Direction.UL])),
         rate_bps=draw(st.sampled_from([2e6, 10e6, 30e6, 45e6])),
         psdb_ms=draw(st.sampled_from([10.0, 30.0])),
@@ -76,13 +78,14 @@ def idle_cells(draw, drx_modes=("off", "fixed", "adaptive"), pose_cg=False):
         pose_cg=(CgConfig(periodicity_us=Fraction(4000))
                  if pose_cg and draw(st.booleans()) else None),
         stagger=draw(st.booleans()))
+    return cfg, draw(st.integers(0, n_cells - 1))
 
 
 @settings(max_examples=150)
 @given(idle_cells(), st.integers(0, 1000))
-def test_skipping_idle_slots_changes_nothing(cfg, seed):
-    full, full_activity = _run(cfg, seed, False)
-    skipped, skipped_activity = _run(cfg, seed, True)
+def test_skipping_idle_slots_changes_nothing(cell, seed):
+    full, full_activity = _run(*cell, seed, False)
+    skipped, skipped_activity = _run(*cell, seed, True)
     assert skipped == full
     assert skipped_activity == full_activity
 
@@ -90,11 +93,11 @@ def test_skipping_idle_slots_changes_nothing(cfg, seed):
 @settings(max_examples=100)
 @given(idle_cells(drx_modes=["fixed", "adaptive"], pose_cg=True),
        st.integers(0, 1000))
-def test_stepping_drx_only_with_data_changes_nothing(cfg, seed):
+def test_stepping_drx_only_with_data_changes_nothing(cell, seed):
     # the cell must catch a machine up before an adaptive retune: a window
     # of the old grid that opens in a missed slot would be lost otherwise
-    lazy, lazy_activity = _run(cfg, seed, True)
-    eager, eager_activity = _run(cfg, seed, True, eager_drx=True)
+    lazy, lazy_activity = _run(*cell, seed, True)
+    eager, eager_activity = _run(*cell, seed, True, eager_drx=True)
     assert lazy == eager
     assert lazy_activity == eager_activity
 

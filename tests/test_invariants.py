@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrsim.cellsim import CellConfig, CellSim
+from xrsim.cellsim import CellConfig, run_drop
 from xrsim.drx import DrxConfig
+from xrsim.engine import SLOT_US
 from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from xrsim.traffic import Direction
 
@@ -100,8 +101,11 @@ def ul_cells(draw):
 
 
 def _check_cell(cfg, seed):
-    result = CellSim(cfg, seed=seed).run()
-    # no slot uses more than 273 RBs
+    result = run_drop(cfg, seed)
+    # one RB sample per cell and post-warm-up slot, and no slot of a cell
+    # uses more than 273 RBs
+    slots = -(-cfg.duration_us // SLOT_US) - -(-cfg.warmup_us // SLOT_US)
+    assert len(result.rb_utilization) == cfg.n_cells * slots
     assert all(0.0 <= u <= 1.0 for u in result.rb_utilization)
     model = cfg.power_model
     for ue in result.ues:
@@ -147,4 +151,4 @@ def test_drx_that_never_sleeps_is_drx_off(cycle_ms, policy, kw):
     always_on = replace(cfg, drx=DrxConfig(
         cycle_us=cycle, on_duration_us=cycle, inactivity_us=Fraction(0)),
         drx_offset_mode="common")
-    assert CellSim(always_on, seed=2).run() == CellSim(cfg, seed=2).run()
+    assert run_drop(always_on, 2) == run_drop(cfg, 2)
