@@ -83,9 +83,9 @@ def idle_cells(draw, drx_modes=("off", "fixed", "adaptive"), pose_cg=False):
 
 @settings(max_examples=150)
 @given(idle_cells(), st.integers(0, 1000))
-def test_skipping_idle_slots_changes_nothing(cell, seed):
-    full, full_activity = _run(*cell, seed, False)
-    skipped, skipped_activity = _run(*cell, seed, True)
+def test_skipping_idle_slots_changes_nothing(drawn, seed):
+    full, full_activity = _run(*drawn, seed, False)
+    skipped, skipped_activity = _run(*drawn, seed, True)
     assert skipped == full
     assert skipped_activity == full_activity
 
@@ -93,11 +93,11 @@ def test_skipping_idle_slots_changes_nothing(cell, seed):
 @settings(max_examples=100)
 @given(idle_cells(drx_modes=["fixed", "adaptive"], pose_cg=True),
        st.integers(0, 1000))
-def test_stepping_drx_only_with_data_changes_nothing(cell, seed):
+def test_stepping_drx_only_with_data_changes_nothing(drawn, seed):
     # the cell must catch a machine up before an adaptive retune: a window
     # of the old grid that opens in a missed slot would be lost otherwise
-    lazy, lazy_activity = _run(*cell, seed, True)
-    eager, eager_activity = _run(*cell, seed, True, eager_drx=True)
+    lazy, lazy_activity = _run(*drawn, seed, True)
+    eager, eager_activity = _run(*drawn, seed, True, eager_drx=True)
     assert lazy == eager
     assert lazy_activity == eager_activity
 
