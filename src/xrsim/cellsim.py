@@ -141,6 +141,10 @@ class CellConfig:
         if not -(-self.duration_us // SLOT_US) > -(-self.warmup_us // SLOT_US):
             raise ConfigError("a slot of the run must start after its warm-up",
                               "duration_s", "warmup_s")
+        cg = self.pose_cg
+        if cg is not None and self.ues_per_cell * cg.rb_per_occasion > N_RB:
+            raise ConfigError(f"per-UE CG occasions must fit in {N_RB} RBs",
+                              "ues_per_cell", "rb_per_occasion")
         timer = self.discard_timer_ms
         if timer not in ("psdb", None) and not 0 < timer < math.inf:
             raise ConfigError("must be a finite time above 0 ms",
@@ -356,18 +360,19 @@ class CellSim:
         self.retx: dict = {}
         self.ul_grants: dict = {}
         self.rb_utilization: list = []
-        # the CG occasions, and the index of each by its slot (no two share
-        # a slot) until the occasion is declared unused
+        # the CG occasion train; each XR UE has its own and keeps the index of
+        # each by its slot (no two share a slot) until it declares it unused
         self.cg_occasions = ([] if config.pose_cg is None else
                              cg_occasions(config.pose_cg, config.duration_us))
-        self.cg_slot = {o.slot: i for i, o in enumerate(self.cg_occasions)}
-        if config.pose_cg is not None:
-            for u in self.xr:
-                u.pose_queue = FlowQueue(
-                    QosFlowProfile(psdb_ms=10_000.0, psihi=False),
-                    ue_id=u.ue_id, ticks_per_us=tpu)
-                u.pose_src = pose_source(ticks_per_us=tpu)
-                u.pose_next = next(u.pose_src)
+        self.cg_ues = [] if config.pose_cg is None else self.xr
+        live = {o.slot: i for i, o in enumerate(self.cg_occasions)}
+        for u in self.cg_ues:
+            u.cg_live = dict(live)
+            u.pose_queue = FlowQueue(
+                QosFlowProfile(psdb_ms=10_000.0, psihi=False),
+                ue_id=u.ue_id, ticks_per_us=tpu)
+            u.pose_src = pose_source(ticks_per_us=tpu)
+            u.pose_next = next(u.pose_src)
 
     # ---- traffic ----
 
@@ -392,11 +397,10 @@ class CellSim:
             while ue.next_sets.arrival_time <= now:
                 ue.queue.enqueue_set(ue.next_sets)
                 ue.next_sets = next(ue.source)
-        if self.cfg.pose_cg is not None:
-            for ue in self.xr:
-                while ue.pose_next.arrival_time <= now:
-                    ue.pose_queue.enqueue_set(ue.pose_next)
-                    ue.pose_next = next(ue.pose_src)
+        for ue in self.cg_ues:
+            while ue.pose_next.arrival_time <= now:
+                ue.pose_queue.enqueue_set(ue.pose_next)
+                ue.pose_next = next(ue.pose_src)
 
     def _video_arrivals(self, ue, now):
         """Enqueue every frame due by now and draw the next pending one."""
@@ -604,8 +608,8 @@ class CellSim:
         tx_ues = set()
         rb_used = 0
 
-        # due blocks take RBs first, up to what this slot's CG occasion
-        # leaves; the grants for this slot were sized without their RBs
+        # due blocks take RBs first, up to what the live CG occasions leave;
+        # the grants for this slot were sized without their RBs
         if slot in self.retx:
             rb_used = self._send_due(slot, now, N_RB - self._cg_rb(slot),
                                      tx_ues, True)
@@ -677,47 +681,46 @@ class CellSim:
                 ue.drx_slot = slot + 1
 
     def _cg_rb(self, slot) -> int:
-        """The RBs of this slot's CG occasion, 0 if none or declared unused."""
-        i = self.cg_slot.get(slot)
-        return 0 if i is None else self.cg_occasions[i].rb_count
+        """The RBs of every XR UE's live CG occasion on this slot."""
+        return sum(self.cg_occasions[u.cg_live[slot]].rb_count
+                   for u in self.cg_ues if slot in u.cg_live)
 
     def _cg_serve(self, slot, now, tx_ues) -> int:
-        """Send pose traffic on this slot's configured-grant occasion, if
-        any, and return its RBs.
+        """Send each XR UE's pose traffic on its own live CG occasion of this
+        slot, and return the RBs of the blocks sent.
 
-        The pose flows of this cell's XR UEs share the grant region. At each
-        window boundary their aggregate buffer, against occasions sized at
-        the cell's first XR UE's MCS, decides which upcoming occasions are
-        declared unused; their RBs return to the dynamic pool of their slot.
-        The first XR UE with pose data takes an occasion, in a block sized
-        at its own MCS that goes through HARQ against its pose queue.
+        At the first occasion of each window, the UE's UTO-UCI bitmap, from
+        its own pose buffer against occasions sized at its own MCS, declares
+        its later occasions of the window unused that would carry nothing;
+        their RBs return to the dynamic pool of their slot. A block is sized
+        at the UE's MCS and goes through HARQ against its pose queue.
         """
-        i = self.cg_slot.get(slot)
-        if i is None:
-            return 0
-        window = self.cfg.pose_cg.uto_uci_window
-        if i % window == 0:
-            mcs = self.xr[0].ul_mcs  # the grant tracks CSI
-            w = self.cg_occasions[i:i + window]
-            caps = [tb_bits(mcs, o.rb_count) // 8 for o in w]
-            buf = sum(u.pose_queue.queued_bytes for u in self.xr)
-            bitmap = build_uto_uci(buf, caps, len(w))
-            # only later occasions are declared unused, none of them the
-            # first of a window
-            for o in reclaim_unused(bitmap, w, slot):
-                del self.cg_slot[o.slot]
-        rb = self.cg_occasions[i].rb_count
-        for u in self.xr:
-            tb = tb_bits(u.ul_mcs, rb)
+        occasions = self.cg_occasions
+        rb_used = 0
+        for u in self.cg_ues:
+            i = u.cg_live.get(slot)
+            if i is None:
+                continue
+            mcs = u.ul_mcs  # the grant tracks CSI
+            window = self.cfg.pose_cg.uto_uci_window
+            if i % window == 0:
+                w = occasions[i:i + window]
+                caps = [tb_bits(mcs, o.rb_count) // 8 for o in w]
+                bitmap = build_uto_uci(u.pose_queue.queued_bytes, caps, len(w))
+                # only later occasions are declared unused, none of them the
+                # first of a window
+                for o in reclaim_unused(bitmap, w, slot):
+                    del u.cg_live[o.slot]
+            rb = occasions[i].rb_count
+            tb = tb_bits(mcs, rb)
             segs = u.pose_queue.take(tb // 8)
             if segs:
+                rb_used += rb
                 tx_ues.add(u)
-                self._transmit(u, u.pose_queue, HarqProcess(u.ul_mcs, tb),
-                               Allocation(u.ue_id, slot, rb, u.ul_mcs, tb,
-                                          segs),
+                self._transmit(u, u.pose_queue, HarqProcess(mcs, tb),
+                               Allocation(u.ue_id, slot, rb, mcs, tb, segs),
                                True, slot, now)
-                return rb
-        return 0
+        return rb_used
 
     # ---- frame bookkeeping ----
 

@@ -10,7 +10,7 @@ import math
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -169,15 +169,21 @@ SCHEMA = {
     },
 }
 
+def _and(items: list) -> str:  # "a", "a and b", "a, b and c"
+    return f"{', '.join(items[:-1])} and {items[-1]}" if items[1:] else items[0]
+
+
 def _key_message(e: ConfigError) -> str:
-    """A model config's rejection, naming the keys that set its fields."""
-    keys = [(section, key) for section, rows in SCHEMA.items()
-            for key, row in rows.items() if row.field in e.fields]
-    section, names = keys[0][0], [repr(key) for _, key in keys]
-    if len(names) == 1:
-        return f"key {names[0]} in section [{section}] {e.reason}"
-    return (f"{e.reason} (keys {', '.join(names[:-1])} and {names[-1]} "
-            f"in section [{section}])")
+    """A model config's rejection, naming the keys that set its fields,
+    each in its own section."""
+    keys = {section: [repr(key) for key, row in rows.items()
+                      if row.field in e.fields]
+            for section, rows in SCHEMA.items()}
+    where = _and([f"{_and(names)} in section [{section}]"
+                  for section, names in keys.items() if names])
+    if sum(map(len, keys.values())) == 1:
+        return f"key {where} {e.reason}"
+    return f"{e.reason} (keys {where})"
 
 
 class ExperimentConfig:
@@ -238,21 +244,21 @@ class ExperimentConfig:
             for section, rows in SCHEMA.items() for key, row in rows.items()
             if row.field in names})
 
-    def cell_config(self, load: int, drx_override=...) -> CellConfig:
-        """CellConfig for one load point; drx_override=None forces always-on.
-        Every key is checked, also when its feature is off, and a rejection
-        names the keys that set the rejected fields."""
+    def cell_config(self, load: int) -> CellConfig:
+        """CellConfig for one load point. Every key is checked, also when
+        its feature is off, and a rejection names the keys that set the
+        rejected fields."""
         mode = self[("drx", "mode")]
         try:
             drx = self._build(DrxConfig)
             if mode == "adaptive":
                 check_adrx_cycle(drx.cycle_us)
             cg = self._build(CgConfig)
-            if mode == "off" or drx_override is None:
+            if mode == "off":
                 drx = None
             return self._build(
                 CellConfig, ues_per_cell=load, drx=drx,
-                adaptive_drx=drx is not None and mode == "adaptive",
+                adaptive_drx=mode == "adaptive",
                 pose_cg=cg if self[("cg", "enabled")] else None)
         except ConfigError as e:
             raise ValueError(_key_message(e)) from None
@@ -325,7 +331,8 @@ def emit_cdf(points, name, out_dir) -> str:
 
 def run_pair(config: ExperimentConfig, load: int, seed: int) -> PairResult:
     """Run one (load, seed) drop and, with DRX on, its always-on baseline."""
-    result = run_drop(config.cell_config(load), seed)
+    cell = config.cell_config(load)
+    result = run_drop(cell, seed)
     span_s = config[("run", "duration_s")] - config[("run", "warmup_s")]
     ues, events, padding = [], [], Counter()
     for kpi in result.xr_ues():
@@ -341,9 +348,9 @@ def run_pair(config: ExperimentConfig, load: int, seed: int) -> PairResult:
         events.extend((load, seed, kpi.ue_id, arrival, int(ok))
                       for arrival, ok in kpi.outcomes)
     base = []
-    if config[("drx", "mode")] != "off":
-        base = [k.avg_power for k in run_drop(config.cell_config(
-            load, drx_override=None), seed).xr_ues()]
+    if cell.drx is not None:
+        base = [k.avg_power for k in run_drop(
+            replace(cell, drx=None, adaptive_drx=False), seed).xr_ues()]
     return PairResult(load, seed, ues, events, padding,
                       Counter(result.rb_utilization), base)
 

@@ -71,7 +71,6 @@ class FlowQueue:
         self.total_sets = 0
         self.lost_sets: set = set()
         self.events: list[DiscardEvent] = []
-        self._logged_sets: set = set()
 
     def enqueue_set(self, pdu_set: PduSet):
         self.total_sets += 1
@@ -111,7 +110,6 @@ class FlowQueue:
         self.events.append(DiscardEvent(float(now / self.ticks_per_us),
                                         self.ue_id, set_id, cause,
                                         tuple(pdu_ids)))
-        self._logged_sets.add(set_id)
 
     def _remove_set(self, set_id, now, cause) -> list:
         removed = []
@@ -125,25 +123,17 @@ class FlowQueue:
         self._log(now, set_id, cause, removed)
         return removed
 
-    def mark_set_lost(self, set_id, now, cause: str) -> list:
-        """Count the set for PSER and, under PSIHI, flush its queued PDUs."""
-        self.lost_sets.add(set_id)
-        removed = []
-        if self.profile.psihi:
-            removed = self._remove_set(set_id, now,
-                                       "psihi" if cause != "timer" else cause)
-        if set_id not in self._logged_sets:
-            self._log(now, set_id, cause)
-        return removed
-
     def on_block_lost(self, segments: Iterable[Segment], now) -> list:
-        """HARQ gave up on a transport block: every set it carried is lost."""
+        """HARQ gave up on a transport block: every set it carried is lost,
+        counted for PSER and, under PSIHI, flushed of its queued PDUs."""
         removed = []
         for seg in segments:
             s = seg.pdu_set
             if s.id not in self.lost_sets:
                 self._log(now, s.id, "harq", (s.id + (seg.first_pdu_index,),))
-                removed += self.mark_set_lost(s.id, now, "harq")
+                self.lost_sets.add(s.id)
+                if self.profile.psihi:
+                    removed += self._remove_set(s.id, now, "psihi")
         return removed
 
     def discard_expired(self, now) -> list:

@@ -15,6 +15,7 @@ from xrsim.drx import (ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH,
                        SLOT_SLEEP, power_for_run)
 from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.qos import FlowQueue
+from xrsim.radio import tb_bits
 from xrsim.scheduling import (PF_WINDOW_SLOTS, CgConfig, PolicyKind,
                               SchedulerPolicy)
 from xrsim.traffic import Direction, Pdu, PduSet
@@ -401,6 +402,63 @@ def test_ul_blocks_stay_within_the_rb_budget(cfg, seed):
     # due on it is known, so their RBs and the slot's CG occasion come off
     # the grant budget
     assert max(run_drop(cfg, seed).rb_utilization) <= 1.0
+
+
+# four XR UEs on one UL cell, each with a pose flow on the default CG
+_CG_CELL = CellConfig(ues_per_cell=4, direction=Direction.UL, rate_bps=10e6,
+                      psdb_ms=30.0, duration_s=2.0, warmup_s=0.1,
+                      pose_cg=CgConfig(periodicity_us=Fraction(4000)))
+
+
+def test_every_pose_flow_drains_on_its_own_occasions():
+    # one pose packet of 100 B every 4 ms, and one occasion per UE each
+    # 4 ms: each UE's queue ends with at most the packets that came after
+    # its last window's bitmap. The first XR UE with pose data used to take
+    # every occasion of the cell, and UEs 1-3 ended with all 500 of their
+    # packets queued
+    sim = CellSim(_CG_CELL, seed=1)
+    sim.run()
+    window = _CG_CELL.pose_cg.uto_uci_window
+    for u in sim.xr:
+        assert u.pose_queue.total_sets == 500
+        assert u.pose_queue.queued_bytes <= window * 100, u.ue_id
+
+
+@pytest.mark.parametrize("ue", range(4))
+@pytest.mark.parametrize("extra, need", [(0, 1), (1, 2)])
+def test_each_ue_frees_its_own_occasions_by_its_own_buffer(ue, extra, need):
+    # at the first occasion of a window, the UE's UTO-UCI bitmap reads its
+    # own pose buffer against occasions sized at its own MCS: a buffer of
+    # one occasion and a byte keeps its next occasion live. Every other UE,
+    # with nothing queued, frees its later occasions of the window
+    sim = CellSim(_CG_CELL, seed=1)
+    first, *later = sim.cg_occasions[:_CG_CELL.pose_cg.uto_uci_window]
+    u = sim.xr[ue]
+    u.ul_mcs = 27  # above the others' MCS 23, so their occasions hold less
+    cap = tb_bits(27, first.rb_count) // 8
+    u.pose_queue.enqueue_set(PduSet(("pose", -1), 0, 0, (cap + extra,)))
+    sim._cg_serve(first.slot, first.slot * sim.slot_t, set())
+    assert [sim._cg_rb(o.slot) for o in later] == \
+        [first.rb_count if k < need - 1 else 0 for k in range(len(later))]
+
+
+@pytest.mark.parametrize("cfg, cell", [
+    (_CG_CELL, 0),
+    (replace(_CG_CELL, ues_per_cell=3, n_cells=2, rate_bps=20e6,
+             pose_cg=CgConfig(periodicity_us=Fraction(4000),
+                              rb_per_occasion=10, uto_uci_window=2)), 1),
+], ids=["4-ues", "cell-1-of-2"])
+def test_forced_acks_serve_every_pose_flow_alike(cfg, cell):
+    # the pose source draws nothing at random, so with every HARQ attempt
+    # ACKed only the UEs' MCS could tell their pose flows apart, and each
+    # UE's own occasions carry its 100 B packets at any MCS
+    sim = CellSim(cfg, seed=1, cell=cell)
+    sim.phy_uniforms = repeat(1.0)  # every draw 1.0: every attempt ACKs
+    sim.run()
+    queues = [u.pose_queue for u in sim.xr]
+    assert len(queues) == cfg.ues_per_cell
+    assert len({(q.total_sets, q.queued_bytes) for q in queues}) == 1
+    assert not any(q.lost_sets for q in queues)
 
 
 @pytest.mark.parametrize("direction, pose_cg", [

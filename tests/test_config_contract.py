@@ -40,19 +40,41 @@ from xrsim.scheduling import CgConfig
     (lambda: CellConfig(dsr_threshold_ms=-1.0), "dsr_threshold_ms"),
     (lambda: CgConfig(Fraction(4000), rb_per_occasion=0), "rb_per_occasion"),
     (lambda: CgConfig(Fraction(4000), uto_uci_window=0), "uto_uci_window"),
+    (lambda: CellConfig(ues_per_cell=6, pose_cg=CgConfig(Fraction(4000))),
+     "ues_per_cell, rb_per_occasion"),
 ], ids=["n_cells=0", "ues_per_cell=-2", "fps=0", "warmup_s=duration_s",
         "warmup_s>duration_s", "warmup_s_in_the_last_slot", "embb_ues=-1", "discard_timer_ms=-5", "discard_timer_ms=nan",
         "psdb_ms=0.0001", "psdb_ms=inf", "rate_bps=inf", "dsr_threshold_ms=-1",
-        "rb_per_occasion=0", "uto_uci_window=0"])
+        "rb_per_occasion=0", "uto_uci_window=0", "cg_rb_over_273"])
 def test_out_of_domain_field_fails_when_the_config_is_built(build, field):
     # each of these used to build: a zero cell count or frame rate then
     # raised ZeroDivisionError, a negative load or eMBB count simulated
     # fewer UEs than asked, a run no longer than its warm-up returned no RB
     # samples, a negative timer discarded every frame, a budget of no whole
     # µs failed at the first frame, and a zero CG size or window failed
-    # mid-run
+    # mid-run; six XR UEs, each with its own 50 RBs on every CG occasion,
+    # would hold 300 of their slot's 273 RBs
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         build()
+
+
+def test_per_ue_cg_occasions_may_fill_one_slot():
+    # 3 x 91 RBs: the XR UEs' occasions take all 273 RBs of their slot
+    CellConfig(ues_per_cell=3, pose_cg=CgConfig(Fraction(4000),
+                                                rb_per_occasion=91))
+    CellConfig(ues_per_cell=6)  # no CG holds no RBs
+
+
+def test_a_rule_over_two_sections_names_each_key_in_its_own(tmp_path,
+                                                            capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[scenario]\nues_per_cell = 6\n\n[cg]\nenabled = true\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(ini), "--out", str(out)]) == 2
+    assert ("simulate: per-UE CG occasions must fit in 273 RBs (keys "
+            "'ues_per_cell' in section [scenario] and 'rb' in section [cg])"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---- every config either runs or is rejected by key ----

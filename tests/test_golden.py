@@ -54,7 +54,7 @@ CELL_DIGESTS = {
     "mlwdf-ftp-psi":
         "1f6a2e8bdb2ac75b066401bc024ba31069e72b9eafde384faa70acc02ce75f53",
     "ul-long-bsr-cg":
-        "6d216e0657ce8a853a4d8198dccd4037f3f2ac82056bd969b21f5c31dfe89408",
+        "e3cb825d1785598ddf1fbc5e19466f6abaaff578e545d57f0c6cd2911cd84e78",
     "fixed-drx-90fps-mlwdf":
         "e1232021c3e5299b44e6dd32521b5fdc2fc4d7f4880990a5c7e0ca00ad4ecd7b",
     "adrx-2997-50fps":
@@ -114,8 +114,9 @@ def _cells() -> dict:
             ues_per_cell=6, rate_bps=45e6, psdb_ms=10.0, sets_per_frame=4,
             embb_ues=2, psi_discard_enabled=True,
             policy=SchedulerPolicy(kind=PolicyKind.MLWDF), **short), 2),
-        # a pose CG whose blocks go through HARQ like any other; the due
-        # blocks and the occasion of a UL slot come off its grant budget
+        # a pose CG per XR UE, whose blocks go through HARQ like any other;
+        # the due blocks and the UEs' live occasions of a UL slot come off
+        # its grant budget
         "ul-long-bsr-cg": (CellConfig(
             ues_per_cell=4, direction=Direction.UL, rate_bps=10e6,
             psdb_ms=30.0, bsr_table=TableKind.LONG, dsr_enabled=False,

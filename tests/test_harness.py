@@ -227,11 +227,20 @@ def test_config_bad_drx_time_names_key():
         cfg.set("drx", "on_ms", "nan")
 
 
-def test_config_drx_override_forces_always_on():
+def test_baseline_is_the_drop_run_with_drx_off():
+    # the always-on baseline of a DRX pair is the same drop with mode = off
     cfg = ExperimentConfig()
+    for key, value in [("ues_per_cell", "2"), ("cells", "2")]:
+        cfg.set("scenario", key, value)
+    cfg.set("run", "duration_s", "1.0")
+    cfg.set("run", "warmup_s", "0.2")
     cfg.set("drx", "mode", "fixed")
-    assert cfg.cell_config(1).drx is not None
-    assert cfg.cell_config(1, drx_override=None).drx is None
+    drx = run_pair(cfg, 2, 1)
+    cfg.set("drx", "mode", "off")
+    off = run_pair(cfg, 2, 1)
+    assert off.base_power == []
+    assert drx.base_power == [u.avg_power for u in off.ues]
+    assert [u.avg_power for u in drx.ues] != drx.base_power
 
 
 # ---- report validation ----
