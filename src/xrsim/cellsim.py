@@ -37,8 +37,8 @@ from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, ConfigError,
                      ticks_per_us)
 from .qos import FlowQueue, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
-                    Deployment, HarqProcess, dl_sinr_db,
-                    harq_attempt, select_mcs, tb_bits, ul_sinr_db)
+                    Deployment, dl_sinr_db, harq_attempt, select_mcs,
+                    tb_bits, ul_sinr_db)
 from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         TableKind, gen_bs_table, quantize_bsr,
                         realized_overhead, trigger_dsr)
@@ -53,6 +53,9 @@ from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
 _DATA_SYMBOLS = {DOWNLINK: DATA_SYMBOLS, SPECIAL: S_SLOT_DATA_SYMBOLS}
 
 _ENDS = attrgetter("ends")
+
+# the PDU ends of a full-buffer eMBB set: one PDU of 150 kB
+_FB_ENDS = (150_000,)
 
 # pf_idle's factor for one slot, which the candidate loop inlines
 _PF_KEEP = 1.0 - 1.0 / PF_WINDOW_SLOTS
@@ -355,8 +358,8 @@ class CellSim:
         self.ce_bytes = (SHORT_BSR_CE_BYTES
                          if config.bsr_table is TableKind.SHORT
                          else LONG_BSR_CE_BYTES)
-        # the blocks due on each slot, (ue, queue, HARQ process, allocation)
-        # each; a DL slot and a UL slot never share an index
+        # the blocks due on each slot, (ue, queue, block) each; a DL slot and
+        # a UL slot never share an index
         self.retx: dict = {}
         self.ul_grants: dict = {}
         self.rb_utilization: list = []
@@ -377,19 +380,22 @@ class CellSim:
     # ---- traffic ----
 
     def _arrivals(self, now):
-        cfg = self.cfg
         if self.next_at <= now:
             for ue in self.xr:
                 if ue.next_at <= now:
                     self._video_arrivals(ue, now)
             self.next_at = min([ue.next_at for ue in self.xr],
                                default=self.end_t)
+        full_buffer = self.cfg.embb_full_buffer
         for ue in self.embb:
-            if cfg.embb_full_buffer:
-                # keep a deep backlog so the queue never drains
-                while ue.queue.queued_bytes < 1_000_000:
+            if full_buffer:
+                # keep a deep backlog so the queue never drains; the sets
+                # share one tuple of PDU ends
+                queue = ue.queue
+                while queue.queued_bytes < 1_000_000:
                     sid = ("fb", ue.ue_id, ue.fb_count)
-                    ue.queue.enqueue_set(PduSet(sid, 0, now, (150_000,)))
+                    queue.enqueue_set(PduSet(sid, 0, now, (), None, False,
+                                             _FB_ENDS))
                     ue.fb_count += 1
                 continue
             if ue.next_sets is None:
@@ -453,24 +459,25 @@ class CellSim:
     # ---- delivery ----
 
     def _deliver(self, ue, queue, segments, now):
-        post_warmup = now >= self.warmup_t
         lost = queue.lost_sets
+        frames = ue.frames
+        n_bytes = 0
         for seg in segments:
             sid = seg.pdu_set.id
             if lost and sid in lost:
                 continue
-            if post_warmup:
-                ue.delivered_bits += seg.byte_size * 8
-            if not seg.completed:
-                continue
-            fp = ue.frames.get(sid[0])
-            if fp is None:
-                continue
-            fp.delivered += seg.completed
-            if (fp.delivered >= fp.n_pdus and not fp.lost
-                    and fp.done_time is None):
-                # decoding completes at the end of the carrying slot
-                fp.done_time = now + self.slot_t
+            n_bytes += seg.byte_size
+            completed = seg.completed
+            if completed:
+                fp = frames.get(sid[0])
+                if fp is not None:
+                    fp.delivered = delivered = fp.delivered + completed
+                    if (delivered >= fp.n_pdus and fp.done_time is None
+                            and not fp.lost):
+                        # decoding completes at the end of the carrying slot
+                        fp.done_time = now + self.slot_t
+        if now >= self.warmup_t:
+            ue.delivered_bits += n_bytes * 8
 
     def _mark_first_service(self, ue, segments, now):
         for seg in segments:
@@ -498,41 +505,41 @@ class CellSim:
         waits for the next slot of this direction, ahead of the blocks due
         there."""
         due = self.retx.pop(slot)
-        for _, queue, _, alloc in due:
+        for _, queue, block in due:
             lost = queue.lost_sets
-            alloc.segments = [s for s in alloc.segments
+            block.segments = [s for s in block.segments
                               if s.pdu_set.id not in lost]
         rb_used = 0
         deferred = []
         for entry in due:
-            ue, queue, proc, alloc = entry
-            if not alloc.segments:
+            ue, queue, block = entry
+            if not block.segments:
                 continue
-            if rb_used + alloc.rb_count > limit:
+            if rb_used + block.rb_count > limit:
                 deferred.append(entry)
                 continue
             tx_ues.add(ue)
-            rb_used += alloc.rb_count
-            self._transmit(ue, queue, proc, alloc, ul, slot, now)
+            rb_used += block.rb_count
+            self._transmit(ue, queue, block, ul, slot, now)
         if deferred:
             self.retx.setdefault(_next_slot(ul, slot + 1), [])[:0] = deferred
         return rb_used
 
-    def _transmit(self, ue, queue, proc, alloc, ul, slot, now):
+    def _transmit(self, ue, queue, block, ul, slot, now):
         """One HARQ attempt of a block from queue, on a UL slot if ul: deliver
         it on an ACK, lose its sets once HARQ gives up on it, or else queue
         its retransmission on the first slot of its direction a HARQ round
         trip later. The callers know the direction, so no slot is looked up
         on the DL per-block path."""
-        if harq_attempt(proc, ue.ul_sinr_db if ul else ue.sinr_db,
+        if harq_attempt(block, ue.ul_sinr_db if ul else ue.sinr_db,
                         self.phy_uniforms):
-            self._deliver(ue, queue, alloc.segments, now)
-        elif proc.exhausted:
-            queue.on_block_lost(alloc.segments, now)
+            self._deliver(ue, queue, block.segments, now)
+        elif block.exhausted:
+            queue.on_block_lost(block.segments, now)
             self._sync_events(ue)
         else:
             self.retx.setdefault(_next_slot(ul, slot + HARQ_RTT_SLOTS),
-                                 []).append((ue, queue, proc, alloc))
+                                 []).append((ue, queue, block))
 
     def _dl_slot(self, slot, now, kind):
         sym = _DATA_SYMBOLS[kind]
@@ -546,8 +553,9 @@ class CellSim:
 
         # a DRX UE with no data and nothing sent to it is no candidate, and
         # its slot is logged when it is next caught up
-        stepped = [ue for ue in self.drx_ues
-                   if ue in tx_ues or ue.queue.queued_bytes]
+        stepped = ([ue for ue in self.drx_ues
+                    if ue in tx_ues or ue.queue.queued_bytes]
+                   if self.drx_ues else ())
         for ue in stepped:
             if ue.drx_slot < slot:
                 self._catch_up(ue, slot)
@@ -567,27 +575,28 @@ class CellSim:
                                               PF_WINDOW_SLOTS)
                 ue.pf_slots = n_dl
 
-        if cands:
-            allocs = allocate_dl(slot, cands, now, cfg.policy,
-                                 total_rb=N_RB - rb_used, data_symbols=sym,
-                                 psdb_us=self.psdb_us)
-        else:
-            # allocate_dl's budget check of a slot with no new data
-            assert rb_used <= N_RB
-            allocs = ()
+        allocs = (allocate_dl(slot, cands, now, cfg.policy,
+                              total_rb=N_RB - rb_used, data_symbols=sym,
+                              psdb_us=self.psdb_us) if cands else ())
         for a in allocs:
             ue = self.by_id[a.ue_id]
             rb_used += a.rb_count
             tx_ues.add(ue)
             ue.grants += 1
-            # this slot's PF update, the only one that serves the UE
-            ue.avg_tput_bps = pf_update(self._pf_avg(ue), a.tb_bits * 2000,
+            # this slot's PF update, the only one that serves the UE, after
+            # _pf_avg's catch-up, inlined as in the candidate loop
+            gap = n_dl - ue.pf_slots
+            avg = ue.avg_tput_bps
+            if gap == 1:
+                avg *= _PF_KEEP
+            elif gap:
+                avg = pf_idle(avg, gap, PF_WINDOW_SLOTS)
+            ue.avg_tput_bps = pf_update(avg, a.tb_bits * 2000,
                                         PF_WINDOW_SLOTS)
             ue.pf_slots = n_dl + 1
             if ue.adrx is not None:  # only the ADRX controller reads it
                 self._mark_first_service(ue, a.segments, now)
-            self._transmit(ue, ue.queue, HarqProcess(a.mcs, a.tb_bits), a,
-                           False, slot, now)
+            self._transmit(ue, ue.queue, a, False, slot, now)
             if ue.drx is not None:
                 ue.drx.step(now, True, True)
         self.dl_slots = n_dl + 1
@@ -630,10 +639,10 @@ class CellSim:
             if not segs:
                 continue
             a.segments = segs
-            self._transmit(ue, ue.queue, HarqProcess(a.mcs, a.tb_bits), a,
-                           True, slot, now)
+            self._transmit(ue, ue.queue, a, True, slot, now)
 
-        rb_used += self._cg_serve(slot, now, tx_ues)
+        if self.cg_ues:
+            rb_used += self._cg_serve(slot, now, tx_ues)
 
         if cfg.direction is Direction.UL:
             cands = []
@@ -660,8 +669,9 @@ class CellSim:
                                          ue.ul_mcs, urgency_us=urgency))
             # the next UL slot; every block due there is already known
             target = slot + 5
+            due = self.retx.get(target, ())
             budget = (N_RB - self._cg_rb(target)
-                      - sum(a.rb_count for *_, a in self.retx.get(target, ())))
+                      - sum(b.rb_count for _, _, b in due))
             if cands and budget > 0:
                 grants = allocate_ul(target, cands, total_rb=budget)
                 for g in grants:
@@ -706,7 +716,7 @@ class CellSim:
             if i % window == 0:
                 w = occasions[i:i + window]
                 caps = [tb_bits(mcs, o.rb_count) // 8 for o in w]
-                bitmap = build_uto_uci(u.pose_queue.queued_bytes, caps, len(w))
+                bitmap = build_uto_uci(u.pose_queue.queued_bytes, caps)
                 # only later occasions are declared unused, none of them the
                 # first of a window
                 for o in reclaim_unused(bitmap, w, slot):
@@ -717,7 +727,7 @@ class CellSim:
             if segs:
                 rb_used += rb
                 tx_ues.add(u)
-                self._transmit(u, u.pose_queue, HarqProcess(mcs, tb),
+                self._transmit(u, u.pose_queue,
                                Allocation(u.ue_id, slot, rb, mcs, tb, segs),
                                True, slot, now)
         return rb_used
@@ -725,17 +735,19 @@ class CellSim:
     # ---- frame bookkeeping ----
 
     def _decide_frames(self, now):
+        warmup_t, end_t = self.warmup_t, self.end_t
         for ue in self.xr:
             dq = ue.undecided
             while dq:
                 fp = dq[0]
-                done = fp.done_time is not None
-                if not (fp.lost or done or now > fp.deadline):
+                done_time, deadline = fp.done_time, fp.deadline
+                # most often the head frame is still in flight
+                if done_time is None and now <= deadline and not fp.lost:
                     break
                 dq.popleft()
-                in_budget = (not fp.lost and done
-                             and fp.done_time <= fp.deadline)
-                if fp.arrival >= self.warmup_t and fp.deadline <= self.end_t:
+                in_budget = (done_time is not None and not fp.lost
+                             and done_time <= deadline)
+                if fp.arrival >= warmup_t and deadline <= end_t:
                     ue.outcomes.append((fp.arrival / self.ticks_per_us,
                                         in_budget))
                 if ue.adrx is not None:

@@ -112,26 +112,16 @@ def bler(sinr_db: float, mcs: int) -> float:
     return 1.0 / (1.0 + math.exp((sinr_db - center) / _BLER_SLOPE))
 
 
-@dataclass(slots=True)
-class HarqProcess:
-    mcs: int
-    tb_bits: int
-    attempts: int = 0
-    acked: bool = False  # the last attempt's outcome
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.acked and self.attempts >= MAX_RETX + 1
-
-
-def harq_attempt(process: HarqProcess, sinr_db: float,
-                 uniforms: Iterator[float]) -> bool:
-    """One attempt, ACKed when the next uniform draw is at least the BLER."""
-    if process.attempts > MAX_RETX:
-        raise RuntimeError("harq process already exhausted")
-    process.attempts += 1
-    effective = sinr_db + CHASE_GAIN_DB * (process.attempts - 1)
-    process.acked = ack = next(uniforms) >= bler(effective, process.mcs)
+def harq_attempt(block, sinr_db: float, uniforms: Iterator[float]) -> bool:
+    """One attempt of a transport block (a scheduling.Allocation), ACKed when
+    the next uniform draw is at least the BLER; the block counts its
+    attempts and keeps the last outcome."""
+    done = block.attempts  # the attempts before this one
+    if done > MAX_RETX:
+        raise RuntimeError("the block has used up its HARQ attempts")
+    block.attempts = done + 1
+    effective = sinr_db + CHASE_GAIN_DB * done
+    block.acked = ack = next(uniforms) >= bler(effective, block.mcs)
     return ack
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .engine import SLOT_US, ConfigError
 from .qos import Segment
-from .radio import DATA_SYMBOLS, MCS_SE, N_RB, SC_PER_RB, tb_bits
+from .radio import DATA_SYMBOLS, MAX_RETX, MCS_SE, N_RB, SC_PER_RB, tb_bits
 
 EPS_RATE_BPS = 1.0
 EXPIRED_FLOOR_FACTOR = 1e-3
@@ -37,12 +37,21 @@ class SchedulerPolicy:
 
 @dataclass(slots=True)
 class Allocation:
+    """A transport block, and its HARQ state once it is sent: the attempts
+    made so far and the last attempt's outcome."""
+
     ue_id: int
     slot: int
     rb_count: int
     mcs: int
     tb_bits: int
     segments: list[Segment] = field(default_factory=list)
+    attempts: int = 0
+    acked: bool = False
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.acked and self.attempts >= MAX_RETX + 1
 
 
 def pf_update(avg_bps: float, served_bps: float, window_slots: int) -> float:
@@ -70,20 +79,6 @@ def mlwdf_metric(ue, now, data_symbols: int, psdb_us: float) -> float:
     return a_i * ue.queue.hol_age_us(now) * pf_metric(ue, data_symbols)
 
 
-def pduset_metric(ue, now, psdb_us: float) -> Optional[float]:
-    """Urgency score of the head PDU set; None flags an expired budget."""
-    head = ue.queue.entries[0]
-    deadline = head.deadline
-    tau = (float((deadline - now) / ue.queue.ticks_per_us)
-           if deadline is not None else psdb_us)
-    if tau <= 0:
-        return None
-    # exp(0.0) is exactly 1.0: an untouched head set has no boost
-    boost = (math.exp(PDUSET_ALPHA * (head.taken * 8)
-                      / (head.total_bytes * 8)) if head.taken else 1.0)
-    return boost / (EPSILON_TIME_US if EPSILON_TIME_US > tau else tau)
-
-
 def reads_avg(policy: SchedulerPolicy, is_xr: bool, n_embb: int) -> bool:
     """Whether allocate_dl may read a UE's avg_tput_bps: the PF and M-LWDF
     metrics read an XR UE's, the pduset metric does not, and the eMBB pick
@@ -101,37 +96,51 @@ def _head_expired(ue, now) -> bool:
 def _rank(ues: list, now, policy: SchedulerPolicy, data_symbols: int,
           psdb_us: float) -> list:
     kind = policy.kind
-    keyed = []  # (-metric, ue_id, index) of each UE with a metric
+    keyed = []  # (-metric, ue_id, index, ue) of each UE with a metric
     expired = []
-    for i, ue in enumerate(ues):
-        # data held beyond its budget drops to a floor priority under
-        # every policy; it is only served when nothing fresh wants the
-        # slot. pduset_metric flags an expired head itself
-        if kind is PolicyKind.PDUSET:
-            m = pduset_metric(ue, now, psdb_us)
-        elif _head_expired(ue, now):
-            m = None
-        elif kind is PolicyKind.PF:
-            m = pf_metric(ue, data_symbols)
-        else:
-            m = mlwdf_metric(ue, now, data_symbols, psdb_us)
-        if m is None:
-            expired.append(i)
-        else:
-            keyed.append((-m, ue.ue_id, i))
+    # data held beyond its budget drops to a floor priority under every
+    # policy; it is only served when nothing fresh wants the slot
+    if kind is PolicyKind.PDUSET:
+        # the pduset metric: the head set's urgency, boosted as it is sent
+        for i, ue in enumerate(ues):
+            queue = ue.queue
+            head = queue.entries[0]
+            deadline = head.deadline
+            tau = (float((deadline - now) / queue.ticks_per_us)
+                   if deadline is not None else psdb_us)
+            if tau <= 0:
+                expired.append(i)
+                continue
+            taken = head.taken
+            # exp(0.0) is exactly 1.0: an untouched head set has no boost
+            boost = (math.exp(PDUSET_ALPHA * (taken * 8)
+                              / (head.total_bytes * 8)) if taken else 1.0)
+            keyed.append((-(boost / (EPSILON_TIME_US if EPSILON_TIME_US > tau
+                                     else tau)), ue.ue_id, i, ue))
+    else:
+        for i, ue in enumerate(ues):
+            if _head_expired(ue, now):
+                expired.append(i)
+            elif kind is PolicyKind.PF:
+                keyed.append((-pf_metric(ue, data_symbols), ue.ue_id, i, ue))
+            else:
+                keyed.append((-mlwdf_metric(ue, now, data_symbols, psdb_us),
+                              ue.ue_id, i, ue))
     if expired:
         positive = [-k[0] for k in keyed if k[0] < 0]
         floor = (min(positive) if positive else 1.0) * EXPIRED_FLOOR_FACTOR
         for i in expired:
-            keyed.append((-floor, ues[i].ue_id, i))
-    # the index breaks ties in input order, as a stable sort would
+            ue = ues[i]
+            keyed.append((-floor, ue.ue_id, i, ue))
+    # the index breaks ties in input order, as a stable sort would, so the
+    # UE itself is never compared
     keyed.sort()
-    return [ues[k[2]] for k in keyed]
+    return [k[3] for k in keyed]
 
 
 def _rb_demand(queue_bits: int, mcs: int, data_symbols: int) -> int:
-    bits_per_rb = MCS_SE[mcs] * SC_PER_RB * data_symbols
-    return max(1, math.ceil(queue_bits / bits_per_rb))
+    need = math.ceil(queue_bits / (MCS_SE[mcs] * SC_PER_RB * data_symbols))
+    return need if need > 1 else 1
 
 
 def allocate_dl(slot: int, ues: list, now, policy: SchedulerPolicy,
@@ -151,19 +160,21 @@ def allocate_dl(slot: int, ues: list, now, policy: SchedulerPolicy,
                          for i, ue in enumerate(embb))[2]]]
     allocations = []
     rb_used = 0
-    for ue in xr + embb:
-        if rb_used >= total_rb:
+    xr += embb  # xr is a list of this call's own
+    for ue in xr:
+        rb = total_rb - rb_used
+        if rb <= 0:
             break
-        need = _rb_demand(ue.queue.queued_bytes * 8, ue.mcs, data_symbols)
-        rb = min(need, total_rb - rb_used)
-        tb = tb_bits(ue.mcs, rb, data_symbols)
-        segments = ue.queue.take(tb // 8)
+        queue, mcs = ue.queue, ue.mcs
+        need = _rb_demand(queue.queued_bytes * 8, mcs, data_symbols)
+        if need < rb:
+            rb = need
+        tb = tb_bits(mcs, rb, data_symbols)
+        segments = queue.take(tb // 8)
         if not segments:
             continue
-        allocations.append(Allocation(ue.ue_id, slot, rb, ue.mcs, tb,
-                                      segments))
+        allocations.append(Allocation(ue.ue_id, slot, rb, mcs, tb, segments))
         rb_used += rb
-    assert rb_used <= total_rb
     return allocations
 
 
@@ -243,13 +254,11 @@ def cg_occasions(cfg: CgConfig, horizon_us) -> list[CgOccasion]:
     return out
 
 
-def build_uto_uci(buffer_bytes: int, occasion_capacities: list[int],
-                  n_window: int) -> str:
-    """Bitmap over the next N occasions, 1 meaning the occasion goes unused."""
-    caps = occasion_capacities[:n_window]
+def build_uto_uci(buffer_bytes: int, occasion_capacities: list[int]) -> str:
+    """Bitmap over the given occasions, 1 meaning the occasion goes unused."""
     rem = buffer_bytes
     bits = []
-    for cap in caps:
+    for cap in occasion_capacities:
         carried = min(rem, cap)
         bits.append("1" if carried == 0 else "0")
         rem -= carried

@@ -226,12 +226,13 @@ def fragment_frame(frame: VideoFrame, sets_per_frame: int = 1,
     # the equal sets share one tuple of PDU ends, and so does the last set
     # when the frame splits evenly
     ends = mtu_ends(base, MTU_BYTES) if base else None
-    sets = [PduSet((index, k), psi[k % len(psi)], arrival,
-                   deadline=deadline, ends=ends)
+    # by position: (id, psi, arrival, sizes, deadline, end_of_burst, ends)
+    sets = [PduSet((index, k), psi[k % len(psi)], arrival, (), deadline,
+                   False, ends)
             for k in range(last if base else 0)]
-    sets.append(PduSet((index, last), psi[last % len(psi)], arrival,
-                       deadline=deadline, end_of_burst=True,
-                       ends=mtu_ends(base + rem, MTU_BYTES) if rem else ends))
+    sets.append(PduSet((index, last), psi[last % len(psi)], arrival, (),
+                       deadline, True,
+                       mtu_ends(base + rem, MTU_BYTES) if rem else ends))
     return sets
 
 

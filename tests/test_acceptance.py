@@ -230,7 +230,7 @@ def test_criterion_08_uto_uci_reclamation():
         n = rng.randint(1, 8)
         caps = [rng.randint(1, 3000) for _ in range(n)]
         buf = rng.randint(0, sum(caps) + 2000)
-        bitmap = build_uto_uci(buf, caps, n)
+        bitmap = build_uto_uci(buf, caps)
         rem = buf
         expect = []
         for cap in caps:  # brute-force drain
@@ -241,7 +241,7 @@ def test_criterion_08_uto_uci_reclamation():
     cg = CgConfig(periodicity_us=Fraction(5000), rb_per_occasion=40)
     occasions = cg_occasions(cg, horizon_us=40_000)
     caps = [1200] * len(occasions)
-    bitmap = build_uto_uci(2500, caps, len(occasions))
+    bitmap = build_uto_uci(2500, caps)
     assert "1" in bitmap
     current = occasions[0].slot
     freed = reclaim_unused(bitmap, occasions, current)

@@ -357,10 +357,11 @@ def test_dl_retransmissions_stay_within_the_rb_budget(monkeypatch):
     send, deferred = CellSim._send_due, []
 
     def counted(self, slot, now, limit, tx_ues, ul):
-        due = list(self.retx[slot])
+        due = [block for _, _, block in self.retx[slot]]
         used = send(self, slot, now, limit, tx_ues, ul)
-        later = self.retx.get(_next_slot(ul, slot + 1), ())
-        deferred[-1] += sum(any(e is x for x in later) for e in due)
+        later = [block for _, _, block in
+                 self.retx.get(_next_slot(ul, slot + 1), ())]
+        deferred[-1] += sum(any(b is x for x in later) for b in due)
         return used
 
     monkeypatch.setattr(CellSim, "_send_due", counted)
@@ -461,11 +462,13 @@ def test_forced_acks_serve_every_pose_flow_alike(cfg, cell):
     assert not any(q.lost_sets for q in queues)
 
 
-@pytest.mark.parametrize("direction, pose_cg", [
-    (Direction.DL, None), (Direction.UL, None),
-    (Direction.UL, CgConfig(periodicity_us=Fraction(4000))),
-], ids=["Direction.DL", "Direction.UL", "pose-cg"])
-def test_harq_exhaustion_loses_the_block(direction, pose_cg, monkeypatch):
+@pytest.mark.parametrize("direction, pose_cg, crowd", [
+    (Direction.DL, None, {}), (Direction.UL, None, {}),
+    (Direction.UL, CgConfig(periodicity_us=Fraction(4000)), {}),
+    (Direction.DL, None, dict(ues_per_cell=6, rate_bps=45e6)),
+], ids=["Direction.DL", "Direction.UL", "pose-cg", "deferred"])
+def test_harq_exhaustion_loses_the_block(direction, pose_cg, crowd,
+                                         monkeypatch):
     # with every attempt NACKed, each transport block is sent 1 + MAX_RETX
     # times, each retransmission on the first slot of the block's direction
     # at least HARQ_RTT_SLOTS after the attempt before it; then HARQ gives
@@ -473,20 +476,24 @@ def test_harq_exhaustion_loses_the_block(direction, pose_cg, monkeypatch):
     # block, first sent on an occasion, goes the same way against the pose
     # queue. A UL grant shrinks by the RBs of the blocks due on its slot, so
     # a UL video set can ride in two blocks, and such a block stops early
-    # once every set it carries is lost
+    # once every set it carries is lost. In the crowded DL cell the blocks
+    # due on a slot overflow its 273 RBs, and _send_due defers some to the
+    # next DL slot: a deferred block keeps its count and is still sent
+    # 1 + MAX_RETX times, unless the run ends first or its sets are lost
     import xrsim.cellsim as cellsim
     from xrsim.qos import FlowQueue
     from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX
 
-    cfg = _short(ues_per_cell=1, direction=direction, rate_bps=5e6,
-                 psdb_ms=30.0, discard_timer_ms=None, duration_s=1.5,
-                 warmup_s=0.0, pose_cg=pose_cg)
+    cfg = _short(**{**dict(ues_per_cell=1, direction=direction,
+                           rate_bps=5e6, psdb_ms=30.0, discard_timer_ms=None,
+                           duration_s=1.5, warmup_s=0.0, pose_cg=pose_cg),
+                    **crowd})
     sim = CellSim(cfg, seed=1)
     sim.phy_uniforms = repeat(0.0)  # every draw 0.0: every attempt NACKs
     current = [None]
-    taken = []  # the (set, start, bytes) spans of each non-empty take
-    blocks = []  # (process, spans carried, slots of its attempts)
-    by_proc = {}
+    taken = []  # the (ue, set, start, bytes) spans of each non-empty take
+    blocks = []  # (block, spans carried, slots of its attempts)
+    by_block = {}
     on_slot, take, attempt = (CellSim._on_slot, FlowQueue.take,
                               cellsim.harq_attempt)
 
@@ -497,16 +504,16 @@ def test_harq_exhaustion_loses_the_block(direction, pose_cg, monkeypatch):
     def taking(self, max_bytes):
         segs = take(self, max_bytes)
         if segs:
-            taken.append([(s.pdu_set.id, s.start, s.byte_size)
+            taken.append([(self.ue_id, s.pdu_set.id, s.start, s.byte_size)
                           for s in segs])
         return segs
 
-    def attempting(proc, sinr_db, rng):
-        if proc.attempts == 0:  # a first transmission carries the last take
-            by_proc[id(proc)] = (proc, taken.pop(0), [])
-            blocks.append(by_proc[id(proc)])
-        by_proc[id(proc)][2].append(current[0])
-        return attempt(proc, sinr_db, rng)
+    def attempting(block, sinr_db, rng):
+        if block.attempts == 0:  # a first transmission carries the last take
+            by_block[id(block)] = (block, taken.pop(0), [])
+            blocks.append(by_block[id(block)])
+        by_block[id(block)][2].append(current[0])
+        return attempt(block, sinr_db, rng)
 
     monkeypatch.setattr(CellSim, "_on_slot", at_slot)
     monkeypatch.setattr(FlowQueue, "take", taking)
@@ -518,49 +525,64 @@ def test_harq_exhaustion_loses_the_block(direction, pose_cg, monkeypatch):
             slot += 1
         return slot
 
-    ue = sim.xr[0]
-    queue = ue.queue
     ul_video = direction is Direction.UL and pose_cg is None
+    split = ul_video or bool(crowd)  # a set may ride in several blocks
     if pose_cg is not None:  # the pose blocks, first sent on an occasion
-        queue = ue.pose_queue
-        blocks = [b for b in blocks if b[1][0][0][0] == "pose"]
+        blocks = [b for b in blocks if b[1][0][1][0] == "pose"]
         occasions = {o.slot for o in sim.cg_occasions}
         assert all(slots[0] in occasions for _, _, slots in blocks)
+
+    def queue_of(ue):
+        return ue.queue if pose_cg is None else ue.pose_queue
+
     n_slots = math.ceil(cfg.duration_us / SLOT_US)
-    if ul_video:  # no byte rides in two blocks: a set's spans do not overlap
+    if split:  # no byte rides in two blocks: a set's spans do not overlap
         spans = sorted(span for _, carried, _ in blocks for span in carried)
-        for (a, start, size), (b, next_start, _) in zip(spans, spans[1:]):
-            assert a != b or start + size <= next_start
+        for (u, a, start, size), (v, b, next_start, _) in zip(spans,
+                                                              spans[1:]):
+            assert (u, a) != (v, b) or start + size <= next_start
     else:  # no set rides in two blocks
-        ids = [sid for _, carried, _ in blocks for sid, _, _ in carried]
+        ids = [(u, sid) for _, carried, _ in blocks
+               for u, sid, _, _ in carried]
         assert len(ids) == len(set(ids))
-    causes = {}
-    for e in queue.events:
-        causes.setdefault(e.set_id, set()).add(e.cause)
-    exhausted = 0
-    for _, carried, slots in blocks:
-        sets = {sid for sid, _, _ in carried}
-        want = [slots[0]]
-        for _ in range(MAX_RETX):
-            want.append(next_slot(want[-1] + HARQ_RTT_SLOTS))
-        want = [s for s in want if s < n_slots]
-        if ul_video:
-            assert slots == want[:len(slots)]
-            if len(slots) < len(want):
-                assert sets <= queue.lost_sets  # stopped early: sets lost
+    causes = {}  # (ue, set) -> the causes of the set's discard events
+    for ue in sim.xr:
+        for e in queue_of(ue).events:
+            causes.setdefault((ue.ue_id, e.set_id), set()).add(e.cause)
+    pending = {id(b) for due in sim.retx.values() for _, _, b in due}
+    exhausted = deferred = 0
+    for block, carried, slots in blocks:
+        queue = queue_of(sim.by_id[block.ue_id])
+        sets = {sid for _, sid, _, _ in carried}
+        assert block.attempts == len(slots) <= 1 + MAX_RETX
+        if crowd:  # a retransmission waits for room, never less than a RTT
+            waits = [slots[k] - next_slot(slots[k - 1] + HARQ_RTT_SLOTS)
+                     for k in range(1, len(slots))]
+            assert min(waits, default=0) >= 0
+            deferred += any(waits)
+            assert (len(slots) == 1 + MAX_RETX or id(block) in pending
+                    or sets <= queue.lost_sets)
         else:
-            assert slots == want
+            want = [slots[0]]
+            for _ in range(MAX_RETX):
+                want.append(next_slot(want[-1] + HARQ_RTT_SLOTS))
+            want = [s for s in want if s < n_slots]
+            if ul_video:
+                assert slots == want[:len(slots)]
+                if len(slots) < len(want):
+                    assert sets <= queue.lost_sets  # stopped early: sets lost
+            else:
+                assert slots == want
         if len(slots) == 1 + MAX_RETX:
             exhausted += 1
-            assert all("harq" in causes[sid] for sid in sets)
+            assert block.exhausted and id(block) not in pending
+            assert all("harq" in causes[block.ue_id, sid] for sid in sets)
             assert sets <= queue.lost_sets
     assert exhausted > 30
-    kpi = result.xr_ues()[0]
-    assert kpi.pser > 0 and kpi.delivered_bits == 0
-    assert kpi.frames_total > 0 and kpi.frames_in_budget == 0
-    assert not any(ok for _, ok in kpi.outcomes)
-    # pose losses stay in the pose queue, out of the video PSER
-    assert not any(sid[0] == "pose" for sid in ue.queue.lost_sets)
+    assert deferred > 30 if crowd else deferred == 0
+    for kpi in result.xr_ues():
+        assert kpi.pser > 0 and kpi.delivered_bits == 0
+        assert kpi.frames_total > 0 and kpi.frames_in_budget == 0
 
 
 @pytest.mark.parametrize("kw, sources", [

@@ -73,6 +73,8 @@ CELL_DIGESTS = {
         "6af6975adcbcda3907cc7e5c54b0b2aca127f61ee7a4d9a23d995154a9ddf0d5",
     "pf-fullbuffer-drx-psi":
         "35131cb492c7f308f7d6839e04cec3be0424cabbc1d450a8f49056f17e876d3c",
+    "pduset-fullbuffer-timer-off":
+        "a0909919da38558cb16479a4e7471d959be3196c9ce40547277f0ecfb589a849",
 }
 
 
@@ -109,6 +111,13 @@ def _cells() -> dict:
         "pduset-fullbuffer": (CellConfig(
             ues_per_cell=11, rate_bps=45e6, psdb_ms=10.0, sets_per_frame=4,
             embb_ues=1, embb_full_buffer=True,
+            policy=SchedulerPolicy(kind=PolicyKind.PDUSET), **short), 1),
+        # the cell above without the discard timer, as the benchmark's DL
+        # cell runs: expired heads stay queued and rank at the floor, 1,573
+        # of them over 1,557 rankings (the timer drops each as it expires)
+        "pduset-fullbuffer-timer-off": (CellConfig(
+            ues_per_cell=11, rate_bps=45e6, psdb_ms=10.0, sets_per_frame=4,
+            embb_ues=1, embb_full_buffer=True, discard_timer_ms=None,
             policy=SchedulerPolicy(kind=PolicyKind.PDUSET), **short), 1),
         "mlwdf-ftp-psi": (CellConfig(
             ues_per_cell=6, rate_bps=45e6, psdb_ms=10.0, sets_per_frame=4,

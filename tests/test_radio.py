@@ -7,7 +7,6 @@ from xrsim import radio
 from xrsim.engine import DRAW_BLOCK, block_draws
 from xrsim.radio import (
     Deployment,
-    HarqProcess,
     MCS_SE,
     MCS_THRESHOLD_DB,
     bler,
@@ -19,6 +18,12 @@ from xrsim.radio import (
     ul_sinr_db,
     ul_tx_power_dbm,
 )
+from xrsim.scheduling import Allocation
+
+
+def _block(mcs, tb_bits):
+    """A transport block not yet sent, which carries its own HARQ state."""
+    return Allocation(ue_id=0, slot=0, rb_count=1, mcs=mcs, tb_bits=tb_bits)
 
 
 def test_pathloss_reference_points():
@@ -99,18 +104,18 @@ def test_first_transmission_ack_rate():
 
 def test_harq_process_lifecycle():
     uniforms = block_draws(np.random.default_rng(5).random)
-    proc = HarqProcess(mcs=10, tb_bits=1000)
+    block = _block(mcs=10, tb_bits=1000)
     # far above threshold: first attempt acks
-    assert harq_attempt(proc, MCS_THRESHOLD_DB[10] + 30.0, uniforms)
-    assert proc.acked and not proc.exhausted
+    assert harq_attempt(block, MCS_THRESHOLD_DB[10] + 30.0, uniforms)
+    assert block.acked and not block.exhausted
 
-    proc = HarqProcess(mcs=10, tb_bits=1000)
+    block = _block(mcs=10, tb_bits=1000)
     for _ in range(4):
-        harq_attempt(proc, -100.0, uniforms)
-    assert proc.attempts == 4
-    assert proc.exhausted
+        harq_attempt(block, -100.0, uniforms)
+    assert block.attempts == 4
+    assert block.exhausted
     with pytest.raises(RuntimeError):
-        harq_attempt(proc, -100.0, uniforms)
+        harq_attempt(block, -100.0, uniforms)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -131,12 +136,12 @@ def test_harq_attempts_decide_on_scalar_draws():
     mcs = 12
     s = MCS_THRESHOLD_DB[mcs] - 1.0
     for _ in range(2 * DRAW_BLOCK):
-        proc = HarqProcess(mcs=mcs, tb_bits=100)
-        while not (proc.acked or proc.exhausted):
+        block = _block(mcs=mcs, tb_bits=100)
+        while not (block.acked or block.exhausted):
             want = scalar.random() >= bler(
-                s + radio.CHASE_GAIN_DB * proc.attempts, mcs)
-            assert harq_attempt(proc, s, uniforms) is want
-            assert proc.acked is want
+                s + radio.CHASE_GAIN_DB * block.attempts, mcs)
+            assert harq_attempt(block, s, uniforms) is want
+            assert block.acked is want
 
 
 def test_chase_combining_raises_ack_rate():
@@ -145,10 +150,10 @@ def test_chase_combining_raises_ack_rate():
     s = MCS_THRESHOLD_DB[mcs]
     first, second = [], []
     for _ in range(4000):
-        proc = HarqProcess(mcs=mcs, tb_bits=100)
-        first.append(harq_attempt(proc, s, uniforms))
+        block = _block(mcs=mcs, tb_bits=100)
+        first.append(harq_attempt(block, s, uniforms))
         if not first[-1]:
-            second.append(harq_attempt(proc, s, uniforms))
+            second.append(harq_attempt(block, s, uniforms))
     assert np.mean(second) > np.mean(first)
 
 

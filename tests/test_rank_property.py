@@ -6,7 +6,9 @@ pduset metric, a lambda sort key, two filtering passes in allocate_dl and
 a second allocation block for the eMBB pick. Random UE records with
 expired heads, heads without a deadline, partly sent heads and tied
 metrics must rank the same under PF, M-LWDF and pduset, and allocate_dl
-must hand out the same blocks.
+must hand out the same blocks. The pduset metric has no function of its own
+in the package: _rank computes it in its loop, so the reference metric is
+checked through the order it gives.
 """
 
 import math
@@ -22,7 +24,7 @@ from xrsim.radio import MCS_SE, N_RB, SC_PER_RB, tb_bits
 from xrsim.scheduling import (EPS_RATE_BPS, EPSILON_TIME_US,
                               EXPIRED_FLOOR_FACTOR, PDUSET_ALPHA, Allocation,
                               PolicyKind, SchedulerPolicy, _rank, allocate_dl,
-                              pduset_metric, reads_avg)
+                              reads_avg)
 from xrsim.traffic import PduSet
 
 # ---- the reference ranking ----
@@ -198,9 +200,6 @@ def test_rank_matches_reference(specs, policy, now, data_symbols, psdb_us):
     ues = [ue for ue in _build(specs) if ue.queue.queued_bytes]
     if not ues:
         return
-    for ue in ues:
-        assert pduset_metric(ue, now, psdb_us) == \
-            _ref_pduset_metric(ue, now, psdb_us)
     got = [ue.ue_id for ue in _rank(ues, now, policy, data_symbols, psdb_us)]
     assert got == [ue.ue_id for ue in _ref_rank(ues, now, policy,
                                                 data_symbols, psdb_us)]
@@ -217,6 +216,8 @@ def test_allocate_dl_matches_reference(specs, policy, now, total_rb,
     want = _ref_allocate_dl(7, _build(specs), now, policy, total_rb,
                             data_symbols, psdb_us)
     assert _blocks(got) == _blocks(want)
+    # the blocks of one slot fit its RB budget together
+    assert sum(a.rb_count for a in got) <= total_rb
 
 
 @settings(max_examples=200)

@@ -17,13 +17,13 @@ from xrsim.scheduling import (
     allocate_ul,
     build_uto_uci,
     cg_occasions,
+    _rank,
     mlwdf_metric,
-    pduset_metric,
     pf_metric,
     pf_update,
     reclaim_unused,
 )
-from xrsim.traffic import VideoFrame, fragment_frame
+from xrsim.traffic import PduSet, VideoFrame, fragment_frame
 
 
 def queue_with(size, arrival=0, psdb_ms=10.0, nsets=1, frame_id=0, **prof):
@@ -77,25 +77,35 @@ def test_mlwdf_metric_shape():
 
 
 def test_pduset_metric_shape():
-    def metric(ue, now):
-        return pduset_metric(ue, now, BUDGET_US)
+    # the pduset metric lives in _rank, so its shape shows in the order it
+    # gives: boost / max(tau, EPSILON_TIME_US), where tau is the head set's
+    # time left and the boost is exp of the share of it already sent
+    def order(ues, now):
+        pol = SchedulerPolicy(kind=PolicyKind.PDUSET)
+        return [ue.ue_id for ue in _rank(ues, now, pol, DATA_SYMBOLS,
+                                         BUDGET_US)]
 
-    c = cand(0, size=10_000, psdb_ms=10.0, arrival=0)
-    # untouched set, full budget left
-    assert metric(c, 0) == pytest.approx(1.0 / 10_000.0)
-    # tau halves, score doubles
-    assert metric(c, 5000) == pytest.approx(2.0 / 10_000.0)
-    # sending boosts the score exponentially
-    c.queue.take(5000)
-    boosted = metric(c, 5000)
-    assert boosted == pytest.approx(math.exp(0.5) * 2.0 / 10_000.0)
-    full = cand(1, size=10_000, psdb_ms=10.0)
-    full.queue.take(9999)
-    almost = metric(full, 5000)
-    assert almost / metric(cand(2, size=10_000), 5000) == \
-        pytest.approx(math.exp(0.9999), rel=1e-3)
-    # expired budget flags the floor path
-    assert metric(c, 11_000) is None
+    # less time left ranks first, whatever the ids
+    assert order([cand(0, arrival=3000), cand(1, arrival=0)], 5000) == [1, 0]
+    # a time left under EPSILON_TIME_US counts as EPSILON_TIME_US, so 500,
+    # 800 and 1000 µs tie and rank by id, ahead of 1100 µs
+    assert order([cand(0, arrival=600), cand(3, arrival=0),
+                  cand(1, arrival=300), cand(2, arrival=500)], 9500) == \
+        [1, 2, 3, 0]
+    # a head set half sent with 5000 µs left scores exp(0.5) / 5000, between
+    # untouched heads with 3000 and 3100 µs left (5000 / exp(0.5) = 3033)
+    half = cand(1, size=10_000, arrival=3000)
+    half.queue.take(5000)
+    assert order([half, cand(0, arrival=1000)], 8000) == [0, 1]
+    assert order([half, cand(0, arrival=1100)], 8000) == [1, 0]
+    # a head without a deadline has the whole budget left: it ties with a
+    # head just arrived, and ranks by id
+    open_ended = cand(0)
+    open_ended.queue.entries[0] = PduSet((0, 0), 1, 7000, (9000,))
+    assert order([cand(1, arrival=7000), open_ended], 7000) == [0, 1]
+    # an expired budget drops to the floor, behind any fresh head
+    assert order([cand(0, arrival=0), cand(1, arrival=10_500,
+                                           psdb_ms=1000.0)], 11_000) == [1, 0]
 
 
 def test_allocate_dl_hard_priority():
@@ -219,10 +229,10 @@ def prefix_sum_bitmap(buffer_bytes, caps):
 
 
 def test_uto_uci_examples():
-    assert build_uto_uci(0, [100] * 4, 4) == "1111"
-    assert build_uto_uci(200, [100, 100, 100, 100], 4) == "0011"
-    assert build_uto_uci(10**9, [100] * 4, 4) == "0000"
-    assert build_uto_uci(150, [100, 100, 100], 3) == "001"
+    assert build_uto_uci(0, [100] * 4) == "1111"
+    assert build_uto_uci(200, [100, 100, 100, 100]) == "0011"
+    assert build_uto_uci(10**9, [100] * 4) == "0000"
+    assert build_uto_uci(150, [100, 100, 100]) == "001"
 
 
 def test_uto_uci_matches_prefix_sum_form():
@@ -231,7 +241,7 @@ def test_uto_uci_matches_prefix_sum_form():
         n = int(rng.integers(1, 9))
         caps = [int(rng.integers(1, 500)) for _ in range(n)]
         buf = int(rng.integers(0, sum(caps) + 300))
-        assert build_uto_uci(buf, caps, n) == prefix_sum_bitmap(buf, caps)
+        assert build_uto_uci(buf, caps) == prefix_sum_bitmap(buf, caps)
 
 
 def test_reclaim_unused_future_only():
