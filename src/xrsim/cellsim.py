@@ -37,8 +37,8 @@ from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, ConfigError,
                      ticks_per_us)
 from .qos import FlowQueue, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
-                    Deployment, dl_sinr_db, harq_attempt, select_mcs,
-                    tb_bits, ul_sinr_db)
+                    Deployment, dl_sinr_db, harq_attempt, harq_exhausted,
+                    select_mcs, tb_bits, ul_sinr_db)
 from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
                         TableKind, gen_bs_table, quantize_bsr,
                         realized_overhead, trigger_dsr)
@@ -534,7 +534,7 @@ class CellSim:
         if harq_attempt(block, ue.ul_sinr_db if ul else ue.sinr_db,
                         self.phy_uniforms):
             self._deliver(ue, queue, block.segments, now)
-        elif block.exhausted:
+        elif harq_exhausted(block):
             queue.on_block_lost(block.segments, now)
             self._sync_events(ue)
         else:
@@ -583,15 +583,8 @@ class CellSim:
             rb_used += a.rb_count
             tx_ues.add(ue)
             ue.grants += 1
-            # this slot's PF update, the only one that serves the UE, after
-            # _pf_avg's catch-up, inlined as in the candidate loop
-            gap = n_dl - ue.pf_slots
-            avg = ue.avg_tput_bps
-            if gap == 1:
-                avg *= _PF_KEEP
-            elif gap:
-                avg = pf_idle(avg, gap, PF_WINDOW_SLOTS)
-            ue.avg_tput_bps = pf_update(avg, a.tb_bits * 2000,
+            # this slot's PF update, the only one that serves the UE
+            ue.avg_tput_bps = pf_update(self._pf_avg(ue), a.tb_bits * 2000,
                                         PF_WINDOW_SLOTS)
             ue.pf_slots = n_dl + 1
             if ue.adrx is not None:  # only the ADRX controller reads it

@@ -125,6 +125,12 @@ def harq_attempt(block, sinr_db: float, uniforms: Iterator[float]) -> bool:
     return ack
 
 
+def harq_exhausted(block) -> bool:
+    """HARQ gives up on the block: its last attempt NACKed, and it has had
+    its 1 + MAX_RETX."""
+    return not block.acked and block.attempts > MAX_RETX
+
+
 @dataclass
 class UeLink:
     ue_id: int

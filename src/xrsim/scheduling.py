@@ -13,7 +13,7 @@ from typing import Optional
 
 from .engine import SLOT_US, ConfigError
 from .qos import Segment
-from .radio import DATA_SYMBOLS, MAX_RETX, MCS_SE, N_RB, SC_PER_RB, tb_bits
+from .radio import DATA_SYMBOLS, MCS_SE, N_RB, SC_PER_RB, tb_bits
 
 EPS_RATE_BPS = 1.0
 EXPIRED_FLOOR_FACTOR = 1e-3
@@ -48,10 +48,6 @@ class Allocation:
     segments: list[Segment] = field(default_factory=list)
     attempts: int = 0
     acked: bool = False
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.acked and self.attempts >= MAX_RETX + 1
 
 
 def pf_update(avg_bps: float, served_bps: float, window_slots: int) -> float:

@@ -482,7 +482,7 @@ def test_harq_exhaustion_loses_the_block(direction, pose_cg, crowd,
     # 1 + MAX_RETX times, unless the run ends first or its sets are lost
     import xrsim.cellsim as cellsim
     from xrsim.qos import FlowQueue
-    from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX
+    from xrsim.radio import HARQ_RTT_SLOTS, MAX_RETX, harq_exhausted
 
     cfg = _short(**{**dict(ues_per_cell=1, direction=direction,
                            rate_bps=5e6, psdb_ms=30.0, discard_timer_ms=None,
@@ -575,7 +575,7 @@ def test_harq_exhaustion_loses_the_block(direction, pose_cg, crowd,
                 assert slots == want
         if len(slots) == 1 + MAX_RETX:
             exhausted += 1
-            assert block.exhausted and id(block) not in pending
+            assert harq_exhausted(block) and id(block) not in pending
             assert all("harq" in causes[block.ue_id, sid] for sid in sets)
             assert sets <= queue.lost_sets
     assert exhausted > 30
@@ -583,6 +583,10 @@ def test_harq_exhaustion_loses_the_block(direction, pose_cg, crowd,
     for kpi in result.xr_ues():
         assert kpi.pser > 0 and kpi.delivered_bits == 0
         assert kpi.frames_total > 0 and kpi.frames_in_budget == 0
+    if pose_cg is not None:
+        # pose losses stay in the pose queue, out of the video PSER
+        for ue in sim.xr:
+            assert not any(sid[0] == "pose" for sid in ue.queue.lost_sets)
 
 
 @pytest.mark.parametrize("kw, sources", [

@@ -12,6 +12,7 @@ from xrsim.radio import (
     bler,
     dl_sinr_db,
     harq_attempt,
+    harq_exhausted,
     pathloss_db,
     select_mcs,
     tb_bits,
@@ -107,13 +108,13 @@ def test_harq_process_lifecycle():
     block = _block(mcs=10, tb_bits=1000)
     # far above threshold: first attempt acks
     assert harq_attempt(block, MCS_THRESHOLD_DB[10] + 30.0, uniforms)
-    assert block.acked and not block.exhausted
+    assert block.acked and not harq_exhausted(block)
 
     block = _block(mcs=10, tb_bits=1000)
     for _ in range(4):
         harq_attempt(block, -100.0, uniforms)
     assert block.attempts == 4
-    assert block.exhausted
+    assert harq_exhausted(block)
     with pytest.raises(RuntimeError):
         harq_attempt(block, -100.0, uniforms)
 
@@ -137,7 +138,7 @@ def test_harq_attempts_decide_on_scalar_draws():
     s = MCS_THRESHOLD_DB[mcs] - 1.0
     for _ in range(2 * DRAW_BLOCK):
         block = _block(mcs=mcs, tb_bits=100)
-        while not (block.acked or block.exhausted):
+        while not (block.acked or harq_exhausted(block)):
             want = scalar.random() >= bler(
                 s + radio.CHASE_GAIN_DB * block.attempts, mcs)
             assert harq_attempt(block, s, uniforms) is want

@@ -93,11 +93,20 @@ def test_pduset_metric_shape():
                   cand(1, arrival=300), cand(2, arrival=500)], 9500) == \
         [1, 2, 3, 0]
     # a head set half sent with 5000 µs left scores exp(0.5) / 5000, between
-    # untouched heads with 3000 and 3100 µs left (5000 / exp(0.5) = 3033)
+    # untouched heads with 3032 and 3033 µs left (5000 / exp(0.5) = 3032.65)
     half = cand(1, size=10_000, arrival=3000)
     half.queue.take(5000)
-    assert order([half, cand(0, arrival=1000)], 8000) == [0, 1]
-    assert order([half, cand(0, arrival=1100)], 8000) == [1, 0]
+    assert order([half, cand(0, arrival=1032)], 8000) == [0, 1]
+    assert order([half, cand(0, arrival=1033)], 8000) == [1, 0]
+    # a head set sent but for one byte of 10,000 is boosted by exp(0.9999):
+    # against an untouched head with 30,000 µs left it ranks first with
+    # 81,540 µs left and second with 81,541 µs (30,000 * exp(0.9999) =
+    # 81,540.3, where exp(1) would give 81,548.5)
+    untouched = cand(0, size=10_000, psdb_ms=100.0, arrival=30_000)
+    for tau, want in ((81_540, [1, 0]), (81_541, [0, 1])):
+        almost = cand(1, size=10_000, psdb_ms=100.0, arrival=tau)
+        almost.queue.take(9999)
+        assert order([untouched, almost], 100_000) == want
     # a head without a deadline has the whole budget left: it ties with a
     # head just arrived, and ranks by id
     open_ended = cand(0)
