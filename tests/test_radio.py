@@ -112,6 +112,7 @@ def test_harq_process_lifecycle():
 
     block = _block(mcs=10, tb_bits=1000)
     for _ in range(4):
+        assert not harq_exhausted(block)  # HARQ gives up only after 4
         harq_attempt(block, -100.0, uniforms)
     assert block.attempts == 4
     assert harq_exhausted(block)
