@@ -26,7 +26,6 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional
 
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
@@ -52,8 +51,6 @@ from .traffic import (Direction, PduSet, VideoSource, VideoStreamConfig,
 # PDSCH symbols of each DL slot kind
 _DATA_SYMBOLS = {DOWNLINK: DATA_SYMBOLS, SPECIAL: S_SLOT_DATA_SYMBOLS}
 
-_ENDS = attrgetter("ends")
-
 # the PDU ends of a full-buffer eMBB set: one PDU of 150 kB
 _FB_ENDS = (150_000,)
 
@@ -66,6 +63,12 @@ def _next_slot(ul, start):
     while (slot_type(start) == UPLINK) != ul:
         start += 1
     return start
+
+
+def _drop(config, rng):
+    """Every UE link of the drop, drawn from rng's drop stream."""
+    return Deployment(config.n_cells).drop_ues(
+        config.ues_per_cell + config.embb_ues, rng.stream("drop"))
 
 
 def _always_on_runs(pdsch_slots, start, end):
@@ -168,15 +171,14 @@ class CellConfig:
 
 
 class FrameProgress:
-    __slots__ = ("index", "arrival", "deadline", "n_pdus", "delivered",
-                 "lost", "done_time", "first_service")
+    __slots__ = ("index", "arrival", "deadline", "left", "lost", "done_time",
+                 "first_service")
 
-    def __init__(self, index, arrival, deadline, n_pdus):
+    def __init__(self, index, arrival, deadline, left):
         self.index = index
         self.arrival = arrival
         self.deadline = deadline
-        self.n_pdus = n_pdus
-        self.delivered = 0
+        self.left = left  # the frame's bytes not yet delivered
         self.lost = False
         self.done_time = None
         self.first_service = None
@@ -206,6 +208,7 @@ class UeCtx:
         # of the run; CellSim._pf_avg brings it up to date when it is read
         self.avg_tput_bps = 1.0
         self.pf_slots = 0
+        self.pf_read = False  # whether the cell reads it; else it stays 1.0
         self.drx: Optional[DrxMachine] = None
         # PDCCH monitored in the current DL slot; read only while the UE
         # has data queued, and a DRX UE is stepped on each such DL slot
@@ -250,7 +253,8 @@ class CellResult:
 
 
 class CellSim:
-    def __init__(self, config: CellConfig, seed: int = 0, cell: int = 0):
+    def __init__(self, config: CellConfig, seed: int = 0, cell: int = 0,
+                 links=None):
         self.cfg = config
         self.rng = RngStreams(seed)
         # the uniforms that decide HARQ attempts, in the order of scalar
@@ -258,10 +262,10 @@ class CellSim:
         # keeps the one-cell stream's name so one-cell outputs do not move
         self.phy_uniforms = block_draws(self.rng.stream(
             "phy" if cell == 0 else f"phy.{cell}").random)
-        # every cell draws the whole drop alike and keeps its own UEs
-        links = [link for link in Deployment(config.n_cells).drop_ues(
-            config.ues_per_cell + config.embb_ues, self.rng.stream("drop"))
-            if link.cell_id == cell]
+        # the cell's own UE links, drawn from the whole drop unless run_drop
+        # hands them over
+        if links is None:
+            links = [u for u in _drop(config, self.rng) if u.cell_id == cell]
 
         timer = (config.psdb_ms if config.discard_timer_ms == "psdb"
                  else config.discard_timer_ms)
@@ -349,6 +353,9 @@ class CellSim:
         self.avg_ues = [u for u in dl_ues
                         if reads_avg(config.policy, not u.is_embb,
                                      len(self.embb))]
+        # and PSI discard reads an XR UE's; no other UE keeps an average
+        for u in self.avg_ues + self.xr * config.psi_discard_enabled:
+            u.pf_read = True
         # the delay budget in whole µs, as the DL metrics read it
         self.psdb_us = float(config.psdb_us)
         self.timer_discard = timer is not None
@@ -358,6 +365,8 @@ class CellSim:
         self.ce_bytes = (SHORT_BSR_CE_BYTES
                          if config.bsr_table is TableKind.SHORT
                          else LONG_BSR_CE_BYTES)
+        # truncated to whole µs, as the DSR threshold has always been
+        self.dsr_threshold_us = int(config.dsr_threshold_ms * 1000)
         # the blocks due on each slot, (ue, queue, block) each; a DL slot and
         # a UL slot never share an index
         self.retx: dict = {}
@@ -368,6 +377,7 @@ class CellSim:
         self.cg_occasions = ([] if config.pose_cg is None else
                              cg_occasions(config.pose_cg, config.duration_us))
         self.cg_ues = [] if config.pose_cg is None else self.xr
+        self.cg_window = config.pose_cg and config.pose_cg.uto_uci_window
         live = {o.slot: i for i, o in enumerate(self.cg_occasions)}
         for u in self.cg_ues:
             u.cg_live = dict(live)
@@ -426,9 +436,9 @@ class CellSim:
                 return
             frame, sets = ue.next_sets
             ue.next_sets = None
-            n_pdus = sum(map(len, map(_ENDS, sets)))
             fp = FrameProgress(frame.index, frame.arrival_time,
-                               frame.arrival_time + self.psdb_t, n_pdus)
+                               frame.arrival_time + self.psdb_t,
+                               frame.byte_size)
             ue.frames[frame.index] = fp
             ue.undecided.append(fp)
             for s in sets:
@@ -467,15 +477,13 @@ class CellSim:
             if lost and sid in lost:
                 continue
             n_bytes += seg.byte_size
-            completed = seg.completed
-            if completed:
-                fp = frames.get(sid[0])
-                if fp is not None:
-                    fp.delivered = delivered = fp.delivered + completed
-                    if (delivered >= fp.n_pdus and fp.done_time is None
-                            and not fp.lost):
-                        # decoding completes at the end of the carrying slot
-                        fp.done_time = now + self.slot_t
+            fp = frames.get(sid[0])
+            if fp is not None:
+                # each byte is delivered at most once, so a frame's last
+                # byte completes it; decoding ends with the carrying slot
+                fp.left -= seg.byte_size
+                if not fp.left and not fp.lost:
+                    fp.done_time = now + self.slot_t
         if now >= self.warmup_t:
             ue.delivered_bits += n_bytes * 8
 
@@ -583,10 +591,10 @@ class CellSim:
             rb_used += a.rb_count
             tx_ues.add(ue)
             ue.grants += 1
-            # this slot's PF update, the only one that serves the UE
-            ue.avg_tput_bps = pf_update(self._pf_avg(ue), a.tb_bits * 2000,
-                                        PF_WINDOW_SLOTS)
-            ue.pf_slots = n_dl + 1
+            if ue.pf_read:  # this slot's PF update, the only one serving it
+                ue.avg_tput_bps = pf_update(self._pf_avg(ue),
+                                            a.tb_bits * 2000, PF_WINDOW_SLOTS)
+                ue.pf_slots = n_dl + 1
             if ue.adrx is not None:  # only the ADRX controller reads it
                 self._mark_first_service(ue, a.segments, now)
             self._transmit(ue, ue.queue, a, False, slot, now)
@@ -647,8 +655,8 @@ class CellSim:
                 urgency = None
                 if cfg.dsr_enabled:
                     ue.lcg.sets = ue.queue.entries
-                    rep = trigger_dsr(ue.lcg, int(cfg.dsr_threshold_ms * 1000),
-                                      now, ticks_per_us=self.ticks_per_us)
+                    rep = trigger_dsr(ue.lcg, self.dsr_threshold_us, now,
+                                      ticks_per_us=self.ticks_per_us)
                     if rep is not None:
                         urgency = rep.smallest_remaining_ms * 1000.0
                     elif ue.lcg.dsr_reported:
@@ -698,14 +706,13 @@ class CellSim:
         their RBs return to the dynamic pool of their slot. A block is sized
         at the UE's MCS and goes through HARQ against its pose queue.
         """
-        occasions = self.cg_occasions
+        occasions, window = self.cg_occasions, self.cg_window
         rb_used = 0
         for u in self.cg_ues:
             i = u.cg_live.get(slot)
             if i is None:
                 continue
             mcs = u.ul_mcs  # the grant tracks CSI
-            window = self.cfg.pose_cg.uto_uci_window
             if i % window == 0:
                 w = occasions[i:i + window]
                 caps = [tb_bits(mcs, o.rb_count) // 8 for o in w]
@@ -845,7 +852,9 @@ def run_drop(config: CellConfig, seed: int) -> CellResult:
     """Simulate cells 0..n_cells-1 of one drop, one after another, and join
     their results: the UEs in cell order, which is id order, and the RB
     series cell after cell."""
-    results = [CellSim(config, seed, cell).run()
+    links = _drop(config, RngStreams(seed))
+    results = [CellSim(config, seed, cell,
+                       [u for u in links if u.cell_id == cell]).run()
                for cell in range(config.n_cells)]
     return CellResult([u for r in results for u in r.ues],
                       [x for r in results for x in r.rb_utilization])

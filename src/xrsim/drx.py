@@ -333,9 +333,11 @@ def power_for_run(runs, model: PowerModel) -> float:
 
     Each monitoring slot adds its own term, so a run of k adds k terms one
     by one: k * term would round differently for a model whose values are
-    not whole numbers. Each maximal sleep run, which may span several runs,
-    adds one term."""
+    not whole numbers. With whole terms and a whole total, every sum below
+    2**53 is exact in any grouping, so the run adds k * term at once. Each
+    maximal sleep run, which may span several runs, adds one term."""
     pdsch, pdcch = model.pdcch_plus_pdsch, model.pdcch_only
+    whole = float(pdsch).is_integer() and float(pdcch).is_integer()
     total = 0.0
     n = 0
     asleep = 0
@@ -348,8 +350,9 @@ def power_for_run(runs, model: PowerModel) -> float:
             total += _sleep_power(asleep, model)
             asleep = 0
         term = pdsch if label == SLOT_PDSCH else pdcch
-        if k == 1:
-            total += term
+        step = total + k * term
+        if k == 1 or whole and step < 2**53 and total.is_integer():
+            total = step
         else:
             total = reduce(add, repeat(term, k), total)
     if asleep:

@@ -33,18 +33,16 @@ class DiscardEvent:
 class Segment:
     """The span of one PDU set that one transport block carries.
 
-    ``start`` is the span's first byte within the set, ``byte_size`` its
-    length and ``completed`` the number of PDUs whose last byte it carries.
+    ``start`` is the span's first byte within the set and ``byte_size``
+    its length.
     """
 
-    __slots__ = ("pdu_set", "start", "byte_size", "completed")
+    __slots__ = ("pdu_set", "start", "byte_size")
 
-    def __init__(self, pdu_set: PduSet, start: int, byte_size: int,
-                 completed: int):
+    def __init__(self, pdu_set: PduSet, start: int, byte_size: int):
         self.pdu_set = pdu_set
         self.start = start
         self.byte_size = byte_size
-        self.completed = completed
 
     @property
     def first_pdu_index(self) -> int:
@@ -91,18 +89,14 @@ class FlowQueue:
         while budget > 0 and entries:
             s = entries[0]
             start = s.taken
-            ends = s.ends
             chunk = s.total_bytes - start
             if chunk <= budget:
                 entries.popleft()
-                completed = len(ends) - bisect_right(ends, start)
             else:
                 chunk = budget
-                completed = (bisect_right(ends, start + chunk)
-                             - bisect_right(ends, start))
             s.taken = start + chunk
             budget -= chunk
-            out.append(Segment(s, start, chunk, completed))
+            out.append(Segment(s, start, chunk))
         self.queued_bytes -= max_bytes - budget
         return out
 

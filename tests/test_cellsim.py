@@ -1,6 +1,7 @@
 """End to end sanity checks on the cell simulator."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
@@ -73,6 +74,22 @@ def test_in_budget_means_done_by_the_deadline():
     assert not ue.undecided
     assert ue.outcomes == [(arrival / sim.ticks_per_us, ok)
                            for ok in (True, False, False, False)]
+
+
+def test_a_frame_is_done_with_its_last_byte():
+    # a block that carries bytes inside a PDU, but no PDU's last byte, can
+    # still be in HARQ when a later block carrying the PDU's end is ACKed;
+    # the frame is done only once the first block is delivered too
+    sim = CellSim(_short(ues_per_cell=1), seed=1)
+    ue = sim.xr[0]
+    fp = FrameProgress(0, 0, sim.psdb_t, 1000)
+    ue.frames[0] = fp
+    ue.queue.enqueue_set(PduSet((0, 0), 1, 0, (1000,), sim.psdb_t))
+    inner, last = ue.queue.take(400), ue.queue.take(600)
+    sim._deliver(ue, ue.queue, last, 0)
+    assert (fp.left, fp.done_time) == (400, None)
+    sim._deliver(ue, ue.queue, inner, 8 * sim.slot_t)
+    assert (fp.left, fp.done_time) == (0, 9 * sim.slot_t)
 
 
 def test_low_load_all_in_budget():
@@ -218,25 +235,42 @@ def test_no_fraction_work_per_slot(monkeypatch):
 
 @pytest.mark.parametrize("kind", list(PolicyKind))
 def test_pf_update_once_per_grant(kind, monkeypatch):
-    # a PF average is brought up to date when it is read; a DL slot pays
-    # one pf_update per UE it serves, none for the UEs it does not
+    # a PF average is kept only where the cell reads it, and brought up to
+    # date when it is read: a DL slot pays one pf_update per UE it serves
+    # whose average is read, none for the other UEs. With two eMBB UEs, the
+    # eMBB pick reads theirs; the pduset metric reads no XR UE's
     import xrsim.cellsim as cellsim
+    from xrsim.scheduling import reads_avg
 
     calls = []
-    pf_update = cellsim.pf_update
+    caught_up = []
+    pf_update, pf_avg = cellsim.pf_update, CellSim._pf_avg
 
     def counted(*args):
         calls.append(args)
         return pf_update(*args)
 
+    def counted_avg(self, ue):
+        caught_up.append(ue.ue_id)  # no PSI discard: only grants call it
+        return pf_avg(self, ue)
+
     monkeypatch.setattr(cellsim, "pf_update", counted)
+    monkeypatch.setattr(CellSim, "_pf_avg", counted_avg)
     result = CellSim(_short(ues_per_cell=6, rate_bps=45e6, sets_per_frame=4,
                             embb_ues=2, embb_full_buffer=True,
                             duration_s=1.0, warmup_s=0.0,
                             policy=SchedulerPolicy(kind=kind)), seed=2).run()
     grants = sum(u.grants for u in result.ues)
     assert grants > 1000  # a busy cell: about one grant per DL slot or more
-    assert len(calls) == grants
+    # one call per grant to a UE whose average is read, none for the rest
+    read = {u.ue_id: u.grants for u in result.ues
+            if reads_avg(SchedulerPolicy(kind=kind), not u.is_embb, 2)}
+    assert len(calls) == len(caught_up)
+    assert Counter(caught_up) == Counter(read)
+    if kind is PolicyKind.PDUSET:
+        xr = result.xr_ues()
+        assert sum(u.grants for u in xr) > 500
+        assert not {u.ue_id for u in xr} & set(caught_up)
 
 
 @pytest.mark.parametrize("kind, psi, embb", [
@@ -246,7 +280,8 @@ def test_pf_update_once_per_grant(kind, monkeypatch):
 def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
                                                    monkeypatch):
     # every read of a lazily updated PF average (a metric, PSI discard, a
-    # grant) sees what a per-slot update of every UE would hold
+    # grant) sees what a per-slot update of every UE would hold; the average
+    # of a UE that nothing reads is never updated
     import xrsim.cellsim as cellsim
     from xrsim.qos import FlowQueue
     from xrsim.scheduling import pf_update, reads_avg
@@ -286,7 +321,13 @@ def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
     sim.run()
     assert len(reads) > (1000 if psi or embb > 1 else -1)
     assert all(got == want for got, want in reads)
-    assert [sim._pf_avg(ue) for ue in sim.ues] == list(eager.values())
+    read = [ue for ue in sim.ues
+            if reads_avg(sim.cfg.policy, not ue.is_embb, embb)
+            or psi and not ue.is_embb]
+    assert [sim._pf_avg(ue) for ue in read] == [eager[u.ue_id] for u in read]
+    unread = [ue for ue in sim.ues if ue not in read]
+    assert len(unread) == (len(sim.ues) if not psi and embb == 1 else 0)
+    assert all(ue.avg_tput_bps == 1.0 and ue.grants for ue in unread)
 
 
 @pytest.mark.parametrize("duration_s", [0.0013, 0.002, 0.5])
@@ -386,6 +427,29 @@ def test_each_cell_has_its_own_rb_pool():
     # each cell draws its HARQ outcomes from its own stream
     assert next(CellSim(cfg, 1, 0).phy_uniforms) != \
         next(CellSim(cfg, 1, 1).phy_uniforms)
+
+
+def test_a_drop_is_drawn_once(monkeypatch):
+    # run_drop draws the drop once and hands each cell its own UE links; a
+    # cell then gives what it gives when it draws the whole drop itself
+    from xrsim.radio import Deployment
+
+    cfg = CellConfig(n_cells=3, ues_per_cell=2, embb_ues=1, rate_bps=30e6,
+                     duration_s=0.5, warmup_s=0.1)
+    alone = [CellSim(cfg, 4, cell).run() for cell in range(3)]
+    calls = []
+    drop_ues = Deployment.drop_ues
+
+    def counted(self, *args):
+        calls.append(args)
+        return drop_ues(self, *args)
+
+    monkeypatch.setattr(Deployment, "drop_ues", counted)
+    result = run_drop(cfg, 4)
+    assert len(calls) == 1
+    assert result.ues == [u for r in alone for u in r.ues]
+    assert result.rb_utilization == [x for r in alone
+                                     for x in r.rb_utilization]
 
 
 @pytest.mark.parametrize("cfg, seed", [

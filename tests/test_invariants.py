@@ -1,6 +1,7 @@
 """Invariants that hold for every config: output bytes that do not depend on
-the interpreter's hash seed, per-cell bounds over drawn DL and UL cells, and
-a DRX that never sleeps giving the cell of a UE without DRX."""
+the interpreter's hash seed, per-cell bounds and frame decisions over drawn
+DL and UL cells, and a DRX that never sleeps giving the cell of a UE without
+DRX."""
 
 import hashlib
 import os
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from xrsim.cellsim import CellConfig, run_drop
 from xrsim.drx import DrxConfig
-from xrsim.engine import SLOT_US
+from xrsim.engine import SLOT_US, RngStreams
 from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
-from xrsim.traffic import Direction
+from xrsim.traffic import Direction, VideoSource, VideoStreamConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -100,6 +101,24 @@ def ul_cells(draw):
             periodicity_us=Fraction(4000), rb_per_occasion=cg_rb))
 
 
+def _decided_arrivals(cfg, seed, ue_id):
+    """The arrivals, in µs, of the frames that UE ue_id's video stream gives
+    inside the KPI window: at or after the warm-up, with the deadline by
+    the end of the run. Replays the stream: its stagger draw, then its
+    frames."""
+    rng = RngStreams(seed).stream(f"video.{ue_id}")
+    stream = VideoStreamConfig(rate_bps=cfg.rate_bps, fps=cfg.fps,
+                               direction=cfg.direction)
+    start = int(rng.uniform(0.0, float(stream.period_us))) if cfg.stagger \
+        else 0
+    source = VideoSource(stream, rng, start_us=start)
+    arrivals = []
+    while (arrival := source.next_frame().arrival_time) <= cfg.duration_us:
+        if cfg.warmup_us <= arrival <= cfg.duration_us - cfg.psdb_us:
+            arrivals.append(float(arrival))
+    return arrivals
+
+
 def _check_cell(cfg, seed):
     result = run_drop(cfg, seed)
     # one RB sample per cell and post-warm-up slot, and no slot of a cell
@@ -113,6 +132,9 @@ def _check_cell(cfg, seed):
         assert model.deep_sleep <= ue.avg_power <= model.pdcch_plus_pdsch
         arrivals = [arrival for arrival, _ in ue.outcomes]
         assert len(set(arrivals)) == len(arrivals)
+        # every frame of the window is decided, and exactly once
+        assert arrivals == ([] if ue.is_embb else
+                            _decided_arrivals(cfg, seed, ue.ue_id))
 
 
 @settings(max_examples=40)

@@ -4,7 +4,7 @@
 ``perfbench/op.py`` patches a few of them; a renamed function or a changed
 call or return shape silently drops per-layer metrics or breaks the op's
 output. This test installs the benchmark's own tracer (loaded from its
-file, unchanged) around two short cells that reach every hooked layer.
+file, unchanged) around three short cells that reach every hooked layer.
 """
 
 import importlib.util
@@ -23,7 +23,7 @@ from xrsim.traffic import Direction
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# hooks that the two cells below must reach, so their metrics are not zeros
+# hooks that the three cells below must reach, so their metrics are not zeros
 # left by a hook whose target is no longer called
 CALLED = ("cellsim.init", "cellsim.run", "cellsim.slot", "traffic.next_frame",
           "traffic.fragment_frame", "qos.enqueue_set", "qos.take",
@@ -58,7 +58,11 @@ def _cells():
         pose_cg=CgConfig(periodicity_us=Fraction(4000),
                          occasions_per_period=1, rb_per_occasion=50,
                          uto_uci_window=4), **short)
-    return [(dl, 1), (ul, 2)]
+    # the PF metric reads every XR UE's average, so its grants update them;
+    # the cells above read no average
+    pf = CellConfig(ues_per_cell=2, rate_bps=30e6,
+                    policy=SchedulerPolicy(kind=PolicyKind.PF), **short)
+    return [(dl, 1), (ul, 2), (pf, 3)]
 
 
 def _current(owner, cls, attr):
@@ -76,7 +80,7 @@ def test_tracer_hooks_every_benchmark_metric():
     tracer.install()
     try:
         # an observer that cannot read a call's arguments or result raises
-        # out of the wrapped call, so both runs completing means none did
+        # out of the wrapped call, so every run completing means none did
         for cfg, seed in _cells():
             CellSim(cfg, seed=seed).run()
     finally:

@@ -113,7 +113,11 @@ class PduQueueModel:
 
 
 def spans_of(segments):
-    return [(g.pdu_set.id, g.start, g.byte_size, g.completed,
+    """The model's spans of the queue's segments: the PDUs completed are
+    those of the set whose last byte lies in the segment."""
+    return [(g.pdu_set.id, g.start, g.byte_size,
+             sum(g.start < end <= g.start + g.byte_size
+                 for end in g.pdu_set.ends),
              g.first_pdu_index) for g in segments]
 
 

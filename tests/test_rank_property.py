@@ -181,7 +181,10 @@ def _build(specs):
 
 def _blocks(allocations):
     return [(a.ue_id, a.rb_count, a.mcs, a.tb_bits,
-             [(s.pdu_set.id, s.start, s.byte_size, s.completed)
+             [(s.pdu_set.id, s.start, s.byte_size,
+               # the PDUs whose last byte the segment carries
+               sum(s.start < end <= s.start + s.byte_size
+                   for end in s.pdu_set.ends))
               for s in a.segments]) for a in allocations]
 
 
