@@ -441,8 +441,7 @@ class CellSim:
                                frame.byte_size)
             ue.frames[frame.index] = fp
             ue.undecided.append(fp)
-            for s in sets:
-                ue.queue.enqueue_set(s)
+            ue.queue.enqueue_set(*sets)
 
     def _discards(self, now):
         timer, psi = self.timer_discard, self.cfg.psi_discard_enabled

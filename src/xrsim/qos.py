@@ -70,10 +70,12 @@ class FlowQueue:
         self.lost_sets: set = set()
         self.events: list[DiscardEvent] = []
 
-    def enqueue_set(self, pdu_set: PduSet):
-        self.total_sets += 1
-        self.entries.append(pdu_set)
-        self.queued_bytes += pdu_set.total_bytes
+    def enqueue_set(self, *sets: PduSet):
+        """Queue the sets at the tail, in the order given."""
+        self.total_sets += len(sets)
+        self.entries.extend(sets)
+        for s in sets:
+            self.queued_bytes += s.total_bytes
 
     def hol_age_us(self, now) -> float:
         if not self.entries:

@@ -97,13 +97,13 @@ def _rank(ues: list, now, policy: SchedulerPolicy, data_symbols: int,
     # data held beyond its budget drops to a floor priority under every
     # policy; it is only served when nothing fresh wants the slot
     if kind is PolicyKind.PDUSET:
-        # the pduset metric: the head set's urgency, boosted as it is sent
+        # the pduset metric: the head set's urgency, boosted as it is sent;
+        # a cell's queues share one tick scale, and ticks over it are floats
+        tpu = ues[0].queue.ticks_per_us
         for i, ue in enumerate(ues):
-            queue = ue.queue
-            head = queue.entries[0]
+            head = ue.queue.entries[0]
             deadline = head.deadline
-            tau = (float((deadline - now) / queue.ticks_per_us)
-                   if deadline is not None else psdb_us)
+            tau = (deadline - now) / tpu if deadline is not None else psdb_us
             if tau <= 0:
                 expired.append(i)
                 continue

@@ -16,6 +16,9 @@ import numpy as np
 from .engine import ConfigError, block_draws
 
 MTU_BYTES = 1500
+# PDU ends MTU_BYTES, 2 * MTU_BYTES, ...: mtu_ends takes a set's ends but its
+# last as a prefix of this one tuple, grown only to the largest set cut so far
+_MTU_ENDS: tuple = ()
 
 # pdu-set importance pattern, cycled over the sets of a frame
 DEFAULT_PSI_PATTERN = (1, 0, 0, 1)
@@ -66,7 +69,7 @@ class VideoStreamConfig:
 
 class VideoFrame(NamedTuple):
     index: int
-    arrival_time: Fraction
+    arrival_time: int | Fraction  # µs or ticks, as VideoSource gives it
     byte_size: int
 
 
@@ -75,11 +78,11 @@ class Pdu:
     id: tuple
     pdu_set_id: tuple
     byte_size: int
-    arrival_time: Fraction
+    arrival_time: int | Fraction
     psi: int = 0
     is_last_of_set: bool = False
     is_end_of_burst: bool = False
-    deadline: Optional[Fraction] = None
+    deadline: Optional[int | Fraction] = None
 
     def __post_init__(self):
         if self.byte_size <= 0:
@@ -96,15 +99,15 @@ class PduSet:
     when read, off the simulation's hot path. Explicit ``sizes`` are
     checked; ``ends``, as ``mtu_ends`` builds them, are taken as given and
     may be shared. A set is its own flow-queue entry: ``taken`` counts the
-    bytes MAC took.
+    bytes MAC took. Times are ints or Fractions, in µs or in a cell's ticks.
     """
 
     __slots__ = ("id", "psi", "arrival_time", "deadline", "ends",
                  "total_bytes", "end_of_burst", "taken")
 
-    def __init__(self, id: tuple, psi: int, arrival_time: Fraction,
+    def __init__(self, id: tuple, psi: int, arrival_time: int | Fraction,
                  sizes: Sequence[int] = (),
-                 deadline: Optional[Fraction] = None,
+                 deadline: Optional[int | Fraction] = None,
                  end_of_burst: bool = False,
                  ends: Optional[tuple] = None):
         if ends is None:
@@ -162,9 +165,14 @@ class PduView(Sequence):
                    deadline=s.deadline)
 
 
-def mtu_ends(total: int, mtu: int) -> tuple:
-    """PDU ends of total bytes cut into PDUs of mtu bytes and a remainder."""
-    return tuple(range(mtu, total, mtu)) + (total,)
+def mtu_ends(total: int) -> tuple:
+    """PDU ends of total bytes cut into PDUs of MTU_BYTES and a remainder."""
+    global _MTU_ENDS
+    ends, n = _MTU_ENDS, (total - 1) // MTU_BYTES  # n: the ends but the last
+    if n > len(ends):
+        ends = _MTU_ENDS = tuple(range(MTU_BYTES, (n + 1) * MTU_BYTES,
+                                       MTU_BYTES))
+    return ends[:n] + (total,)
 
 
 def _whole(t):
@@ -198,7 +206,7 @@ class VideoSource:
         mean, std, normals = self._mean, self._size_std, self._normals
         lo, hi = self._size_lo, self._size_hi
         while True:
-            size = int(round(mean + std * next(normals)))
+            size = round(mean + std * next(normals))
             if lo < size < hi:
                 break
         arrival = self._start + self.frame_index * self._period
@@ -207,7 +215,7 @@ class VideoSource:
                 jitter = JITTER_STD_US * next(normals)
                 if JITTER_MIN_US < jitter < JITTER_MAX_US:
                     break
-            arrival += int(round(jitter)) * self.ticks_per_us
+            arrival += round(jitter) * self.ticks_per_us
         frame = VideoFrame(self.frame_index, arrival, size)
         self.frame_index += 1
         return frame
@@ -220,19 +228,25 @@ def fragment_frame(frame: VideoFrame, sets_per_frame: int = 1,
         return []
     arrival = frame.arrival_time
     deadline = None if psdb_us is None else arrival + psdb_us
+    if deadline is not None and deadline <= arrival:
+        raise ValueError("deadline must lie after arrival")
     index, last = frame.index, sets_per_frame - 1
     base, rem = divmod(frame.byte_size, sets_per_frame)
     psi = DEFAULT_PSI_PATTERN
-    # the equal sets share one tuple of PDU ends, and so does the last set
-    # when the frame splits evenly
-    ends = mtu_ends(base, MTU_BYTES) if base else None
-    # by position: (id, psi, arrival, sizes, deadline, end_of_burst, ends)
-    sets = [PduSet((index, k), psi[k % len(psi)], arrival, (), deadline,
-                   False, ends)
-            for k in range(last if base else 0)]
-    sets.append(PduSet((index, last), psi[last % len(psi)], arrival, (),
-                       deadline, True,
-                       mtu_ends(base + rem, MTU_BYTES) if rem else ends))
+    # each set is built as an equal set, which share one tuple of ends, and
+    # the last then finished; what PduSet.__init__ checks holds by now
+    ends = mtu_ends(base) if base else None
+    new = PduSet.__new__
+    sets = []
+    for k in range(0 if base else last, sets_per_frame):
+        s = new(PduSet)
+        s.id, s.psi = (index, k), psi[k % len(psi)]
+        s.arrival_time, s.deadline, s.ends = arrival, deadline, ends
+        s.total_bytes, s.end_of_burst, s.taken = base, False, 0
+        sets.append(s)
+    s.end_of_burst = True
+    if rem:
+        s.ends, s.total_bytes = mtu_ends(base + rem), base + rem
     return sets
 
 
@@ -254,11 +268,11 @@ def ftp3_source(rng: np.random.Generator,
     one set of plain PDUs without deadlines.
 
     Arrivals fall on whole µs and are given in ticks of 1/ticks_per_us µs."""
-    ends = mtu_ends(125_000, MTU_BYTES)  # shared by every file
+    ends = mtu_ends(125_000)  # shared by every file
     t = 0.0
     n = 0
     while True:
         t += rng.exponential(1.0) * 1e6
-        yield PduSet(("ftp", n), 0, int(round(t)) * ticks_per_us,
+        yield PduSet(("ftp", n), 0, round(t) * ticks_per_us,
                      end_of_burst=True, ends=ends)
         n += 1

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import pytest
 
+import xrsim.cellsim
 from xrsim.cellsim import CellConfig, CellSim
 from xrsim.drx import DrxConfig
 from xrsim.harness import ExperimentConfig
 from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
-from xrsim.traffic import Direction
+from xrsim.traffic import MTU_BYTES, Direction
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,15 +77,29 @@ def test_tracer_hooks_every_benchmark_metric():
         owner = tracer_mod.Tracer._owner(module, cls)
         originals[name] = (owner, cls, attr, _current(owner, cls, attr))
 
-    tracer = tracer_mod.Tracer()
-    tracer.install()
+    # the sets every frame was cut into, seen under the tracer's hook
+    fragment_frame = xrsim.cellsim.fragment_frame
+    built = []
+
+    def recording(*args, **kwargs):
+        sets = fragment_frame(*args, **kwargs)
+        built.extend(sets)
+        return sets
+
+    xrsim.cellsim.fragment_frame = recording
     try:
-        # an observer that cannot read a call's arguments or result raises
-        # out of the wrapped call, so every run completing means none did
-        for cfg, seed in _cells():
-            CellSim(cfg, seed=seed).run()
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            # an observer that cannot read a call's arguments or result
+            # raises out of the wrapped call, so every run completing means
+            # none did
+            for cfg, seed in _cells():
+                CellSim(cfg, seed=seed).run()
+        finally:
+            tracer.uninstall()
     finally:
-        tracer.uninstall()
+        xrsim.cellsim.fragment_frame = fragment_frame
 
     metrics = tracer.metrics()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -94,6 +109,10 @@ def test_tracer_hooks_every_benchmark_metric():
     assert [n for n in wanted if n not in metrics] == []
     assert [n for n in CALLED if metrics[f"{n}.calls"] == 0] == []
     assert metrics["traffic.pdus"] > 0
+    # the PDU count is the frames' PDU ends, one per started MTU of a set
+    assert metrics["traffic.pdus"] == sum(len(s.ends) for s in built)
+    assert metrics["traffic.pdus"] == sum(-(-s.total_bytes // MTU_BYTES)
+                                          for s in built)
     assert metrics["scheduling.allocate_dl.cands_per_call"] > 0
 
     for name, (owner, cls, attr, fn) in originals.items():

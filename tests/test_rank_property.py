@@ -5,8 +5,9 @@ replaced: an expiry check before every metric, a head-set tuple for the
 pduset metric, a lambda sort key, two filtering passes in allocate_dl and
 a second allocation block for the eMBB pick. Random UE records with
 expired heads, heads without a deadline, partly sent heads and tied
-metrics must rank the same under PF, M-LWDF and pduset, and allocate_dl
-must hand out the same blocks. The pduset metric has no function of its own
+metrics must rank the same under PF, M-LWDF and pduset, at 1, 3 or 7 ticks
+per µs shared by every queue as in a cell, and allocate_dl must hand out
+the same blocks. The pduset metric has no function of its own
 in the package: _rank computes it in its loop, so the reference metric is
 checked through the order it gives.
 """
@@ -14,7 +15,7 @@ checked through the order it gives.
 import math
 from typing import Optional
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xrsim.cellsim import UeCtx
@@ -127,15 +128,19 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
 # ---- random UE records ----
 
 NOW = 50_000  # ticks; deadlines are drawn around it
-TPU = 3
 
 # few distinct values, so that metrics tie often
 _AVGS = (0.0, 0.5, 1.0, 1e6, 4e6)
-_DEADLINES = (None, NOW - 3000, NOW, NOW + 1, NOW + 1500, NOW + 90_000)
+# NOW + 25_000 ticks is later than a head without a deadline at 1 tick
+# per µs, and earlier at 7
+_DEADLINES = (None, NOW - 3000, NOW, NOW + 1, NOW + 1500, NOW + 25_000,
+              NOW + 90_000)
 
 
 @st.composite
 def _candidate_specs(draw):
+    # ticks per µs, shared by every queue of a draw as in a cell
+    tpu = draw(st.sampled_from((1, 3, 7)))
     n = draw(st.integers(1, 7))
     ue_ids = draw(st.permutations(range(12)))[:n]
     specs = []
@@ -154,7 +159,7 @@ def _candidate_specs(draw):
             sent=draw(st.sampled_from((0.0, 1e-9, 0.25, 0.5, 0.999, 1.0))),
             avg=draw(st.sampled_from(_AVGS)),
             mcs=draw(st.sampled_from((0, 9, 20, 27))),
-            is_embb=draw(st.booleans())))
+            is_embb=draw(st.booleans()), tpu=tpu))
     return specs
 
 
@@ -163,7 +168,7 @@ def _build(specs):
     ues = []
     for spec in specs:
         q = FlowQueue(QosFlowProfile(psdb_ms=10.0), ue_id=spec["ue_id"],
-                      ticks_per_us=TPU)
+                      ticks_per_us=spec["tpu"])
         for k, (sizes, deadline, age) in enumerate(spec["sets"]):
             arrival = NOW - age
             if deadline is not None and deadline <= arrival:
@@ -196,9 +201,24 @@ _SYMBOLS = st.sampled_from((10, 12))
 _BUDGETS = st.sampled_from((5000.0, 10_000.0))
 
 
+def _pair(tpu):
+    """An untouched head due NOW + 25_000 ticks and one with no deadline."""
+    return [dict(ue_id=i, sets=[([1000], deadline, 0)], sent=0.0, avg=1.0,
+                 mcs=9, is_embb=False, tpu=tpu)
+            for i, deadline in enumerate((NOW + 25_000, None))]
+
+
+_PDUSET = SchedulerPolicy(kind=PolicyKind.PDUSET)
+
+
 @settings(max_examples=200)
 @given(specs=_candidate_specs(), policy=_POLICIES, now=_NOWS,
        data_symbols=_SYMBOLS, psdb_us=_BUDGETS)
+# the head with a deadline ranks second at 1 tick per µs and first at 7
+@example(specs=_pair(1), policy=_PDUSET, now=NOW, data_symbols=12,
+         psdb_us=10_000.0)
+@example(specs=_pair(7), policy=_PDUSET, now=NOW, data_symbols=12,
+         psdb_us=5000.0)
 def test_rank_matches_reference(specs, policy, now, data_symbols, psdb_us):
     ues = [ue for ue in _build(specs) if ue.queue.queued_bytes]
     if not ues:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from xrsim import traffic
 from xrsim.engine import DRAW_BLOCK
 from xrsim.traffic import (
     DEFAULT_PSI_PATTERN,
@@ -127,6 +128,21 @@ def test_mean_frame_without_a_whole_size_is_rejected(rate_bps):
         VideoStreamConfig(rate_bps=rate_bps, fps=Fraction(60))
 
 
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("fps, ticks_per_us", [(Fraction(50), 1),
+                                               (Fraction(60), 3)])
+def test_frames_on_a_tick_clock_are_ints(direction, fps, ticks_per_us):
+    # a period whole in ticks gives int arrivals, and sizes are ints, so an
+    # output built from them never turns an int into a float
+    cfg = VideoStreamConfig(rate_bps=45e6, fps=fps, direction=direction)
+    src = VideoSource(cfg, np.random.default_rng(2),
+                      ticks_per_us=ticks_per_us)
+    for _ in range(300):
+        frame = src.next_frame()
+        assert type(frame.byte_size) is int
+        assert type(frame.arrival_time) is int
+
+
 def test_sub_byte_mean_frame_with_a_whole_size_draws_it():
     # a 0.71 B mean keeps 1 B within its bounds, and every draw lands there
     src = make_source(rate_bps=340.0)
@@ -179,6 +195,8 @@ def test_fragment_assigns_psi_pattern_and_deadline():
     for s in sets:
         assert all(p.psi == s.psi for p in s.pdus)
         assert all(p.deadline == Fraction(500) + 10_000 for p in s.pdus)
+    with pytest.raises(ValueError, match="deadline"):
+        fragment_frame(frame, sets_per_frame=6, psdb_us=0)
 
 
 def _reference_sets(frame, sets_per_frame, psdb_us):
@@ -206,27 +224,49 @@ def _reference_sets(frame, sets_per_frame, psdb_us):
 
 
 @settings(max_examples=300, deadline=None)
-@given(size=st.integers(1, 30_000), nsets=st.integers(1, 12),
-       psdb_us=st.one_of(st.none(), st.integers(1, 50_000)))
-@example(size=3, nsets=5, psdb_us=None)
-@example(size=6000, nsets=4, psdb_us=10_000)
-@example(size=6002, nsets=4, psdb_us=10_000)
-@example(size=17, nsets=3, psdb_us=7)
-@example(size=27_001, nsets=6, psdb_us=None)
-def test_fragment_frame_matches_per_set_cutting(size, nsets, psdb_us):
+@given(size=st.integers(1, 4_000_000), nsets=st.integers(1, 12),
+       psdb_us=st.one_of(st.none(), st.integers(1, 50_000)),
+       edge=st.sampled_from((None, None, 0, 1, 2)))
+@example(size=3, nsets=5, psdb_us=None, edge=None)
+@example(size=6000, nsets=4, psdb_us=10_000, edge=None)
+@example(size=6002, nsets=4, psdb_us=10_000, edge=None)
+@example(size=17, nsets=3, psdb_us=7, edge=None)
+@example(size=27_001, nsets=6, psdb_us=None, edge=None)
+@example(size=3_999_999, nsets=1, psdb_us=None, edge=None)
+@example(size=12, nsets=4, psdb_us=None, edge=1)
+@example(size=12, nsets=4, psdb_us=None, edge=2)
+@example(size=15, nsets=4, psdb_us=None, edge=2)
+def test_fragment_frame_matches_per_set_cutting(size, nsets, psdb_us, edge):
     # the cases above: a frame smaller than its set count, sets of one whole
-    # MTU, a non-zero remainder, sets under one MTU, and a last set of
-    # several PDUs and a remainder
+    # MTU, a non-zero remainder, sets under one MTU, a last set of several
+    # PDUs and a remainder, and a set of a few MB
+    cached = len(traffic._MTU_ENDS)
+    if edge is not None:
+        # equal sets of exactly k MTUs at the shared tuple's growth edge:
+        # k = cached + 1 takes every end it holds and k = cached + 2 one
+        # more; a last set with a remainder takes one end more again
+        size = nsets * (cached + edge) * MTU_BYTES + size % nsets
     frame = VideoFrame(9, 123_457, size)
     sets = fragment_frame(frame, sets_per_frame=nsets, psdb_us=psdb_us)
     got = [{"id": s.id, "psi": s.psi, "deadline": s.deadline,
             "sizes": s.sizes, "ends": s.ends, "total_bytes": s.total_bytes,
             "end_of_burst": s.end_of_burst} for s in sets]
-    assert got == _reference_sets(frame, nsets, psdb_us)
+    want = _reference_sets(frame, nsets, psdb_us)
+    assert got == want
+    # every slot holds what the public constructor would store
+    for s, w in zip(sets, want):
+        ref = PduSet(w["id"], w["psi"], frame.arrival_time, w["sizes"],
+                     w["deadline"], w["end_of_burst"])
+        assert ([getattr(s, a) for a in PduSet.__slots__]
+                == [getattr(ref, a) for a in PduSet.__slots__])
     # the equal sets share one tuple of PDU ends
     if len(sets) > 1:
         assert all(s.ends is sets[0].ends for s in sets[:-1])
-    assert all(s.taken == 0 for s in sets)
+    # the shared MTU ends grow only as far as the largest set needs
+    need = max((len(s.ends) - 1 for s in sets), default=0)
+    assert len(traffic._MTU_ENDS) == max(cached, need)
+    assert traffic._MTU_ENDS == tuple(
+        range(MTU_BYTES, (len(traffic._MTU_ENDS) + 1) * MTU_BYTES, MTU_BYTES))
 
 
 def test_pdu_set_checks_explicit_sizes():
@@ -260,3 +300,11 @@ def test_ftp3_interarrival_and_fragmentation():
     assert first.sizes == (1500,) * 83 + (500,)
     assert first.deadline is None
     assert first.pdus[-1].is_end_of_burst
+
+
+@pytest.mark.parametrize("ticks_per_us", [1, 3])
+def test_ftp3_arrivals_are_int_ticks(ticks_per_us):
+    rng = np.random.default_rng(5)
+    for f in islice(ftp3_source(rng, ticks_per_us), 500):
+        assert type(f.arrival_time) is int
+        assert f.arrival_time % ticks_per_us == 0
