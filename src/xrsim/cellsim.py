@@ -26,6 +26,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional
 
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
@@ -38,9 +39,9 @@ from .qos import FlowQueue, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
                     Deployment, dl_sinr_db, harq_attempt, harq_exhausted,
                     select_mcs, tb_bits, ul_sinr_db)
-from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, LcgState,
-                        TableKind, gen_bs_table, quantize_bsr,
-                        realized_overhead, trigger_dsr)
+from .reporting import (LONG_BSR_CE_BYTES, SHORT_BSR_CE_BYTES, TableKind,
+                        gen_bs_table, quantize_bsr, realized_overhead,
+                        trigger_dsr)
 from .scheduling import (PF_WINDOW_SLOTS, Allocation, CgConfig,
                          SchedulerPolicy, UlCandidate, allocate_dl,
                          allocate_ul, build_uto_uci, cg_occasions, pf_idle,
@@ -129,8 +130,12 @@ class CellConfig:
         # no frame to draw, a negative eMBB count takes XR UEs from the load,
         # a negative warm-up spreads the bits over more time than was run,
         # and a DSR threshold is a time left before a deadline
+        for name in ("ues_per_cell", "n_cells", "embb_ues", "sets_per_frame",
+                     "adrx_epoch_frames"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ConfigError("must be a whole number", name)
         positive = ("ues_per_cell", "n_cells", "rate_bps", "fps", "psdb_ms",
-                    "sets_per_frame")
+                    "sets_per_frame", "adrx_epoch_frames")
         for name in positive + ("embb_ues", "warmup_s", "dsr_threshold_ms",
                                 "duration_s"):
             value = getattr(self, name)
@@ -151,6 +156,11 @@ class CellConfig:
         if cg is not None and self.ues_per_cell * cg.rb_per_occasion > N_RB:
             raise ConfigError(f"per-UE CG occasions must fit in {N_RB} RBs",
                               "ues_per_cell", "rb_per_occasion")
+        if self.drx_offset_mode not in ("traffic", "common"):
+            raise ConfigError("must be traffic or common", "drx_offset_mode")
+        if self.adaptive_drx and self.drx is None:
+            raise ConfigError("needs a DRX config to adapt", "adaptive_drx",
+                              "drx")
         timer = self.discard_timer_ms
         if timer not in ("psdb", None) and not 0 < timer < math.inf:
             raise ConfigError("must be a finite time above 0 ms",
@@ -225,22 +235,32 @@ class UeCtx:
         self.grants = 0
         self.delivered_bits = 0
         self.events_seen = 0
-        self.lcg = LcgState()
+        self.dsr_reported: set = set()  # ids of the sets a DSR reported
         self.fb_count = 0
+        # a pose CG's live occasions (slot -> index), source and next packet
+        self.cg_live: dict = {}
+        self.pose_src = None
+        self.pose_next = None
 
 
 @dataclass
 class UeKpi:
     ue_id: int
     is_embb: bool
-    frames_total: int
-    frames_in_budget: int
     padding_samples: list
     grants: int
     delivered_bits: int
     avg_power: float
     pser: float
     outcomes: list = field(default_factory=list)  # (arrival_us, in_budget) per frame
+
+    @property
+    def frames_total(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def frames_in_budget(self) -> int:
+        return sum(1 for _, ok in self.outcomes if ok)
 
 
 @dataclass
@@ -582,8 +602,7 @@ class CellSim:
                                               PF_WINDOW_SLOTS)
                 ue.pf_slots = n_dl
 
-        allocs = (allocate_dl(slot, cands, now, cfg.policy,
-                              total_rb=N_RB - rb_used, data_symbols=sym,
+        allocs = (allocate_dl(now, cands, cfg.policy, N_RB - rb_used, sym,
                               psdb_us=self.psdb_us) if cands else ())
         for a in allocs:
             ue = self.by_id[a.ue_id]
@@ -653,14 +672,13 @@ class CellSim:
                 reported = self.table.entries[quantize_bsr(buf, self.table)]
                 urgency = None
                 if cfg.dsr_enabled:
-                    ue.lcg.sets = ue.queue.entries
-                    rep = trigger_dsr(ue.lcg, self.dsr_threshold_us, now,
+                    sets, sent = ue.queue.entries, ue.dsr_reported
+                    rep = trigger_dsr(sets, sent, self.dsr_threshold_us, now,
                                       ticks_per_us=self.ticks_per_us)
                     if rep is not None:
-                        urgency = rep.smallest_remaining_ms * 1000.0
-                    elif ue.lcg.dsr_reported:
-                        live = [s for s in ue.lcg.sets
-                                if s.id in ue.lcg.dsr_reported]
+                        urgency = rep * 1000.0
+                    elif sent:
+                        live = [s for s in sets if s.id in sent]
                         if live:
                             urgency = min(
                                 (s.deadline - now) / self.ticks_per_us
@@ -673,7 +691,7 @@ class CellSim:
             budget = (N_RB - self._cg_rb(target)
                       - sum(b.rb_count for _, _, b in due))
             if cands and budget > 0:
-                grants = allocate_ul(target, cands, total_rb=budget)
+                grants = allocate_ul(cands, budget)
                 for g in grants:
                     self.ul_grants.setdefault(target, []).append(g)
 
@@ -727,7 +745,7 @@ class CellSim:
                 rb_used += rb
                 tx_ues.add(u)
                 self._transmit(u, u.pose_queue,
-                               Allocation(u.ue_id, slot, rb, mcs, tb, segs),
+                               Allocation(u.ue_id, rb, mcs, tb, segs),
                                True, slot, now)
         return rb_used
 
@@ -835,15 +853,12 @@ class CellSim:
             else:
                 self._catch_up(ue, n_slots)
                 runs = ue.activity.runs(self.warm_slot)
-            out = ue.outcomes
-            total = len(out)
-            in_budget = sum(1 for _, ok in out if ok)
             avg_power = power_for_run(runs, cfg.power_model)
             # eMBB flows carry no PDU-set error rate target
             pser = 0.0 if ue.is_embb else ue.queue.pser()
-            kpis.append(UeKpi(ue.ue_id, ue.is_embb, total, in_budget,
-                              ue.padding_samples, ue.grants,
-                              ue.delivered_bits, avg_power, pser, out))
+            kpis.append(UeKpi(ue.ue_id, ue.is_embb, ue.padding_samples,
+                              ue.grants, ue.delivered_bits, avg_power, pser,
+                              ue.outcomes))
         return CellResult(kpis, self.rb_utilization)
 
 

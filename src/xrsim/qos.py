@@ -107,16 +107,14 @@ class FlowQueue:
                                         self.ue_id, set_id, cause,
                                         tuple(pdu_ids)))
 
-    def _remove_set(self, set_id, now, cause) -> list:
+    def _remove_set(self, s, now, cause) -> list:
+        """Drop a set and log it; return its PDUs not yet fully taken."""
         removed = []
-        s = next((e for e in self.entries if e.id == set_id), None)
-        if s is not None:
+        if s.taken < s.total_bytes:  # a set taken whole has left the queue
             self.entries.remove(s)
             self.queued_bytes -= s.total_bytes - s.taken
-            # the PDUs not yet fully taken
-            removed = [s.id + (i,) for i in
-                       range(bisect_right(s.ends, s.taken), len(s.ends))]
-        self._log(now, set_id, cause, removed)
+            removed = list(s.pdus[bisect_right(s.ends, s.taken):])
+        self._log(now, s.id, cause, removed)
         return removed
 
     def on_block_lost(self, segments: Iterable[Segment], now) -> list:
@@ -126,10 +124,10 @@ class FlowQueue:
         for seg in segments:
             s = seg.pdu_set
             if s.id not in self.lost_sets:
-                self._log(now, s.id, "harq", (s.id + (seg.first_pdu_index,),))
+                self._log(now, s.id, "harq", (s.pdus[seg.first_pdu_index],))
                 self.lost_sets.add(s.id)
                 if self.profile.psihi:
-                    removed += self._remove_set(s.id, now, "psihi")
+                    removed += self._remove_set(s, now, "psihi")
         return removed
 
     def discard_expired(self, now) -> list:
@@ -137,12 +135,12 @@ class FlowQueue:
             return []
         limit = self.profile.discard_timer_ms * 1000.0
         tpu = self.ticks_per_us
-        expired = [e.id for e in self.entries
-                   if float((now - e.arrival_time) / tpu) > limit]
+        expired = [s for s in self.entries
+                   if float((now - s.arrival_time) / tpu) > limit]
         removed = []
-        for sid in expired:
-            self.lost_sets.add(sid)
-            removed.extend(self._remove_set(sid, now, "timer"))
+        for s in expired:
+            self.lost_sets.add(s.id)
+            removed += self._remove_set(s, now, "timer")
         return removed
 
     def psi_discard(self, now, service_rate_bps: float) -> list:
@@ -154,9 +152,9 @@ class FlowQueue:
             victim = self._lowest_unstarted_set()
             if victim is None:
                 break
-            self.lost_sets.add(victim)
+            self.lost_sets.add(victim.id)
             self._remove_set(victim, now, "psi")
-            dropped.append(victim)
+            dropped.append(victim.id)
         return dropped
 
     def _congested(self, now, service_rate_bps: float) -> bool:
@@ -173,7 +171,7 @@ class FlowQueue:
                 continue
             if best is None or s.psi < best.psi:
                 best = s
-        return None if best is None else best.id
+        return best
 
     def pser(self) -> float:
         if self.total_sets == 0:

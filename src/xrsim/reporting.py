@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .traffic import PduSet
 
@@ -79,37 +79,27 @@ def quantize_bsr(buffer_bytes: int, table: BsTable) -> int:
     return min(idx, len(table.entries) - 1)
 
 
-@dataclass(frozen=True)
-class DsrReport:
-    smallest_remaining_ms: float
-
-
-@dataclass
-class LcgState:
-    """A logical channel group's buffer: the queued PDU sets of its flows."""
-
-    sets: Sequence[PduSet] = field(default_factory=list)
-    dsr_reported: set = field(default_factory=set)  # ids of reported sets
-
-
-def trigger_dsr(lcg: LcgState, threshold_us: int, ref_time_us,
-                ticks_per_us: int = 1) -> Optional[DsrReport]:
-    """Fire a delay status report the first time a set crosses the threshold.
+def trigger_dsr(sets: Iterable[PduSet], reported: set, threshold_us: int,
+                ref_time_us, ticks_per_us: int = 1) -> Optional[float]:
+    """Fire a delay status report the first time one of an LCG's queued
+    sets crosses the threshold, and return its smallest remaining time in
+    ms; None if no report fires. reported holds the ids of the sets already
+    reported, and a report adds to it.
 
     ref_time_us is the slot the report would ride on, so remaining times are
     what the scheduler will see when the grant lands. It and the sets'
-    deadlines are in ticks of 1/ticks_per_us µs; the report is in ms.
+    deadlines are in ticks of 1/ticks_per_us µs.
     """
     limit = threshold_us * ticks_per_us
-    below = [s for s in lcg.sets
+    below = [s for s in sets
              if s.deadline is not None and s.deadline - ref_time_us < limit]
-    if not any(s.id not in lcg.dsr_reported for s in below):
+    if not any(s.id not in reported for s in below):
         return None
     smallest = min(
         max(float((s.deadline - ref_time_us) / ticks_per_us), 0.0)
         for s in below)
-    lcg.dsr_reported.update(s.id for s in below)
-    return DsrReport(smallest / 1000.0)
+    reported.update(s.id for s in below)
+    return smallest / 1000.0
 
 
 def realized_overhead(allocation_bytes: int, served_bytes: int) -> int:

@@ -41,7 +41,6 @@ class Allocation:
     made so far and the last attempt's outcome."""
 
     ue_id: int
-    slot: int
     rb_count: int
     mcs: int
     tb_bits: int
@@ -139,9 +138,8 @@ def _rb_demand(queue_bits: int, mcs: int, data_symbols: int) -> int:
     return need if need > 1 else 1
 
 
-def allocate_dl(slot: int, ues: list, now, policy: SchedulerPolicy,
-                total_rb: int = N_RB, data_symbols: int = DATA_SYMBOLS,
-                *, psdb_us: float) -> list[Allocation]:
+def allocate_dl(now, ues: list, policy: SchedulerPolicy, total_rb: int,
+                data_symbols: int, *, psdb_us: float) -> list[Allocation]:
     """One slot of DL allocation to UE records: XR UEs first by policy
     metric, then the eMBB UE with the highest PF metric. Only the UEs for
     which reads_avg holds need an up-to-date avg_tput_bps."""
@@ -169,7 +167,7 @@ def allocate_dl(slot: int, ues: list, now, policy: SchedulerPolicy,
         segments = queue.take(tb // 8)
         if not segments:
             continue
-        allocations.append(Allocation(ue.ue_id, slot, rb, mcs, tb, segments))
+        allocations.append(Allocation(ue.ue_id, rb, mcs, tb, segments))
         rb_used += rb
     return allocations
 
@@ -182,8 +180,8 @@ class UlCandidate:
     urgency_us: Optional[float] = None  # smallest remaining time via DSR
 
 
-def allocate_ul(slot: int, candidates: list[UlCandidate],
-                total_rb: int = N_RB) -> list[Allocation]:
+def allocate_ul(candidates: list[UlCandidate],
+                total_rb: int) -> list[Allocation]:
     """Grant UL RBs proportionally to reported buffers, urgent UEs first."""
     active = [c for c in candidates if c.reported_bytes > 0]
     if not active:
@@ -199,8 +197,7 @@ def allocate_ul(slot: int, candidates: list[UlCandidate],
         share = max(1, round(remaining * c.reported_bytes / total_bytes))
         demand = _rb_demand(c.reported_bytes * 8, c.mcs, DATA_SYMBOLS)
         rb = min(share, demand, remaining)
-        grants.append(Allocation(c.ue_id, slot, rb, c.mcs,
-                                 tb_bits(c.mcs, rb)))
+        grants.append(Allocation(c.ue_id, rb, c.mcs, tb_bits(c.mcs, rb)))
         remaining -= rb
     return grants
 

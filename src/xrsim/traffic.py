@@ -73,30 +73,13 @@ class VideoFrame(NamedTuple):
     byte_size: int
 
 
-@dataclass
-class Pdu:
-    id: tuple
-    pdu_set_id: tuple
-    byte_size: int
-    arrival_time: int | Fraction
-    psi: int = 0
-    is_last_of_set: bool = False
-    is_end_of_burst: bool = False
-    deadline: Optional[int | Fraction] = None
-
-    def __post_init__(self):
-        if self.byte_size <= 0:
-            raise ValueError("pdu must carry payload")
-        if self.deadline is not None and self.deadline <= self.arrival_time:
-            raise ValueError("deadline must lie after arrival")
-
-
 class PduSet:
     """PDUs of one frame slice that share arrival, deadline and importance.
 
     A set stores where its PDUs end: PDU i has id ``id + (i,)`` and its last
-    byte is byte ``ends[i]`` of the set. ``sizes`` and ``pdus`` are derived
-    when read, off the simulation's hot path. Explicit ``sizes`` are
+    byte is byte ``ends[i]`` of the set. The last PDU ends the set, and the
+    burst too if ``end_of_burst``. ``sizes`` and ``pdus``, the PDU ids, are
+    derived when read, off the simulation's hot path. Explicit ``sizes`` are
     checked; ``ends``, as ``mtu_ends`` builds them, are taken as given and
     may be shared. A set is its own flow-queue entry: ``taken`` counts the
     bytes MAC took. Times are ints or Fractions, in µs or in a cell's ticks.
@@ -130,39 +113,12 @@ class PduSet:
         return tuple(map(sub, self.ends, (0,) + self.ends[:-1]))
 
     @property
-    def pdus(self) -> PduView:
-        return PduView(self)
+    def pdus(self) -> tuple:
+        return tuple(self.id + (i,) for i in range(len(self.ends)))
 
     def __repr__(self):
         return (f"PduSet(id={self.id!r}, psi={self.psi}, "
                 f"arrival_time={self.arrival_time!r}, sizes={self.sizes!r})")
-
-
-class PduView(Sequence):
-    """The PDUs of a set as a read-only sequence; each is built when read."""
-
-    __slots__ = ("_set",)
-
-    def __init__(self, pdu_set: PduSet):
-        self._set = pdu_set
-
-    def __len__(self) -> int:
-        return len(self._set.ends)
-
-    def __getitem__(self, i: int) -> Pdu:
-        s = self._set
-        ends = s.ends
-        n = len(ends)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("pdu index out of range")
-        last = i == n - 1
-        return Pdu(id=s.id + (i,), pdu_set_id=s.id,
-                   byte_size=ends[i] - (ends[i - 1] if i else 0),
-                   arrival_time=s.arrival_time, psi=s.psi,
-                   is_last_of_set=last, is_end_of_burst=s.end_of_burst and last,
-                   deadline=s.deadline)
 
 
 def mtu_ends(total: int) -> tuple:

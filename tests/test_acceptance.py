@@ -250,7 +250,7 @@ def test_criterion_08_uto_uci_reclamation():
     assert freed == marked and freed
     for occ in freed:
         other = UlCandidate(ue_id=99, reported_bytes=10**6, mcs=10)
-        grants = allocate_ul(occ.slot, [other], total_rb=occ.rb_count)
+        grants = allocate_ul([other], occ.rb_count)
         assert grants and grants[0].rb_count == occ.rb_count
     print(f"criterion 8: PASS  bitmap equals brute-force drain on 3000 "
           f"random cases; {len(freed)} flagged occasions re-grantable "

@@ -19,7 +19,7 @@ from xrsim.qos import FlowQueue
 from xrsim.radio import tb_bits
 from xrsim.scheduling import (PF_WINDOW_SLOTS, CgConfig, PolicyKind,
                               SchedulerPolicy)
-from xrsim.traffic import Direction, Pdu, PduSet
+from xrsim.traffic import Direction, PduSet
 
 
 def _short(**kw) -> CellConfig:
@@ -184,24 +184,17 @@ def test_uplink_dsr_fires_and_run_completes():
                          psdb_ms=30.0, duration_s=1.0, warmup_s=0.2,
                          dsr_enabled=True, dsr_threshold_ms=25.0), seed=1)
     r = sim.run()
-    assert any(u.lcg.dsr_reported for u in sim.xr)
+    assert any(u.dsr_reported for u in sim.xr)
     assert all(k.frames_total > 0 for k in r.xr_ues())
 
 
-def test_dl_cell_builds_no_pdu_objects(monkeypatch):
-    # queues hold whole PDU sets; PDU objects exist only for callers that
-    # ask a set for them
-    built = []
-    monkeypatch.setattr(Pdu, "__post_init__",
-                        lambda self: built.append(self.id))
+def test_dl_cell_builds_no_pdu_objects():
+    # queues hold whole PDU sets, and discards work on them too
     sim = CellSim(_short(ues_per_cell=6, rate_bps=45e6, sets_per_frame=4,
                          embb_ues=2, psi_discard_enabled=True,
                          duration_s=1.0, warmup_s=0.2), seed=1)
     sim.run()
     assert sum(len(u.queue.events) for u in sim.xr) > 0  # discards ran
-    assert built == []
-    PduSet(("x",), 0, Fraction(0), (100, 200)).pdus[1]
-    assert built == [("x", 1)]  # the hook sees a PDU being built
 
 
 def test_no_fraction_work_per_slot(monkeypatch):
@@ -297,10 +290,10 @@ def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
     allocate_dl, dl_slot = cellsim.allocate_dl, CellSim._dl_slot
     psi_discard = FlowQueue.psi_discard
 
-    def allocate(slot, cands, now, policy, **kwargs):
+    def allocate(now, cands, policy, *args, **kwargs):
         reads.extend((c.avg_tput_bps, eager[c.ue_id]) for c in cands
                      if reads_avg(policy, not c.is_embb, embb))
-        out = allocate_dl(slot, cands, now, policy, **kwargs)
+        out = allocate_dl(now, cands, policy, *args, **kwargs)
         served.update((a.ue_id, a.tb_bits) for a in out)
         return out
 

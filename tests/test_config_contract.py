@@ -42,10 +42,20 @@ from xrsim.scheduling import CgConfig
     (lambda: CgConfig(Fraction(4000), uto_uci_window=0), "uto_uci_window"),
     (lambda: CellConfig(ues_per_cell=6, pose_cg=CgConfig(Fraction(4000))),
      "ues_per_cell, rb_per_occasion"),
+    (lambda: CellConfig(sets_per_frame=2.5), "sets_per_frame"),
+    (lambda: CellConfig(ues_per_cell=1.5), "ues_per_cell"),
+    (lambda: CellConfig(n_cells=1.5), "n_cells"),
+    (lambda: CellConfig(embb_ues=0.5), "embb_ues"),
+    (lambda: CellConfig(drx_offset_mode="Traffic"), "drx_offset_mode"),
+    (lambda: CellConfig(adrx_epoch_frames=0), "adrx_epoch_frames"),
+    (lambda: CellConfig(adaptive_drx=True), "adaptive_drx"),
 ], ids=["n_cells=0", "ues_per_cell=-2", "fps=0", "warmup_s=duration_s",
         "warmup_s>duration_s", "warmup_s_in_the_last_slot", "embb_ues=-1", "discard_timer_ms=-5", "discard_timer_ms=nan",
         "psdb_ms=0.0001", "psdb_ms=inf", "rate_bps=inf", "dsr_threshold_ms=-1",
-        "rb_per_occasion=0", "uto_uci_window=0", "cg_rb_over_273"])
+        "rb_per_occasion=0", "uto_uci_window=0", "cg_rb_over_273",
+        "sets_per_frame=2.5", "ues_per_cell=1.5", "n_cells=1.5",
+        "embb_ues=0.5", "drx_offset_mode=Traffic", "adrx_epoch_frames=0",
+        "adaptive_drx_without_drx"])
 def test_out_of_domain_field_fails_when_the_config_is_built(build, field):
     # each of these used to build: a zero cell count or frame rate then
     # raised ZeroDivisionError, a negative load or eMBB count simulated
@@ -53,7 +63,10 @@ def test_out_of_domain_field_fails_when_the_config_is_built(build, field):
     # samples, a negative timer discarded every frame, a budget of no whole
     # µs failed at the first frame, and a zero CG size or window failed
     # mid-run; six XR UEs, each with its own 50 RBs on every CG occasion,
-    # would hold 300 of their slot's 273 RBs
+    # would hold 300 of their slot's 273 RBs; a fractional set count failed
+    # mid-run, a fractional UE or cell count was rounded up, an unknown DRX
+    # offset mode ran the common grid, a zero ADRX epoch acted as one
+    # frame, and adaptive DRX without DRX ran with no DRX
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         build()
 

@@ -33,7 +33,7 @@ def test_psihi_cascade_discards_rest_of_set():
     assert (seg.pdu_set, seg.start, seg.byte_size, completed) == \
         (s, 0, 3000, 2)
     dropped = q.on_block_lost([seg], 1000)
-    assert dropped == [s.pdus[2].id, s.pdus[3].id, s.pdus[4].id]
+    assert dropped == [s.id + (2,), s.id + (3,), s.id + (4,)]
     assert q.queued_bytes == 0
     assert q.lost_sets == {s.id}
 
@@ -148,23 +148,32 @@ def test_take_never_returns_lost_set():
     assert len(q.lost_sets) == len({e.set_id for e in q.events})
 
 
+def _pdus(s):
+    """(id, is_end_of_burst) of each PDU of a set, stated from its ends: the
+    last PDU ends the set, and the burst too when the set does."""
+    last = len(s.ends) - 1
+    return [(s.id + (i,), s.end_of_burst and i == last)
+            for i in range(last + 1)]
+
+
 def test_pose_pdus_are_own_bursts():
     from itertools import islice
     for s in islice(pose_source(), 5):
-        (p,) = s.pdus
-        assert p.is_last_of_set and p.is_end_of_burst
+        # one PDU, the set's last, which ends its burst
+        assert s.ends == (100,) and s.end_of_burst
+        assert _pdus(s) == [(s.id + (0,), True)]
 
 
 def test_eodb_partitions_stream():
     pdus = []
     for f in range(20):
         for s in make_set(frame_id=f, size=9_000, nsets=3, arrival=f * 1000):
-            pdus.extend(s.pdus)
+            pdus.extend(_pdus(s))
     bursts = []
     cur = []
     for p in pdus:
         cur.append(p)
-        if p.is_end_of_burst:
+        if p[1]:
             bursts.append(cur)
             cur = []
     assert cur == []

@@ -24,7 +24,7 @@ from xrsim.scheduling import Allocation
 
 def _block(mcs, tb_bits):
     """A transport block not yet sent, which carries its own HARQ state."""
-    return Allocation(ue_id=0, slot=0, rb_count=1, mcs=mcs, tb_bits=tb_bits)
+    return Allocation(ue_id=0, rb_count=1, mcs=mcs, tb_bits=tb_bits)
 
 
 def test_pathloss_reference_points():

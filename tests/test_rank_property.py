@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from xrsim.cellsim import UeCtx
 from xrsim.engine import SLOT_US
 from xrsim.qos import FlowQueue, QosFlowProfile
-from xrsim.radio import MCS_SE, N_RB, SC_PER_RB, tb_bits
+from xrsim.radio import DATA_SYMBOLS, MCS_SE, N_RB, SC_PER_RB, tb_bits
 from xrsim.scheduling import (EPS_RATE_BPS, EPSILON_TIME_US,
                               EXPIRED_FLOOR_FACTOR, PDUSET_ALPHA, Allocation,
                               PolicyKind, SchedulerPolicy, _rank, allocate_dl,
@@ -87,7 +87,7 @@ def _ref_rb_demand(queue_bits, mcs, data_symbols):
     return max(1, math.ceil(queue_bits / bits_per_rb))
 
 
-def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
+def _ref_allocate_dl(now, candidates, policy, total_rb, data_symbols,
                      psdb_us):
     allocations = []
     rb_used = 0
@@ -105,7 +105,7 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
         segments = cand.queue.take(tb // 8)
         if not segments:
             continue
-        allocations.append(Allocation(cand.ue_id, slot, rb, cand.mcs, tb,
+        allocations.append(Allocation(cand.ue_id, rb, cand.mcs, tb,
                                       segments))
         rb_used += rb
     embb = [c for c in candidates
@@ -119,7 +119,7 @@ def _ref_allocate_dl(slot, candidates, now, policy, total_rb, data_symbols,
         tb = tb_bits(best.mcs, rb, data_symbols)
         segments = best.queue.take(tb // 8)
         if segments:
-            allocations.append(Allocation(best.ue_id, slot, rb, best.mcs,
+            allocations.append(Allocation(best.ue_id, rb, best.mcs,
                                           tb, segments))
             rb_used += rb
     return allocations
@@ -234,9 +234,9 @@ def test_rank_matches_reference(specs, policy, now, data_symbols, psdb_us):
        psdb_us=_BUDGETS)
 def test_allocate_dl_matches_reference(specs, policy, now, total_rb,
                                        data_symbols, psdb_us):
-    got = allocate_dl(7, _build(specs), now, policy, total_rb=total_rb,
-                      data_symbols=data_symbols, psdb_us=psdb_us)
-    want = _ref_allocate_dl(7, _build(specs), now, policy, total_rb,
+    got = allocate_dl(now, _build(specs), policy, total_rb, data_symbols,
+                      psdb_us=psdb_us)
+    want = _ref_allocate_dl(now, _build(specs), policy, total_rb,
                             data_symbols, psdb_us)
     assert _blocks(got) == _blocks(want)
     # the blocks of one slot fit its RB budget together
@@ -250,13 +250,13 @@ def test_allocate_dl_reads_no_average_reads_avg_rules_out(specs, policy, now,
                                                           total_rb):
     # the cell refreshes only the averages that reads_avg names, so a stale
     # (here NaN) average anywhere else must leave every block unchanged
-    want = allocate_dl(7, _build(specs), now, policy, total_rb=total_rb,
+    want = allocate_dl(now, _build(specs), policy, total_rb, DATA_SYMBOLS,
                        psdb_us=10_000.0)
     ues = _build(specs)
     n_embb = sum(ue.is_embb for ue in ues)
     for ue in ues:
         if not reads_avg(policy, not ue.is_embb, n_embb):
             ue.avg_tput_bps = math.nan
-    got = allocate_dl(7, ues, now, policy, total_rb=total_rb,
+    got = allocate_dl(now, ues, policy, total_rb, DATA_SYMBOLS,
                       psdb_us=10_000.0)
     assert _blocks(got) == _blocks(want)

@@ -5,7 +5,6 @@ import pytest
 
 from xrsim.reporting import (
     BsTable,
-    LcgState,
     TableKind,
     gen_bs_table,
     quantize_bsr,
@@ -80,29 +79,30 @@ def _queued(pid, size, arrival_us, deadline_us):
 
 def test_dsr_crossing_time():
     # discard timer 30 ms, threshold 10 ms: crossing at arrival + 20 ms
-    lcg = LcgState([_queued(0, 500, 0, 30_000)])
-    assert trigger_dsr(lcg, 10_000, 19_999) is None
-    assert trigger_dsr(lcg, 10_000, 20_000) is None
-    rep = trigger_dsr(lcg, 10_000, 20_500)
+    sets, reported = [_queued(0, 500, 0, 30_000)], set()
+    assert trigger_dsr(sets, reported, 10_000, 19_999) is None
+    assert trigger_dsr(sets, reported, 10_000, 20_000) is None
+    assert reported == set()
+    rep = trigger_dsr(sets, reported, 10_000, 20_500)
     assert rep is not None
-    assert rep.smallest_remaining_ms == pytest.approx(9.5)
+    assert rep == pytest.approx(9.5)  # the smallest remaining time, in ms
+    assert reported == {("x", 0)}
 
 
 def test_dsr_fires_once_per_pdu():
-    lcg = LcgState([_queued(0, 500, 0, 30_000)])
-    assert trigger_dsr(lcg, 10_000, 21_000) is not None
-    assert trigger_dsr(lcg, 10_000, 22_000) is None
+    sets, reported = [_queued(0, 500, 0, 30_000)], set()
+    assert trigger_dsr(sets, reported, 10_000, 21_000) is not None
+    assert trigger_dsr(sets, reported, 10_000, 22_000) is None
     # fresh data crossing later re-triggers
-    lcg.sets.append(_queued(1, 300, 5_000, 35_000))
-    rep = trigger_dsr(lcg, 10_000, 26_000)
+    sets.append(_queued(1, 300, 5_000, 35_000))
+    rep = trigger_dsr(sets, reported, 10_000, 26_000)
     assert rep is not None
-    assert rep.smallest_remaining_ms == pytest.approx(4.0)
+    assert rep == pytest.approx(4.0)
 
 
 def test_dsr_remaining_time_floored_at_zero():
-    lcg = LcgState([_queued(0, 100, 0, 30_000)])
-    rep = trigger_dsr(lcg, 10_000, 31_000)
-    assert rep.smallest_remaining_ms == 0.0
+    rep = trigger_dsr([_queued(0, 100, 0, 30_000)], set(), 10_000, 31_000)
+    assert rep == 0.0
 
 
 def test_realized_overhead(tables):

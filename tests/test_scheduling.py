@@ -121,7 +121,8 @@ def test_allocate_dl_hard_priority():
     pol = SchedulerPolicy(kind=PolicyKind.PF)
     xr = cand(0, size=9000, mcs=27)
     embb = cand(1, size=10**7, mcs=27, is_embb=True)
-    allocs = allocate_dl(0, [xr, embb], 0, pol, psdb_us=BUDGET_US)
+    allocs = allocate_dl(0, [xr, embb], pol, N_RB, DATA_SYMBOLS,
+                         psdb_us=BUDGET_US)
     assert [a.ue_id for a in allocs] == [0, 1]
     need = math.ceil(9000 * 8 / (7.8 * 12 * 12))
     assert allocs[0].rb_count == need
@@ -129,17 +130,18 @@ def test_allocate_dl_hard_priority():
 
 
 def test_allocate_dl_empty():
-    assert allocate_dl(0, [], 0, SchedulerPolicy(), psdb_us=BUDGET_US) == []
+    assert allocate_dl(0, [], SchedulerPolicy(), N_RB, DATA_SYMBOLS,
+                       psdb_us=BUDGET_US) == []
     drained = cand(0, size=1000)
     drained.queue.take(10**6)
-    assert allocate_dl(0, [drained], 0, SchedulerPolicy(),
+    assert allocate_dl(0, [drained], SchedulerPolicy(), N_RB, DATA_SYMBOLS,
                        psdb_us=BUDGET_US) == []
 
 
 def test_allocate_dl_rb_budget_and_disjoint():
     pol = SchedulerPolicy(kind=PolicyKind.MLWDF)
     cands = [cand(i, size=500_000, mcs=10, arrival=-1000 * i) for i in range(4)]
-    allocs = allocate_dl(0, cands, 0, pol, psdb_us=BUDGET_US)
+    allocs = allocate_dl(0, cands, pol, N_RB, DATA_SYMBOLS, psdb_us=BUDGET_US)
     # only RB counts are modelled: the grants fit the slot together
     assert sum(a.rb_count for a in allocs) <= 273
     # oldest head-of-line wins under M-LWDF
@@ -150,7 +152,8 @@ def test_allocate_dl_pduset_urgency_order():
     pol = SchedulerPolicy(kind=PolicyKind.PDUSET)
     late = cand(0, size=50_000, arrival=-8000, psdb_ms=10.0)
     fresh = cand(1, size=50_000, arrival=0, psdb_ms=10.0)
-    allocs = allocate_dl(0, [fresh, late], 0, pol, psdb_us=BUDGET_US)
+    allocs = allocate_dl(0, [fresh, late], pol, N_RB, DATA_SYMBOLS,
+                         psdb_us=BUDGET_US)
     assert allocs[0].ue_id == 0  # two ms of budget left ranks first
 
 
@@ -158,7 +161,7 @@ def test_allocate_dl_expired_floor_still_schedules():
     pol = SchedulerPolicy(kind=PolicyKind.PDUSET)
     expired = cand(0, size=5000, arrival=-20_000, psdb_ms=10.0)
     alive = cand(1, size=5000, arrival=0, psdb_ms=10.0)
-    allocs = allocate_dl(0, [expired, alive], 0, pol,
+    allocs = allocate_dl(0, [expired, alive], pol, N_RB, DATA_SYMBOLS,
                          psdb_us=BUDGET_US)
     assert [a.ue_id for a in allocs] == [1, 0]
 
@@ -171,7 +174,8 @@ def test_metric_scale_invariance():
 
     def order(ues):
         return [a.ue_id
-                for a in allocate_dl(0, ues, 0, pol, psdb_us=BUDGET_US)]
+                for a in allocate_dl(0, ues, pol, N_RB, DATA_SYMBOLS,
+                                     psdb_us=BUDGET_US)]
 
     assert order(scaled) == order(cands)
 
@@ -186,7 +190,7 @@ def test_pf_update_smoothing():
 
 def test_allocate_ul_proportional():
     cs = [UlCandidate(0, 30_000, 20), UlCandidate(1, 10_000, 20)]
-    grants = allocate_ul(4, cs)
+    grants = allocate_ul(cs, N_RB)
     by_ue = {g.ue_id: g for g in grants}
     assert set(by_ue) == {0, 1}
     assert by_ue[0].rb_count >= by_ue[1].rb_count
@@ -196,9 +200,9 @@ def test_allocate_ul_proportional():
 def test_allocate_ul_urgency_first_and_caps():
     cs = [UlCandidate(0, 10**6, 5, urgency_us=None),
           UlCandidate(1, 10**6, 5, urgency_us=2000.0)]
-    grants = allocate_ul(4, cs)
+    grants = allocate_ul(cs, N_RB)
     assert grants[0].ue_id == 1
-    assert allocate_ul(4, [UlCandidate(0, 0, 20)]) == []
+    assert allocate_ul([UlCandidate(0, 0, 20)], N_RB) == []
 
 
 def test_cg_occasions_land_on_ul_slots():

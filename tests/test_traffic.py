@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import accumulate, islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,14 +150,30 @@ def test_sub_byte_mean_frame_with_a_whole_size_draws_it():
     assert {src.next_frame().byte_size for _ in range(200)} == {1}
 
 
+def pdus(s):
+    """The PDUs of a set, stated from its ends: PDU i has id ``id + (i,)``
+    and ends at byte ``ends[i]``, every PDU carries the set's importance
+    and deadline, and the last PDU ends the set, and the burst too when the
+    set does."""
+    last = len(s.ends) - 1
+    return [SimpleNamespace(id=s.id + (i,), byte_size=end - start,
+                            psi=s.psi, deadline=s.deadline,
+                            is_last_of_set=i == last,
+                            is_end_of_burst=s.end_of_burst and i == last)
+            for i, (start, end) in enumerate(zip((0,) + s.ends[:-1],
+                                                 s.ends))]
+
+
 def test_fragment_single_set_example():
     frame = VideoFrame(0, Fraction(0), 62500)
     sets = fragment_frame(frame, sets_per_frame=1)  # 1500-byte PDUs
     assert len(sets) == 1
-    sizes = [p.byte_size for p in sets[0].pdus]
+    sizes = [p.byte_size for p in pdus(sets[0])]
     assert sizes == [1500] * 41 + [1000]
-    assert sets[0].pdus[-1].is_end_of_burst
-    assert sum(1 for p in sets[0].pdus if p.is_last_of_set) == 1
+    assert pdus(sets[0])[-1].is_end_of_burst
+    assert sum(1 for p in pdus(sets[0]) if p.is_last_of_set) == 1
+    # the set's PDU ids are those of the reference
+    assert sets[0].pdus == tuple(p.id for p in pdus(sets[0]))
 
 
 def test_fragment_ten_sets_example():
@@ -165,8 +182,8 @@ def test_fragment_ten_sets_example():
     assert len(sets) == 10
     assert all(s.total_bytes == 6250 for s in sets)
     assert all(len(s.pdus) == 5 for s in sets)
-    assert sum(1 for s in sets for p in s.pdus if p.is_end_of_burst) == 1
-    assert sets[-1].pdus[-1].is_end_of_burst
+    assert sum(1 for s in sets for p in pdus(s) if p.is_end_of_burst) == 1
+    assert pdus(sets[-1])[-1].is_end_of_burst
 
 
 def test_fragment_lossless_for_random_frames():
@@ -177,11 +194,11 @@ def test_fragment_lossless_for_random_frames():
         sets = fragment_frame(VideoFrame(0, Fraction(0), size),
                               sets_per_frame=nsets)
         assert sum(s.total_bytes for s in sets) == size
-        assert all(p.byte_size <= MTU_BYTES for s in sets for p in s.pdus)
+        assert all(p.byte_size <= MTU_BYTES for s in sets for p in pdus(s))
         for s in sets:
-            assert sum(1 for p in s.pdus if p.is_last_of_set) == 1
-            assert s.pdus[-1].is_last_of_set
-        assert sum(1 for s in sets for p in s.pdus if p.is_end_of_burst) == 1
+            assert sum(1 for p in pdus(s) if p.is_last_of_set) == 1
+            assert pdus(s)[-1].is_last_of_set
+        assert sum(1 for s in sets for p in pdus(s) if p.is_end_of_burst) == 1
 
 
 def test_fragment_zero_byte_frame():
@@ -193,8 +210,8 @@ def test_fragment_assigns_psi_pattern_and_deadline():
     sets = fragment_frame(frame, sets_per_frame=6, psdb_us=10_000)
     assert [s.psi for s in sets] == [1, 0, 0, 1, 1, 0]  # (1, 0, 0, 1) cycled
     for s in sets:
-        assert all(p.psi == s.psi for p in s.pdus)
-        assert all(p.deadline == Fraction(500) + 10_000 for p in s.pdus)
+        assert all(p.psi == s.psi for p in pdus(s))
+        assert all(p.deadline == Fraction(500) + 10_000 for p in pdus(s))
     with pytest.raises(ValueError, match="deadline"):
         fragment_frame(frame, sets_per_frame=6, psdb_us=0)
 
@@ -273,7 +290,8 @@ def test_pdu_set_checks_explicit_sizes():
     s = PduSet(("x",), 0, 0, (100, 1500, 7), deadline=10)
     assert s.sizes == (100, 1500, 7)
     assert s.ends == (100, 1600, 1607) and s.total_bytes == 1607
-    assert [p.byte_size for p in s.pdus] == [100, 1500, 7]
+    assert [p.byte_size for p in pdus(s)] == [100, 1500, 7]
+    assert s.pdus == (("x", 0), ("x", 1), ("x", 2))
     for sizes in ((), (100, 0), (-1,)):
         with pytest.raises(ValueError, match="payload"):
             PduSet(("x",), 0, 0, sizes)
@@ -285,7 +303,7 @@ def test_pose_source_defaults():
     sets = list(islice(pose_source(), 2500))
     assert sets[-1].arrival_time == Fraction(4000 * 2499)
     assert all(s.total_bytes == 100 for s in sets)
-    assert all(s.pdus[0].is_end_of_burst for s in sets)
+    assert all(pdus(s)[0].is_end_of_burst for s in sets)
     # 10 s of stream is exactly 2500 packets
     assert sets[2499].arrival_time < 10_000_000 <= Fraction(4000 * 2500)
 
@@ -299,7 +317,7 @@ def test_ftp3_interarrival_and_fragmentation():
     first = files[0]
     assert first.sizes == (1500,) * 83 + (500,)
     assert first.deadline is None
-    assert first.pdus[-1].is_end_of_burst
+    assert pdus(first)[-1].is_end_of_burst
 
 
 @pytest.mark.parametrize("ticks_per_us", [1, 3])
