@@ -161,10 +161,9 @@ class CellConfig:
         if self.adaptive_drx and self.drx is None:
             raise ConfigError("needs a DRX config to adapt", "adaptive_drx",
                               "drx")
-        timer = self.discard_timer_ms
-        if timer not in ("psdb", None) and not 0 < timer < math.inf:
-            raise ConfigError("must be a finite time above 0 ms",
-                              "discard_timer_ms")
+        if self.discard_timer_ms != "psdb":  # else the budget is the timer
+            QosFlowProfile(self.psdb_ms,
+                           discard_timer_ms=self.discard_timer_ms)
         VideoStreamConfig(rate_bps=self.rate_bps, fps=self.fps)
 
     @property
@@ -378,9 +377,12 @@ class CellSim:
             u.pf_read = True
         # the delay budget in whole µs, as the DL metrics read it
         self.psdb_us = float(config.psdb_us)
-        self.timer_discard = timer is not None
-        # a cell with no discard rule has no discard work on any slot
-        self.discards = self.timer_discard or config.psi_discard_enabled
+        # the first time at which _discards can act: never in a cell with no
+        # discard rule, on every slot with PSI discard, and else no earlier
+        # than the least expires_at of the XR queues, which the arrivals
+        # lower and each timer scan brings up to date
+        self.discard_at = (0 if timer is not None
+                           or config.psi_discard_enabled else math.inf)
         self.table = gen_bs_table(config.bsr_table)
         self.ce_bytes = (SHORT_BSR_CE_BYTES
                          if config.bsr_table is TableKind.SHORT
@@ -411,11 +413,15 @@ class CellSim:
 
     def _arrivals(self, now):
         if self.next_at <= now:
+            nxt = self.end_t  # no UE's next_at lies past it
             for ue in self.xr:
                 if ue.next_at <= now:
                     self._video_arrivals(ue, now)
-            self.next_at = min([ue.next_at for ue in self.xr],
-                               default=self.end_t)
+                    if ue.queue.expires_at < self.discard_at:
+                        self.discard_at = ue.queue.expires_at
+                if ue.next_at < nxt:
+                    nxt = ue.next_at
+            self.next_at = nxt
         full_buffer = self.cfg.embb_full_buffer
         for ue in self.embb:
             if full_buffer:
@@ -464,17 +470,23 @@ class CellSim:
             ue.queue.enqueue_set(*sets)
 
     def _discards(self, now):
-        timer, psi = self.timer_discard, self.cfg.psi_discard_enabled
+        psi = self.cfg.psi_discard_enabled
+        # an empty queue has nothing to expire until an arrival lowers the
+        # bound again
+        discard_at = math.inf
         for ue in self.xr:
             queue = ue.queue
             if not queue.entries:
                 continue  # nothing to expire or to drop
-            if timer:
-                queue.discard_expired(now)
+            queue.discard_expired(now)
             if psi:
                 queue.psi_discard(now, max(self._pf_avg(ue), 1e6))
+            # a discard that empties the queue is synced too
             if len(queue.events) > ue.events_seen:
                 self._sync_events(ue)
+            if queue.expires_at < discard_at:
+                discard_at = queue.expires_at
+        self.discard_at = 0 if psi else discard_at
 
     def _sync_events(self, ue):
         evs = ue.queue.events
@@ -795,7 +807,7 @@ class CellSim:
     def _on_slot(self, slot):
         now = slot * self.slot_t
         self._arrivals(now)
-        if self.discards:
+        if now >= self.discard_at:
             self._discards(now)
         kind = slot_type(slot)
         if kind == UPLINK:

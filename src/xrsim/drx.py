@@ -210,45 +210,36 @@ class AdrxController:
     def _expected_phase(self) -> float:
         period = float(self.current.cycle_us)
         ang = [2 * math.pi * o.phase_us / period for o in self.observations]
-        s = sum(math.sin(a) for a in ang)
-        c = sum(math.cos(a) for a in ang)
+        s = sum(map(math.sin, ang))
+        c = sum(map(math.cos, ang))
         if s == 0 and c == 0:
             return 0.0
         return (math.atan2(s, c) % (2 * math.pi)) * period / (2 * math.pi)
 
-    def _shifted(self) -> list:
-        """(phase - guard, phase + guard, service) of each observation."""
-        guard = ADRX_PHASE_GUARD_US
-        return [(o.phase_us - guard, o.phase_us + guard, o.service_us)
-                for o in self.observations]
-
-    @staticmethod
-    def _excess(shifted, on_dur_us) -> float:
-        """Summed service time that overruns the on-duration."""
-        excess = 0.0
-        for _, _, service in shifted:
-            excess += max(0.0, service - on_dur_us)
-        return excess
-
-    def _violation_counts(self, shifted, period, offsets, on_grid):
+    def _violation_counts(self, phase, service, period, offsets, on_grid):
         """Observations that each candidate window would leave violated, for
         every offset (rows) and on-duration (columns) at once.
 
-        A phase misses a window when it falls in the cycle past the
-        on-duration, and then waits until the next window. numpy's float %
-        is fmod with Python's sign fix, and each comparison and sum is one
-        IEEE operation, so the counts equal a loop over the observations."""
-        lo, hi, service = np.array(shifted, dtype=float).T
-        off = np.array(offsets, dtype=float)[:, None]
-        rel_lo = (lo - off) % period
-        rel_hi = (hi - off) % period
-        on = np.array(on_grid, dtype=float)[:, None, None]
-        worst = np.where(rel_lo < on, 0.0, period - rel_lo)
-        wait_hi = period - rel_hi
-        worst = np.where((rel_hi >= on) & (wait_hi > worst), wait_hi, worst)
-        viol = ((worst > ADRX_WAIT_TOLERANCE_US)
-                | (worst + service > self.psdb_us))
-        return viol.sum(axis=-1).T
+        An observation is checked at its phase minus and plus the guard. A
+        shifted phase misses a window when it falls in the cycle at or past
+        the on-duration, and then waits until the next window. The verdict
+        only grows with the wait, and the wait only shrinks as the
+        on-duration grows, so an observation is violated under each
+        on-duration up to a threshold and under none above it: the latest
+        such phase whose wait is too long, or infinity when its service
+        alone overruns the budget. numpy's float % is fmod with Python's
+        sign fix, and each comparison is one IEEE operation, so the counts
+        equal a loop over the observations."""
+        guard = ADRX_PHASE_GUARD_US
+        shifted = np.array((phase - guard, phase + guard))[:, None, :]
+        rel = (shifted - np.array(offsets)[:, None]) % period
+        wait = period - rel
+        late = ((wait > ADRX_WAIT_TOLERANCE_US)
+                | (wait + service > self.psdb_us))
+        thresholds = np.where(late, rel, -np.inf).max(axis=0)
+        thresholds[:, service > self.psdb_us] = np.inf
+        served = (thresholds < on_grid[:, None, None]).sum(axis=-1)
+        return len(phase) - served.T
 
     def update(self, violations_in_epoch: int) -> DrxConfig:
         self.q = max(self.q + violations_in_epoch - ADRX_TARGET_VIOLATIONS, 0.0)
@@ -258,21 +249,26 @@ class AdrxController:
         base_offset = float(self.current.start_offset_us % self.current.cycle_us)
         anchor = self._expected_phase()
         offsets = [(anchor + d * 1000.0) % period for d in ADRX_OFFSET_DELTA_MS]
+        obs = self.observations
+        phase = np.array([o.phase_us for o in obs])
+        service = np.array([o.service_us for o in obs])
+        n = len(obs)
+        on_grid = np.array([on_ms * 1000.0 for on_ms in ADRX_ON_GRID_MS
+                            if on_ms * 1000.0 <= period])
+        # the service time that overruns each on-duration, summed left to
+        # right as a loop would
+        excess = np.add.accumulate(
+            np.maximum(service - on_grid[:, None], 0.0), axis=1)[:, -1]
+        power = ADRX_V * (on_grid + excess / n) / 1000.0
         # each (offset, on-duration) candidate costs its violation fraction
-        # and its active µs per cycle, the offset-independent work done once
-        # per update: the least key wins, and equal keys are the same
-        # candidate, so the loop order is free
-        shifted = self._shifted()
-        n = len(shifted)
-        on_grid = [on_ms * 1000.0 for on_ms in ADRX_ON_GRID_MS
-                   if on_ms * 1000.0 <= period]
-        power = [ADRX_V * (on_us + self._excess(shifted, on_us) / n)
-                 / 1000.0 for on_us in on_grid]
-        counts = self._violation_counts(shifted, period, offsets, on_grid)
-        _, on_us, _, off = min(
-            (self.q * (viol / n) + pw, on_us, abs(off - base_offset), off)
-            for off, row in zip(offsets, counts.tolist())
-            for on_us, pw, viol in zip(on_grid, power, row))
+        # and its active µs per cycle; the least key (cost, on-duration,
+        # offset move, offset) wins, and equal keys are the same candidate
+        counts = self._violation_counts(phase, service, period, offsets,
+                                        on_grid)
+        cost = self.q * (counts / n) + power
+        on_us, _, off = min(
+            (float(on_grid[j]), abs(offsets[i] - base_offset), offsets[i])
+            for i, j in np.argwhere(cost == cost.min()).tolist())
         self.current = replace(self.current, on_duration_us=int(round(on_us)),
                                start_offset_us=Fraction(int(round(off))))
         return self.current

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Optional
 
+from .engine import ConfigError
 from .traffic import PduSet
 
 
@@ -19,6 +23,12 @@ class QosFlowProfile:
     def __post_init__(self):
         if self.psdb_ms <= 0:
             raise ValueError("psdb must be positive")
+        timer = self.discard_timer_ms
+        if timer is not None and (isinstance(timer, bool)
+                                  or not isinstance(timer, Real)
+                                  or not 0 < timer < math.inf):
+            raise ConfigError("must be a finite time above 0 ms",
+                              "discard_timer_ms")
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,9 @@ class FlowQueue:
 
     Set times and ``now`` are in µs, or in ticks of 1/ticks_per_us µs for
     a caller on an integer clock; ages and event times come out in µs.
+
+    ``expires_at`` is a lower bound on the time when a queued set can first
+    expire under the discard timer: infinite with no timer or no set.
     """
 
     def __init__(self, profile: QosFlowProfile, ue_id: int = 0,
@@ -69,13 +82,27 @@ class FlowQueue:
         self.total_sets = 0
         self.lost_sets: set = set()
         self.events: list[DiscardEvent] = []
+        # a set expires once its age in µs, as a float, exceeds the timer;
+        # that needs an age above the timer exactly, so above this floor of
+        # it in ticks, whatever the type of the times
+        timer = profile.discard_timer_ms
+        self._timer_floor = (math.inf if timer is None else
+                             math.floor(Fraction(timer * 1000.0)
+                                        * ticks_per_us))
+        self.expires_at = math.inf
 
     def enqueue_set(self, *sets: PduSet):
         """Queue the sets at the tail, in the order given."""
         self.total_sets += len(sets)
+        if not self.entries:
+            self.expires_at = math.inf  # no bound is left of sets gone
         self.entries.extend(sets)
+        floor = self._timer_floor
         for s in sets:
             self.queued_bytes += s.total_bytes
+            # arrivals need not be in queue order
+            if s.arrival_time + floor < self.expires_at:
+                self.expires_at = s.arrival_time + floor
 
     def hol_age_us(self, now) -> float:
         if not self.entries:
@@ -131,8 +158,8 @@ class FlowQueue:
         return removed
 
     def discard_expired(self, now) -> list:
-        if self.profile.discard_timer_ms is None:
-            return []
+        if now < self.expires_at:
+            return []  # no queued set can have expired yet
         limit = self.profile.discard_timer_ms * 1000.0
         tpu = self.ticks_per_us
         expired = [s for s in self.entries
@@ -141,6 +168,8 @@ class FlowQueue:
         for s in expired:
             self.lost_sets.add(s.id)
             removed += self._remove_set(s, now, "timer")
+        self.expires_at = min((s.arrival_time for s in self.entries),
+                              default=math.inf) + self._timer_floor
         return removed
 
     def psi_discard(self, now, service_rate_bps: float) -> list:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import xrsim.cli as cli
 from xrsim.cellsim import CellConfig
+from xrsim.qos import QosFlowProfile
 from xrsim.scheduling import CgConfig
 
 
@@ -49,13 +50,21 @@ from xrsim.scheduling import CgConfig
     (lambda: CellConfig(drx_offset_mode="Traffic"), "drx_offset_mode"),
     (lambda: CellConfig(adrx_epoch_frames=0), "adrx_epoch_frames"),
     (lambda: CellConfig(adaptive_drx=True), "adaptive_drx"),
+    (lambda: CellConfig(discard_timer_ms="off"), "discard_timer_ms"),
+    (lambda: CellConfig(discard_timer_ms=True), "discard_timer_ms"),
+    (lambda: QosFlowProfile(10.0, discard_timer_ms=0), "discard_timer_ms"),
+    (lambda: QosFlowProfile(10.0, discard_timer_ms=-1.0), "discard_timer_ms"),
+    (lambda: QosFlowProfile(10.0, discard_timer_ms=math.nan),
+     "discard_timer_ms"),
 ], ids=["n_cells=0", "ues_per_cell=-2", "fps=0", "warmup_s=duration_s",
         "warmup_s>duration_s", "warmup_s_in_the_last_slot", "embb_ues=-1", "discard_timer_ms=-5", "discard_timer_ms=nan",
         "psdb_ms=0.0001", "psdb_ms=inf", "rate_bps=inf", "dsr_threshold_ms=-1",
         "rb_per_occasion=0", "uto_uci_window=0", "cg_rb_over_273",
         "sets_per_frame=2.5", "ues_per_cell=1.5", "n_cells=1.5",
         "embb_ues=0.5", "drx_offset_mode=Traffic", "adrx_epoch_frames=0",
-        "adaptive_drx_without_drx"])
+        "adaptive_drx_without_drx", "discard_timer_ms=off",
+        "discard_timer_ms=True", "profile_timer=0", "profile_timer=-1",
+        "profile_timer=nan"])
 def test_out_of_domain_field_fails_when_the_config_is_built(build, field):
     # each of these used to build: a zero cell count or frame rate then
     # raised ZeroDivisionError, a negative load or eMBB count simulated
@@ -66,7 +75,9 @@ def test_out_of_domain_field_fails_when_the_config_is_built(build, field):
     # would hold 300 of their slot's 273 RBs; a fractional set count failed
     # mid-run, a fractional UE or cell count was rounded up, an unknown DRX
     # offset mode ran the common grid, a zero ADRX epoch acted as one
-    # frame, and adaptive DRX without DRX ran with no DRX
+    # frame, and adaptive DRX without DRX ran with no DRX; a timer given as
+    # a string other than "psdb" raised TypeError, True ran a 1 ms timer,
+    # and a queue profile took a timer of 0, below 0 or NaN
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         build()
 

@@ -5,6 +5,7 @@ ADRX search picks as before."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,24 +291,50 @@ def reference_update(ctrl, violations_in_epoch):
                      start_offset_us=Fraction(int(round(off))))
 
 
-observations = st.lists(
-    st.tuples(st.floats(0, 1.0), st.floats(0, 15_000)), max_size=64)
+PSDB_US = 10_000
+# services at each grid on-duration, at the budget, and at the budget less
+# the longest tolerated wait sit on the edges of the excess and of the
+# budget test
+services = st.one_of(st.floats(0, 15_000), st.sampled_from(
+    [on_ms * 1000.0 for on_ms in ADRX_ON_GRID_MS]
+    + [float(PSDB_US), PSDB_US - ADRX_WAIT_TOLERANCE_US]))
+observations = st.one_of(
+    st.lists(st.tuples(st.floats(0, 1.0), services), max_size=64),
+    st.lists(st.tuples(st.floats(0, 1.0), services), min_size=1, max_size=1))
+# a phase exactly at a candidate offset, minus or plus the guard: a shifted
+# phase then lies on the offset, or a guard's width either side of it
+edge_phases = st.lists(st.tuples(st.sampled_from(ADRX_OFFSET_DELTA_MS),
+                                 st.sampled_from((-1, 1)), services),
+                       min_size=1, max_size=8)
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(observations, st.floats(0, 200), st.integers(0, 16),
        st.sampled_from([Fraction(50_000, 3), Fraction(16_000),
                         Fraction(50_000_000, 2997)]),
-       st.integers(0, 20_000))
-def test_adrx_search_unchanged(obs, q, viols, cycle, base_off):
+       st.integers(0, 20_000),
+       st.none() | st.tuples(st.integers(0, 16_000), edge_phases))
+def test_adrx_search_unchanged(obs, q, viols, cycle, base_off, pinned):
     base = DrxConfig(cycle_us=cycle, on_duration_us=8000,
                      inactivity_us=2000, start_offset_us=Fraction(base_off))
-    ctrl, ref = (AdrxController(base, 10_000) for _ in range(2))
-    for c in (ctrl, ref):
-        c.q = q
-        for frac, service in obs:
-            c.observe_frame(frac * float(cycle), service)
-    for _ in range(2):  # the second search starts from the first's choice
-        ref.current = reference_update(ref, viols)
-        assert ctrl.update(viols) == ref.current
-        assert ctrl.q == ref.q
+    ctrl, ref = (AdrxController(base, PSDB_US) for _ in range(2))
+    period = float(cycle)
+    history = [(frac * period, service) for frac, service in obs]
+    with pytest.MonkeyPatch.context() as m:
+        if pinned is not None:
+            # the expected phase pinned to a whole µs, which puts the
+            # candidate offsets, and these phases, where the test knows
+            anchor, edges = pinned
+            anchor = float(anchor) % period
+            m.setattr(AdrxController, "_expected_phase", lambda self: anchor)
+            history += [((anchor + d * 1000.0) % period
+                         + side * ADRX_PHASE_GUARD_US, service)
+                        for d, side, service in edges]
+        for c in (ctrl, ref):
+            c.q = q
+            for phase, service in history:
+                c.observe_frame(phase, service)
+        for _ in range(2):  # the second search starts from the first's choice
+            ref.current = reference_update(ref, viols)
+            assert ctrl.update(viols) == ref.current
+            assert ctrl.q == ref.q

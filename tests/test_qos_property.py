@@ -22,9 +22,10 @@ PSI_LEVELS = (0, 1)
 class PduQueueModel:
     """FIFO of PDUs: [set_id, index, remaining, psi, arrival] each."""
 
-    def __init__(self, psihi, timer_ms):
+    def __init__(self, psihi, timer_ms, ticks_per_us):
         self.psihi = psihi
         self.timer_ms = timer_ms
+        self.tpu = ticks_per_us
         self.pdus = []
         self.total_sets = 0
         self.lost = set()
@@ -79,7 +80,7 @@ class PduQueueModel:
             return []
         expired = []
         for p in self.pdus:
-            if float(now - p[4]) > self.timer_ms * 1000.0 \
+            if float((now - p[4]) / self.tpu) > self.timer_ms * 1000.0 \
                     and p[0] not in expired:
                 expired.append(p[0])
         removed = []
@@ -92,7 +93,7 @@ class PduQueueModel:
         dropped = []
         while self.pdus:
             drain_us = self.queued_bytes() * 8.0 / rate_bps * 1e6
-            if float(now - self.pdus[0][4]) + drain_us \
+            if float((now - self.pdus[0][4]) / self.tpu) + drain_us \
                     <= 0.8 * PSDB_MS * 1000.0:
                 break
             best = None
@@ -125,26 +126,34 @@ def spans_of(segments):
 pdu_size = st.one_of(st.integers(1, 3000), st.sampled_from((500, 1000, 1500)))
 take_size = st.one_of(st.integers(0, 8000), st.integers(0, 16).map(
     lambda k: 500 * k))
+# times in ticks: whole or not, and any age in any order, so a set queued
+# behind a younger one expires first
+duration = st.one_of(st.integers(0, 30_000),
+                     st.fractions(0, 30_000, max_denominator=7))
 new_set = st.tuples(st.just("enqueue"),
                     st.lists(pdu_size, min_size=1, max_size=6),
-                    st.sampled_from(PSI_LEVELS), st.integers(0, 30_000))
+                    st.sampled_from(PSI_LEVELS), duration)
 ops = st.lists(st.one_of(
     new_set,
     st.tuples(st.just("take"), take_size),
     st.tuples(st.just("block_lost")),
     st.tuples(st.just("timer")),
     st.tuples(st.just("psi"), st.sampled_from((1e5, 1e6, 8e6))),
-    st.tuples(st.just("tick"), st.integers(0, 20_000)),
+    st.tuples(st.just("tick"), duration),
 ), min_size=10, max_size=60)
+# timers whose µs are not whole ticks, nor a whole number at all
+timers = st.one_of(st.sampled_from((None, 5.0, 20.0, 7.3)),
+                   st.floats(0.001, 25.0))
 
 
-@settings(max_examples=150)
-@given(psihi=st.booleans(), timer_ms=st.sampled_from((None, 5.0, 20.0)),
+@settings(max_examples=200)
+@given(psihi=st.booleans(), timer_ms=timers, tpu=st.sampled_from((1, 3)),
        first=st.lists(new_set, min_size=1, max_size=8), steps=ops)
-def test_set_queue_matches_pdu_model(psihi, timer_ms, first, steps):
+def test_set_queue_matches_pdu_model(psihi, timer_ms, tpu, first, steps):
     q = FlowQueue(QosFlowProfile(psdb_ms=PSDB_MS, psihi=psihi,
-                                 discard_timer_ms=timer_ms))
-    model = PduQueueModel(psihi, timer_ms)
+                                 discard_timer_ms=timer_ms),
+                  ticks_per_us=tpu)
+    model = PduQueueModel(psihi, timer_ms, tpu)
     now = Fraction(30_000)
     last = []  # segments of the latest take
     for n, step in enumerate(first + steps):
@@ -177,3 +186,8 @@ def test_set_queue_matches_pdu_model(psihi, timer_ms, first, steps):
         assert [(e.set_id, e.cause, e.pdu_ids) for e in q.events] == \
             model.events
         assert q.pser() == q.recount_pser_from_log() == model.pser()
+        # no queued set can expire before the queue's bound: a set expires
+        # only once its exact age is above the timer
+        if timer_ms is not None and q.entries:
+            earliest = min(p[4] for p in model.pdus)
+            assert q.expires_at <= earliest + Fraction(timer_ms * 1000.0) * tpu
