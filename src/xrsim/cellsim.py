@@ -27,14 +27,14 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Integral
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
                   AdrxController, DrxConfig, DrxMachine,
-                  PowerModel, power_for_run)
+                  PowerModel, check_adrx_cycle, power_for_run)
 from .engine import (DOWNLINK, SLOT_US, SPECIAL, UPLINK, ConfigError,
-                     RngStreams, block_draws, dl_slots_before, slot_type,
-                     ticks_per_us)
+                     RngStreams, block_draws, dl_slots_before, next_slot,
+                     slot_type, ticks_per_us)
 from .qos import FlowQueue, QosFlowProfile
 from .radio import (DATA_SYMBOLS, HARQ_RTT_SLOTS, N_RB, S_SLOT_DATA_SYMBOLS,
                     Deployment, dl_sinr_db, harq_attempt, harq_exhausted,
@@ -57,13 +57,6 @@ _FB_ENDS = (150_000,)
 
 # pf_idle's factor for one slot, which the candidate loop inlines
 _PF_KEEP = 1.0 - 1.0 / PF_WINDOW_SLOTS
-
-
-def _next_slot(ul, start):
-    """The first slot at or after start, a UL slot if ul, else a DL one."""
-    while (slot_type(start) == UPLINK) != ul:
-        start += 1
-    return start
 
 
 def _drop(config, rng):
@@ -123,7 +116,8 @@ class CellConfig:
     discard_timer_ms: object = "psdb"
     pose_cg: Optional[CgConfig] = None
     stagger: bool = True
-    power_model: PowerModel = field(default_factory=PowerModel)
+    # one power model for every cell; a class constant, not a field
+    power_model: ClassVar[PowerModel] = PowerModel()
 
     def __post_init__(self):
         # the cell holds its times in whole µs; a zero rate or frame rate has
@@ -158,9 +152,11 @@ class CellConfig:
                               "ues_per_cell", "rb_per_occasion")
         if self.drx_offset_mode not in ("traffic", "common"):
             raise ConfigError("must be traffic or common", "drx_offset_mode")
-        if self.adaptive_drx and self.drx is None:
-            raise ConfigError("needs a DRX config to adapt", "adaptive_drx",
-                              "drx")
+        if self.adaptive_drx:
+            if self.drx is None:
+                raise ConfigError("needs a DRX config to adapt",
+                                  "adaptive_drx", "drx")
+            check_adrx_cycle(self.drx.cycle_us)
         if self.discard_timer_ms != "psdb":  # else the budget is the timer
             QosFlowProfile(self.psdb_ms,
                            discard_timer_ms=self.discard_timer_ms)
@@ -561,7 +557,7 @@ class CellSim:
             rb_used += block.rb_count
             self._transmit(ue, queue, block, ul, slot, now)
         if deferred:
-            self.retx.setdefault(_next_slot(ul, slot + 1), [])[:0] = deferred
+            self.retx.setdefault(next_slot(slot + 1, ul), [])[:0] = deferred
         return rb_used
 
     def _transmit(self, ue, queue, block, ul, slot, now):
@@ -577,7 +573,7 @@ class CellSim:
             queue.on_block_lost(block.segments, now)
             self._sync_events(ue)
         else:
-            self.retx.setdefault(_next_slot(ul, slot + HARQ_RTT_SLOTS),
+            self.retx.setdefault(next_slot(slot + HARQ_RTT_SLOTS, ul),
                                  []).append((ue, queue, block))
 
     def _dl_slot(self, slot, now, kind):
@@ -698,7 +694,7 @@ class CellSim:
                 cands.append(UlCandidate(ue.ue_id, reported + self.ce_bytes,
                                          ue.ul_mcs, urgency_us=urgency))
             # the next UL slot; every block due there is already known
-            target = slot + 5
+            target = next_slot(slot + 1, True)
             due = self.retx.get(target, ())
             budget = (N_RB - self._cg_rb(target)
                       - sum(b.rb_count for _, _, b in due))

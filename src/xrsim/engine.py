@@ -31,8 +31,9 @@ DOWNLINK = "D"
 SPECIAL = "S"
 UPLINK = "U"
 
-# DDDSU repeating pattern, period 5
+# DDDSU repeating pattern: one UL slot per period
 _TDD_PATTERN = (DOWNLINK, DOWNLINK, DOWNLINK, SPECIAL, UPLINK)
+TDD_PERIOD = len(_TDD_PATTERN)
 
 
 # non-uplink slots among the first k slots of a period, for k = 0..5
@@ -43,7 +44,14 @@ _DL_PREFIX = tuple(accumulate((kind != UPLINK for kind in _TDD_PATTERN),
 def slot_type(slot_index: int) -> str:
     if slot_index < 0:
         raise ValueError("slot_index must be >= 0")
-    return _TDD_PATTERN[slot_index % 5]
+    return _TDD_PATTERN[slot_index % TDD_PERIOD]
+
+
+def next_slot(start: int, ul: bool) -> int:
+    """The first slot at or after start, a UL slot if ul, else a DL one."""
+    while (slot_type(start) == UPLINK) != ul:
+        start += 1
+    return start
 
 
 def dl_slots_before(slot_index: int) -> int:

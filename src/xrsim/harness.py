@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .cellsim import CellConfig, run_drop
-from .drx import DrxConfig, check_adrx_cycle, power_saving_gain
+from .drx import DrxConfig, power_saving_gain
 from .engine import ConfigError
 from .reporting import TableKind
 from .scheduling import CgConfig, PolicyKind, SchedulerPolicy
@@ -251,8 +251,6 @@ class ExperimentConfig:
         mode = self[("drx", "mode")]
         try:
             drx = self._build(DrxConfig)
-            if mode == "adaptive":
-                check_adrx_cycle(drx.cycle_us)
             cg = self._build(CgConfig)
             if mode == "off":
                 drx = None

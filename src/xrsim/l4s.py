@@ -6,6 +6,10 @@ congestion-experienced marks either get applied right where the queue
 drains (method 1) or downstream after a signaling delay (method 2).
 Sources react to the marked fraction of each feedback interval by
 multiplicative decrease / additive increase.
+
+The cell does not run this loop: ``closed_loop_run`` is its one entry
+point, and acceptance criterion 9 runs it on its own. The ramp thresholds,
+the packet size and the loop step are constants.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from numpy.random import Generator
 
 T_LOW_MS = 2.0
 T_HIGH_MS = 10.0
+PKT_BYTES = 1500
+TICK_MS = 1.0
 
 
-def marking_probability(sojourn_ms: float, t_low_ms: float = T_LOW_MS,
-                        t_high_ms: float = T_HIGH_MS) -> float:
-    """Linear ramp from 0 at t_low to 1 at t_high, clamped outside."""
-    if not 0 <= t_low_ms < t_high_ms:
-        raise ValueError("thresholds must satisfy 0 <= t_low < t_high")
-    p = (sojourn_ms - t_low_ms) / (t_high_ms - t_low_ms)
+def marking_probability(sojourn_ms: float) -> float:
+    """Linear ramp from 0 at T_LOW_MS to 1 at T_HIGH_MS, clamped outside."""
+    p = (sojourn_ms - T_LOW_MS) / (T_HIGH_MS - T_LOW_MS)
     return min(1.0, max(0.0, p))
 
 
@@ -34,25 +37,16 @@ def marking_probability(sojourn_ms: float, t_low_ms: float = T_LOW_MS,
 class L4sQueueState:
     """Per-flow bottleneck queue with sojourn-time tracking.
 
-    Packets are opaque byte counts; the queue never mixes flows, so one
+    Packets are opaque byte counts; each flow has its own queue, so one
     flow's backlog cannot influence another's sojourn or marking.
     """
 
-    flow_id: object
-    t_low_ms: float = T_LOW_MS
-    t_high_ms: float = T_HIGH_MS
     queue: Deque[Tuple[float, int]] = field(default_factory=deque)
-    backlog_bytes: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.t_low_ms < self.t_high_ms:
-            raise ValueError("thresholds must satisfy 0 <= t_low < t_high")
 
     def enqueue(self, now_ms: float, byte_size: int) -> None:
         if byte_size <= 0:
             raise ValueError("byte_size must be positive")
         self.queue.append((now_ms, byte_size))
-        self.backlog_bytes += byte_size
 
     def head_sojourn_ms(self, now_ms: float) -> float:
         if not self.queue:
@@ -60,24 +54,20 @@ class L4sQueueState:
         return now_ms - self.queue[0][0]
 
     def current_p(self, now_ms: float) -> float:
-        return marking_probability(self.head_sojourn_ms(now_ms),
-                                   self.t_low_ms, self.t_high_ms)
+        return marking_probability(self.head_sojourn_ms(now_ms))
 
     def dequeue(self, now_ms: float) -> Optional[Tuple[float, int]]:
         """Pop the head packet, returning (sojourn_ms, byte_size)."""
         if not self.queue:
             return None
         enq_ms, size = self.queue.popleft()
-        self.backlog_bytes -= size
         return now_ms - enq_ms, size
 
 
-def mark_method1(p: float, rng: Generator, is_l4s: bool = True) -> bool:
+def mark_method1(p: float, rng: Generator) -> bool:
     """Bernoulli CE mark applied at the dequeue point."""
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    if not is_l4s:
-        return False
     return bool(rng.random() < p)
 
 
@@ -110,8 +100,8 @@ class Method2Marker:
                 return p
         return 0.0
 
-    def mark(self, now_ms: float, rng: Generator, is_l4s: bool = True) -> bool:
-        return mark_method1(self.delayed_p(now_ms), rng, is_l4s)
+    def mark(self, now_ms: float, rng: Generator) -> bool:
+        return mark_method1(self.delayed_p(now_ms), rng)
 
 
 @dataclass
@@ -133,32 +123,24 @@ class AdaptiveSource:
             raise ValueError("rate_bps outside [min_bps, max_bps]")
 
     def adapt(self, marked_fraction: float) -> float:
-        self.rate_bps = source_adapt(self.rate_bps, marked_fraction,
-                                     self.min_bps, self.max_bps,
-                                     self.step_bps)
+        """One feedback-interval rate update, clamped to [min, max]: a
+        marked interval cuts the rate by half its marked fraction, and an
+        unmarked one adds a step."""
+        if not 0 <= marked_fraction <= 1:
+            raise ValueError("marked_fraction must lie in [0, 1]")
+        if marked_fraction > 0:
+            rate = self.rate_bps * (1 - marked_fraction / 2)
+        else:
+            rate = self.rate_bps + self.step_bps
+        self.rate_bps = min(self.max_bps, max(self.min_bps, rate))
         return self.rate_bps
-
-
-def source_adapt(rate_bps: float, marked_fraction: float, min_bps: float,
-                 max_bps: float, step_bps: float) -> float:
-    """One feedback-interval rate update, clamped to [min, max]."""
-    if not 0 <= marked_fraction <= 1:
-        raise ValueError("marked_fraction must lie in [0, 1]")
-    if marked_fraction > 0:
-        rate = rate_bps * (1 - marked_fraction / 2)
-    else:
-        rate = rate_bps + step_bps
-    return min(max_bps, max(min_bps, rate))
 
 
 @dataclass
 class LoopResult:
-    times_ms: List[float]
-    rates_bps: List[float]
-    mark_fractions: List[float]
-    sojourns_ms: List[float]
+    rates_bps: List[float]  # after each feedback interval
+    sojourns_ms: List[float]  # of each dequeued packet
     marked_total: int
-    dequeued_total: int
 
     def p95_sojourn_ms(self) -> float:
         if not self.sojourns_ms:
@@ -171,9 +153,7 @@ class LoopResult:
 def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
                     duration_ms: float, rng: Generator, method: int = 1,
                     signaling_delay_ms: float = 0.0,
-                    t_low_ms: float = T_LOW_MS, t_high_ms: float = T_HIGH_MS,
-                    marking_enabled: bool = True, pkt_bytes: int = 1500,
-                    tick_ms: float = 1.0) -> LoopResult:
+                    marking_enabled: bool = True) -> LoopResult:
     """Drive one source through a constant-capacity bottleneck.
 
     The source emits fixed-size packets at its current rate, the queue
@@ -185,9 +165,9 @@ def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
         raise ValueError("capacity_bps must be positive")
     if method not in (1, 2):
         raise ValueError("method must be 1 or 2")
-    queue = L4sQueueState("flow", t_low_ms=t_low_ms, t_high_ms=t_high_ms)
+    queue = L4sQueueState()
     marker = Method2Marker(signaling_delay_ms)
-    result = LoopResult([], [], [], [], 0, 0)
+    result = LoopResult([], [], 0)
 
     emit_carry = 0.0
     serve_carry = 0.0
@@ -195,26 +175,25 @@ def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
     interval_total = 0
     next_feedback_ms = source.feedback_delay_ms
 
-    n_ticks = int(round(duration_ms / tick_ms))
+    n_ticks = int(round(duration_ms / TICK_MS))
     for tick in range(n_ticks):
-        now = (tick + 1) * tick_ms
+        now = (tick + 1) * TICK_MS
 
-        emit_carry += source.rate_bps * tick_ms / 8000.0
-        while emit_carry >= pkt_bytes:
-            queue.enqueue(now, pkt_bytes)
-            emit_carry -= pkt_bytes
+        emit_carry += source.rate_bps * TICK_MS / 8000.0
+        while emit_carry >= PKT_BYTES:
+            queue.enqueue(now, PKT_BYTES)
+            emit_carry -= PKT_BYTES
 
         marker.publish(now, queue.current_p(now))
 
-        serve_carry += capacity_bps * tick_ms / 8000.0
+        serve_carry += capacity_bps * TICK_MS / 8000.0
         while queue.queue and serve_carry >= queue.queue[0][1]:
             sojourn, size = queue.dequeue(now)
             serve_carry -= size
             result.sojourns_ms.append(sojourn)
             if marking_enabled:
                 if method == 1:
-                    p = marking_probability(sojourn, t_low_ms, t_high_ms)
-                    marked = mark_method1(p, rng)
+                    marked = mark_method1(marking_probability(sojourn), rng)
                 else:
                     marked = marker.mark(now, rng)
             else:
@@ -222,16 +201,13 @@ def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
             interval_total += 1
             interval_marked += int(marked)
             result.marked_total += int(marked)
-            result.dequeued_total += 1
         if not queue.queue:
             serve_carry = 0.0
 
         if now + 1e-9 >= next_feedback_ms:
             f = interval_marked / interval_total if interval_total else 0.0
             source.adapt(f)
-            result.times_ms.append(now)
             result.rates_bps.append(source.rate_bps)
-            result.mark_fractions.append(f)
             interval_marked = 0
             interval_total = 0
             next_feedback_ms += source.feedback_delay_ms

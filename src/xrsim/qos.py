@@ -14,6 +14,13 @@ from .engine import ConfigError
 from .traffic import PduSet
 
 
+def _check_time_ms(value, name: str) -> None:
+    """A time in ms is a finite real above 0, and not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 < value < math.inf):
+        raise ConfigError("must be a finite time above 0 ms", name)
+
+
 @dataclass(frozen=True)
 class QosFlowProfile:
     psdb_ms: float
@@ -21,14 +28,9 @@ class QosFlowProfile:
     discard_timer_ms: Optional[float] = None  # None disables timer discard
 
     def __post_init__(self):
-        if self.psdb_ms <= 0:
-            raise ValueError("psdb must be positive")
-        timer = self.discard_timer_ms
-        if timer is not None and (isinstance(timer, bool)
-                                  or not isinstance(timer, Real)
-                                  or not 0 < timer < math.inf):
-            raise ConfigError("must be a finite time above 0 ms",
-                              "discard_timer_ms")
+        _check_time_ms(self.psdb_ms, "psdb_ms")
+        if self.discard_timer_ms is not None:
+            _check_time_ms(self.discard_timer_ms, "discard_timer_ms")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from itertools import repeat
 from operator import mul
 from typing import Optional
 
-from .engine import SLOT_US, ConfigError
+from .engine import SLOT_US, TDD_PERIOD, ConfigError, next_slot
 from .qos import Segment
 from .radio import DATA_SYMBOLS, MCS_SE, N_RB, SC_PER_RB, tb_bits
 
@@ -213,8 +213,9 @@ class CgConfig:
         train = ("periodicity_us", "occasions_per_period")
         if self.occasions_per_period < 1:
             raise ConfigError("need at least one occasion", *train)
-        # DDDSU has one UL slot each 5 slots, so the train spans 5 slots per occasion
-        if self.occasions_per_period * 5 * SLOT_US > self.periodicity_us:
+        # one UL slot per TDD period, so the train spans a period per occasion
+        if (self.occasions_per_period * TDD_PERIOD * SLOT_US
+                > self.periodicity_us):
             raise ConfigError("period cannot fit the occasion train", *train)
         for name in ("rb_per_occasion", "uto_uci_window"):
             if getattr(self, name) < 1:
@@ -227,10 +228,6 @@ class CgOccasion:
     rb_count: int
 
 
-def _ul_slot_at_or_after(slot: int) -> int:
-    return slot + (4 - slot % 5)
-
-
 def cg_occasions(cfg: CgConfig, horizon_us) -> list[CgOccasion]:
     """Occasion train per period, drift-free for rational periodicities."""
     out = []
@@ -238,9 +235,9 @@ def cg_occasions(cfg: CgConfig, horizon_us) -> list[CgOccasion]:
     while n * cfg.periodicity_us < horizon_us:
         start = n * cfg.periodicity_us
         first_slot = math.ceil(start / SLOT_US)
-        u = _ul_slot_at_or_after(first_slot)
+        u = next_slot(first_slot, True)
         for k in range(cfg.occasions_per_period):
-            slot = u + 5 * k
+            slot = u + TDD_PERIOD * k
             if slot * SLOT_US < horizon_us:
                 out.append(CgOccasion(slot, cfg.rb_per_occasion))
         n += 1

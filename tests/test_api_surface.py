@@ -31,9 +31,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xrsim"
 
-# module, or module.name -> why it stays without a caller in the package
+# module.name -> why it stays without a caller in the package; a whole
+# module is never exempt
 EXEMPT = {
-    "l4s": "acceptance criterion 9 runs the L4S marking loop on its own",
+    "l4s.closed_loop_run": "acceptance criterion 9 runs the L4S marking loop "
+                           "on its own; the cell does not mark",
     "engine.Engine": "the benchmark times Engine.run_until; it goes when "
                      "the benchmark drops that hook",
 }
@@ -63,6 +65,10 @@ MEMBERS_EXEMPT = {
     "cellsim.UeKpi.pser": "the golden cell digest and test_cellsim read it; "
                           "no output reports it yet (ROADMAP item 9's "
                           "stats.csv)",
+    "l4s.LoopResult.marked_total": "test_l4s compares the marked fractions "
+                                   "of the two marking methods",
+    "l4s.LoopResult.p95_sojourn_ms": "acceptance criterion 9 compares the "
+                                     "sojourn with and without marking",
 }
 
 # module.function.parameter or module.Class.method.parameter -> why no call
@@ -269,10 +275,10 @@ def _unset_params(trees):
 
 
 def _exempt(key):
-    """Whether EXEMPT keeps the key, its module or a name it lies in."""
+    """Whether EXEMPT keeps the key or a name it lies in."""
     parts = key.split(".")
     return any(".".join(parts[:i]) in EXEMPT
-               for i in range(1, len(parts) + 1))
+               for i in range(2, len(parts) + 1))
 
 
 def test_every_public_name_has_a_caller_in_the_package():
@@ -286,19 +292,19 @@ def test_every_exemption_is_still_needed():
     trees = _trees()
     unused = _unused(trees)
     for key in EXEMPT:
-        mod, _, name = key.partition(".")
-        assert mod in trees, f"{key}: no such module"
-        if name:
-            assert key in unused, f"{key} is used or gone; drop its exemption"
-        else:
-            assert any(k.split(".")[0] == mod for k in unused), (
-                f"{key}: every name in it is used; drop its exemption")
+        assert key in unused, f"{key} is used or gone; drop its exemption"
     for table, found in ((MEMBERS_EXEMPT, _unread_members(trees)),
                          (PARAMS_EXEMPT, _unset_params(trees))):
         assert [key for key in table if key not in found] == [], (
             "these are read, set or gone; drop their exemptions")
         assert [key for key in table if _exempt(key)] == [], (
             "EXEMPT already keeps these; drop their exemptions")
+
+
+def test_no_module_is_exempt_wholesale():
+    # an exempt module hides every dead name, member and parameter in it
+    assert [key for key in EXEMPT if "." not in key] == [], (
+        "exempt each name that stays, not its module")
 
 
 def test_every_module_constant_is_read():

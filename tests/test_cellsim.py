@@ -11,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xrsim.cellsim import (CellConfig, CellSim, FrameProgress, _always_on_runs,
-                           _next_slot, run_drop)
+                           run_drop)
 from xrsim.drx import (ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH,
                        SLOT_SLEEP, power_for_run)
-from xrsim.engine import SLOT_US, UPLINK, slot_type
+from xrsim.engine import SLOT_US, UPLINK, next_slot, slot_type
 from xrsim.qos import FlowQueue
 from xrsim.radio import tb_bits
 from xrsim.scheduling import (PF_WINDOW_SLOTS, CgConfig, PolicyKind,
@@ -394,7 +394,7 @@ def test_dl_retransmissions_stay_within_the_rb_budget(monkeypatch):
         due = [block for _, _, block in self.retx[slot]]
         used = send(self, slot, now, limit, tx_ues, ul)
         later = [block for _, _, block in
-                 self.retx.get(_next_slot(ul, slot + 1), ())]
+                 self.retx.get(next_slot(slot + 1, ul), ())]
         deferred[-1] += sum(any(b is x for x in later) for b in due)
         return used
 
@@ -671,16 +671,15 @@ def test_every_source_enqueues_a_fresh_set(kw, sources, monkeypatch):
             for s in seen.values()} == sources
 
 
-def test_short_adaptive_cycle_fails_when_the_cell_is_built():
+def test_short_adaptive_cycle_fails_when_the_config_is_built():
     # the ADRX grid's shortest on-duration is 2 ms: a 1.9 ms cycle leaves
     # the controller nothing to pick, which used to raise "min() arg is an
     # empty sequence" at its first update, mid-run
     cfg = CellConfig(ues_per_cell=2, duration_s=1.0, warmup_s=0.2,
-                     adaptive_drx=True,
                      drx=DrxConfig(cycle_us=Fraction(1900),
                                    on_duration_us=Fraction(1500),
                                    inactivity_us=Fraction(1000)))
     with pytest.raises(ValueError, match="at least 2 ms, got 1.9 ms"):
-        CellSim(cfg, seed=1)
+        replace(cfg, adaptive_drx=True)
     # the same cycle without the controller runs
-    CellSim(replace(cfg, adaptive_drx=False), seed=1).run()
+    CellSim(cfg, seed=1).run()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import xrsim.cli as cli
 from xrsim.cellsim import CellConfig
+from xrsim.drx import DrxConfig
 from xrsim.qos import QosFlowProfile
 from xrsim.scheduling import CgConfig
 
@@ -56,6 +57,14 @@ from xrsim.scheduling import CgConfig
     (lambda: QosFlowProfile(10.0, discard_timer_ms=-1.0), "discard_timer_ms"),
     (lambda: QosFlowProfile(10.0, discard_timer_ms=math.nan),
      "discard_timer_ms"),
+    (lambda: QosFlowProfile(math.nan), "psdb_ms"),
+    (lambda: QosFlowProfile(math.inf), "psdb_ms"),
+    (lambda: QosFlowProfile("10"), "psdb_ms"),
+    (lambda: CellConfig(adaptive_drx=True,
+                        drx=DrxConfig(cycle_us=Fraction(1900),
+                                      on_duration_us=Fraction(1500),
+                                      inactivity_us=Fraction(1000))),
+     "cycle_us"),
 ], ids=["n_cells=0", "ues_per_cell=-2", "fps=0", "warmup_s=duration_s",
         "warmup_s>duration_s", "warmup_s_in_the_last_slot", "embb_ues=-1", "discard_timer_ms=-5", "discard_timer_ms=nan",
         "psdb_ms=0.0001", "psdb_ms=inf", "rate_bps=inf", "dsr_threshold_ms=-1",
@@ -64,7 +73,8 @@ from xrsim.scheduling import CgConfig
         "embb_ues=0.5", "drx_offset_mode=Traffic", "adrx_epoch_frames=0",
         "adaptive_drx_without_drx", "discard_timer_ms=off",
         "discard_timer_ms=True", "profile_timer=0", "profile_timer=-1",
-        "profile_timer=nan"])
+        "profile_timer=nan", "profile_psdb=nan", "profile_psdb=inf",
+        "profile_psdb=str", "adaptive_cycle=1.9ms"])
 def test_out_of_domain_field_fails_when_the_config_is_built(build, field):
     # each of these used to build: a zero cell count or frame rate then
     # raised ZeroDivisionError, a negative load or eMBB count simulated
@@ -77,7 +87,10 @@ def test_out_of_domain_field_fails_when_the_config_is_built(build, field):
     # offset mode ran the common grid, a zero ADRX epoch acted as one
     # frame, and adaptive DRX without DRX ran with no DRX; a timer given as
     # a string other than "psdb" raised TypeError, True ran a 1 ms timer,
-    # and a queue profile took a timer of 0, below 0 or NaN
+    # a queue profile took a timer of 0, below 0 or NaN and a budget of NaN
+    # or infinity and raised TypeError for a budget given as text, and an
+    # adaptive cycle below the controller's grid failed when the cell was
+    # built
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         build()
 

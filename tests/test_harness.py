@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 from xrsim.cellsim import CellConfig, CellSim
+from xrsim.drx import DrxConfig
 from xrsim.engine import UPLINK, slot_type
 from xrsim.harness import (ExperimentConfig, KpiReport, _write_outputs,
                            aggregate, cdf_points, emit_cdf, parse_loads,
                            parse_seeds, run_experiment, run_pair, ue_satisfied,
                            xr_capacity)
 from xrsim.reporting import TableKind
-from xrsim.scheduling import PolicyKind
+from xrsim.scheduling import CgConfig, PolicyKind
 from xrsim.traffic import Direction
 
 
@@ -124,6 +125,23 @@ def test_config_defaults():
     assert cfg.seeds == [1, 2, 3, 4, 5]
     assert cfg[("drx", "mode")] == "off"
     assert cfg[("traffic", "fps")] == Fraction(60)
+
+
+def test_schema_defaults_are_the_model_defaults():
+    # each default is written twice, as SCHEMA text and as a dataclass
+    # default; the two must build the same configs
+    assert ExperimentConfig().cell_config(1) == CellConfig()
+    cfg = ExperimentConfig()
+    cfg.set("drx", "mode", "fixed")
+    cfg.set("cg", "enabled", "true")
+    cell = cfg.cell_config(1)
+    # README's documented defaults: a 50/3 ms cycle, 8 ms on, 8 ms
+    # inactivity; a 4 ms CG period, 1 occasion of 50 RBs, a window of 4
+    assert cell.drx == DrxConfig(cycle_us=Fraction(50_000, 3),
+                                 on_duration_us=8000, inactivity_us=8000)
+    assert cell.pose_cg == CgConfig(Fraction(4000), occasions_per_period=1,
+                                    rb_per_occasion=50, uto_uci_window=4)
+    assert cell.adaptive_drx is False
 
 
 def test_config_unknown_section(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from xrsim.l4s import (AdaptiveSource, L4sQueueState, Method2Marker,
-                       closed_loop_run, mark_method1, marking_probability,
-                       source_adapt)
+                       closed_loop_run, mark_method1, marking_probability)
 
 
 def test_marking_probability_ramp():
@@ -12,14 +11,6 @@ def test_marking_probability_ramp():
     assert marking_probability(6.0) == pytest.approx(0.5)
     assert marking_probability(10.0) == 1.0
     assert marking_probability(25.0) == 1.0
-
-
-def test_marking_probability_custom_thresholds():
-    assert marking_probability(4.0, t_low_ms=1.0, t_high_ms=5.0) == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        marking_probability(1.0, t_low_ms=5.0, t_high_ms=5.0)
-    with pytest.raises(ValueError):
-        marking_probability(1.0, t_low_ms=-1.0, t_high_ms=5.0)
 
 
 def test_mark_method1_frequency():
@@ -35,14 +26,6 @@ def test_mark_method1_degenerate_probabilities():
     assert all(mark_method1(1.0, rng) for _ in range(1000))
     with pytest.raises(ValueError):
         mark_method1(1.5, rng)
-
-
-def test_non_l4s_flow_never_marked():
-    rng = np.random.default_rng(2)
-    assert not any(mark_method1(1.0, rng, is_l4s=False) for _ in range(1000))
-    marker = Method2Marker(0.0)
-    marker.publish(0.0, 1.0)
-    assert not any(marker.mark(1.0, rng, is_l4s=False) for _ in range(1000))
 
 
 def test_method2_step_change_lags_by_delay():
@@ -76,14 +59,19 @@ def test_methods_equal_mean_under_constant_p():
 
 
 def test_source_adapt_rules():
-    assert source_adapt(40e6, 0.0, 5e6, 100e6, 1e6) == pytest.approx(41e6)
-    assert source_adapt(40e6, 0.5, 5e6, 100e6, 1e6) == pytest.approx(30e6)
-    assert source_adapt(40e6, 1.0, 5e6, 100e6, 1e6) == pytest.approx(20e6)
+    def adapt(rate_bps, marked_fraction):
+        src = AdaptiveSource(rate_bps=rate_bps, min_bps=5e6, max_bps=100e6,
+                             step_bps=1e6)
+        return src.adapt(marked_fraction)
+
+    assert adapt(40e6, 0.0) == pytest.approx(41e6)
+    assert adapt(40e6, 0.5) == pytest.approx(30e6)
+    assert adapt(40e6, 1.0) == pytest.approx(20e6)
     # clamping at both ends
-    assert source_adapt(99.8e6, 0.0, 5e6, 100e6, 1e6) == 100e6
-    assert source_adapt(5.5e6, 1.0, 5e6, 100e6, 1e6) == 5e6
+    assert adapt(99.8e6, 0.0) == 100e6
+    assert adapt(5.5e6, 1.0) == 5e6
     with pytest.raises(ValueError):
-        source_adapt(40e6, 1.2, 5e6, 100e6, 1e6)
+        adapt(40e6, 1.2)
 
 
 def test_adaptive_source_validation():
@@ -97,17 +85,17 @@ def test_adaptive_source_validation():
 
 
 def test_flow_isolation():
-    a = L4sQueueState("a")
-    b = L4sQueueState("b")
+    a = L4sQueueState()
+    b = L4sQueueState()
     for t in range(20):
         a.enqueue(float(t), 1500)
-    assert a.backlog_bytes == 30_000
-    assert b.backlog_bytes == 0
+    assert sum(size for _, size in a.queue) == 30_000
+    assert not b.queue
     assert b.head_sojourn_ms(100.0) == 0.0
     assert b.current_p(100.0) == 0.0
     assert a.current_p(10.0) > 0.0
     a.dequeue(10.0)
-    assert b.backlog_bytes == 0 and not b.queue
+    assert len(a.queue) == 19 and not b.queue
 
 
 def _run(seed, method=1, marking=True, delay=0.0, duration=4000.0):
@@ -132,8 +120,8 @@ def test_closed_loop_equilibrium_band_and_sojourn():
 def test_closed_loop_methods_agree():
     r1 = _run(seed=11, method=1)
     r2 = _run(seed=11, method=2, delay=5.0)
-    f1 = r1.marked_total / r1.dequeued_total
-    f2 = r2.marked_total / r2.dequeued_total
+    f1 = r1.marked_total / len(r1.sojourns_ms)
+    f2 = r2.marked_total / len(r2.sojourns_ms)
     assert abs(f1 - f2) <= 0.02
     tail2 = r2.rates_bps[len(r2.rates_bps) // 2:]
     assert 0.8 * 50e6 <= sum(tail2) / len(tail2) <= 1.1 * 50e6
