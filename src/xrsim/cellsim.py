@@ -359,8 +359,14 @@ class CellSim:
         # DL slots run so far; each UE's PF average catches up to it lazily
         self.dl_slots = 0
         # only XR frames arrive in a cell with no eMBB UE and no pose CG,
-        # so only such a cell can fall idle until the next frame
+        # so only such a cell can fall idle until the next frame, and it has
+        # no arrival before self.next_at
         self.can_idle = not self.embb and config.pose_cg is None
+        # the frames in every XR UE's undecided deque
+        self.n_undecided = 0
+        # a DL cell without CG grants no UL block, so its UL slots carry none
+        self.bare_ul = (config.direction is Direction.DL
+                        and config.pose_cg is None)
         # a DL cell serves every UE on its DL slots, a UL cell its eMBB UEs
         dl_ues = self.ues if config.direction is Direction.DL else self.embb
         self.dl_ues = dl_ues
@@ -463,6 +469,7 @@ class CellSim:
                                frame.byte_size)
             ue.frames[frame.index] = fp
             ue.undecided.append(fp)
+            self.n_undecided += 1
             ue.queue.enqueue_set(*sets)
 
     def _discards(self, now):
@@ -760,6 +767,8 @@ class CellSim:
     # ---- frame bookkeeping ----
 
     def _decide_frames(self, now):
+        if not self.n_undecided:
+            return
         warmup_t, end_t = self.warmup_t, self.end_t
         for ue in self.xr:
             dq = ue.undecided
@@ -770,6 +779,7 @@ class CellSim:
                 if done_time is None and now <= deadline and not fp.lost:
                     break
                 dq.popleft()
+                self.n_undecided -= 1
                 in_budget = (done_time is not None and not fp.lost
                              and done_time <= deadline)
                 if fp.arrival >= warmup_t and deadline <= end_t:
@@ -802,12 +812,16 @@ class CellSim:
 
     def _on_slot(self, slot):
         now = slot * self.slot_t
-        self._arrivals(now)
+        if now >= self.next_at or not self.can_idle:
+            self._arrivals(now)
         if now >= self.discard_at:
             self._discards(now)
         kind = slot_type(slot)
         if kind == UPLINK:
-            self._ul_slot(slot, now)
+            if not self.bare_ul:
+                self._ul_slot(slot, now)
+            elif now >= self.warmup_t:  # it logs its idle RBs, and no more
+                self.rb_utilization.append(0.0)
         else:
             self._dl_slot(slot, now, kind)
         self._decide_frames(now)
@@ -815,10 +829,10 @@ class CellSim:
     def _idle(self) -> bool:
         """No byte is queued, no HARQ process or UL grant is pending and no
         frame is undecided, so nothing happens before the next arrival."""
-        if self.retx or self.ul_grants:
+        if self.n_undecided or self.retx or self.ul_grants:
             return False
         for ue in self.xr:
-            if ue.queue.entries or ue.undecided:
+            if ue.queue.entries:
                 return False
         return True
 

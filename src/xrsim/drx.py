@@ -183,12 +183,6 @@ def check_adrx_cycle(cycle_us):
             f"{float(cycle_us / 1000):g} ms", "cycle_us", "adaptive_drx")
 
 
-@dataclass
-class FrameObservation:
-    phase_us: float  # arrival time modulo the drx cycle
-    service_us: float  # airtime from first grant to delivery
-
-
 class AdrxController:
     """Drift-plus-penalty tuning of the on-duration and window offset.
 
@@ -201,20 +195,31 @@ class AdrxController:
         check_adrx_cycle(base.cycle_us)
         self.psdb_us = psdb_us
         self.q = ADRX_Q0
-        self.observations: deque[FrameObservation] = deque(maxlen=ADRX_HISTORY)
         self.current = base
+        # adaptation moves the window, never the cycle
+        self.period = float(base.cycle_us)
+        # the last ADRX_HISTORY frames as plain floats: each one's arrival
+        # time modulo the cycle and its airtime from first grant to delivery,
+        # in µs, and the sine and cosine of its phase
+        self.phases: deque = deque(maxlen=ADRX_HISTORY)
+        self.services: deque = deque(maxlen=ADRX_HISTORY)
+        self.sines: deque = deque(maxlen=ADRX_HISTORY)
+        self.cosines: deque = deque(maxlen=ADRX_HISTORY)
 
     def observe_frame(self, phase_us: float, service_us: float):
-        self.observations.append(FrameObservation(phase_us, service_us))
+        ang = 2 * math.pi * phase_us / self.period
+        self.phases.append(phase_us)
+        self.services.append(service_us)
+        self.sines.append(math.sin(ang))
+        self.cosines.append(math.cos(ang))
 
     def _expected_phase(self) -> float:
-        period = float(self.current.cycle_us)
-        ang = [2 * math.pi * o.phase_us / period for o in self.observations]
-        s = sum(map(math.sin, ang))
-        c = sum(map(math.cos, ang))
+        """The circular mean of the kept phases, in µs into the cycle."""
+        s = sum(self.sines)
+        c = sum(self.cosines)
         if s == 0 and c == 0:
             return 0.0
-        return (math.atan2(s, c) % (2 * math.pi)) * period / (2 * math.pi)
+        return (math.atan2(s, c) % (2 * math.pi)) * self.period / (2 * math.pi)
 
     def _violation_counts(self, phase, service, period, offsets, on_grid):
         """Observations that each candidate window would leave violated, for
@@ -243,16 +248,15 @@ class AdrxController:
 
     def update(self, violations_in_epoch: int) -> DrxConfig:
         self.q = max(self.q + violations_in_epoch - ADRX_TARGET_VIOLATIONS, 0.0)
-        if not self.observations:
+        if not self.phases:
             return self.current
-        period = float(self.current.cycle_us)
+        period = self.period
         base_offset = float(self.current.start_offset_us % self.current.cycle_us)
         anchor = self._expected_phase()
         offsets = [(anchor + d * 1000.0) % period for d in ADRX_OFFSET_DELTA_MS]
-        obs = self.observations
-        phase = np.array([o.phase_us for o in obs])
-        service = np.array([o.service_us for o in obs])
-        n = len(obs)
+        phase = np.array(self.phases)
+        service = np.array(self.services)
+        n = len(phase)
         on_grid = np.array([on_ms * 1000.0 for on_ms in ADRX_ON_GRID_MS
                             if on_ms * 1000.0 <= period])
         # the service time that overruns each on-duration, summed left to

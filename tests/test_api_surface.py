@@ -15,8 +15,9 @@ value that nothing uses, and it goes too.
 Class members are checked by name. A method, a property, a dataclass or
 NamedTuple field, or an attribute set on ``self`` counts as read when an
 attribute read, a keyword argument or a string names it anywhere in the
-package; the strings of a ``__slots__`` declaration are not reads, and an
-augmented assignment (``x.n += 1``) is not either. A call ``x.name(...)``
+package; the strings of a ``__slots__`` declaration are not reads, an
+augmented assignment (``x.n += 1``) is not either, and nor is the object of
+a mutator call (``x.n.append(...)``, see ``MUTATORS``). A call ``x.name(...)``
 reads a method of that name, so it reads a field only when no class of
 the package has a method of that name: ``queue.pser()`` does not read a
 record's ``pser`` field. A parameter with a
@@ -69,7 +70,14 @@ MEMBERS_EXEMPT = {
                                    "of the two marking methods",
     "l4s.LoopResult.p95_sojourn_ms": "acceptance criterion 9 compares the "
                                      "sojourn with and without marking",
+    "l4s.LoopResult.rates_bps": "acceptance criterion 9 and test_l4s read "
+                                "the rate trajectory",
 }
+
+# methods that change the container they are called on: x.f.append(...)
+# writes f and does not read it
+MUTATORS = {"append", "extend", "add", "update", "appendleft", "insert",
+            "pop"}
 
 # module.function.parameter or module.Class.method.parameter -> why no call
 # in the package sets it
@@ -187,7 +195,7 @@ def _methods(trees):
 def _member_reads(trees):
     """Every name that an attribute read, a keyword argument or a string
     outside a ``__slots__`` declaration gives, and the names that
-    attribute calls give."""
+    attribute calls give; the object of a mutator call gives none."""
     read, called = set(), set()
     for tree in trees.values():
         slots = {id(node) for stmt in ast.walk(tree)
@@ -197,7 +205,13 @@ def _member_reads(trees):
                  for node in ast.walk(stmt.value)}
         calls = {id(node.func) for node in ast.walk(tree)
                  if isinstance(node, ast.Call)}
+        mutated = {id(node.func.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in MUTATORS}
         for node in ast.walk(tree):
+            if id(node) in mutated:
+                continue
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 (called if id(node) in calls else read).add(node.attr)
@@ -378,6 +392,21 @@ def test_an_unread_member_is_found():
     }.items()}
     assert _unread_members(trees) == ["a.Box.dead", "a.Box.stored",
                                       "a.Box.counted"]
+
+
+def test_a_mutator_call_does_not_read_its_container():
+    trees = {"a": ast.parse(
+        "class Log:\n"
+        "    rows: list\n"
+        "    seen: set\n"
+        "    kept: list\n"
+        "    def f(self, x):\n"
+        "        self.rows.append(x)\n"
+        "        self.seen.add(x)\n"
+        "        self.kept.append(x)\n"
+        "        return len(self.kept)\n")}
+    # appending to rows and adding to seen reads neither; len reads kept
+    assert _unread_members(trees) == ["a.Log.rows", "a.Log.seen", "a.Log.f"]
 
 
 def test_a_method_call_does_not_read_a_field_of_its_name():

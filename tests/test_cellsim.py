@@ -70,6 +70,7 @@ def test_in_budget_means_done_by_the_deadline():
     frames[3].lost = True
     frames[3].done_time = arrival
     ue.undecided.extend(frames)
+    sim.n_undecided += len(frames)
     sim._decide_frames(deadline + 1)
     assert not ue.undecided
     assert ue.outcomes == [(arrival / sim.ticks_per_us, ok)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrsim.drx import (ADRX_OFFSET_DELTA_MS, ADRX_ON_GRID_MS,
+from xrsim.drx import (ADRX_HISTORY, ADRX_OFFSET_DELTA_MS, ADRX_ON_GRID_MS,
                        ADRX_PHASE_GUARD_US, ADRX_TARGET_VIOLATIONS, ADRX_V,
                        ADRX_WAIT_TOLERANCE_US, SLOT_PDCCH, SLOT_PDSCH,
                        SLOT_SLEEP, ActivityLog, AdrxController, DrxConfig,
@@ -243,31 +243,43 @@ def test_pf_idle_equals_updates_with_nothing_served(avg, slots, window):
 
 def reference_predict(ctrl, offset_us, on_dur_us):
     """(violation fraction, active µs per cycle) of one candidate window, as
-    one loop over the controller's observations."""
+    one loop over the phases and services the controller keeps."""
     period = float(ctrl.current.cycle_us)
     viol = 0
     excess = 0.0
     tol = ADRX_WAIT_TOLERANCE_US
     guard = ADRX_PHASE_GUARD_US
-    for o in ctrl.observations:
+    for phase, service in zip(ctrl.phases, ctrl.services):
         worst = 0.0
-        for ph in (o.phase_us - guard, o.phase_us + guard):
+        for ph in (phase - guard, phase + guard):
             rel = (ph - offset_us) % period
             delay = 0.0 if rel < on_dur_us else period - rel
             worst = max(worst, delay)
-        if worst > tol or worst + o.service_us > ctrl.psdb_us:
+        if worst > tol or worst + service > ctrl.psdb_us:
             viol += 1
-        excess += max(0.0, o.service_us - on_dur_us)
-    if not ctrl.observations:
+        excess += max(0.0, service - on_dur_us)
+    if not ctrl.phases:
         return 0.0, on_dur_us
-    n = len(ctrl.observations)
+    n = len(ctrl.phases)
     return viol / n, on_dur_us + excess / n
+
+
+def reference_anchor(ctrl):
+    """The circular mean of the kept phases, each phase's trigonometry
+    worked out afresh at the cycle of the controller's current config."""
+    period = float(ctrl.current.cycle_us)
+    ang = [2 * math.pi * phase / period for phase in ctrl.phases]
+    s = sum(map(math.sin, ang))
+    c = sum(map(math.cos, ang))
+    if s == 0 and c == 0:
+        return 0.0
+    return (math.atan2(s, c) % (2 * math.pi)) * period / (2 * math.pi)
 
 
 def reference_update(ctrl, violations_in_epoch):
     """AdrxController.update as a loop over reference_predict."""
     ctrl.q = max(ctrl.q + violations_in_epoch - ADRX_TARGET_VIOLATIONS, 0.0)
-    if not ctrl.observations:
+    if not ctrl.phases:
         return ctrl.current
     cur = ctrl.current
     base_offset = float(cur.start_offset_us % cur.cycle_us)
@@ -334,7 +346,12 @@ def test_adrx_search_unchanged(obs, q, viols, cycle, base_off, pinned):
             c.q = q
             for phase, service in history:
                 c.observe_frame(phase, service)
+        # the controller keeps the last frames as it saw them
+        kept = history[-ADRX_HISTORY:]
+        assert list(zip(ctrl.phases, ctrl.services)) == kept
         for _ in range(2):  # the second search starts from the first's choice
+            if pinned is None:
+                assert ctrl._expected_phase() == reference_anchor(ctrl)
             ref.current = reference_update(ref, viols)
             assert ctrl.update(viols) == ref.current
             assert ctrl.q == ref.q

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from xrsim.cellsim import CellConfig, CellSim
 from xrsim.drx import DrxConfig
-from xrsim.engine import SLOT_US
+from xrsim.engine import SLOT_US, UPLINK, slot_type
 from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from xrsim.traffic import Direction
 
@@ -100,6 +100,28 @@ def test_stepping_drx_only_with_data_changes_nothing(drawn, seed):
     eager, eager_activity = _run(*drawn, seed, True, eager_drx=True)
     assert lazy == eager
     assert lazy_activity == eager_activity
+
+
+@settings(max_examples=100)
+@given(idle_cells(pose_cg=True), st.integers(0, 1000))
+def test_slot_bookkeeping_holds_after_every_slot(drawn, seed):
+    # the cell's count of undecided frames is the sum of its UEs' deques,
+    # and a DL cell without CG has no UL block or grant that its bare UL
+    # slots would leave unsent
+    cfg, cell = drawn
+    on_slot = CellSim._on_slot
+    bare_ul = cfg.direction is Direction.DL and cfg.pose_cg is None
+
+    def checked(self, slot):
+        on_slot(self, slot)
+        assert self.n_undecided == sum(len(ue.undecided) for ue in self.xr)
+        if bare_ul:
+            assert not [s for s in (*self.retx, *self.ul_grants)
+                        if slot_type(s) == UPLINK]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CellSim, "_on_slot", checked)
+        CellSim(cfg, seed=seed, cell=cell).run()
 
 
 def test_every_slot_covered_once_in_order(monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from xrsim.reporting import (
-    BsTable,
     TableKind,
     gen_bs_table,
     quantize_bsr,
