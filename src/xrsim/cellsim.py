@@ -116,8 +116,8 @@ class CellConfig:
     discard_timer_ms: object = "psdb"
     pose_cg: Optional[CgConfig] = None
     stagger: bool = True
-    # one power model for every cell; a class constant, not a field
-    power_model: ClassVar[PowerModel] = PowerModel()
+    # the one power model, for readers outside the cell; not a field
+    power_model: ClassVar[type[PowerModel]] = PowerModel
 
     def __post_init__(self):
         # the cell holds its times in whole µs; a zero rate or frame rate has
@@ -286,7 +286,8 @@ class CellSim:
                  else config.discard_timer_ms)
         profile = QosFlowProfile(psdb_ms=config.psdb_ms, psihi=config.psihi,
                                  discard_timer_ms=timer)
-        embb_profile = QosFlowProfile(psdb_ms=10_000.0, psihi=False)
+        # the eMBB and pose queues' best-effort profile
+        best_effort = QosFlowProfile(psdb_ms=10_000.0, psihi=False)
 
         self.stream_cfg = VideoStreamConfig(
             rate_bps=config.rate_bps, fps=config.fps,
@@ -322,15 +323,13 @@ class CellSim:
             # chosen here holds for the whole run
             ue.mcs, _ = select_mcs(ue.sinr_db)
             if is_embb:
-                ue.queue = FlowQueue(embb_profile, ue_id=link.ue_id,
-                                     ticks_per_us=tpu)
+                ue.queue = FlowQueue(best_effort, ticks_per_us=tpu)
                 ue.source = ftp3_source(
                     self.rng.stream(f"embb.{link.ue_id}"),
                     ticks_per_us=tpu)
                 ue.next_sets = None
             else:
-                ue.queue = FlowQueue(profile, ue_id=link.ue_id,
-                                     ticks_per_us=tpu)
+                ue.queue = FlowQueue(profile, ticks_per_us=tpu)
                 video_rng = self.rng.stream(f"video.{link.ue_id}")
                 start = 0
                 if config.stagger:
@@ -405,9 +404,7 @@ class CellSim:
         live = {o.slot: i for i, o in enumerate(self.cg_occasions)}
         for u in self.cg_ues:
             u.cg_live = dict(live)
-            u.pose_queue = FlowQueue(
-                QosFlowProfile(psdb_ms=10_000.0, psihi=False),
-                ue_id=u.ue_id, ticks_per_us=tpu)
+            u.pose_queue = FlowQueue(best_effort, ticks_per_us=tpu)
             u.pose_src = pose_source(ticks_per_us=tpu)
             u.pose_next = next(u.pose_src)
 
@@ -534,8 +531,7 @@ class CellSim:
         last brought up to date: those slots served it nothing."""
         n = self.dl_slots
         if ue.pf_slots != n:
-            ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, n - ue.pf_slots,
-                                      PF_WINDOW_SLOTS)
+            ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, n - ue.pf_slots)
             ue.pf_slots = n
         return ue.avg_tput_bps
 
@@ -613,8 +609,7 @@ class CellSim:
                 if gap == 1:
                     ue.avg_tput_bps *= _PF_KEEP
                 elif gap:
-                    ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, gap,
-                                              PF_WINDOW_SLOTS)
+                    ue.avg_tput_bps = pf_idle(ue.avg_tput_bps, gap)
                 ue.pf_slots = n_dl
 
         allocs = (allocate_dl(now, cands, cfg.policy, N_RB - rb_used, sym,
@@ -625,8 +620,7 @@ class CellSim:
             tx_ues.add(ue)
             ue.grants += 1
             if ue.pf_read:  # this slot's PF update, the only one serving it
-                ue.avg_tput_bps = pf_update(self._pf_avg(ue),
-                                            a.tb_bits * 2000, PF_WINDOW_SLOTS)
+                ue.avg_tput_bps = pf_update(self._pf_avg(ue), a.tb_bits * 2000)
                 ue.pf_slots = n_dl + 1
             if ue.adrx is not None:  # only the ADRX controller reads it
                 self._mark_first_service(ue, a.segments, now)
@@ -853,7 +847,6 @@ class CellSim:
         self.dl_slots += dl_slots_before(b) - dl_slots_before(a)
 
     def run(self) -> CellResult:
-        cfg = self.cfg
         slot_t = self.slot_t
         n_slots = self.n_slots
         slot = 0
@@ -875,7 +868,7 @@ class CellSim:
             else:
                 self._catch_up(ue, n_slots)
                 runs = ue.activity.runs(self.warm_slot)
-            avg_power = power_for_run(runs, cfg.power_model)
+            avg_power = power_for_run(runs)
             # eMBB flows carry no PDU-set error rate target
             pser = 0.0 if ue.is_embb else ue.queue.pser()
             kpis.append(UeKpi(ue.ue_id, ue.is_embb, ue.padding_samples,

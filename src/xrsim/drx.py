@@ -64,7 +64,6 @@ class DrxMachine:
         self._align(0)
         self.on_expiry: float = -math.inf
         self.inactivity_expiry: float = -math.inf
-        self.mode = DrxMode.SLEEP
 
     def _align(self, now):
         cfg = self.cfg
@@ -112,14 +111,11 @@ class DrxMachine:
             # timer runs from the end of the granting slot
             self.inactivity_expiry = now + self.slot + self.cfg.inactivity_us
         inactive_ext = now < self.inactivity_expiry
-        monitoring = in_on or inactive_ext or scheduled_data
         if in_on:
-            self.mode = DrxMode.ON_DURATION
-        elif inactive_ext or scheduled_data:
-            self.mode = DrxMode.INACTIVITY
-        else:
-            self.mode = DrxMode.SLEEP
-        return self.mode, monitoring
+            return DrxMode.ON_DURATION, True
+        if inactive_ext or scheduled_data:
+            return DrxMode.INACTIVITY, True
+        return DrxMode.SLEEP, False
 
     def skip(self, now, n: int) -> list:
         """Advance n slots from now with no grant and no data, as n calls of
@@ -145,14 +141,6 @@ class DrxMachine:
             else:
                 runs.append((monitoring, k))
             t += k * slot
-        if runs:
-            last = t - slot
-            if last < self.on_expiry:
-                self.mode = DrxMode.ON_DURATION
-            elif last < self.inactivity_expiry:
-                self.mode = DrxMode.INACTIVITY
-            else:
-                self.mode = DrxMode.SLEEP
         return runs
 
 
@@ -278,19 +266,15 @@ class AdrxController:
         return self.current
 
 
-@dataclass(frozen=True)
 class PowerModel:
-    deep_sleep: float = 0.04
-    light_sleep: float = 0.4
-    pdcch_only: float = 1.0
-    pdcch_plus_pdsch: float = 3.0
-    transition_energy: float = 4.0  # per deep-sleep entry/exit pair, slot units
-    min_deep_dwell_slots: int = 6
+    """Relative UE power per slot state, in units of a PDCCH-only slot."""
 
-    def __post_init__(self):
-        if not (self.deep_sleep < self.light_sleep < self.pdcch_only
-                < self.pdcch_plus_pdsch):
-            raise ValueError("power states must be strictly ordered")
+    deep_sleep = 0.04
+    light_sleep = 0.4
+    pdcch_only = 1.0
+    pdcch_plus_pdsch = 3.0
+    transition_energy = 4.0  # per deep-sleep entry/exit pair, slot units
+    min_deep_dwell_slots = 6
 
 
 SLOT_PDCCH = "pdcch"
@@ -327,17 +311,17 @@ class ActivityLog:
                 start -= k
 
 
-def power_for_run(runs, model: PowerModel) -> float:
+def power_for_run(runs) -> float:
     """Time-average relative power of an activity given as (label, slots)
     runs in slot order.
 
     Each monitoring slot adds its own term, so a run of k adds k terms one
-    by one: k * term would round differently for a model whose values are
-    not whole numbers. With whole terms and a whole total, every sum below
-    2**53 is exact in any grouping, so the run adds k * term at once. Each
-    maximal sleep run, which may span several runs, adds one term."""
-    pdsch, pdcch = model.pdcch_plus_pdsch, model.pdcch_only
-    whole = float(pdsch).is_integer() and float(pdcch).is_integer()
+    by one: k * term would round differently once a sleep run has left a
+    fraction in the total. The monitoring terms are whole, so with a whole
+    total every sum below 2**53 is exact in any grouping, and the run adds
+    k * term at once. Each maximal sleep run, which may span several runs,
+    adds one term."""
+    pdsch, pdcch = PowerModel.pdcch_plus_pdsch, PowerModel.pdcch_only
     total = 0.0
     n = 0
     asleep = 0
@@ -347,27 +331,28 @@ def power_for_run(runs, model: PowerModel) -> float:
             asleep += k
             continue
         if asleep:
-            total += _sleep_power(asleep, model)
+            total += _sleep_power(asleep)
             asleep = 0
         term = pdsch if label == SLOT_PDSCH else pdcch
         step = total + k * term
-        if k == 1 or whole and step < 2**53 and total.is_integer():
+        if k == 1 or step < 2**53 and total.is_integer():
             total = step
         else:
             total = reduce(add, repeat(term, k), total)
     if asleep:
-        total += _sleep_power(asleep, model)
+        total += _sleep_power(asleep)
     if n == 0:
         raise ValueError("no slots to average over")
     return total / n
 
 
-def _sleep_power(run: int, model: PowerModel) -> float:
+def _sleep_power(run: int) -> float:
     """The energy of a gap of run sleep slots."""
-    light = run * model.light_sleep
-    if run >= model.min_deep_dwell_slots:
+    light = run * PowerModel.light_sleep
+    if run >= PowerModel.min_deep_dwell_slots:
         # the UE picks the cheaper feasible depth for the gap
-        return min(light, run * model.deep_sleep + model.transition_energy)
+        return min(light, run * PowerModel.deep_sleep
+                   + PowerModel.transition_energy)
     return light
 
 

@@ -37,31 +37,29 @@ def marking_probability(sojourn_ms: float) -> float:
 class L4sQueueState:
     """Per-flow bottleneck queue with sojourn-time tracking.
 
-    Packets are opaque byte counts; each flow has its own queue, so one
-    flow's backlog cannot influence another's sojourn or marking.
+    Every packet is PKT_BYTES, so the queue holds only enqueue times; each
+    flow has its own queue, so one flow's backlog cannot influence
+    another's sojourn or marking.
     """
 
-    queue: Deque[Tuple[float, int]] = field(default_factory=deque)
+    queue: Deque[float] = field(default_factory=deque)
 
-    def enqueue(self, now_ms: float, byte_size: int) -> None:
-        if byte_size <= 0:
-            raise ValueError("byte_size must be positive")
-        self.queue.append((now_ms, byte_size))
+    def enqueue(self, now_ms: float) -> None:
+        self.queue.append(now_ms)
 
     def head_sojourn_ms(self, now_ms: float) -> float:
         if not self.queue:
             return 0.0
-        return now_ms - self.queue[0][0]
+        return now_ms - self.queue[0]
 
     def current_p(self, now_ms: float) -> float:
         return marking_probability(self.head_sojourn_ms(now_ms))
 
-    def dequeue(self, now_ms: float) -> Optional[Tuple[float, int]]:
-        """Pop the head packet, returning (sojourn_ms, byte_size)."""
+    def dequeue(self, now_ms: float) -> Optional[float]:
+        """Pop the head packet, returning its sojourn in ms."""
         if not self.queue:
             return None
-        enq_ms, size = self.queue.popleft()
-        return now_ms - enq_ms, size
+        return now_ms - self.queue.popleft()
 
 
 def mark_method1(p: float, rng: Generator) -> bool:
@@ -181,15 +179,15 @@ def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
 
         emit_carry += source.rate_bps * TICK_MS / 8000.0
         while emit_carry >= PKT_BYTES:
-            queue.enqueue(now, PKT_BYTES)
+            queue.enqueue(now)
             emit_carry -= PKT_BYTES
 
         marker.publish(now, queue.current_p(now))
 
         serve_carry += capacity_bps * TICK_MS / 8000.0
-        while queue.queue and serve_carry >= queue.queue[0][1]:
-            sojourn, size = queue.dequeue(now)
-            serve_carry -= size
+        while queue.queue and serve_carry >= PKT_BYTES:
+            sojourn = queue.dequeue(now)
+            serve_carry -= PKT_BYTES
             result.sojourns_ms.append(sojourn)
             if marking_enabled:
                 if method == 1:

@@ -36,7 +36,6 @@ class QosFlowProfile:
 @dataclass(frozen=True)
 class DiscardEvent:
     time_us: float
-    ue_id: int
     set_id: tuple
     cause: str  # harq | psihi | psi | timer
     pdu_ids: tuple
@@ -74,10 +73,8 @@ class FlowQueue:
     expire under the discard timer: infinite with no timer or no set.
     """
 
-    def __init__(self, profile: QosFlowProfile, ue_id: int = 0,
-                 ticks_per_us: int = 1):
+    def __init__(self, profile: QosFlowProfile, ticks_per_us: int = 1):
         self.profile = profile
-        self.ue_id = ue_id
         self.ticks_per_us = ticks_per_us
         self.entries: deque[PduSet] = deque()
         self.queued_bytes = 0  # queued bytes that MAC has not taken yet
@@ -133,8 +130,7 @@ class FlowQueue:
 
     def _log(self, now, set_id, cause, pdu_ids=()):
         self.events.append(DiscardEvent(float(now / self.ticks_per_us),
-                                        self.ue_id, set_id, cause,
-                                        tuple(pdu_ids)))
+                                        set_id, cause, tuple(pdu_ids)))
 
     def _remove_set(self, s, now, cause) -> list:
         """Drop a set and log it; return its PDUs not yet fully taken."""

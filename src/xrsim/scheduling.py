@@ -49,17 +49,17 @@ class Allocation:
     acked: bool = False
 
 
-def pf_update(avg_bps: float, served_bps: float, window_slots: int) -> float:
-    w = 1.0 / window_slots
+def pf_update(avg_bps: float, served_bps: float) -> float:
+    w = 1.0 / PF_WINDOW_SLOTS
     return (1.0 - w) * avg_bps + w * served_bps
 
 
-def pf_idle(avg_bps: float, slots: int, window_slots: int) -> float:
+def pf_idle(avg_bps: float, slots: int) -> float:
     """pf_update over slots that serve nothing, bit for bit: the update is
     then (1 - w) * avg + 0.0, and x + 0.0 == x for x >= 0. One product per
     slot, since a power rounds differently; reduce runs the products in C,
     and avg * keep is keep * avg exactly."""
-    return reduce(mul, repeat(1.0 - 1.0 / window_slots, slots), avg_bps)
+    return reduce(mul, repeat(1.0 - 1.0 / PF_WINDOW_SLOTS, slots), avg_bps)
 
 
 def pf_metric(ue, data_symbols: int) -> float:

@@ -16,8 +16,10 @@ Class members are checked by name. A method, a property, a dataclass or
 NamedTuple field, or an attribute set on ``self`` counts as read when an
 attribute read, a keyword argument or a string names it anywhere in the
 package; the strings of a ``__slots__`` declaration are not reads, an
-augmented assignment (``x.n += 1``) is not either, and nor is the object of
-a mutator call (``x.n.append(...)``, see ``MUTATORS``). A call ``x.name(...)``
+augmented assignment (``x.n += 1``) is not either, nor is a keyword argument
+of a call that builds a class of the package (``Box(n=1)`` sets ``n``), and
+nor is the object of a mutator call (``x.n.append(...)``, see
+``MUTATORS``). A call ``x.name(...)``
 reads a method of that name, so it reads a field only when no class of
 the package has a method of that name: ``queue.pser()`` does not read a
 record's ``pser`` field. A parameter with a
@@ -51,6 +53,16 @@ MEMBERS_EXEMPT = {
     "engine.SimStats.events_processed": "the benchmark's engine.events "
                                         "metric reads it from Engine."
                                         "run_until; it goes with Engine",
+    "engine.Event.time": "set when Engine schedules an event and read by "
+                         "no line; it goes with Engine (ROADMAP item 2)",
+    "engine.Event.sequence": "as Event.time",
+    "traffic.PduSet.end_of_burst": "the Release 18 end-of-data-burst mark "
+                                   "of a frame's last set; test_traffic and "
+                                   "test_qos check it, but no model reads "
+                                   "it yet",
+    "cellsim.CellConfig.power_model": "the benchmark's cell_record reads "
+                                      "the power bounds from it; the cell "
+                                      "reads the model itself",
     "qos.DiscardEvent.time_us": "the discard log that a per-frame miss "
                                 "report (ROADMAP item 9) reads, and that "
                                 "test_qos_property checks against the PDU "
@@ -193,9 +205,12 @@ def _methods(trees):
 
 
 def _member_reads(trees):
-    """Every name that an attribute read, a keyword argument or a string
-    outside a ``__slots__`` declaration gives, and the names that
-    attribute calls give; the object of a mutator call gives none."""
+    """Every name that an attribute read, a keyword argument of a call
+    that builds no class of the package or a string outside a
+    ``__slots__`` declaration gives, and the names that attribute calls
+    give; the object of a mutator call gives none."""
+    classes = {cls.name for tree in trees.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef)}
     read, called = set(), set()
     for tree in trees.values():
         slots = {id(node) for stmt in ast.walk(tree)
@@ -209,13 +224,18 @@ def _member_reads(trees):
                    if isinstance(node, ast.Call)
                    and isinstance(node.func, ast.Attribute)
                    and node.func.attr in MUTATORS}
+        # the keyword arguments of a call that builds a package class
+        built = {id(k) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and _callee(node.func) in classes for k in node.keywords}
         for node in ast.walk(tree):
             if id(node) in mutated:
                 continue
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 (called if id(node) in calls else read).add(node.attr)
-            elif isinstance(node, ast.keyword) and node.arg:
+            elif (isinstance(node, ast.keyword) and node.arg
+                  and id(node) not in built):
                 read.add(node.arg)
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str) and id(node) not in slots):
@@ -234,6 +254,13 @@ def _unread_members(trees):
             and not (key in methods and key.rpartition(".")[2] in called)]
 
 
+def _callee(func):
+    """The name a call's function goes by: ``f`` of ``f(...)`` and of
+    ``x.f(...)``, or None."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr",
+                                                              None)
+
+
 def _calls(trees):
     """(callee name, positional arguments, keyword names) of every call;
     a starred argument counts as every position."""
@@ -242,9 +269,7 @@ def _calls(trees):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr",
-                                                                None)
+            name = _callee(node.func)
             n = (math.inf if any(isinstance(a, ast.Starred)
                                  for a in node.args) else len(node.args))
             out.append((name, n, {k.arg for k in node.keywords}))
@@ -407,6 +432,24 @@ def test_a_mutator_call_does_not_read_its_container():
         "        return len(self.kept)\n")}
     # appending to rows and adding to seen reads neither; len reads kept
     assert _unread_members(trees) == ["a.Log.rows", "a.Log.seen", "a.Log.f"]
+
+
+def test_a_keyword_that_builds_a_class_does_not_read_its_field():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "class Box:\n"
+             "    built: int\n"
+             "    passed: int\n"
+             "    read: int\n",
+        "b": "from . import a\nfrom .a import Box\n\n"
+             "def f(box):\n"
+             "    Box(built=1)\n"
+             "    a.Box(built=2)\n"
+             "    g(passed=3)\n"
+             "    return box.read\n",
+    }.items()}
+    # building a Box sets built, by name or through its module; a keyword
+    # of any other call still reads its name
+    assert _unread_members(trees) == ["a.Box.built"]
 
 
 def test_a_method_call_does_not_read_a_field_of_its_name():

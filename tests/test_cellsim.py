@@ -17,8 +17,7 @@ from xrsim.drx import (ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH,
 from xrsim.engine import SLOT_US, UPLINK, next_slot, slot_type
 from xrsim.qos import FlowQueue
 from xrsim.radio import tb_bits
-from xrsim.scheduling import (PF_WINDOW_SLOTS, CgConfig, PolicyKind,
-                              SchedulerPolicy)
+from xrsim.scheduling import CgConfig, PolicyKind, SchedulerPolicy
 from xrsim.traffic import Direction, PduSet
 
 
@@ -302,11 +301,12 @@ def test_pf_average_reads_as_if_updated_every_slot(kind, psi, embb,
         served.clear()
         dl_slot(self, *args)
         for ue_id, avg in eager.items():
-            eager[ue_id] = pf_update(avg, served.get(ue_id, 0) * 2000,
-                                     PF_WINDOW_SLOTS)
+            eager[ue_id] = pf_update(avg, served.get(ue_id, 0) * 2000)
+
+    owner = {id(ue.queue): ue.ue_id for ue in sim.ues}
 
     def psi_read(self, now, rate):
-        reads.append((rate, max(eager[self.ue_id], 1e6)))
+        reads.append((rate, max(eager[owner[id(self)]], 1e6)))
         return psi_discard(self, now, rate)
 
     monkeypatch.setattr(cellsim, "allocate_dl", allocate)
@@ -360,7 +360,7 @@ def test_power_and_rb_samples_share_the_warm_up_boundary(drx):
     for ue, kpi in zip(sim.ues, result.ues):
         runs = (ue.activity.runs(first) if drx else
                 _always_on_runs(ue.pdsch_slots, first, sim.n_slots))
-        assert kpi.avg_power == power_for_run(runs, cfg.power_model)
+        assert kpi.avg_power == power_for_run(runs)
 
 
 def test_skip_counts_the_dl_slots_it_skips():
@@ -559,11 +559,14 @@ def test_harq_exhaustion_loses_the_block(direction, pose_cg, crowd,
         current[0] = slot
         return on_slot(self, slot)
 
+    owner = {id(q): ue.ue_id for ue in sim.ues
+             for q in (ue.queue, ue.pose_queue) if q is not None}
+
     def taking(self, max_bytes):
         segs = take(self, max_bytes)
         if segs:
-            taken.append([(self.ue_id, s.pdu_set.id, s.start, s.byte_size)
-                          for s in segs])
+            taken.append([(owner[id(self)], s.pdu_set.id, s.start,
+                           s.byte_size) for s in segs])
         return segs
 
     def attempting(block, sinr_db, rng):

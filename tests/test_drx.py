@@ -209,31 +209,37 @@ def test_adrx_choice_is_grid_argmin():
 
 
 def test_power_examples():
-    model = PowerModel()
-    assert power_for_run([(SLOT_PDCCH, 10)], model) == pytest.approx(1.0)
-    custom = PowerModel(deep_sleep=0.1, transition_energy=0.0,
-                        min_deep_dwell_slots=1)
+    assert power_for_run([(SLOT_PDCCH, 10)]) == pytest.approx(1.0)
+    # a 5-slot gap is too short for deep sleep: 5 * 0.4 + 5 * 1.0 over 10
     runs = [(SLOT_SLEEP, 5), (SLOT_PDCCH, 5)]
-    assert power_for_run(runs, custom) == pytest.approx(0.55)
+    assert power_for_run(runs) == pytest.approx(0.7)
     with_data = [(SLOT_PDSCH, 1), (SLOT_SLEEP, 4), (SLOT_PDCCH, 5)]
-    assert power_for_run(with_data, custom) > power_for_run(runs, custom)
+    assert power_for_run(with_data) > power_for_run(runs)
+
+
+def test_power_states_are_ordered():
+    assert (PowerModel.deep_sleep < PowerModel.light_sleep
+            < PowerModel.pdcch_only < PowerModel.pdcch_plus_pdsch)
+    # power_for_run adds a run of monitoring slots at once only because
+    # both monitoring terms are whole
+    assert PowerModel.pdcch_only.is_integer()
+    assert PowerModel.pdcch_plus_pdsch.is_integer()
 
 
 def test_power_sleep_depth_rules():
-    model = PowerModel()
     # deep sleep beats light only past the break-even run length:
     # 0.04 L + 4 < 0.4 L at L > 100/9, so a 12-slot gap goes deep
     runs = [(SLOT_PDCCH, 2), (SLOT_SLEEP, 12), (SLOT_PDCCH, 2)]
     expect = (2 * 1.0 + 12 * 0.04 + 4.0 + 2 * 1.0) / 16
-    assert power_for_run(runs, model) == pytest.approx(expect)
+    assert power_for_run(runs) == pytest.approx(expect)
     # a 10-slot gap may enter deep sleep but light is cheaper, so it doesn't
     runs = [(SLOT_PDCCH, 2), (SLOT_SLEEP, 10), (SLOT_PDCCH, 2)]
     expect = (2 * 1.0 + 10 * 0.4 + 2 * 1.0) / 14
-    assert power_for_run(runs, model) == pytest.approx(expect)
+    assert power_for_run(runs) == pytest.approx(expect)
     # 4-slot nap stays in light sleep
     runs = [(SLOT_PDCCH, 2), (SLOT_SLEEP, 4), (SLOT_PDCCH, 2)]
     expect = (2 * 1.0 + 4 * 0.4 + 2 * 1.0) / 8
-    assert power_for_run(runs, model) == pytest.approx(expect)
+    assert power_for_run(runs) == pytest.approx(expect)
 
 
 def test_power_saving_gain():

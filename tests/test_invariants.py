@@ -88,6 +88,10 @@ def ul_cells(draw):
     # 3 s runs: a UL slot over 273 RBs needs a retransmission due on a full
     # slot, which shorter runs seldom reach
     cg_rb = draw(st.sampled_from([None, 10, 50]))
+    # a 4 ms period with one occasion, or a frame period with two or three
+    period, occasions = draw(st.sampled_from([
+        (Fraction(4000), 1), (Fraction(50_000, 3), 2),
+        (Fraction(50_000, 3), 3)]))
     return CellConfig(
         ues_per_cell=draw(st.integers(1, 4)),
         n_cells=draw(st.integers(1, 3)),
@@ -98,7 +102,8 @@ def ul_cells(draw):
         dsr_enabled=draw(st.booleans()), dsr_threshold_ms=25.0,
         drx=draw(st.sampled_from([None, _FIXED_DRX])),
         pose_cg=None if cg_rb is None else CgConfig(
-            periodicity_us=Fraction(4000), rb_per_occasion=cg_rb))
+            periodicity_us=period, occasions_per_period=occasions,
+            rb_per_occasion=cg_rb))
 
 
 def _decided_arrivals(cfg, seed, ue_id):

@@ -88,8 +88,8 @@ def test_flow_isolation():
     a = L4sQueueState()
     b = L4sQueueState()
     for t in range(20):
-        a.enqueue(float(t), 1500)
-    assert sum(size for _, size in a.queue) == 30_000
+        a.enqueue(float(t))
+    assert len(a.queue) == 20
     assert not b.queue
     assert b.head_sojourn_ms(100.0) == 0.0
     assert b.current_p(100.0) == 0.0

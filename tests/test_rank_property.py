@@ -167,8 +167,7 @@ def _build(specs):
     """Fresh UE records, queues included, from the drawn specs."""
     ues = []
     for spec in specs:
-        q = FlowQueue(QosFlowProfile(psdb_ms=10.0), ue_id=spec["ue_id"],
-                      ticks_per_us=spec["tpu"])
+        q = FlowQueue(QosFlowProfile(psdb_ms=10.0), ticks_per_us=spec["tpu"])
         for k, (sizes, deadline, age) in enumerate(spec["sets"]):
             arrival = NOW - age
             if deadline is not None and deadline <= arrival:

@@ -183,9 +183,9 @@ def test_metric_scale_invariance():
 def test_pf_update_smoothing():
     avg = 0.0
     for _ in range(1000):
-        avg = pf_update(avg, 1e6, 100)
+        avg = pf_update(avg, 1e6)
     assert avg == pytest.approx(1e6, rel=1e-4)
-    assert pf_update(1e6, 0.0, 100) == pytest.approx(0.99e6)
+    assert pf_update(1e6, 0.0) == pytest.approx(0.99e6)
 
 
 def test_allocate_ul_proportional():
