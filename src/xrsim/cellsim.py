@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Integral
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 from .drx import (SLOT_PDCCH, SLOT_PDSCH, SLOT_SLEEP, ActivityLog,
                   AdrxController, DrxConfig, DrxMachine,
@@ -65,25 +66,12 @@ def _drop(config, rng):
         config.ues_per_cell + config.embb_ues, rng.stream("drop"))
 
 
-def _always_on_runs(pdsch_slots, start, end):
-    """The (label, slots) runs of a UE without DRX over slots start..end-1:
-    PDCCH on every slot but its PDSCH slots, given in ascending order."""
-    t, k = start, 0  # the next slot, and the PDSCH slots just before it
-    for s in pdsch_slots:
-        if s == t:
-            k += 1
-        elif s > t:
-            if k:
-                yield SLOT_PDSCH, k
-            yield SLOT_PDCCH, s - t
-            k = 1
-        else:
-            continue  # before start
-        t = s + 1
-    if k:
-        yield SLOT_PDSCH, k
-    if end > t:
-        yield SLOT_PDCCH, end - t
+def _always_on_power(pdsch_slots, start, end) -> float:
+    """The power of a UE without DRX over slots start..end-1: PDCCH on
+    every slot but its PDSCH slots, given in ascending order. Both terms are
+    whole, so the two runs sum as the per-slot trace does."""
+    k = len(pdsch_slots) - bisect_left(pdsch_slots, start)
+    return power_for_run(((SLOT_PDSCH, k), (SLOT_PDCCH, end - start - k)))
 
 
 @dataclass
@@ -95,7 +83,7 @@ class CellConfig:
     fps: Fraction = Fraction(60)
     psdb_ms: float = 10.0
     sets_per_frame: int = 1
-    policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
+    policy: SchedulerPolicy = SchedulerPolicy()
     duration_s: float = 10.0
     warmup_s: float = 1.0
     embb_ues: int = 0
@@ -238,8 +226,7 @@ class UeCtx:
         self.pose_next = None
 
 
-@dataclass
-class UeKpi:
+class UeKpi(NamedTuple):
     ue_id: int
     is_embb: bool
     padding_samples: list
@@ -247,7 +234,7 @@ class UeKpi:
     delivered_bits: int
     avg_power: float
     pser: float
-    outcomes: list = field(default_factory=list)  # (arrival_us, in_budget) per frame
+    outcomes: list  # (arrival_us, in_budget) per frame
 
     @property
     def frames_total(self) -> int:
@@ -258,8 +245,7 @@ class UeKpi:
         return sum(1 for _, ok in self.outcomes if ok)
 
 
-@dataclass
-class CellResult:
+class CellResult(NamedTuple):
     ues: list
     rb_utilization: list
 
@@ -318,10 +304,10 @@ class CellSim:
             ue.sinr_db = dl_sinr_db(link.serving_coupling_db,
                                     link.interferer_couplings())
             ue.ul_sinr_db = ul_sinr_db(50, link.serving_coupling_db)
-            ue.ul_mcs, _ = select_mcs(ue.ul_sinr_db)
+            ue.ul_mcs = select_mcs(ue.ul_sinr_db)
             # SINR is static, so every CSI report repeats it and the MCS
             # chosen here holds for the whole run
-            ue.mcs, _ = select_mcs(ue.sinr_db)
+            ue.mcs = select_mcs(ue.sinr_db)
             if is_embb:
                 ue.queue = FlowQueue(best_effort, ticks_per_us=tpu)
                 ue.source = ftp3_source(
@@ -863,12 +849,11 @@ class CellSim:
         kpis = []
         for ue in self.ues:
             if ue.drx is None:
-                runs = _always_on_runs(ue.pdsch_slots, self.warm_slot,
-                                       n_slots)
+                avg_power = _always_on_power(ue.pdsch_slots, self.warm_slot,
+                                             n_slots)
             else:
                 self._catch_up(ue, n_slots)
-                runs = ue.activity.runs(self.warm_slot)
-            avg_power = power_for_run(runs)
+                avg_power = power_for_run(ue.activity.runs(self.warm_slot))
             # eMBB flows carry no PDU-set error rate target
             pser = 0.0 if ue.is_embb else ue.queue.pser()
             kpis.append(UeKpi(ue.ue_id, ue.is_embb, ue.padding_samples,

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -87,28 +86,30 @@ class SchedulingInPastError(Exception):
     """An event was scheduled before the current simulation time."""
 
 
-@dataclass
 class SimClock:
-    slot_duration: int = SLOT_US
-    now: Time = 0
+    __slots__ = ("now",)
+
+    def __init__(self):
+        self.now: Time = 0
 
     @property
     def slot_index(self) -> int:
-        return int(self.now // self.slot_duration)
+        return int(self.now // SLOT_US)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: Time
     sequence: int
     kind: str
-    callback: Callable[[], None] = field(compare=False)
+    callback: Callable[[], None]
 
 
-@dataclass
 class SimStats:
-    events_processed: int = 0
-    by_kind: dict = field(default_factory=dict)
+    __slots__ = ("events_processed", "by_kind")
+
+    def __init__(self):
+        self.events_processed = 0
+        self.by_kind: dict = {}
 
     def count(self, kind: str):
         self.events_processed += 1

@@ -262,8 +262,7 @@ class ExperimentConfig:
             raise ValueError(_key_message(e)) from None
 
 
-@dataclass(frozen=True)
-class UeRecord:  # one XR UE of one (load, seed) pair
+class UeRecord(NamedTuple):  # one XR UE of one (load, seed) pair
     ue_id: int
     satisfied: Optional[bool]  # None with zero frames
     tput_mbps: float  # delivered bits over duration_s - warmup_s
@@ -271,8 +270,9 @@ class UeRecord:  # one XR UE of one (load, seed) pair
     mean_padding: float  # bytes per UL grant; 0 without a grant
 
 
-@dataclass
-class PairResult:  # one drop and, with DRX on, its always-on baseline
+class PairResult(NamedTuple):
+    """One drop and, with DRX on, its always-on baseline."""
+
     load: int
     seed: int
     ues: list  # UeRecord per XR UE
@@ -282,8 +282,7 @@ class PairResult:  # one drop and, with DRX on, its always-on baseline
     base_power: list  # the always-on baseline's per-UE power; [] without DRX
 
 
-@dataclass(frozen=True)
-class LoadKpis:
+class LoadKpis(NamedTuple):
     ues: int  # UEs with zero frames included
     satisfied_ues: int
     mean_tput_mbps: float

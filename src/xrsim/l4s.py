@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Tuple
 
 from numpy.random import Generator
 
@@ -33,7 +33,6 @@ def marking_probability(sojourn_ms: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-@dataclass
 class L4sQueueState:
     """Per-flow bottleneck queue with sojourn-time tracking.
 
@@ -42,7 +41,10 @@ class L4sQueueState:
     another's sojourn or marking.
     """
 
-    queue: Deque[float] = field(default_factory=deque)
+    __slots__ = ("queue",)
+
+    def __init__(self):
+        self.queue: deque = deque()
 
     def enqueue(self, now_ms: float) -> None:
         self.queue.append(now_ms)
@@ -134,8 +136,7 @@ class AdaptiveSource:
         return self.rate_bps
 
 
-@dataclass
-class LoopResult:
+class LoopResult(NamedTuple):
     rates_bps: List[float]  # after each feedback interval
     sojourns_ms: List[float]  # of each dequeued packet
     marked_total: int
@@ -165,7 +166,7 @@ def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
         raise ValueError("method must be 1 or 2")
     queue = L4sQueueState()
     marker = Method2Marker(signaling_delay_ms)
-    result = LoopResult([], [], 0)
+    rates, sojourns, marked_total = [], [], 0
 
     emit_carry = 0.0
     serve_carry = 0.0
@@ -188,7 +189,7 @@ def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
         while queue.queue and serve_carry >= PKT_BYTES:
             sojourn = queue.dequeue(now)
             serve_carry -= PKT_BYTES
-            result.sojourns_ms.append(sojourn)
+            sojourns.append(sojourn)
             if marking_enabled:
                 if method == 1:
                     marked = mark_method1(marking_probability(sojourn), rng)
@@ -198,16 +199,16 @@ def closed_loop_run(source: AdaptiveSource, capacity_bps: float,
                 marked = False
             interval_total += 1
             interval_marked += int(marked)
-            result.marked_total += int(marked)
+            marked_total += int(marked)
         if not queue.queue:
             serve_carry = 0.0
 
         if now + 1e-9 >= next_feedback_ms:
             f = interval_marked / interval_total if interval_total else 0.0
             source.adapt(f)
-            result.rates_bps.append(source.rate_bps)
+            rates.append(source.rate_bps)
             interval_marked = 0
             interval_total = 0
             next_feedback_ms += source.feedback_delay_ms
 
-    return result
+    return LoopResult(rates, sojourns, marked_total)

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .engine import ConfigError
 from .traffic import PduSet
@@ -33,8 +33,7 @@ class QosFlowProfile:
             _check_time_ms(self.discard_timer_ms, "discard_timer_ms")
 
 
-@dataclass(frozen=True)
-class DiscardEvent:
+class DiscardEvent(NamedTuple):
     time_us: float
     set_id: tuple
     cause: str  # harq | psihi | psi | timer

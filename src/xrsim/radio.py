@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def ul_sinr_db(n_rb: int, coupling_db: float) -> float:
     return rx_psd - noise_dbm(1, BS_NF_DB)
 
 
-def select_mcs(csi_sinr_db: float) -> tuple[int, float]:
+def select_mcs(csi_sinr_db: float) -> int:
     """Highest ladder entry whose 10% BLER point lies at or below the CSI SINR."""
     idx = 0
     for i, thr in enumerate(MCS_THRESHOLD_DB):
@@ -93,7 +93,7 @@ def select_mcs(csi_sinr_db: float) -> tuple[int, float]:
             idx = i
         else:
             break
-    return idx, MCS_SE[idx]
+    return idx
 
 
 # tb_bits and bler are pure, and a cell asks them the same few questions
@@ -131,8 +131,7 @@ def harq_exhausted(block) -> bool:
     return not block.acked and block.attempts > MAX_RETX
 
 
-@dataclass
-class UeLink:
+class UeLink(NamedTuple):
     ue_id: int
     cell_id: int
     couplings_db: np.ndarray  # to every cell, shadowing included

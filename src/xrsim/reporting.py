@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from functools import cache
+from typing import Iterable, NamedTuple, Optional
 
 from .traffic import PduSet
 
@@ -27,9 +27,7 @@ TABLE_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class BsTable:
-    kind: TableKind
+class BsTable(NamedTuple):
     entries: tuple[int, ...]
 
 
@@ -61,6 +59,7 @@ def _refined_entries(n: int, b_min: int, b_max: int, parent: list[int]) -> list[
     return [0] + vals
 
 
+@cache  # a table is fixed by its kind, so every cell shares one
 def gen_bs_table(kind: TableKind) -> BsTable:
     n, b_min, b_max = TABLE_PARAMS[kind]
     if kind is TableKind.REFINED_LONG:
@@ -68,7 +67,7 @@ def gen_bs_table(kind: TableKind) -> BsTable:
         entries = _refined_entries(n, b_min, b_max, _geometric_entries(ln, lmin, lmax))
     else:
         entries = _geometric_entries(n, b_min, b_max)
-    return BsTable(kind, tuple(entries))
+    return BsTable(tuple(entries))
 
 
 def quantize_bsr(buffer_bytes: int, table: BsTable) -> int:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import SLOT_US, TDD_PERIOD, ConfigError, next_slot
 from .qos import Segment
@@ -30,23 +30,27 @@ class PolicyKind(Enum):
     PDUSET = "pduset"
 
 
-@dataclass(frozen=True)
-class SchedulerPolicy:
+class SchedulerPolicy(NamedTuple):
     kind: PolicyKind = PolicyKind.PF
 
 
-@dataclass(slots=True)
 class Allocation:
     """A transport block, and its HARQ state once it is sent: the attempts
-    made so far and the last attempt's outcome."""
+    made so far and the last attempt's outcome. A UL grant has no segments
+    until the UE fills it."""
 
-    ue_id: int
-    rb_count: int
-    mcs: int
-    tb_bits: int
-    segments: list[Segment] = field(default_factory=list)
-    attempts: int = 0
-    acked: bool = False
+    __slots__ = ("ue_id", "rb_count", "mcs", "tb_bits", "segments",
+                 "attempts", "acked")
+
+    def __init__(self, ue_id: int, rb_count: int, mcs: int, tb_bits: int,
+                 segments: list[Segment] | tuple = ()):
+        self.ue_id = ue_id
+        self.rb_count = rb_count
+        self.mcs = mcs
+        self.tb_bits = tb_bits
+        self.segments = segments
+        self.attempts = 0
+        self.acked = False
 
 
 def pf_update(avg_bps: float, served_bps: float) -> float:
@@ -172,8 +176,7 @@ def allocate_dl(now, ues: list, policy: SchedulerPolicy, total_rb: int,
     return allocations
 
 
-@dataclass
-class UlCandidate:
+class UlCandidate(NamedTuple):
     ue_id: int
     reported_bytes: int
     mcs: int
@@ -222,8 +225,7 @@ class CgConfig:
                 raise ConfigError("must be positive", name)
 
 
-@dataclass(frozen=True)
-class CgOccasion:
+class CgOccasion(NamedTuple):
     slot: int
     rb_count: int
 

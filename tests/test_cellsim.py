@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xrsim.cellsim import (CellConfig, CellSim, FrameProgress, _always_on_runs,
-                           run_drop)
+from xrsim.cellsim import (CellConfig, CellSim, FrameProgress,
+                           _always_on_power, run_drop)
 from xrsim.drx import (ADRX_Q0, DrxConfig, SLOT_PDCCH, SLOT_PDSCH,
                        SLOT_SLEEP, power_for_run)
 from xrsim.engine import SLOT_US, UPLINK, next_slot, slot_type
@@ -125,16 +125,20 @@ def test_pdsch_only_on_dl_slots():
     assert slot == sim.n_slots
 
 
-@given(st.sets(st.integers(0, 60)), st.integers(0, 70), st.integers(0, 70))
-def test_always_on_runs_spell_the_per_slot_trace(pdsch, start, end):
-    # a UE without DRX: PDCCH on every slot but its PDSCH ones, from start
-    pdsch = {s for s in pdsch if s < end}  # every slot lies before the end
-    trace = [SLOT_PDSCH if s in pdsch else SLOT_PDCCH
-             for s in range(start, end)]
-    runs = list(_always_on_runs(sorted(pdsch), start, end))
-    assert [label for label, k in runs for _ in range(k)] == trace
-    assert all(k > 0 for _, k in runs)
-    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # maximal
+def _always_on_trace(pdsch_slots, start, end):
+    """A UE without DRX slot by slot: PDCCH on every slot but its PDSCH
+    ones, from start."""
+    pdsch = set(pdsch_slots)
+    return [(SLOT_PDSCH if s in pdsch else SLOT_PDCCH, 1)
+            for s in range(start, end)]
+
+
+@given(st.sets(st.integers(0, 60)), st.integers(0, 70), st.integers(1, 70))
+def test_always_on_power_is_the_per_slot_trace_power(pdsch, start, span):
+    end = start + span
+    pdsch = sorted(s for s in pdsch if s < end)  # every slot before the end
+    assert _always_on_power(pdsch, start, end) == power_for_run(
+        _always_on_trace(pdsch, start, end))
 
 
 def test_embb_soaks_leftover_capacity():
@@ -359,7 +363,7 @@ def test_power_and_rb_samples_share_the_warm_up_boundary(drx):
     assert first == 401
     for ue, kpi in zip(sim.ues, result.ues):
         runs = (ue.activity.runs(first) if drx else
-                _always_on_runs(ue.pdsch_slots, first, sim.n_slots))
+                _always_on_trace(ue.pdsch_slots, first, sim.n_slots))
         assert kpi.avg_power == power_for_run(runs)
 
 

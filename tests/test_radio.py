@@ -58,17 +58,16 @@ def test_mcs_ladder_shape():
 
 
 def test_select_mcs_floor_cap_monotone():
-    assert select_mcs(-30.0) == (0, MCS_SE[0])
-    idx, se = select_mcs(60.0)
-    assert (idx, se) == (27, 7.8)
+    assert select_mcs(-30.0) == 0
+    assert select_mcs(60.0) == 27
     prev = -1
     for s in np.linspace(-20, 50, 400):
-        idx, _ = select_mcs(float(s))
+        idx = select_mcs(float(s))
         assert idx >= prev
         prev = idx
     # defining property: threshold of the choice is affordable, next one is not
     for s in (-3.0, 4.5, 11.0, 22.0):
-        idx, _ = select_mcs(s)
+        idx = select_mcs(s)
         assert MCS_THRESHOLD_DB[idx] <= s + 1e-9
         if idx < 27:
             assert MCS_THRESHOLD_DB[idx + 1] > s
